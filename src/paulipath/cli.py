@@ -309,7 +309,6 @@ def cmd_sweep(args) -> int:
     rows = sweep_table(
         lattice,
         int(cfg["blocks"]),  # ansatz depth is always explicit
-
         cfg["noise_kind"],
         [float(v) for v in cfg["noise_grid"]],
         [int(k) for k in cfg["k_grid"]],
@@ -317,6 +316,7 @@ def cmd_sweep(args) -> int:
         int(cfg.get("samples", 100_000)),
         seed,
         threads=args.threads,
+        noise_placement=cfg.get("noise_placement", "per_block"),
     )
     payload = _base_payload(args, cfg, seed)
     payload["columns"] = ["noise_param", "k", "estimate", "stderr", "theory_bound"]

@@ -121,7 +121,9 @@ def dynamics_series(
     """Center-site Z expectation after each evolution step, from the all-zero state.
 
     Row 0 is the initial value; row s backpropagates through the first s
-    steps of the splitting sequence.
+    steps of the splitting sequence.  The steps are identical, so row s
+    resumes from row s-1's frontier through one more step: the series
+    costs one pass over the circuit.
     """
     observable = center_z(lattice)
     state = ProductState.zeros(lattice.n_sites)
@@ -132,11 +134,10 @@ def dynamics_series(
             "surviving_paths": len(observable),
         }
     ]
+    res = observable
     for s in range(1, steps + 1):
-        circuit = build_trotter_tfim(
-            lattice, j_coupling, h_field, dt, s, noise, noise_placement
-        )
-        res = backpropagate(circuit, observable, trunc, max_terms=max_terms)
+        step = build_trotter_tfim(lattice, j_coupling, h_field, dt, 1, noise, noise_placement)
+        res = backpropagate(step, res, trunc, max_terms=max_terms)
         rows.append(
             {
                 "t": s * dt,

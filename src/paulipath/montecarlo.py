@@ -334,7 +334,7 @@ def estimate_many(
             steps, seed_codes, seed_weights, probs, norm_sq, m, rng
         )
         if k_factor.max() > norm_sq * (1.0 + 1e-9):
-            raise AssertionError("sample reweighting escaped [0, ||O||_F^2]")
+            raise FloatingPointError("sample reweighting escaped [0, ||O||_F^2]")
         for i, f in enumerate(functionals):
             lam = _functional_values(f, codes, weight, k_factor, n)
             cnt, mean, m2 = stats[i]

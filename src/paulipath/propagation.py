@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +36,7 @@ from .pauli import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
-    expectation_product_state,
+    expectation_product_state,  # noqa: F401  (kept importable from this module)
 )
 
 
@@ -115,29 +116,62 @@ class BackpropStats:
         return dict(self.__dict__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BackpropResult:
-    """Backpropagated observable with per-path-weight resolution.
+    """Backpropagated observable as a columnar frontier.
 
-    ``terms`` merges coefficients over accumulated weight; when weight
-    tracking was active, ``weighted_terms`` keeps them split.
+    Row i is the term ``c[i] * P(x[i], z[i])`` reached with accumulated
+    weight ``w[i]``; rows are unique in (x, z, w) and sorted by it.  The
+    masks are uint64 on the numpy engine and Python ints in an object
+    array on the dict engine.  ``trunc``, ``tracked`` (weights were
+    accumulated) and ``crossed_noise`` (the walk has passed a noise
+    round) let the result seed a further ``backpropagate`` call.  The
+    Pauli-object views are built on first access only.
     """
 
     n: int
-    terms: PauliSum
-    weighted_terms: tuple[WeightedTerm, ...]
+    x: np.ndarray
+    z: np.ndarray
+    w: np.ndarray
+    c: np.ndarray
     stats: BackpropStats
+    trunc: TruncationConfig
+    tracked: bool
+    crossed_noise: bool
+
+    def _pauli_sum(self, rows) -> PauliSum:
+        n = self.n
+        return PauliSum(
+            n,
+            [
+                (PauliString(n, x, z), c)
+                for x, z, c in zip(
+                    self.x[rows].tolist(), self.z[rows].tolist(), self.c[rows].tolist()
+                )
+            ],
+        )
+
+    @cached_property
+    def terms(self) -> PauliSum:
+        """Coefficients merged over accumulated weight."""
+        return self._pauli_sum(slice(None))
+
+    @cached_property
+    def weighted_terms(self) -> tuple[WeightedTerm, ...]:
+        n = self.n
+        return tuple(
+            WeightedTerm(PauliString(n, x, z), w, c)
+            for x, z, w, c in zip(
+                self.x.tolist(), self.z.tolist(), self.w.tolist(), self.c.tolist()
+            )
+        )
 
     def dropped_above(self, k: int) -> PauliSum:
         """Merged sum of the weight-tracked terms with accumulated weight >= k."""
-        return PauliSum(
-            self.n, [(t.pauli, t.coeff) for t in self.weighted_terms if t.weight >= k]
-        )
+        return self._pauli_sum(self.w >= k)
 
     def kept_below(self, k: int) -> PauliSum:
-        return PauliSum(
-            self.n, [(t.pauli, t.coeff) for t in self.weighted_terms if t.weight < k]
-        )
+        return self._pauli_sum(self.w < k)
 
     def to_json_obj(self) -> dict:
         return {"terms": self.terms.to_json_obj(), "stats": self.stats.to_json_obj()}
@@ -256,16 +290,20 @@ def _noise_bit_rows(ch) -> list:
     return out
 
 
+def _cached_rows(row_cache: dict, ch) -> list:
+    """Bit-pair rows of ``ch``, computed once per channel object and walk."""
+    rows = row_cache.get(id(ch))
+    if rows is None:
+        rows = row_cache[id(ch)] = _noise_bit_rows(ch)
+    return rows
+
+
 def _apply_noise(frontier: dict, noise, n: int, row_cache: dict) -> dict:
     for q in range(n):
         ch = noise[q]
         if ch is None or ch.is_identity:
             continue
-        key = id(ch)
-        rows = row_cache.get(key)
-        if rows is None:
-            rows = _noise_bit_rows(ch)
-            row_cache[key] = rows
+        rows = _cached_rows(row_cache, ch)
         bitq = 1 << q
         notq = ~bitq
         new: dict = {}
@@ -317,18 +355,25 @@ class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
 
-def _run_dict(circuit, observable, trunc, track, max_terms) -> tuple[dict, BackpropStats]:
+def _run_dict(circuit, seed, trunc, track, max_terms) -> tuple[dict, BackpropStats, bool]:
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
     n = circuit.n
 
-    frontier: dict = {}
-    for p, c in observable.items():
-        if k is not None and p.weight >= k:
-            stats.paths_discarded_by_weight += 1
-            continue
-        _add(frontier, (p.x, p.z, p.weight if track else 0), c)
-    frontier = _aux_filter(frontier, trunc, stats)
+    if isinstance(seed, BackpropResult):
+        frontier = dict(
+            zip(zip(seed.x.tolist(), seed.z.tolist(), seed.w.tolist()), seed.c.tolist())
+        )
+        crossed = seed.crossed_noise
+    else:
+        frontier = {}
+        for p, c in seed.items():
+            if k is not None and p.weight >= k:
+                stats.paths_discarded_by_weight += 1
+                continue
+            _add(frontier, (p.x, p.z, p.weight if track else 0), c)
+        frontier = _aux_filter(frontier, trunc, stats)
+        crossed = False
     stats.peak_term_count = len(frontier)
 
     units, trailing = noisy_units(circuit)
@@ -346,13 +391,8 @@ def _run_dict(circuit, observable, trunc, track, max_terms) -> tuple[dict, Backp
     for layer in reversed(trailing):
         frontier = after_layer(_apply_gates(frontier, layer, n))
 
-    for u in range(len(units) - 1, -1, -1):
-        unit = units[u]
-        frontier = _apply_noise(frontier, unit[-1].noise, n, row_cache)
-        stats.peak_term_count = max(stats.peak_term_count, len(frontier))
-        for layer in reversed(unit):
-            frontier = after_layer(_apply_gates(frontier, layer, n))
-        if u > 0 and track:
+    for unit in reversed(units):
+        if crossed and track:
             boundary: dict = {}
             for (x, z, w), a in frontier.items():
                 w2 = w + (x | z).bit_count()
@@ -361,9 +401,13 @@ def _run_dict(circuit, observable, trunc, track, max_terms) -> tuple[dict, Backp
                     continue
                 _add(boundary, (x, z, w2), a)
             frontier = boundary
-            stats.peak_term_count = max(stats.peak_term_count, len(frontier))
+        crossed = True
+        frontier = _apply_noise(frontier, unit[-1].noise, n, row_cache)
+        stats.peak_term_count = max(stats.peak_term_count, len(frontier))
+        for layer in reversed(unit):
+            frontier = after_layer(_apply_gates(frontier, layer, n))
     stats.surviving_path_count = len(frontier)
-    return frontier, stats
+    return frontier, stats, crossed
 
 
 # --- vectorized engine (n <= 64) ----------------------------------------------------
@@ -470,7 +514,7 @@ def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
         ch = noise[q]
         if ch is None or ch.is_identity:
             continue
-        rows = row_cache.setdefault(id(ch), _noise_bit_rows(ch))
+        rows = _cached_rows(row_cache, ch)
         qv = np.uint64(q)
         bit = np.uint64(1 << q)
         bp = (((f.x >> qv) & 1) | (((f.z >> qv) & 1) << np.uint64(1))).astype(np.int64)
@@ -532,23 +576,34 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         f.x, f.z, f.w, f.c = f.x[keep], f.z[keep], f.w[keep], f.c[keep]
 
 
-def _run_numpy(circuit, observable, trunc, track, max_terms) -> tuple[dict, BackpropStats]:
+def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, BackpropStats, bool]:
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
     n = circuit.n
 
-    seeds = [(p, c) for p, c in observable.items()]
-    if k is not None:
-        kept = [(p, c) for p, c in seeds if p.weight < k]
-        stats.paths_discarded_by_weight += len(seeds) - len(kept)
-        seeds = kept
-    f = _Frontier(
-        np.array([p.x for p, _ in seeds], dtype=np.uint64),
-        np.array([p.z for p, _ in seeds], dtype=np.uint64),
-        np.array([p.weight if track else 0 for p, _ in seeds], dtype=np.int64),
-        np.array([c for _, c in seeds], dtype=np.float64),
-    )
-    _np_aux_filter(f, trunc, stats)
+    if isinstance(seed, BackpropResult):
+        # copies: the kernels below rewrite the columns in place
+        f = _Frontier(
+            np.array(seed.x, dtype=np.uint64),
+            np.array(seed.z, dtype=np.uint64),
+            np.array(seed.w, dtype=np.int64),
+            np.array(seed.c, dtype=np.float64),
+        )
+        crossed = seed.crossed_noise
+    else:
+        seeds = [(p, c) for p, c in seed.items()]
+        if k is not None:
+            kept = [(p, c) for p, c in seeds if p.weight < k]
+            stats.paths_discarded_by_weight += len(seeds) - len(kept)
+            seeds = kept
+        f = _Frontier(
+            np.array([p.x for p, _ in seeds], dtype=np.uint64),
+            np.array([p.z for p, _ in seeds], dtype=np.uint64),
+            np.array([p.weight if track else 0 for p, _ in seeds], dtype=np.int64),
+            np.array([c for _, c in seeds], dtype=np.float64),
+        )
+        _np_aux_filter(f, trunc, stats)
+        crossed = False
     stats.peak_term_count = len(f)
 
     units, trailing = noisy_units(circuit)
@@ -575,14 +630,8 @@ def _run_numpy(circuit, observable, trunc, track, max_terms) -> tuple[dict, Back
     for layer in reversed(trailing):
         apply_layer_gates(layer)
 
-    for u in range(len(units) - 1, -1, -1):
-        unit = units[u]
-        _np_noise(f, unit[-1].noise, n, row_cache)
-        f.merge()
-        stats.peak_term_count = max(stats.peak_term_count, len(f))
-        for layer in reversed(unit):
-            apply_layer_gates(layer)
-        if u > 0 and track:
+    for unit in reversed(units):
+        if crossed and track:
             w2 = f.w + _popcount(f.x | f.z)
             if k is not None:
                 keep = w2 < k
@@ -591,19 +640,26 @@ def _run_numpy(circuit, observable, trunc, track, max_terms) -> tuple[dict, Back
             else:
                 f.w = w2
             f.merged_len = len(f)
+        crossed = True
+        _np_noise(f, unit[-1].noise, n, row_cache)
+        f.merge()
+        stats.peak_term_count = max(stats.peak_term_count, len(f))
+        for layer in reversed(unit):
+            apply_layer_gates(layer)
 
     f.merge()
     stats.surviving_path_count = len(f)
-    frontier = {
-        (int(x), int(z), int(w)): float(c)
-        for x, z, w, c in zip(f.x, f.z, f.w, f.c)
-    }
-    return frontier, stats
+    return f, stats, crossed
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def backpropagate(
     circuit: Circuit,
-    observable: PauliSum,
+    seed: PauliSum | BackpropResult,
     trunc: TruncationConfig = EXACT,
     track_weights: bool | None = None,
     max_terms: int | None = None,
@@ -614,43 +670,86 @@ def backpropagate(
     Processing runs from the last layer to the first: the final
     single-qubit layer and any trailing noiseless layers first (they add
     no weight beyond the seed terms' own), then each damping-terminated
-    unit.  Crossing from one unit into the next adds the current Pauli
-    weight of every term to its accumulated weight; terms reaching the
-    cutoff are dropped.  The output below the first unit adds no weight.
+    unit.  Before every noise round except the first one the walk ever
+    crosses, the current Pauli weight of every term is added to its
+    accumulated weight; terms reaching the cutoff are dropped.
+
+    ``seed`` is the observable, or the result of an earlier call, whose
+    frontier the walk then continues: ``backpropagate(c1,
+    backpropagate(c2, obs))`` equals ``backpropagate(c1 then c2, obs)``
+    term for term.  A resumed seed must have the same qubit count and
+    ``trunc``; its weight tracking carries over.  ``stats`` count this
+    call only.
 
     ``engine`` selects the frontier representation: "numpy" packs masks
     into uint64 lanes (n <= 64), "dict" is the reference hash-map walk,
     "auto" picks by size.  Both produce identical term sets; coefficient
     rounding may differ in the last bits because merge order differs.
     """
-    if not observable:
-        raise ValueError("observable has no terms")
-    if observable.n != circuit.n:
-        raise QubitCountMismatch("circuit and observable qubit counts differ")
+    if seed.n != circuit.n:
+        raise QubitCountMismatch("circuit and seed qubit counts differ")
     k = trunc.path_weight_cutoff
-    track = True if k is not None else bool(track_weights)
+    if isinstance(seed, BackpropResult):
+        if seed.trunc != trunc:
+            raise ValueError("seed result was propagated with a different truncation")
+        if track_weights is not None and k is None and bool(track_weights) != seed.tracked:
+            raise ValueError("seed result was propagated with different weight tracking")
+        track = seed.tracked
+    else:
+        if not seed:
+            raise ValueError("observable has no terms")
+        track = True if k is not None else bool(track_weights)
     if engine == "auto":
         engine = "numpy" if circuit.n <= 64 else "dict"
+    n = circuit.n
     if engine == "numpy":
-        if circuit.n > 64:
+        if n > 64:
             raise ValueError("numpy engine supports at most 64 qubits")
-        frontier, stats = _run_numpy(circuit, observable, trunc, track, max_terms)
+        f, stats, crossed = _run_numpy(circuit, seed, trunc, track, max_terms)
+        x, z, w, c = f.x, f.z, f.w, f.c
     elif engine == "dict":
-        frontier, stats = _run_dict(circuit, observable, trunc, track, max_terms)
+        frontier, stats, crossed = _run_dict(circuit, seed, trunc, track, max_terms)
+        keys = sorted(frontier)
+        x = np.array([key[0] for key in keys], dtype=object)
+        z = np.array([key[1] for key in keys], dtype=object)
+        w = np.array([key[2] for key in keys], dtype=np.int64)
+        c = np.array([frontier[key] for key in keys], dtype=np.float64)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    n = circuit.n
-    weighted = tuple(
-        WeightedTerm(PauliString(n, x, z), w, a)
-        for (x, z, w), a in sorted(frontier.items())
+    return BackpropResult(
+        n, _frozen(x), _frozen(z), _frozen(w), _frozen(c), stats, trunc, track, crossed
     )
-    merged = PauliSum(n, [(t.pauli, t.coeff) for t in weighted])
-    return BackpropResult(n, merged, weighted, stats)
+
+
+def _mask_words(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """Bit masks split into uint64 words, least significant word first."""
+    if masks.dtype == np.uint64:
+        return [masks]
+    ints = masks.tolist()
+    return [
+        np.array([(v >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for v in ints], dtype=np.uint64)
+        for j in range((n + 63) // 64)
+    ]
 
 
 def expectation(result: BackpropResult, state: ProductState) -> float:
-    """Overlap of the backpropagated observable with a product state."""
-    return expectation_product_state(result.terms, state)
+    """Overlap of the backpropagated observable with a product state.
+
+    Each row's coefficient is multiplied by one lookup per qubit in the
+    table (1, r_x, r_z, r_y) indexed by the bit pair x_q | z_q << 1.
+    """
+    n = result.n
+    if n != state.n:
+        raise QubitCountMismatch(f"observable on {n} qubits, state on {state.n}")
+    table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
+    vals = np.array(result.c, dtype=np.float64)
+    one = np.uint64(1)
+    words = zip(_mask_words(result.x, n), _mask_words(result.z, n))
+    for j, (xw, zw) in enumerate(words):
+        for q in range(64 * j, min(64 * j + 64, n)):
+            s = np.uint64(q - 64 * j)
+            vals *= table[q][((xw >> s) & one) | (((zw >> s) & one) << one)]
+    return math.fsum(vals.tolist())
 
 
 # --- unmerged path enumeration ----------------------------------------------------
@@ -719,7 +818,7 @@ def iter_legal_paths(
             ch = noise[q]
             if ch is None or ch.is_identity:
                 continue
-            rows = row_cache.setdefault(id(ch), _noise_bit_rows(ch))
+            rows = _cached_rows(row_cache, ch)
             notq = ~(1 << q)
             nxt = []
             for xx, zz, a in states:

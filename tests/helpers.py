@@ -1,8 +1,12 @@
-"""Shared generators: random noisy circuits built in two independent forms."""
+"""Shared generators: random noisy circuits built in two independent forms,
+hypothesis strategies for small noisy circuits, and reference computations."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 import dense_ref
 from paulipath import (
@@ -12,11 +16,16 @@ from paulipath import (
     PauliString,
     PauliSum,
     ProductState,
+    TruncationConfig,
+    backpropagate,
+    build_trotter_tfim,
+    expectation_product_state,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
 )
 from paulipath.circuits import Layer
+from paulipath.experiments import center_z
 
 ONE_QUBIT_CLIFFORDS = ["H", "S", "SDG", "X", "Y", "Z"]
 TWO_QUBIT_CLIFFORDS = ["CNOT", "CZ", "SWAP"]
@@ -103,3 +112,121 @@ def dense_expectation(dense_ops, n: int, state: ProductState, obs: PauliSum) -> 
             rho = dense_ref.apply_channel_site(rho, payload, where, n)
     terms = [(p.label(), c) for p, c in obs.items()]
     return dense_ref.expectation(rho, terms)
+
+
+# --- hypothesis strategies ----------------------------------------------------------
+
+ANGLES = st.one_of(
+    st.floats(0.0, 2 * math.pi, allow_nan=False),
+    st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
+)
+
+
+@st.composite
+def gate_rounds(draw, n: int, two_qubit: bool = True) -> tuple:
+    """Gates of one layer: a random split of the qubits into 1- and 2-qubit gates."""
+    order = draw(st.permutations(range(n)))
+    gates = []
+    while order:
+        if two_qubit and len(order) >= 2 and draw(st.booleans()):
+            a, b = order.pop(), order.pop()
+            if draw(st.booleans()):
+                gates.append(CliffordGate(draw(st.sampled_from(TWO_QUBIT_CLIFFORDS)), (a, b)))
+            else:
+                gen = draw(st.sampled_from(["XX", "ZZ", "XZ", "YY", "XY"]))
+                gates.append(PauliRotation(PauliString.from_label(gen), (a, b), draw(ANGLES)))
+        else:
+            q = order.pop()
+            if draw(st.booleans()):
+                gates.append(CliffordGate(draw(st.sampled_from(ONE_QUBIT_CLIFFORDS)), (q,)))
+            else:
+                gen = draw(st.sampled_from(["X", "Y", "Z"]))
+                gates.append(PauliRotation(PauliString.from_label(gen), (q,), draw(ANGLES)))
+    return tuple(gates)
+
+
+@st.composite
+def noise_rounds(draw, n: int):
+    """None (a noiseless layer) or one random channel per qubit."""
+    if draw(st.integers(0, 3)) == 0:
+        return None
+    return tuple(
+        _BUILDERS[draw(st.sampled_from(NOISE_KINDS))](draw(st.floats(0.0, 0.5)))
+        for _ in range(n)
+    )
+
+
+@st.composite
+def noisy_circuits(draw, n: int, depth_max: int = 4, final_layer: bool = True) -> Circuit:
+    layers = tuple(
+        Layer(draw(gate_rounds(n)), draw(noise_rounds(n)))
+        for _ in range(draw(st.integers(0, depth_max)))
+    )
+    final = None
+    if final_layer and draw(st.booleans()):
+        final = Layer(draw(gate_rounds(n, two_qubit=False)))
+    return Circuit(n, layers, final)
+
+
+@st.composite
+def observables(draw, n: int) -> PauliSum:
+    masks = st.integers(0, (1 << n) - 1)
+    coeffs = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    pairs = draw(st.lists(st.tuples(masks, masks, coeffs), min_size=1, max_size=3))
+    obs = PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in pairs])
+    return obs if obs else PauliSum(n, [(PauliString.single(n, 0, "Z"), 1.0)])
+
+
+@st.composite
+def truncations(draw, k_max: int = 8) -> TruncationConfig:
+    return TruncationConfig(
+        path_weight_cutoff=draw(st.one_of(st.none(), st.integers(1, k_max))),
+        coeff_cutoff=draw(st.sampled_from([0.0, 1e-3, 5e-2])),
+        xy_count_cutoff=draw(st.one_of(st.none(), st.integers(1, 3))),
+        current_weight_cutoff=draw(st.one_of(st.none(), st.integers(2, 4))),
+    )
+
+
+@st.composite
+def product_states(draw, n: int) -> ProductState:
+    bloch = []
+    for _ in range(n):
+        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        v = v / max(1.0, float(np.linalg.norm(v)) * (1.0 + 1e-12))
+        bloch.append(tuple(float(c) for c in v))
+    return ProductState.from_vectors(bloch)
+
+
+# --- references -----------------------------------------------------------------------
+
+
+def reference_dynamics_series(
+    lattice, j_coupling, h_field, dt, steps, noise, trunc, noise_placement="per_layer"
+) -> list[dict]:
+    """Dynamics rows recomputed from the observable for every step count s.
+
+    This is the per-s loop ``dynamics_series`` ran before it resumed each
+    step from the previous frontier; it costs O(steps^2) step walks.
+    """
+    observable = center_z(lattice)
+    state = ProductState.zeros(lattice.n_sites)
+    rows = [
+        {
+            "t": 0.0,
+            "expectation": expectation_product_state(observable, state),
+            "surviving_paths": len(observable),
+        }
+    ]
+    for s in range(1, steps + 1):
+        circuit = build_trotter_tfim(
+            lattice, j_coupling, h_field, dt, s, noise, noise_placement
+        )
+        res = backpropagate(circuit, observable, trunc)
+        rows.append(
+            {
+                "t": s * dt,
+                "expectation": expectation_product_state(res.terms, state),
+                "surviving_paths": res.stats.surviving_path_count,
+            }
+        )
+    return rows

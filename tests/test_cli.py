@@ -217,7 +217,63 @@ class TestEstimateCommand:
         assert code == 2
 
 
+    def test_reweighting_guard_exits_4(self, tmp_path, capsys, monkeypatch):
+        import paulipath.montecarlo as mc
+
+        walk = mc._walk_chunk
+
+        def escaping_walk(*args):
+            codes, weight, k_factor = walk(*args)
+            return codes, weight, 2.0 * k_factor + 1.0
+
+        monkeypatch.setattr(mc, "_walk_chunk", escaping_walk)
+        cfg = write_config(
+            tmp_path,
+            {
+                "circuit": {
+                    "n": 1,
+                    "layers": [
+                        {
+                            "gates": [
+                                {"type": "rot", "generator": "X", "support": [0], "angle": "uniform"}
+                            ],
+                            "noise": {"kind": "amplitude_damping", "param": 0.2},
+                        }
+                    ],
+                },
+                "observable": [{"pauli": "Z", "coeff": 1.0}],
+                "estimator": {"functional": "trunc_frobenius", "k": 2, "samples": 100},
+            },
+        )
+        code, _, err = run_cli(["estimate", "--config", cfg], capsys)
+        assert code == 4
+        assert "reweighting" in err and "Traceback" not in err
+
+
 class TestSweepCommand:
+    SWEEP_CONFIG = {
+        "lattice": {"type": "chain", "n": 3},
+        "blocks": 2,
+        "noise_kind": "dephasing",
+        "noise_grid": [0.1],
+        "k_grid": [2, 4],
+        "samples": 4000,
+        "seed": 5,
+    }
+
+    def sweep_rows(self, tmp_path, capsys, **extra):
+        cfg = write_config(tmp_path, {**self.SWEEP_CONFIG, **extra})
+        code, out, _ = run_cli(["sweep", "--config", cfg, "--format", "json", "--threads", "1"], capsys)
+        assert code == 0
+        return json.loads(out)["result"]
+
+    def test_noise_placement_from_config(self, tmp_path, capsys):
+        default = self.sweep_rows(tmp_path, capsys)
+        per_block = self.sweep_rows(tmp_path, capsys, noise_placement="per_block")
+        per_round = self.sweep_rows(tmp_path, capsys, noise_placement="per_round")
+        assert default == per_block
+        assert [r["estimate"] for r in per_round] != [r["estimate"] for r in per_block]
+
     def test_empty_k_grid_header_only(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

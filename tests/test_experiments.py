@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from paulipath import (
     Chain,
     ProductState,
@@ -7,6 +10,7 @@ from paulipath import (
     TruncationConfig,
     build_trotter_tfim,
     make_amplitude_damping,
+    make_dephasing,
     simulate_exact,
 )
 from paulipath.experiments import center_z, dynamics_series, sweep_table, theory_contraction_sq
@@ -56,6 +60,31 @@ class TestDynamicsSeries:
         for a, b in zip(lo, hi):
             if a["t"] <= 0.16:
                 assert abs(a["expectation"] - b["expectation"]) <= 0.02
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_pass_equals_per_step_recomputation(self, data):
+        lattice = data.draw(
+            st.sampled_from([Chain(3), Chain(4, periodic=True), Square(2, 2), Chain(5)])
+        )
+        noise = data.draw(
+            st.sampled_from([None, make_amplitude_damping(0.1), make_dephasing(0.15)])
+        )
+        placement = data.draw(st.sampled_from(["per_step", "per_layer"]))
+        trunc = data.draw(helpers.truncations(k_max=10))
+        params = (
+            data.draw(st.floats(-2.0, 2.0)),
+            data.draw(st.floats(-2.0, 2.0)),
+            data.draw(st.floats(0.01, 0.5)),
+            data.draw(st.integers(1, 4)),
+        )
+        got = dynamics_series(lattice, *params, noise, trunc, placement)
+        want = helpers.reference_dynamics_series(lattice, *params, noise, trunc, placement)
+        assert [r["t"] for r in got] == [r["t"] for r in want]
+        assert [r["surviving_paths"] for r in got] == [r["surviving_paths"] for r in want]
+        for a, b in zip(got, want):
+            assert a["expectation"] == pytest.approx(b["expectation"], abs=1e-12)
 
 
 class TestSweepTable:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from paulipath import (
@@ -18,6 +20,7 @@ from paulipath import (
     count_legal_paths,
     effective_depth_compare,
     expectation,
+    expectation_product_state,
     iter_legal_paths,
     make_amplitude_damping,
     make_dephasing,
@@ -370,3 +373,109 @@ class TestResultSurface:
         obj = res.to_json_obj()
         assert set(obj) == {"terms", "stats"}
         assert obj["stats"]["surviving_path_count"] == len(res.weighted_terms)
+
+
+def _stat_totals(*results):
+    keys = ("paths_discarded_by_weight", "paths_discarded_by_coeff",
+            "paths_discarded_by_xy", "paths_discarded_by_current_weight")
+    return {key: sum(getattr(r.stats, key) for r in results) for key in keys}
+
+
+def _weighted(res):
+    return {(t.pauli, t.weight): t.coeff for t in res.weighted_terms}
+
+
+class TestResume:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_chained_equals_concatenated(self, data):
+        n = data.draw(st.integers(1, 4))
+        early = data.draw(helpers.noisy_circuits(n, final_layer=False))
+        late = data.draw(helpers.noisy_circuits(n))
+        obs = data.draw(helpers.observables(n))
+        trunc = data.draw(helpers.truncations())
+        track = data.draw(st.booleans())
+        engine = data.draw(st.sampled_from(["numpy", "dict"]))
+        both = Circuit(n, early.layers + late.layers, late.final_layer)
+
+        whole = backpropagate(both, obs, trunc, track, engine=engine)
+        first = backpropagate(late, obs, trunc, track, engine=engine)
+        chained = backpropagate(early, first, trunc, engine=engine)
+
+        want, got = _weighted(whole), _weighted(chained)
+        assert set(got) == set(want)
+        for key, coeff in want.items():
+            assert got[key] == pytest.approx(coeff, abs=1e-12)
+        assert chained.stats.surviving_path_count == whole.stats.surviving_path_count
+        assert _stat_totals(first, chained) == _stat_totals(whole)
+        assert chained.crossed_noise == whole.crossed_noise
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_columnar_expectation_matches_pauli_sum(self, data):
+        n = data.draw(st.integers(1, 4))
+        circuit = data.draw(helpers.noisy_circuits(n))
+        obs = data.draw(helpers.observables(n))
+        trunc = data.draw(helpers.truncations())
+        engine = data.draw(st.sampled_from(["numpy", "dict"]))
+        state = data.draw(helpers.product_states(n))
+        res = backpropagate(circuit, obs, trunc, engine=engine)
+        assert expectation(res, state) == pytest.approx(
+            expectation_product_state(res.terms, state), abs=1e-12
+        )
+
+    def test_columnar_expectation_beyond_one_word(self):
+        rng = np.random.default_rng(3)
+        n = 70
+        layers = tuple(
+            Layer(
+                tuple(
+                    PauliRotation(PauliString.from_label(g), (q,), float(rng.uniform(0, 6)))
+                    for q in (0, 63, 64, 69)
+                ),
+                (make_dephasing(0.1),) * n,
+            )
+            for g in "XZ"
+        )
+        circuit = Circuit(n, layers)
+        obs = PauliSum(n, [(PauliString(n, (1 << 69) | 1, (1 << 64) | (1 << 63)), 0.8)])
+        state = helpers.random_product_state(rng, n)
+        res = backpropagate(circuit, obs, engine="dict")
+        assert res.x.dtype == object and len(res.x) > 1
+        assert expectation(res, state) == pytest.approx(
+            expectation_product_state(res.terms, state), abs=1e-14
+        )
+
+    def test_resume_across_engines(self):
+        rng = np.random.default_rng(8)
+        circuit, _, n = helpers.random_noisy_circuit(rng, n_max=3, depth_max=4)
+        obs = helpers.random_observable(rng, n)
+        trunc = TruncationConfig(path_weight_cutoff=5)
+        first = backpropagate(circuit, obs, trunc, engine="dict")
+        a = backpropagate(circuit, first, trunc, engine="numpy")
+        b = backpropagate(circuit, first, trunc, engine="dict")
+        assert set(_weighted(a)) == set(_weighted(b))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_seed_with_other_truncation_rejected(self, data):
+        n = data.draw(st.integers(1, 3))
+        circuit = data.draw(helpers.noisy_circuits(n))
+        obs = data.draw(helpers.observables(n))
+        trunc = data.draw(helpers.truncations())
+        other = data.draw(helpers.truncations().filter(lambda t: t != trunc))
+        res = backpropagate(circuit, obs, trunc)
+        with pytest.raises(ValueError):
+            backpropagate(circuit, res, other)
+
+    def test_seed_with_other_qubit_count_rejected(self):
+        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
+        with pytest.raises(QubitCountMismatch):
+            backpropagate(Circuit(2, ()), res)
+
+    def test_result_columns_read_only(self):
+        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
+        with pytest.raises(ValueError):
+            res.c[0] = 1.0
+        again = backpropagate(rx_damping_circuit(), res)
+        assert again.stats.surviving_path_count == len(again.x)
