@@ -62,17 +62,13 @@ from .pauli import (
     QubitCountMismatch,
     commutes,
     expectation_product_state,
-    frobenius_norm_sq,
     multiply,
-    weight,
 )
 from .propagation import (
     BackpropResult,
     FrontierOverflowError,
     TruncationConfig,
     backpropagate,
-    count_legal_paths,
     effective_depth_compare,
     expectation,
-    iter_legal_paths,
 )

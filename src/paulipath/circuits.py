@@ -396,12 +396,10 @@ class EnsembleSpec:
     """Angle/Clifford laws for randomized circuit families.
 
     ``angle_law=None`` leaves every rotation angle as a placeholder to be
-    drawn uniformly from [0, 2*pi); a float pins all angles.  ``seed`` is
-    the default used when sampling a template built from this spec.
+    drawn uniformly from [0, 2*pi); a float pins all angles.
     """
 
     angle_law: float | None = None
-    seed: int = 0
 
 
 NoiseSpec = Union[NormalFormChannel, Sequence, None]

@@ -63,6 +63,13 @@ class ConfigError(ValueError):
     pass
 
 
+class _ConfigObject(dict):
+    """A JSON object from the user's config; a missing key is a ConfigError."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"config is missing {key!r}")
+
+
 def _version_string() -> str:
     try:
         desc = subprocess.run(
@@ -82,7 +89,7 @@ def _load_config(args) -> dict:
         raise ConfigError("--config FILE is required for this command")
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, object_hook=_ConfigObject)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -187,7 +194,7 @@ def _base_payload(args, cfg: dict, seed: int) -> dict:
 
 def cmd_channel_info(args) -> int:
     if args.channel:
-        spec = json.loads(args.channel)
+        spec = json.loads(args.channel, object_hook=_ConfigObject)
     else:
         spec = _load_config(args).get("channel")
     if not isinstance(spec, dict):
@@ -401,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidChannelError, QubitCountMismatch, KeyError,
+    except (ConfigError, InvalidChannelError, QubitCountMismatch,
             json.JSONDecodeError, UnsupportedEnsembleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

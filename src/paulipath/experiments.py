@@ -6,13 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import (
-    NormalFormChannel,
-    contraction_sq_worstcase,
-    make_amplitude_damping,
-    make_dephasing,
-    make_depolarizing,
-)
+from .channels import _BUILDERS, NormalFormChannel, contraction_sq_worstcase
 from .circuits import Lattice, build_hva, build_trotter_tfim
 from .montecarlo import TruncFrobenius, TruncMSE, estimate_many
 from .pauli import PauliString, PauliSum, ProductState, expectation_product_state
@@ -40,13 +34,6 @@ def theory_contraction_sq(kind: str, param: float, ch: NormalFormChannel) -> flo
     return contraction_sq_worstcase(ch)
 
 
-_KIND_BUILDERS = {
-    "amplitude_damping": make_amplitude_damping,
-    "dephasing": make_dephasing,
-    "depolarizing": make_depolarizing,
-}
-
-
 def sweep_table(
     lattice: Lattice,
     blocks: int,
@@ -68,15 +55,15 @@ def sweep_table(
     scramble every qubit, which is what the reference decay curve
     assumes.
     """
-    if noise_kind not in _KIND_BUILDERS:
-        raise ValueError(f"sweep supports kinds {sorted(_KIND_BUILDERS)}, not {noise_kind!r}")
+    if noise_kind not in _BUILDERS:
+        raise ValueError(f"sweep supports kinds {sorted(_BUILDERS)}, not {noise_kind!r}")
     if functional not in ("trunc_frobenius", "trunc_mse"):
         raise ValueError("sweep functional must be trunc_frobenius or trunc_mse")
     observable = center_z(lattice)
 
     def run_point(item: tuple[int, float]) -> list[dict]:
         idx, param = item
-        ch = _KIND_BUILDERS[noise_kind](param)
+        ch = _BUILDERS[noise_kind](param)
         template = build_hva(lattice, ch, blocks, noise_placement=noise_placement)
         if functional == "trunc_frobenius":
             fs = [TruncFrobenius(k) for k in k_grid]

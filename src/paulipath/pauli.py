@@ -114,11 +114,6 @@ class PauliString:
         return f"PauliString({self.label()!r})"
 
 
-def weight(p: PauliString) -> int:
-    """Number of non-identity sites of ``p``."""
-    return p.weight
-
-
 def _require_same_n(p: PauliString, q: PauliString) -> None:
     if p.n != q.n:
         raise QubitCountMismatch(f"{p.n} qubits vs {q.n} qubits")
@@ -220,10 +215,6 @@ class PauliSum:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(f"{c:g}*{p.label()}" for p, c in self._terms.items())
         return f"PauliSum({body or '0'})"
-
-
-def frobenius_norm_sq(o: PauliSum) -> float:
-    return o.frobenius_norm_sq()
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ created.  Keying terms by weight as well as Pauli keeps the truncated
 sum exactly equal to the per-path definition: coincident Paulis that
 arrived with different accumulated weight must not be conflated, or the
 cutoff would remove the wrong paths.
+
+The frontier is columnar for every qubit count: the x and z masks are
+word-major ``(W, m)`` uint64 arrays with ``W = ceil(n / 64)``, qubit q
+in bit ``q & 63`` of word ``q >> 6``, next to the accumulated weights
+and coefficients of the m terms.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
 from .circuits import (
     Circuit,
     CliffordGate,
-    Layer,
     PauliRotation,
     clifford_adjoint_table,
     noisy_units,
@@ -116,17 +120,36 @@ class BackpropStats:
         return dict(self.__dict__)
 
 
+_WORD = (1 << 64) - 1
+
+
+def _split_words(masks: Sequence[int], n: int) -> np.ndarray:
+    """Integer bit masks as a word-major (ceil(n/64), len(masks)) uint64 array."""
+    words = (n + 63) // 64
+    return np.array(
+        [[(v >> (64 * j)) & _WORD for v in masks] for j in range(words)], dtype=np.uint64
+    ).reshape(words, len(masks))
+
+
+def _join_words(words: np.ndarray) -> list[int]:
+    """Inverse of ``_split_words``: one Python int per column."""
+    ints = [0] * words.shape[1]
+    for row in words[::-1].tolist():
+        ints = [(v << 64) | r for v, r in zip(ints, row)]
+    return ints
+
+
 @dataclass(frozen=True, eq=False)
 class BackpropResult:
     """Backpropagated observable as a columnar frontier.
 
-    Row i is the term ``c[i] * P(x[i], z[i])`` reached with accumulated
-    weight ``w[i]``; rows are unique in (x, z, w) and sorted by it.  The
-    masks are uint64 on the numpy engine and Python ints in an object
-    array on the dict engine.  ``trunc``, ``tracked`` (weights were
-    accumulated) and ``crossed_noise`` (the walk has passed a noise
-    round) let the result seed a further ``backpropagate`` call.  The
-    Pauli-object views are built on first access only.
+    Row i is the term ``c[i] * P(x[:, i], z[:, i])`` reached with
+    accumulated weight ``w[i]``; rows are unique in (x, z, w) and sorted
+    by it.  The masks are word-major ``(ceil(n/64), m)`` uint64 arrays,
+    qubit q in bit ``q & 63`` of word ``q >> 6``.  ``trunc``, ``tracked``
+    (weights were accumulated) and ``crossed_noise`` (the walk has passed
+    a noise round) let the result seed a further ``backpropagate`` call.
+    The Pauli-object views are built on first access only.
     """
 
     n: int
@@ -146,7 +169,9 @@ class BackpropResult:
             [
                 (PauliString(n, x, z), c)
                 for x, z, c in zip(
-                    self.x[rows].tolist(), self.z[rows].tolist(), self.c[rows].tolist()
+                    _join_words(self.x[:, rows]),
+                    _join_words(self.z[:, rows]),
+                    self.c[rows].tolist(),
                 )
             ],
         )
@@ -162,7 +187,7 @@ class BackpropResult:
         return tuple(
             WeightedTerm(PauliString(n, x, z), w, c)
             for x, z, w, c in zip(
-                self.x.tolist(), self.z.tolist(), self.w.tolist(), self.c.tolist()
+                _join_words(self.x), _join_words(self.z), self.w.tolist(), self.c.tolist()
             )
         )
 
@@ -177,14 +202,6 @@ class BackpropResult:
         return {"terms": self.terms.to_json_obj(), "stats": self.stats.to_json_obj()}
 
 
-def _add(frontier: dict, key: tuple, value: float) -> None:
-    new = frontier.get(key, 0.0) + value
-    if new == 0.0:
-        frontier.pop(key, None)
-    else:
-        frontier[key] = new
-
-
 def _cos_sin(angle: float) -> tuple[float, float]:
     c, s = math.cos(angle), math.sin(angle)
     # angles at multiples of pi/2 make the rotation Clifford; snap so the
@@ -194,32 +211,6 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     if abs(s) < 1e-15:
         s = 0.0
     return c, s
-
-
-def _apply_rotation(frontier: dict, gate: PauliRotation, n: int) -> dict:
-    if gate.angle is None:
-        raise ValueError("circuit has unresolved ensemble placeholders")
-    gx, gz = gate.embedded_masks(n)
-    c, s = _cos_sin(gate.angle)
-    gphase = (gx & gz).bit_count()
-    new: dict = {}
-    for (x, z, w), a in frontier.items():
-        if ((x & gz).bit_count() + (z & gx).bit_count()) & 1 == 0:
-            _add(new, (x, z, w), a)
-            continue
-        if c != 0.0:
-            _add(new, (x, z, w), a * c)
-        if s != 0.0:
-            x2, z2 = x ^ gx, z ^ gz
-            m = (
-                gphase
-                + (x & z).bit_count()
-                - (x2 & z2).bit_count()
-                + 2 * (gz & x).bit_count()
-            ) & 3
-            sign = 1.0 if (m + 1) & 3 == 0 else -1.0  # i*G*P = i^(m+1) * folded
-            _add(new, (x2, z2, w), a * s * sign)
-    return new
 
 
 _BIT_TABLE_CACHE: dict = {}
@@ -253,29 +244,6 @@ def _clifford_bit_tables(gate: CliffordGate):
     return out2
 
 
-def _apply_clifford(frontier: dict, gate: CliffordGate) -> dict:
-    bits = _clifford_bit_tables(gate)
-    new: dict = {}
-    if len(gate.support) == 1:
-        q = gate.support[0]
-        notq = ~(1 << q)
-        for (x, z, w), a in frontier.items():
-            bp = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-            xb, zb, sign = bits[bp]
-            _add(new, ((x & notq) | (xb << q), (z & notq) | (zb << q), w), a * sign)
-        return new
-    q0, q1 = gate.support
-    clear = ~((1 << q0) | (1 << q1))
-    for (x, z, w), a in frontier.items():
-        bp0 = ((x >> q0) & 1) | (((z >> q0) & 1) << 1)
-        bp1 = ((x >> q1) & 1) | (((z >> q1) & 1) << 1)
-        xb0, zb0, xb1, zb1, sign = bits[bp0 * 4 + bp1]
-        x2 = (x & clear) | (xb0 << q0) | (xb1 << q1)
-        z2 = (z & clear) | (zb0 << q0) | (zb1 << q1)
-        _add(new, (x2, z2, w), a * sign)
-    return new
-
-
 def _noise_bit_rows(ch) -> list:
     """Adjoint rows re-indexed by bit-pair code: rows[bp] = ((x, z, coeff), ...)."""
     rows = ch.adjoint_rows()
@@ -298,215 +266,135 @@ def _cached_rows(row_cache: dict, ch) -> list:
     return rows
 
 
-def _apply_noise(frontier: dict, noise, n: int, row_cache: dict) -> dict:
-    for q in range(n):
-        ch = noise[q]
-        if ch is None or ch.is_identity:
-            continue
-        rows = _cached_rows(row_cache, ch)
-        bitq = 1 << q
-        notq = ~bitq
-        new: dict = {}
-        for (x, z, w), a in frontier.items():
-            bp = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-            if bp == 0:
-                _add(new, (x, z, w), a)
-                continue
-            for xb, zb, coeff in rows[bp]:
-                _add(new, ((x & notq) | (xb << q), (z & notq) | (zb << q), w), a * coeff)
-        frontier = new
-    return frontier
-
-
-def _aux_filter(frontier: dict, trunc: TruncationConfig, stats: BackpropStats) -> dict:
-    if trunc.coeff_cutoff == 0.0 and trunc.xy_count_cutoff is None and trunc.current_weight_cutoff is None:
-        return frontier
-    out: dict = {}
-    for key, a in frontier.items():
-        x, z, _ = key
-        if trunc.coeff_cutoff > 0.0 and abs(a) < trunc.coeff_cutoff:
-            stats.paths_discarded_by_coeff += 1
-            continue
-        if trunc.xy_count_cutoff is not None and x.bit_count() > trunc.xy_count_cutoff:
-            stats.paths_discarded_by_xy += 1
-            continue
-        if (
-            trunc.current_weight_cutoff is not None
-            and (x | z).bit_count() > trunc.current_weight_cutoff
-        ):
-            stats.paths_discarded_by_current_weight += 1
-            continue
-        out[key] = a
-    return out
-
-
-def _apply_gates(frontier: dict, layer: Layer, n: int) -> dict:
-    for gate in layer.gates:
-        if isinstance(gate, PauliRotation):
-            frontier = _apply_rotation(frontier, gate, n)
-        elif isinstance(gate, CliffordGate):
-            frontier = _apply_clifford(frontier, gate)
-        else:
-            raise ValueError("circuit has unresolved ensemble placeholders")
-    return frontier
-
-
 class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
 
-def _run_dict(circuit, seed, trunc, track, max_terms) -> tuple[dict, BackpropStats, bool]:
-    k = trunc.path_weight_cutoff
-    stats = BackpropStats()
-    n = circuit.n
+def _backward_ops(circuit: Circuit, crossed: bool = False) -> list:
+    """The circuit as backward-walk operations, last layer first.
 
-    if isinstance(seed, BackpropResult):
-        frontier = dict(
-            zip(zip(seed.x.tolist(), seed.z.tolist(), seed.w.tolist()), seed.c.tolist())
-        )
-        crossed = seed.crossed_noise
-    else:
-        frontier = {}
-        for p, c in seed.items():
-            if k is not None and p.weight >= k:
-                stats.paths_discarded_by_weight += 1
-                continue
-            _add(frontier, (p.x, p.z, p.weight if track else 0), c)
-        frontier = _aux_filter(frontier, trunc, stats)
-        crossed = False
-    stats.peak_term_count = len(frontier)
-
+    ``("layer", layer)`` applies a layer's gates, ``("noise", noise)`` a
+    noise round and ``("boundary",)`` adds every term's current Pauli
+    weight to its accumulated weight.  A boundary goes before every noise
+    round except the first one the walk crosses; ``crossed`` says the
+    walk already crossed one before this circuit.
+    """
     units, trailing = noisy_units(circuit)
-    row_cache: dict = {}
-
-    def after_layer(front: dict) -> dict:
-        front = _aux_filter(front, trunc, stats)
-        stats.peak_term_count = max(stats.peak_term_count, len(front))
-        if max_terms is not None and len(front) > max_terms:
-            raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-        return front
-
+    ops: list = []
     if circuit.final_layer is not None:
-        frontier = after_layer(_apply_gates(frontier, circuit.final_layer, n))
-    for layer in reversed(trailing):
-        frontier = after_layer(_apply_gates(frontier, layer, n))
-
+        ops.append(("layer", circuit.final_layer))
+    ops.extend(("layer", layer) for layer in reversed(trailing))
     for unit in reversed(units):
-        if crossed and track:
-            boundary: dict = {}
-            for (x, z, w), a in frontier.items():
-                w2 = w + (x | z).bit_count()
-                if k is not None and w2 >= k:
-                    stats.paths_discarded_by_weight += 1
-                    continue
-                _add(boundary, (x, z, w2), a)
-            frontier = boundary
+        if crossed:
+            ops.append(("boundary",))
         crossed = True
-        frontier = _apply_noise(frontier, unit[-1].noise, n, row_cache)
-        stats.peak_term_count = max(stats.peak_term_count, len(frontier))
-        for layer in reversed(unit):
-            frontier = after_layer(_apply_gates(frontier, layer, n))
-    stats.surviving_path_count = len(frontier)
-    return frontier, stats, crossed
-
-
-# --- vectorized engine (n <= 64) ----------------------------------------------------
+        ops.append(("noise", unit[-1].noise))
+        ops.extend(("layer", layer) for layer in reversed(unit))
+    return ops
 
 
 class _Frontier:
-    """Frontier as parallel arrays; keys (x, z, w) unique only after merges."""
+    """Frontier as parallel columns; keys (x, z, w) unique only after merges."""
 
     __slots__ = ("x", "z", "w", "c", "merged_len")
 
     def __init__(self, x, z, w, c):
         self.x, self.z, self.w, self.c = x, z, w, c
-        self.merged_len = len(x)
+        self.merged_len = len(c)
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.c)
+
+    def select(self, keep: np.ndarray) -> None:
+        self.x = np.compress(keep, self.x, axis=1)
+        self.z = np.compress(keep, self.z, axis=1)
+        self.w, self.c = self.w[keep], self.c[keep]
+
+    def append(self, xs, zs, ws, cs) -> None:
+        """Append new rows, given as lists of column blocks."""
+        self.x = np.concatenate((self.x, *xs), axis=1)
+        self.z = np.concatenate((self.z, *zs), axis=1)
+        self.w = np.concatenate((self.w, *ws))
+        self.c = np.concatenate((self.c, *cs))
 
     def merge(self) -> None:
-        if len(self.x) == 0:
+        if len(self.c) == 0:
             self.merged_len = 0
             return
-        order = np.lexsort((self.w, self.z, self.x))
-        x, z, w, c = self.x[order], self.z[order], self.w[order], self.c[order]
-        first = np.empty(len(x), dtype=bool)
+        # the last key is primary: rows sort by x, then z, then w, with the
+        # masks compared as integers (most significant word first)
+        order = np.lexsort((self.w, *self.z, *self.x))
+        x = np.take(self.x, order, axis=1)
+        z = np.take(self.z, order, axis=1)
+        w, c = self.w[order], self.c[order]
+        first = np.empty(len(c), dtype=bool)
         first[0] = True
-        first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1]) | (w[1:] != w[:-1])
+        first[1:] = w[1:] != w[:-1]
+        first[1:] |= np.any(x[:, 1:] != x[:, :-1], axis=0)
+        first[1:] |= np.any(z[:, 1:] != z[:, :-1], axis=0)
         idx = np.flatnonzero(first)
         sums = np.add.reduceat(c, idx)
         keep = sums != 0.0
-        self.x, self.z, self.w, self.c = x[idx][keep], z[idx][keep], w[idx][keep], sums[keep]
-        self.merged_len = len(self.x)
+        rows = idx[keep]
+        self.x, self.z = np.take(x, rows, axis=1), np.take(z, rows, axis=1)
+        self.w, self.c = w[rows], sums[keep]
+        self.merged_len = len(self.c)
 
 
 def _popcount(v: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(v).astype(np.int64)
+    """Set bits of each column of a word-major (W, m) array."""
+    return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
+
+
+def _site(f: _Frontier, q: int) -> tuple[int, np.uint64, np.ndarray]:
+    """Word index, bit shift and bit-pair code x_q | z_q << 1 of qubit q."""
+    j, s = q >> 6, np.uint64(q & 63)
+    return j, s, ((f.x[j] >> s) & 1) | (((f.z[j] >> s) & 1) << np.uint64(1))
 
 
 def _np_rotation(f: _Frontier, gate: PauliRotation, n: int) -> None:
     if gate.angle is None:
         raise ValueError("circuit has unresolved ensemble placeholders")
-    gx, gz = gate.embedded_masks(n)
+    gx_int, gz_int = gate.embedded_masks(n)
+    gx, gz = _split_words([gx_int], n), _split_words([gz_int], n)
     cos_t, sin_t = _cos_sin(gate.angle)
-    gxv, gzv = np.uint64(gx), np.uint64(gz)
-    anti = (_popcount(f.x & gzv) + _popcount(f.z & gxv)) & 1 == 1
+    # popcount(a) + popcount(b) has the parity of popcount(a ^ b)
+    anti = (_popcount((f.x & gz) ^ (f.z & gx)) & 1).astype(bool)
     if not anti.any():
         return
+    branch = None
     if sin_t != 0.0:
-        x2 = f.x[anti] ^ gxv
-        z2 = f.z[anti] ^ gzv
+        xa = np.compress(anti, f.x, axis=1)
+        za = np.compress(anti, f.z, axis=1)
+        x2, z2 = xa ^ gx, za ^ gz
         m = (
-            (gx & gz).bit_count()
-            + _popcount(f.x[anti] & f.z[anti])
+            (gx_int & gz_int).bit_count()
+            + _popcount(xa & za)
             - _popcount(x2 & z2)
-            + 2 * _popcount(gzv & f.x[anti])
+            + 2 * _popcount(gz & xa)
         ) & 3
-        sign = np.where((m + 1) & 3 == 0, 1.0, -1.0)
-        branch = (x2, z2, f.w[anti], f.c[anti] * (sin_t * sign))
-    else:
-        branch = None
+        sign = np.where((m + 1) & 3 == 0, 1.0, -1.0)  # i*G*P = i^(m+1) * folded
+        branch = ([x2], [z2], [f.w[anti]], [f.c[anti] * (sin_t * sign)])
     if cos_t == 0.0:
-        keep = ~anti
-        f.x, f.z, f.w, f.c = f.x[keep], f.z[keep], f.w[keep], f.c[keep]
+        f.select(~anti)
     else:
         f.c = np.where(anti, f.c * cos_t, f.c)
     if branch is not None:
-        f.x = np.concatenate((f.x, branch[0]))
-        f.z = np.concatenate((f.z, branch[1]))
-        f.w = np.concatenate((f.w, branch[2]))
-        f.c = np.concatenate((f.c, branch[3]))
+        f.append(*branch)
 
 
 def _np_clifford(f: _Frontier, gate: CliffordGate) -> None:
-    bits = _clifford_bit_tables(gate)
-    if len(gate.support) == 1:
-        q = gate.support[0]
-        qv = np.uint64(q)
-        bit = np.uint64(1 << q)
-        bp = ((f.x >> qv) & 1) | (((f.z >> qv) & 1) << np.uint64(1))
-        xb = np.array([e[0] for e in bits], dtype=np.uint64)[bp]
-        zb = np.array([e[1] for e in bits], dtype=np.uint64)[bp]
-        sg = np.array([e[2] for e in bits])[bp]
-        f.x = (f.x & ~bit) | (xb << qv)
-        f.z = (f.z & ~bit) | (zb << qv)
-        f.c = f.c * sg
-        return
-    q0, q1 = gate.support
-    q0v, q1v = np.uint64(q0), np.uint64(q1)
-    clear = np.uint64(~((1 << q0) | (1 << q1)) & ((1 << 64) - 1))
-    bp0 = ((f.x >> q0v) & 1) | (((f.z >> q0v) & 1) << np.uint64(1))
-    bp1 = ((f.x >> q1v) & 1) | (((f.z >> q1v) & 1) << np.uint64(1))
-    joint = (bp0 << np.uint64(2)) | bp1
-    xb0 = np.array([e[0] for e in bits], dtype=np.uint64)[joint]
-    zb0 = np.array([e[1] for e in bits], dtype=np.uint64)[joint]
-    xb1 = np.array([e[2] for e in bits], dtype=np.uint64)[joint]
-    zb1 = np.array([e[3] for e in bits], dtype=np.uint64)[joint]
-    sg = np.array([e[4] for e in bits])[joint]
-    f.x = (f.x & clear) | (xb0 << q0v) | (xb1 << q1v)
-    f.z = (f.z & clear) | (zb0 << q0v) | (zb1 << q1v)
-    f.c = f.c * sg
+    # one table row per input bit-pair code: (x, z) per support qubit, then the sign
+    bits = np.array(_clifford_bit_tables(gate))
+    sites = [_site(f, q) for q in gate.support]  # read before any write
+    code = sites[0][2]
+    if len(sites) == 2:
+        code = (code << np.uint64(2)) | sites[1][2]
+    for i, (j, s, _) in enumerate(sites):
+        clear = ~(np.uint64(1) << s)
+        f.x[j] = (f.x[j] & clear) | (bits[:, 2 * i].astype(np.uint64)[code] << s)
+        f.z[j] = (f.z[j] & clear) | (bits[:, 2 * i + 1].astype(np.uint64)[code] << s)
+    f.c = f.c * bits[:, -1][code]
 
 
 def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
@@ -515,13 +403,13 @@ def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
         if ch is None or ch.is_identity:
             continue
         rows = _cached_rows(row_cache, ch)
-        qv = np.uint64(q)
-        bit = np.uint64(1 << q)
-        bp = (((f.x >> qv) & 1) | (((f.z >> qv) & 1) << np.uint64(1))).astype(np.int64)
-        pieces_x, pieces_z, pieces_w, pieces_c = [], [], [], []
+        j, s, bp = _site(f, q)
+        clear = ~(np.uint64(1) << s)
+        pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
         # first output of each non-identity row rewrites in place; extras append
-        scale = np.ones(len(f.x))
-        drop = np.zeros(len(f.x), dtype=bool)
+        scale = np.ones(len(f))
+        drop = np.zeros(len(f), dtype=bool)
+        xj, zj = f.x[j], f.z[j]  # views: writes land in the frontier
         for code in range(1, 4):
             sel = bp == code
             if not sel.any():
@@ -532,34 +420,28 @@ def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
                 continue
             xb, zb, coeff = entries[0]
             scale[sel] = coeff
-            if xb or zb:
-                f.x[sel] = (f.x[sel] & ~bit) | (np.uint64(xb) << qv)
-                f.z[sel] = (f.z[sel] & ~bit) | (np.uint64(zb) << qv)
-            else:
-                f.x[sel] = f.x[sel] & ~bit
-                f.z[sel] = f.z[sel] & ~bit
+            xj[sel] = (xj[sel] & clear) | (np.uint64(xb) << s)
+            zj[sel] = (zj[sel] & clear) | (np.uint64(zb) << s)
             for xb, zb, coeff in entries[1:]:
-                pieces_x.append((f.x[sel] & ~bit) | (np.uint64(xb) << qv))
-                pieces_z.append((f.z[sel] & ~bit) | (np.uint64(zb) << qv))
-                pieces_w.append(f.w[sel])
-                pieces_c.append(f.c[sel] * coeff)
+                x2 = np.compress(sel, f.x, axis=1)
+                z2 = np.compress(sel, f.z, axis=1)
+                x2[j] = (x2[j] & clear) | (np.uint64(xb) << s)
+                z2[j] = (z2[j] & clear) | (np.uint64(zb) << s)
+                for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
+                    piece.append(col)
         f.c = f.c * scale
         if drop.any():
-            keep = ~drop
-            f.x, f.z, f.w, f.c = f.x[keep], f.z[keep], f.w[keep], f.c[keep]
-        if pieces_x:
-            f.x = np.concatenate((f.x, *pieces_x))
-            f.z = np.concatenate((f.z, *pieces_z))
-            f.w = np.concatenate((f.w, *pieces_w))
-            f.c = np.concatenate((f.c, *pieces_c))
-        if len(f.x) > 4 * max(f.merged_len, 1 << 16):
+            f.select(~drop)
+        if pieces[0]:
+            f.append(*pieces)
+        if len(f) > 4 * max(f.merged_len, 1 << 16):
             f.merge()
 
 
 def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) -> None:
     if trunc.coeff_cutoff == 0.0 and trunc.xy_count_cutoff is None and trunc.current_weight_cutoff is None:
         return
-    keep = np.ones(len(f.x), dtype=bool)
+    keep = np.ones(len(f), dtype=bool)
     if trunc.coeff_cutoff > 0.0:
         bad = np.abs(f.c) < trunc.coeff_cutoff
         stats.paths_discarded_by_coeff += int(bad.sum())
@@ -573,7 +455,7 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         stats.paths_discarded_by_current_weight += int(bad.sum())
         keep &= ~bad
     if not keep.all():
-        f.x, f.z, f.w, f.c = f.x[keep], f.z[keep], f.w[keep], f.c[keep]
+        f.select(keep)
 
 
 def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, BackpropStats, bool]:
@@ -597,8 +479,8 @@ def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, Backp
             stats.paths_discarded_by_weight += len(seeds) - len(kept)
             seeds = kept
         f = _Frontier(
-            np.array([p.x for p, _ in seeds], dtype=np.uint64),
-            np.array([p.z for p, _ in seeds], dtype=np.uint64),
+            _split_words([p.x for p, _ in seeds], n),
+            _split_words([p.z for p, _ in seeds], n),
             np.array([p.weight if track else 0 for p, _ in seeds], dtype=np.int64),
             np.array([c for _, c in seeds], dtype=np.float64),
         )
@@ -606,46 +488,39 @@ def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, Backp
         crossed = False
     stats.peak_term_count = len(f)
 
-    units, trailing = noisy_units(circuit)
     row_cache: dict = {}
-
-    def apply_layer_gates(layer: Layer) -> None:
-        for gate in layer.gates:
-            if isinstance(gate, PauliRotation):
-                _np_rotation(f, gate, n)
-            elif isinstance(gate, CliffordGate):
-                _np_clifford(f, gate)
-            else:
-                raise ValueError("circuit has unresolved ensemble placeholders")
-            if len(f) > 4 * max(f.merged_len, 1 << 16):
-                f.merge()
-        f.merge()
-        _np_aux_filter(f, trunc, stats)
-        stats.peak_term_count = max(stats.peak_term_count, len(f))
-        if max_terms is not None and len(f) > max_terms:
-            raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-
-    if circuit.final_layer is not None:
-        apply_layer_gates(circuit.final_layer)
-    for layer in reversed(trailing):
-        apply_layer_gates(layer)
-
-    for unit in reversed(units):
-        if crossed and track:
+    for op in _backward_ops(circuit, crossed):
+        kind = op[0]
+        if kind == "layer":
+            for gate in op[1].gates:
+                if isinstance(gate, PauliRotation):
+                    _np_rotation(f, gate, n)
+                elif isinstance(gate, CliffordGate):
+                    _np_clifford(f, gate)
+                else:
+                    raise ValueError("circuit has unresolved ensemble placeholders")
+                if len(f) > 4 * max(f.merged_len, 1 << 16):
+                    f.merge()
+            f.merge()
+            _np_aux_filter(f, trunc, stats)
+            stats.peak_term_count = max(stats.peak_term_count, len(f))
+            if max_terms is not None and len(f) > max_terms:
+                raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
+        elif kind == "noise":
+            crossed = True
+            _np_noise(f, op[1], n, row_cache)
+            f.merge()
+            stats.peak_term_count = max(stats.peak_term_count, len(f))
+        elif track:  # weight boundary
             w2 = f.w + _popcount(f.x | f.z)
             if k is not None:
                 keep = w2 < k
                 stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
-                f.x, f.z, f.w, f.c = f.x[keep], f.z[keep], w2[keep], f.c[keep]
+                f.w = w2
+                f.select(keep)
             else:
                 f.w = w2
             f.merged_len = len(f)
-        crossed = True
-        _np_noise(f, unit[-1].noise, n, row_cache)
-        f.merge()
-        stats.peak_term_count = max(stats.peak_term_count, len(f))
-        for layer in reversed(unit):
-            apply_layer_gates(layer)
 
     f.merge()
     stats.surviving_path_count = len(f)
@@ -681,11 +556,13 @@ def backpropagate(
     ``trunc``; its weight tracking carries over.  ``stats`` count this
     call only.
 
-    ``engine`` selects the frontier representation: "numpy" packs masks
-    into uint64 lanes (n <= 64), "dict" is the reference hash-map walk,
-    "auto" picks by size.  Both produce identical term sets; coefficient
-    rounding may differ in the last bits because merge order differs.
+    One engine serves every qubit count.  ``engine`` is kept only for the
+    benchmark's light-cone reference (``perfbench/worker.py``), which
+    passes "numpy"; "auto" and "numpy" run the same walk and any other
+    value raises ``ValueError``.
     """
+    if engine not in ("auto", "numpy"):
+        raise ValueError(f"unknown engine {engine!r}")
     if seed.n != circuit.n:
         raise QubitCountMismatch("circuit and seed qubit counts differ")
     k = trunc.path_weight_cutoff
@@ -699,37 +576,18 @@ def backpropagate(
         if not seed:
             raise ValueError("observable has no terms")
         track = True if k is not None else bool(track_weights)
-    if engine == "auto":
-        engine = "numpy" if circuit.n <= 64 else "dict"
-    n = circuit.n
-    if engine == "numpy":
-        if n > 64:
-            raise ValueError("numpy engine supports at most 64 qubits")
-        f, stats, crossed = _run_numpy(circuit, seed, trunc, track, max_terms)
-        x, z, w, c = f.x, f.z, f.w, f.c
-    elif engine == "dict":
-        frontier, stats, crossed = _run_dict(circuit, seed, trunc, track, max_terms)
-        keys = sorted(frontier)
-        x = np.array([key[0] for key in keys], dtype=object)
-        z = np.array([key[1] for key in keys], dtype=object)
-        w = np.array([key[2] for key in keys], dtype=np.int64)
-        c = np.array([frontier[key] for key in keys], dtype=np.float64)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    f, stats, crossed = _run_numpy(circuit, seed, trunc, track, max_terms)
     return BackpropResult(
-        n, _frozen(x), _frozen(z), _frozen(w), _frozen(c), stats, trunc, track, crossed
+        circuit.n,
+        _frozen(f.x),
+        _frozen(f.z),
+        _frozen(f.w),
+        _frozen(f.c),
+        stats,
+        trunc,
+        track,
+        crossed,
     )
-
-
-def _mask_words(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """Bit masks split into uint64 words, least significant word first."""
-    if masks.dtype == np.uint64:
-        return [masks]
-    ints = masks.tolist()
-    return [
-        np.array([(v >> (64 * j)) & 0xFFFFFFFFFFFFFFFF for v in ints], dtype=np.uint64)
-        for j in range((n + 63) // 64)
-    ]
 
 
 def expectation(result: BackpropResult, state: ProductState) -> float:
@@ -744,117 +602,10 @@ def expectation(result: BackpropResult, state: ProductState) -> float:
     table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
     vals = np.array(result.c, dtype=np.float64)
     one = np.uint64(1)
-    words = zip(_mask_words(result.x, n), _mask_words(result.z, n))
-    for j, (xw, zw) in enumerate(words):
-        for q in range(64 * j, min(64 * j + 64, n)):
-            s = np.uint64(q - 64 * j)
-            vals *= table[q][((xw >> s) & one) | (((zw >> s) & one) << one)]
+    for q in range(n):
+        j, s = q >> 6, np.uint64(q & 63)
+        vals *= table[q][((result.x[j] >> s) & one) | (((result.z[j] >> s) & one) << one)]
     return math.fsum(vals.tolist())
-
-
-# --- unmerged path enumeration ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LegalPath:
-    """One surviving branch leaf.
-
-    ``boundaries`` holds the damping-round Paulis from the seed down to
-    the input side; ``amplitude`` is the seed coefficient times the
-    product of all transition factors along the branch.
-    """
-
-    boundaries: tuple[PauliString, ...]
-    weight: int
-    amplitude: float
-
-
-def _backward_ops(circuit: Circuit) -> list:
-    units, trailing = noisy_units(circuit)
-    ops: list = []
-    if circuit.final_layer is not None:
-        ops.extend(("gate", g) for g in circuit.final_layer.gates)
-    for layer in reversed(trailing):
-        ops.extend(("gate", g) for g in layer.gates)
-    for u in range(len(units) - 1, -1, -1):
-        unit = units[u]
-        ops.append(("noise", unit[-1].noise))
-        for layer in reversed(unit):
-            ops.extend(("gate", g) for g in layer.gates)
-        if u > 0:
-            ops.append(("boundary",))
-    return ops
-
-
-def iter_legal_paths(
-    circuit: Circuit, observable: PauliSum, k: int | None
-) -> Iterator[LegalPath]:
-    """Depth-first walk of the unmerged branch tree, weight cutoff only.
-
-    Yields one entry per branch leaf whose transition factors are all
-    nonzero and whose accumulated weight stays below ``k``.  Branches
-    with an exactly-zero factor are never created.
-    """
-    if not observable:
-        raise ValueError("observable has no terms")
-    if observable.n != circuit.n:
-        raise QubitCountMismatch("circuit and observable qubit counts differ")
-    n = circuit.n
-    ops = _backward_ops(circuit)
-    row_cache: dict = {}
-
-    def branch(x: int, z: int, op) -> list[tuple[int, int, float]]:
-        kind = op[0]
-        if kind == "gate":
-            gate = op[1]
-            if isinstance(gate, CliffordGate):
-                front = _apply_clifford({(x, z, 0): 1.0}, gate)
-            else:
-                front = _apply_rotation({(x, z, 0): 1.0}, gate, n)
-            return [(xx, zz, a) for (xx, zz, _w), a in front.items()]
-        noise = op[1]
-        states = [(x, z, 1.0)]
-        for q in range(n):
-            ch = noise[q]
-            if ch is None or ch.is_identity:
-                continue
-            rows = _cached_rows(row_cache, ch)
-            notq = ~(1 << q)
-            nxt = []
-            for xx, zz, a in states:
-                bp = ((xx >> q) & 1) | (((zz >> q) & 1) << 1)
-                if bp == 0:
-                    nxt.append((xx, zz, a))
-                    continue
-                for xb, zb, coeff in rows[bp]:
-                    nxt.append(
-                        ((xx & notq) | (xb << q), (zz & notq) | (zb << q), a * coeff)
-                    )
-            states = nxt
-        return states
-
-    def walk(x, z, w, amp, pos, boundaries) -> Iterator[LegalPath]:
-        while pos < len(ops) and ops[pos][0] == "boundary":
-            w2 = w + (x | z).bit_count()
-            if k is not None and w2 >= k:
-                return
-            boundaries = boundaries + (PauliString(n, x, z),)
-            w, pos = w2, pos + 1
-        if pos == len(ops):
-            yield LegalPath(boundaries + (PauliString(n, x, z),), w, amp)
-            return
-        for x2, z2, factor in branch(x, z, ops[pos]):
-            yield from walk(x2, z2, w, amp * factor, pos + 1, boundaries)
-
-    for p, c in observable.items():
-        if k is not None and p.weight >= k:
-            continue
-        yield from walk(p.x, p.z, p.weight, c, 0, (p,))
-
-
-def count_legal_paths(circuit: Circuit, observable: PauliSum, k: int | None) -> int:
-    """Number of surviving branch leaves with the weight cutoff alone active."""
-    return sum(1 for _ in iter_legal_paths(circuit, observable, k))
 
 
 def effective_depth_compare(

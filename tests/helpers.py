@@ -188,6 +188,57 @@ def truncations(draw, k_max: int = 8) -> TruncationConfig:
 
 
 @st.composite
+def registers(draw) -> tuple[int, tuple[int, ...]]:
+    """A qubit count n and the qubits a drawn circuit acts on.
+
+    n is 1-4 (all qubits active) or 60-130.  A wide register always
+    activates the pair straddling a 64-bit word boundary below n (63/64
+    or 127/128) and up to two more qubits from the ends of its words.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        return n, tuple(range(n))
+    n = draw(st.integers(60, 130))
+    pool = sorted({q for q in (0, 1, 62, 63, 64, 65, 126, 127, 128, 129) if q < n} | {n - 1})
+    sites = set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
+    edges = [b for b in (64, 128) if b < n]
+    if edges:
+        b = draw(st.sampled_from(edges))
+        sites |= {b - 1, b}
+    return n, tuple(sorted(sites))
+
+
+def embed_circuit(circuit: Circuit, sites: tuple[int, ...], n: int) -> Circuit:
+    """``circuit`` with its qubit i moved to ``sites[i]`` of an n-qubit register."""
+
+    def gate(g):
+        support = tuple(sites[q] for q in g.support)
+        if isinstance(g, CliffordGate):
+            return CliffordGate(g.name, support)
+        return PauliRotation(g.generator, support, g.angle)
+
+    def layer(lay: Layer | None) -> Layer | None:
+        if lay is None:
+            return None
+        noise = None
+        if lay.noise is not None:
+            wide = [None] * n
+            for q, ch in zip(sites, lay.noise):
+                wide[q] = ch
+            noise = tuple(wide)
+        return Layer(tuple(gate(g) for g in lay.gates), noise)
+
+    return Circuit(n, tuple(layer(lay) for lay in circuit.layers), layer(circuit.final_layer))
+
+
+def embed_sum(obs: PauliSum, sites: tuple[int, ...], n: int) -> PauliSum:
+    def mask(v: int) -> int:
+        return sum(((v >> i) & 1) << q for i, q in enumerate(sites))
+
+    return PauliSum(n, [(PauliString(n, mask(p.x), mask(p.z)), c) for p, c in obs.items()])
+
+
+@st.composite
 def product_states(draw, n: int) -> ProductState:
     bloch = []
     for _ in range(n):

@@ -403,3 +403,28 @@ class TestErrors:
         assert code == 0 and out == ""
         payload = json.loads(out_path.read_text())
         assert "version" in payload and "config" in payload
+
+    def test_missing_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {"lattice": {"type": "chain", "n": 2}, "h": 1.0, "dt": 0.1, "steps": 1},
+        )
+        code, _, err = run_cli(["dynamics", "--config", cfg], capsys)
+        assert code == 2
+        assert "'J'" in err
+        assert "Traceback" not in err
+
+    def test_library_key_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
+        import paulipath.cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(paulipath.cli, "dynamics_series", broken)
+        cfg = write_config(
+            tmp_path,
+            {"lattice": {"type": "chain", "n": 2}, "J": 1.0, "h": 1.0, "dt": 0.1, "steps": 1},
+        )
+        with pytest.raises(KeyError, match="internal"):
+            main(["dynamics", "--config", cfg])
+        assert "configuration" not in capsys.readouterr().err

@@ -24,13 +24,13 @@ from paulipath import (
     validate_estimator,
 )
 from paulipath.circuits import Layer, PauliRotation
-from paulipath.montecarlo import (
+from paulipath.oracle import rotation_forward_ptm
+from second_moment_ref import (
     second_moment_clifford,
     second_moment_noise,
     second_moment_rotation,
     second_moment_uniform_clifford,
 )
-from paulipath.oracle import rotation_forward_ptm
 
 
 def uniform_rx_layer(n, noise, qubits=None):

@@ -13,9 +13,7 @@ from paulipath import (
     QubitCountMismatch,
     commutes,
     expectation_product_state,
-    frobenius_norm_sq,
     multiply,
-    weight,
 )
 
 LABELS_1Q = ["I", "X", "Y", "Z"]
@@ -41,7 +39,7 @@ class TestPauliString:
         [("III", 0), ("XIZ", 2), ("YYY", 3), ("I", 0), ("IZ", 1)],
     )
     def test_weight(self, label, expected):
-        assert weight(PauliString.from_label(label)) == expected
+        assert PauliString.from_label(label).weight == expected
 
     def test_support_and_codes(self):
         p = PauliString.from_label("XIZY")
@@ -160,7 +158,7 @@ class TestPauliSum:
         ],
     )
     def test_frobenius_examples(self, pairs, expected):
-        assert frobenius_norm_sq(PauliSum.from_strings(pairs)) == pytest.approx(
+        assert PauliSum.from_strings(pairs).frobenius_norm_sq() == pytest.approx(
             expected, abs=1e-15
         )
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,11 +18,9 @@ from paulipath import (
     TruncationConfig,
     backpropagate,
     build_hva,
-    count_legal_paths,
     effective_depth_compare,
     expectation,
     expectation_product_state,
-    iter_legal_paths,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
@@ -30,6 +29,10 @@ from paulipath import (
 )
 from paulipath.circuits import Layer, PauliRotation
 from paulipath.propagation import EXACT, FrontierOverflowError
+from reference_walk import count_legal_paths, iter_legal_paths, reference_backpropagate
+
+# "dict" is the reference dict walk in tests/reference_walk.py, "numpy" the engine
+WALKS = {"dict": reference_backpropagate, "numpy": backpropagate}
 
 
 def rx_damping_circuit(theta=0.7, gamma=0.2):
@@ -69,12 +72,10 @@ class TestBackpropagate:
         res = backpropagate(Circuit(2, ()), obs, TruncationConfig(path_weight_cutoff=5))
         assert res.terms.to_json_obj() == obs.to_json_obj()
 
-    @pytest.mark.parametrize("engine", ["dict", "numpy"])
+    @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_rx_damping_exact_terms(self, engine):
         theta, gamma = 0.7, 0.2
-        res = backpropagate(
-            rx_damping_circuit(theta, gamma), PauliSum.single("Z"), engine=engine
-        )
+        res = WALKS[engine](rx_damping_circuit(theta, gamma), PauliSum.single("Z"))
         assert res.terms.coeff(PauliString.from_label("Z")) == pytest.approx(
             (1 - gamma) * math.cos(theta)
         )
@@ -147,27 +148,23 @@ class TestBackpropagate:
             circuit = Circuit(n, tuple(layers))
             obs = helpers.random_observable(rng, n)
             state = helpers.random_product_state(rng, n)
-            for engine in ("dict", "numpy"):
-                got = expectation(backpropagate(circuit, obs, engine=engine), state)
+            for walk in WALKS.values():
+                got = expectation(walk(circuit, obs), state)
                 assert got == pytest.approx(simulate_exact(circuit, state, obs), abs=1e-10)
 
-    @pytest.mark.parametrize("engine", ["dict", "numpy"])
+    @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_seed_terms_above_cutoff_are_dropped(self, engine):
         obs = PauliSum.from_strings([("ZZZ", 1.0), ("ZII", 0.5)])
-        res = backpropagate(
-            Circuit(3, ()), obs, TruncationConfig(path_weight_cutoff=2), engine=engine
-        )
+        res = WALKS[engine](Circuit(3, ()), obs, TruncationConfig(path_weight_cutoff=2))
         assert res.terms.to_json_obj() == [{"pauli": "ZII", "coeff": 0.5}]
         assert res.stats.paths_discarded_by_weight == 1
 
-    @pytest.mark.parametrize("engine", ["dict", "numpy"])
+    @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_everything_truncated_yields_empty_result(self, engine):
         c = Circuit(
             2, (Layer((), (make_amplitude_damping(0.2),) * 2),) * 3
         )
-        res = backpropagate(
-            c, PauliSum.single("ZZ"), TruncationConfig(path_weight_cutoff=2), engine=engine
-        )
+        res = WALKS[engine](c, PauliSum.single("ZZ"), TruncationConfig(path_weight_cutoff=2))
         assert len(res.terms) == 0
         assert res.stats.surviving_path_count == 0
         assert expectation(res, ProductState.zeros(2)) == 0.0
@@ -183,8 +180,8 @@ class TestBackpropagate:
                 xy_count_cutoff=int(rng.integers(1, 4)) if trial % 3 == 0 else None,
                 current_weight_cutoff=int(rng.integers(2, 5)) if trial % 5 == 0 else None,
             )
-            ra = backpropagate(circuit, obs, trunc, engine="dict")
-            rb = backpropagate(circuit, obs, trunc, engine="numpy")
+            ra = reference_backpropagate(circuit, obs, trunc)
+            rb = backpropagate(circuit, obs, trunc)
             ta = {(t.pauli, t.weight): t.coeff for t in ra.weighted_terms}
             tb = {(t.pauli, t.weight): t.coeff for t in rb.weighted_terms}
             assert set(ta) == set(tb)
@@ -217,13 +214,19 @@ class TestBackpropagate:
         with pytest.raises(ValueError):
             backpropagate(template, PauliSum.single("ZI"))
 
-    @pytest.mark.parametrize("engine", ["dict", "numpy"])
+    @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_max_terms_guard(self, engine):
         circuit = sample_circuit(build_hva(Chain(4), make_amplitude_damping(0.05), 3), 8)
         with pytest.raises(FrontierOverflowError):
-            backpropagate(
-                circuit, PauliSum.single("ZIII"), max_terms=2, engine=engine
-            )
+            WALKS[engine](circuit, PauliSum.single("ZIII"), max_terms=2)
+
+    def test_engine_option(self):
+        obs = PauliSum.single("Z")
+        for engine in ("auto", "numpy"):
+            res = backpropagate(rx_damping_circuit(), obs, engine=engine)
+            assert res.stats.surviving_path_count == 3
+        with pytest.raises(ValueError):
+            backpropagate(rx_damping_circuit(), obs, engine="dict")
 
 
 class TestAuxiliaryCutoffs:
@@ -395,12 +398,11 @@ class TestResume:
         obs = data.draw(helpers.observables(n))
         trunc = data.draw(helpers.truncations())
         track = data.draw(st.booleans())
-        engine = data.draw(st.sampled_from(["numpy", "dict"]))
         both = Circuit(n, early.layers + late.layers, late.final_layer)
 
-        whole = backpropagate(both, obs, trunc, track, engine=engine)
-        first = backpropagate(late, obs, trunc, track, engine=engine)
-        chained = backpropagate(early, first, trunc, engine=engine)
+        whole = backpropagate(both, obs, trunc, track)
+        first = backpropagate(late, obs, trunc, track)
+        chained = backpropagate(early, first, trunc)
 
         want, got = _weighted(whole), _weighted(chained)
         assert set(got) == set(want)
@@ -417,9 +419,8 @@ class TestResume:
         circuit = data.draw(helpers.noisy_circuits(n))
         obs = data.draw(helpers.observables(n))
         trunc = data.draw(helpers.truncations())
-        engine = data.draw(st.sampled_from(["numpy", "dict"]))
         state = data.draw(helpers.product_states(n))
-        res = backpropagate(circuit, obs, trunc, engine=engine)
+        res = backpropagate(circuit, obs, trunc)
         assert expectation(res, state) == pytest.approx(
             expectation_product_state(res.terms, state), abs=1e-12
         )
@@ -440,21 +441,12 @@ class TestResume:
         circuit = Circuit(n, layers)
         obs = PauliSum(n, [(PauliString(n, (1 << 69) | 1, (1 << 64) | (1 << 63)), 0.8)])
         state = helpers.random_product_state(rng, n)
-        res = backpropagate(circuit, obs, engine="dict")
-        assert res.x.dtype == object and len(res.x) > 1
+        res = backpropagate(circuit, obs)
+        assert res.x.dtype == res.z.dtype == np.uint64
+        assert res.x.shape == res.z.shape == (2, len(res.c)) and len(res.c) > 1
         assert expectation(res, state) == pytest.approx(
             expectation_product_state(res.terms, state), abs=1e-14
         )
-
-    def test_resume_across_engines(self):
-        rng = np.random.default_rng(8)
-        circuit, _, n = helpers.random_noisy_circuit(rng, n_max=3, depth_max=4)
-        obs = helpers.random_observable(rng, n)
-        trunc = TruncationConfig(path_weight_cutoff=5)
-        first = backpropagate(circuit, obs, trunc, engine="dict")
-        a = backpropagate(circuit, first, trunc, engine="numpy")
-        b = backpropagate(circuit, first, trunc, engine="dict")
-        assert set(_weighted(a)) == set(_weighted(b))
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
@@ -478,4 +470,70 @@ class TestResume:
         with pytest.raises(ValueError):
             res.c[0] = 1.0
         again = backpropagate(rx_damping_circuit(), res)
-        assert again.stats.surviving_path_count == len(again.x)
+        assert again.stats.surviving_path_count == again.x.shape[1]
+
+
+def _assert_same_frontier(got, want):
+    assert got.x.shape == want.x.shape == ((got.n + 63) // 64, len(want.c))
+    assert got.x.dtype == got.z.dtype == np.uint64
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+    assert np.array_equal(got.w, want.w)
+    np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-12)
+    assert got.stats.surviving_path_count == want.stats.surviving_path_count
+    assert got.crossed_noise == want.crossed_noise
+
+
+class TestAgainstReference:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_engine_matches_reference_walk(self, data):
+        n, sites = data.draw(helpers.registers())
+        k = len(sites)
+        early = helpers.embed_circuit(
+            data.draw(helpers.noisy_circuits(k, final_layer=False)), sites, n
+        )
+        late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(k)), sites, n)
+        obs = helpers.embed_sum(data.draw(helpers.observables(k)), sites, n)
+        trunc = data.draw(helpers.truncations())
+        track = data.draw(st.booleans())
+        if data.draw(st.booleans(), label="resume"):
+            got = backpropagate(early, backpropagate(late, obs, trunc, track), trunc)
+            want = reference_backpropagate(
+                early, reference_backpropagate(late, obs, trunc, track), trunc
+            )
+        else:
+            both = Circuit(n, early.layers + late.layers, late.final_layer)
+            got = backpropagate(both, obs, trunc, track)
+            want = reference_backpropagate(both, obs, trunc, track)
+        _assert_same_frontier(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_kmax_run_contains_smaller_cutoff_runs(self, data):
+        n, sites = data.draw(helpers.registers())
+        circuit = helpers.embed_circuit(data.draw(helpers.noisy_circuits(len(sites))), sites, n)
+        obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
+        base = data.draw(helpers.truncations())
+        k = data.draw(st.integers(1, 8))
+        k_max = data.draw(st.integers(k, 10))
+        big = backpropagate(circuit, obs, dataclasses.replace(base, path_weight_cutoff=k_max))
+        small = backpropagate(circuit, obs, dataclasses.replace(base, path_weight_cutoff=k))
+        below = big.w < k
+        assert np.array_equal(big.x[:, below], small.x)
+        assert np.array_equal(big.z[:, below], small.z)
+        assert np.array_equal(big.w[below], small.w)
+        np.testing.assert_allclose(big.c[below], small.c, rtol=0, atol=1e-12)
+        kept = big.kept_below(k)
+        assert set(kept.terms) == set(small.terms.terms)
+        for pauli, coeff in small.terms.items():
+            assert kept.coeff(pauli) == pytest.approx(coeff, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_exact_mode_matches_dense_oracle(self, data):
+        n = data.draw(st.integers(1, 4))
+        circuit = data.draw(helpers.noisy_circuits(n))
+        obs = data.draw(helpers.observables(n))
+        state = data.draw(helpers.product_states(n))
+        got = expectation(backpropagate(circuit, obs), state)
+        assert got == pytest.approx(simulate_exact(circuit, state, obs), abs=1e-10)
