@@ -10,9 +10,15 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk is vectorized over samples: a chunk of paths is an (m, n)
-array of site codes updated step by step with a counter-based generator,
-so results are reproducible and independent of chunking internals.
+The walk is vectorized over samples and uses the propagation engine's
+Pauli encoding: a chunk of m paths is a pair of word-major ``(W, m)``
+uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit ``q & 63`` of
+word ``q >> 6``.  A uniform rotation folds the generator into the paths
+that anticommute with it (one popcount parity over the gate's words),
+Cliffords and noise look up tables indexed by the bit pair x_q | z_q << 1,
+and a weight boundary adds one popcount of x | z.  Draws come from a
+counter-based generator, so results are reproducible and independent of
+chunking internals.
 """
 
 from __future__ import annotations
@@ -28,19 +34,24 @@ from .circuits import (
     CliffordGate,
     PauliRotation,
     RandomSingleQubitClifford,
-    clifford_adjoint_table,
     sample_circuit,
 )
 from .oracle import simulate_exact
-from .pauli import PauliSum, ProductState, QubitCountMismatch
-from .propagation import EXACT, _backward_ops, _cos_sin, backpropagate, expectation
+from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
+from .propagation import (
+    EXACT,
+    _WORD,
+    _backward_ops,
+    _bloch_scale,
+    _clifford_bit_tables,
+    _cos_sin,
+    _popcount,
+    _site,
+    _split_words,
+    backpropagate,
+)
 
 _CHUNK = 1 << 17
-
-# site-code product table, signs dropped (only squared amplitudes matter here)
-_MULT = np.array(
-    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.uint8
-)
 
 
 class UnsupportedEnsembleError(ValueError):
@@ -74,13 +85,25 @@ Functional = Union[Variance, TruncMSE, TruncFrobenius]
 
 @dataclass(frozen=True)
 class EstimateResult:
+    """Sample mean and standard error of one functional.
+
+    ``nonzero_fraction`` is the share of samples whose functional value
+    is non-zero: near 0 the mean rests on few paths.
+    """
+
     mean: float
     standard_error: float
     samples: int
     seed: int
+    nonzero_fraction: float
 
     def to_json_obj(self) -> dict:
-        return {"mean": self.mean, "stderr": self.standard_error, "samples": self.samples}
+        return {
+            "mean": self.mean,
+            "stderr": self.standard_error,
+            "samples": self.samples,
+            "nonzero_fraction": self.nonzero_fraction,
+        }
 
 
 def _noise_tables(ch: NormalFormChannel) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +121,45 @@ def _noise_tables(ch: NormalFormChannel) -> tuple[np.ndarray, np.ndarray]:
 
 # --- compiled vectorized walk ------------------------------------------------------
 
+# bit pair x | z << 1 of each site code I, X, Y, Z (the map is its own inverse)
+_BIT_PAIR = np.array(BITS_TO_CODE, dtype=np.intp)
+
+
+def _clifford_step(gate: CliffordGate) -> tuple:
+    """XOR deltas per touched word, indexed by the joint bit pair of the support."""
+    rows = _clifford_bit_tables(gate)  # per joint input: (x, z) per support qubit, sign
+    deltas: dict = {}
+    for k, q in enumerate(gate.support):
+        shift = 2 * (len(gate.support) - 1 - k)  # bit pair of support[k] in the index
+        dx, dz = deltas.setdefault(q >> 6, ([0] * len(rows), [0] * len(rows)))
+        for i, row in enumerate(rows):
+            dx[i] |= (row[2 * k] ^ ((i >> shift) & 1)) << (q & 63)
+            dz[i] |= (row[2 * k + 1] ^ ((i >> (shift + 1)) & 1)) << (q & 63)
+    tables = tuple(
+        (j, np.array(dx, dtype=np.uint64), np.array(dz, dtype=np.uint64))
+        for j, (dx, dz) in deltas.items()
+    )
+    return ("cliff", gate.support, tables)
+
+
+def _rotation_step(kind: str, gate: PauliRotation, n: int) -> tuple:
+    """Parity reads and fold writes of a generator, as (side, word, mask).
+
+    Side 0 is the x masks, side 1 the z masks.  A path anticommutes with
+    the generator when the reads ``x & gz`` and ``z & gx`` hold an odd
+    number of bits; folding it in XORs ``gx`` into x and ``gz`` into z.
+    """
+    gx, gz = gate.embedded_masks(n)
+    reads, writes = [], []
+    for j in sorted({q >> 6 for q in gate.support}):
+        wx, wz = np.uint64((gx >> (64 * j)) & _WORD), np.uint64((gz >> (64 * j)) & _WORD)
+        reads += [(side, j, w) for side, w in ((0, wz), (1, wx)) if w]
+        writes += [(side, j, w) for side, w in ((0, wx), (1, wz)) if w]
+    return (kind, tuple(reads), tuple(writes))
+
 
 def _compile_steps(circuit: Circuit) -> list:
+    """The backward program as walk steps on word-major x/z masks."""
     steps: list = []
     for op in _backward_ops(circuit):
         kind = op[0]
@@ -112,28 +172,30 @@ def _compile_steps(circuit: Circuit) -> list:
                 if ch is None or ch.is_identity:
                     continue
                 prob, norm = _noise_tables(ch)
-                steps.append(("noise", q, np.cumsum(prob, axis=1), norm))
+                # rows by input bit pair; the thresholds keep the I, X, Y, Z
+                # output order of the site-code law (the fourth, the row total, is 1)
+                cdf = np.cumsum(prob, axis=1)[_BIT_PAIR]
+                bit = np.uint64(1 << (q & 63))
+                steps.append(("noise", q, bit, cdf[:, 0], cdf[:, 1], cdf[:, 2], norm[_BIT_PAIR]))
             continue
         for gate in op[1].gates:
             if isinstance(gate, RandomSingleQubitClifford):
-                steps.append(("ucliff", gate.qubit))
+                q = gate.qubit
+                # x and z bits of the drawn site code 1..3 (index 0 unused)
+                tx = np.array([(bp & 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
+                tz = np.array([(bp >> 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
+                steps.append(("ucliff", q, np.uint64(1 << (q & 63)), tx, tz))
             elif isinstance(gate, CliffordGate):
-                table = clifford_adjoint_table(gate.name)
-                lut = np.array([q for q, _s in table], dtype=np.uint8)
-                if len(gate.support) == 1:
-                    steps.append(("cliff1", gate.support[0], lut))
-                else:
-                    steps.append(("cliff2", gate.support[0], gate.support[1], lut))
+                steps.append(_clifford_step(gate))
             elif isinstance(gate, PauliRotation):
-                gcodes = gate.generator.codes()
                 if gate.angle is None:
-                    steps.append(("urot", gate.support, gcodes))
+                    steps.append(_rotation_step("urot", gate, circuit.n))
                     continue
                 c, s = _cos_sin(gate.angle)
                 if s == 0.0:
                     continue  # +-identity on Paulis
                 if c == 0.0:
-                    steps.append(("flip", gate.support, gcodes))
+                    steps.append(_rotation_step("flip", gate, circuit.n))
                     continue
                 raise UnsupportedEnsembleError(
                     "fixed rotation angles must be multiples of pi/2; "
@@ -144,75 +206,115 @@ def _compile_steps(circuit: Circuit) -> list:
     return steps
 
 
-def _anticommute_mask(codes: np.ndarray, support, gcodes) -> np.ndarray:
-    anti = np.zeros(codes.shape[0], dtype=bool)
-    for q, g in zip(support, gcodes):
-        cq = codes[:, q]
-        anti ^= (cq != 0) & (cq != g)
-    return anti
+def _odd_parity(paths: np.ndarray, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray):
+    """``out`` = 1 where a path anticommutes with the generator, else 0."""
+    if not reads:
+        out.fill(0)
+        return out
+    (side, j, w), *rest = reads
+    np.bitwise_and(paths[side, j], w, out=acc)
+    for side, j, w in rest:
+        acc ^= np.bitwise_and(paths[side, j], w, out=tmp)
+    # XOR across words keeps the parity of the summed popcounts
+    np.bitwise_count(acc, out=out)
+    out &= 1
+    return out
 
 
-def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
+def _fold(paths: np.ndarray, writes, flip: np.ndarray, tmp: np.ndarray) -> None:
+    """Multiply the paths where ``flip`` is 1 by the generator (signs dropped)."""
+    for side, j, w in writes:
+        paths[side, j] ^= np.multiply(flip, w, out=tmp)
+
+
+def _set_bit(row: np.ndarray, bit: np.uint64, on: np.ndarray, tmp: np.ndarray) -> None:
+    """Set ``bit`` of ``row`` where ``on`` holds and clear it elsewhere."""
+    row &= ~bit
+    row |= np.multiply(on, bit, out=tmp)
+
+
+def _seed_paths(observable: PauliSum) -> tuple:
+    """Term masks, weights, sampling probabilities and ||O||_F^2 of the observable."""
+    terms = list(observable.items())
+    coeffs_sq = np.array([c * c for _, c in terms])
+    norm_sq = coeffs_sq.sum()
+    return (
+        _split_words([p.x for p, _ in terms], observable.n),
+        _split_words([p.z for p, _ in terms], observable.n),
+        np.array([p.weight for p, _ in terms], dtype=np.int64),
+        coeffs_sq / norm_sq,
+        norm_sq,
+    )
+
+
+def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
+    """Walk m sampled paths; returns ((x, z) masks, accumulated weights, reweight factors)."""
     idx = rng.choice(len(probs), size=m, p=probs)
-    codes = seed_codes[idx].copy()
-    weight = seed_weights[idx].astype(np.int64)
+    paths = np.take(np.stack((seed_x, seed_z)), idx, axis=2)  # (2, W, m): x, z
+    x, z = paths
+    weight = seed_weights[idx]
+    del idx  # not needed during the walk, where memory peaks
     k_factor = np.full(m, norm_sq)
+    # scratch rows reused by every step: mapping fresh temporaries of this
+    # size costs more than the arithmetic done on them
+    u, g = np.empty(m), np.empty(m)  # uniform draws, gathered table values
+    a, b, c = (np.empty(m, dtype=np.uint64) for _ in range(3))
+    odd = np.empty(m, dtype=np.uint8)
+    hit, hit2 = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    # the tables are tiny and every code is in range; mode="clip" only keeps
+    # np.take from buffering its output
     for step in steps:
         kind = step[0]
         if kind == "boundary":
-            weight += np.count_nonzero(codes, axis=1)
+            weight += _popcount(x | z)
         elif kind == "noise":
-            _, q, cdf, norm = step
-            c = codes[:, q]
-            k_factor *= norm[c]
-            u = rng.random(m)
-            codes[:, q] = (u[:, None] >= cdf[c]).sum(axis=1)
+            _, q, bit, t0, t1, t2, norm = step
+            j, _s, bp = _site(x, z, q, (a, b))
+            k_factor *= np.take(norm, bp, out=g, mode="clip")
+            rng.random(out=u)
+            # the site code drawn is the number of thresholds u passed:
+            # 1 or 2 sets the x bit, 2 or 3 the z bit
+            np.greater_equal(u, np.take(t0, bp, out=g, mode="clip"), out=hit)
+            hit ^= np.greater_equal(u, np.take(t2, bp, out=g, mode="clip"), out=hit2)
+            np.greater_equal(u, np.take(t1, bp, out=g, mode="clip"), out=hit2)
+            _set_bit(x[j], bit, hit, a)
+            _set_bit(z[j], bit, hit2, a)
         elif kind == "urot":
-            _, support, gcodes = step
-            anti = _anticommute_mask(codes, support, gcodes)
-            flip = anti & (rng.random(m) < 0.5)
-            if flip.any():
-                for q, g in zip(support, gcodes):
-                    codes[flip, q] = _MULT[codes[flip, q], g]
+            _, reads, writes = step
+            _odd_parity(paths, reads, a, b, odd)
+            rng.random(out=u)
+            odd &= np.less(u, 0.5, out=hit)
+            _fold(paths, writes, odd, a)
         elif kind == "flip":
-            _, support, gcodes = step
-            anti = _anticommute_mask(codes, support, gcodes)
-            if anti.any():
-                for q, g in zip(support, gcodes):
-                    codes[anti, q] = _MULT[codes[anti, q], g]
-        elif kind == "cliff1":
-            _, q, lut = step
-            codes[:, q] = lut[codes[:, q]]
-        elif kind == "cliff2":
-            _, q0, q1, lut = step
-            joint = (codes[:, q0].astype(np.intp) << 2) | codes[:, q1]
-            out = lut[joint]
-            codes[:, q0] = out >> 2
-            codes[:, q1] = out & 3
+            _, reads, writes = step
+            _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
+        elif kind == "cliff":
+            _, support, deltas = step
+            _j, _s, code = _site(x, z, support[0], (a, b))
+            if len(support) == 2:
+                code <<= 2
+                code |= _site(x, z, support[1], (c, b))[2]
+            for j, dx, dz in deltas:
+                x[j] ^= np.take(dx, code, out=b, mode="clip")
+                z[j] ^= np.take(dz, code, out=b, mode="clip")
         elif kind == "ucliff":
-            _, q = step
-            nz = codes[:, q] != 0
-            draws = rng.integers(1, 4, size=m, dtype=np.uint8)
-            codes[nz, q] = draws[nz]
+            _, q, bit, tx, tz = step
+            j, _s, bp = _site(x, z, q, (a, b))
+            np.not_equal(bp, 0, out=hit)
+            draws = c.view(np.int64)
+            draws[...] = rng.integers(1, 4, size=m, dtype=np.uint8)
+            for row, table in ((x[j], tx), (z[j], tz)):
+                row &= ~bit
+                row |= np.multiply(np.take(table, draws, out=a, mode="clip"), hit, out=a)
         else:  # pragma: no cover
             raise AssertionError(kind)
-    return codes, weight, k_factor
+    return (x, z), weight, k_factor
 
 
-def _bloch_table(state: ProductState) -> np.ndarray:
-    table = np.ones((state.n, 4))
-    for q, r in enumerate(state.bloch):
-        table[q, 1:] = r
-    return table
-
-
-def _functional_values(f: Functional, codes, weight, k_factor, n) -> np.ndarray:
+def _functional_values(f: Functional, x, z, weight, k_factor) -> np.ndarray:
     if isinstance(f, TruncFrobenius):
         return k_factor * (weight >= f.k)
-    state = f.state
-    table = _bloch_table(state)
-    factors = table[np.arange(n)[None, :], codes]
-    overlap_sq = factors.prod(axis=1) ** 2
+    overlap_sq = _bloch_scale(np.ones(len(weight)), x, z, f.state) ** 2
     if isinstance(f, TruncMSE):
         return k_factor * overlap_sq * (weight >= f.k)
     return k_factor * overlap_sq
@@ -243,41 +345,34 @@ def estimate_many(
     _check_functionals(functionals, template.n)
 
     steps = _compile_steps(template)
-    n = template.n
-    terms = list(observable.items())
-    seed_codes = np.array([[p.code(q) for q in range(n)] for p, _ in terms], dtype=np.uint8)
-    seed_weights = np.array([p.weight for p, _ in terms], dtype=np.int64)
-    coeffs_sq = np.array([c * c for _, c in terms])
-    norm_sq = coeffs_sq.sum()
-    probs = coeffs_sq / norm_sq
+    seeds = _seed_paths(observable)
+    norm_sq = seeds[-1]
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    stats = [(0, 0.0, 0.0) for _ in functionals]  # (count, mean, M2)
+    stats = [(0, 0.0, 0.0, 0) for _ in functionals]  # (count, mean, M2, non-zero count)
 
     remaining = samples
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
-        codes, weight, k_factor = _walk_chunk(
-            steps, seed_codes, seed_weights, probs, norm_sq, m, rng
-        )
+        (x, z), weight, k_factor = _walk_chunk(steps, *seeds, m, rng)
         if k_factor.max() > norm_sq * (1.0 + 1e-9):
             raise FloatingPointError("sample reweighting escaped [0, ||O||_F^2]")
         for i, f in enumerate(functionals):
-            lam = _functional_values(f, codes, weight, k_factor, n)
-            cnt, mean, m2 = stats[i]
+            lam = _functional_values(f, x, z, weight, k_factor)
+            cnt, mean, m2, nonzero = stats[i]
             b_mean = float(lam.mean())
             b_m2 = float(((lam - b_mean) ** 2).sum())
             delta = b_mean - mean
             tot = cnt + m
             mean += delta * m / tot
             m2 += b_m2 + delta * delta * cnt * m / tot
-            stats[i] = (tot, mean, m2)
+            stats[i] = (tot, mean, m2, nonzero + int(np.count_nonzero(lam)))
 
     out = []
-    for cnt, mean, m2 in stats:
+    for cnt, mean, m2, nonzero in stats:
         stderr = float(np.sqrt(m2 / (cnt - 1) / cnt)) if cnt > 1 else 0.0
-        out.append(EstimateResult(mean, stderr, cnt, seed))
+        out.append(EstimateResult(mean, stderr, cnt, seed, nonzero / cnt))
     return out
 
 

@@ -19,6 +19,7 @@ and coefficients of the m terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -89,11 +90,28 @@ class TruncationConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncationConfig":
+        """Parse the config form; a badly typed value raises ``ValueError``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"truncation must be an object, not {obj!r}")
+
+        def count(key: str) -> int | None:
+            v = obj.get(key)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+                raise ValueError(f"truncation {key!r} must be an integer or null, not {v!r}")
+            return None if v is None else int(v)
+
+        coeff = obj.get("coeff_cutoff")
+        if coeff is not None and (
+            isinstance(coeff, bool)
+            or not isinstance(coeff, numbers.Real)
+            or not math.isfinite(coeff)
+        ):
+            raise ValueError(f"truncation 'coeff_cutoff' must be a finite number, not {coeff!r}")
         return cls(
-            path_weight_cutoff=obj.get("k"),
-            coeff_cutoff=float(obj.get("coeff_cutoff") or 0.0),
-            xy_count_cutoff=obj.get("xy_cutoff"),
-            current_weight_cutoff=obj.get("current_weight_cutoff"),
+            path_weight_cutoff=count("k"),
+            coeff_cutoff=float(coeff or 0.0),
+            xy_count_cutoff=count("xy_cutoff"),
+            current_weight_cutoff=count("current_weight_cutoff"),
         )
 
 
@@ -346,10 +364,21 @@ def _popcount(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
 
 
-def _site(f: _Frontier, q: int) -> tuple[int, np.uint64, np.ndarray]:
-    """Word index, bit shift and bit-pair code x_q | z_q << 1 of qubit q."""
+def _site(x: np.ndarray, z: np.ndarray, q: int, out=None) -> tuple[int, np.uint64, np.ndarray]:
+    """Word index, bit shift and int64 bit-pair code x_q | z_q << 1 of qubit q.
+
+    The code is built in place in ``out``, a pair of uint64 rows (fresh
+    ones when None), and returned as a view of the first.
+    """
     j, s = q >> 6, np.uint64(q & 63)
-    return j, s, ((f.x[j] >> s) & 1) | (((f.z[j] >> s) & 1) << np.uint64(1))
+    a, b = out if out is not None else (np.empty_like(x[j]), np.empty_like(z[j]))
+    np.right_shift(x[j], s, out=a)
+    a &= 1
+    np.right_shift(z[j], s, out=b)
+    b &= 1
+    b <<= 1
+    a |= b
+    return j, s, a.view(np.int64)
 
 
 def _np_rotation(f: _Frontier, gate: PauliRotation, n: int) -> None:
@@ -386,10 +415,10 @@ def _np_rotation(f: _Frontier, gate: PauliRotation, n: int) -> None:
 def _np_clifford(f: _Frontier, gate: CliffordGate) -> None:
     # one table row per input bit-pair code: (x, z) per support qubit, then the sign
     bits = np.array(_clifford_bit_tables(gate))
-    sites = [_site(f, q) for q in gate.support]  # read before any write
+    sites = [_site(f.x, f.z, q) for q in gate.support]  # read before any write
     code = sites[0][2]
     if len(sites) == 2:
-        code = (code << np.uint64(2)) | sites[1][2]
+        code = (code << 2) | sites[1][2]
     for i, (j, s, _) in enumerate(sites):
         clear = ~(np.uint64(1) << s)
         f.x[j] = (f.x[j] & clear) | (bits[:, 2 * i].astype(np.uint64)[code] << s)
@@ -403,7 +432,7 @@ def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
         if ch is None or ch.is_identity:
             continue
         rows = _cached_rows(row_cache, ch)
-        j, s, bp = _site(f, q)
+        j, s, bp = _site(f.x, f.z, q)
         clear = ~(np.uint64(1) << s)
         pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
         # first output of each non-identity row rewrites in place; extras append
@@ -590,21 +619,27 @@ def backpropagate(
     )
 
 
-def expectation(result: BackpropResult, state: ProductState) -> float:
-    """Overlap of the backpropagated observable with a product state.
+def _bloch_scale(
+    vals: np.ndarray, x: np.ndarray, z: np.ndarray, state: ProductState
+) -> np.ndarray:
+    """Multiply ``vals`` in place by each column's overlap with a product state.
 
-    Each row's coefficient is multiplied by one lookup per qubit in the
-    table (1, r_x, r_z, r_y) indexed by the bit pair x_q | z_q << 1.
+    Column i of the word-major masks is scaled by one lookup per qubit, in
+    qubit order, in the table (1, r_x, r_z, r_y) indexed by the bit pair
+    x_q | z_q << 1.
     """
+    table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
+    for q in range(state.n):
+        vals *= table[q][_site(x, z, q)[2]]
+    return vals
+
+
+def expectation(result: BackpropResult, state: ProductState) -> float:
+    """Overlap of the backpropagated observable with a product state."""
     n = result.n
     if n != state.n:
         raise QubitCountMismatch(f"observable on {n} qubits, state on {state.n}")
-    table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
-    vals = np.array(result.c, dtype=np.float64)
-    one = np.uint64(1)
-    for q in range(n):
-        j, s = q >> 6, np.uint64(q & 63)
-        vals *= table[q][((result.x[j] >> s) & one) | (((result.z[j] >> s) & one) << one)]
+    vals = _bloch_scale(np.array(result.c, dtype=np.float64), result.x, result.z, state)
     return math.fsum(vals.tolist())
 
 

@@ -16,6 +16,7 @@ from paulipath import (
     PauliString,
     PauliSum,
     ProductState,
+    RandomSingleQubitClifford,
     TruncationConfig,
     backpropagate,
     build_trotter_tfim,
@@ -120,11 +121,20 @@ ANGLES = st.one_of(
     st.floats(0.0, 2 * math.pi, allow_nan=False),
     st.sampled_from([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]),
 )
+# the angles a Monte Carlo template admits: uniform placeholders (None) and
+# multiples of pi/2
+TEMPLATE_ANGLES = st.sampled_from([None, None, 0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
 
 @st.composite
-def gate_rounds(draw, n: int, two_qubit: bool = True) -> tuple:
-    """Gates of one layer: a random split of the qubits into 1- and 2-qubit gates."""
+def gate_rounds(
+    draw, n: int, two_qubit: bool = True, angles=ANGLES, random_cliffords: bool = False
+) -> tuple:
+    """Gates of one layer: a random split of the qubits into 1- and 2-qubit gates.
+
+    With ``random_cliffords`` a single qubit may also get a uniformly
+    random Clifford placeholder.
+    """
     order = draw(st.permutations(range(n)))
     gates = []
     while order:
@@ -134,14 +144,16 @@ def gate_rounds(draw, n: int, two_qubit: bool = True) -> tuple:
                 gates.append(CliffordGate(draw(st.sampled_from(TWO_QUBIT_CLIFFORDS)), (a, b)))
             else:
                 gen = draw(st.sampled_from(["XX", "ZZ", "XZ", "YY", "XY"]))
-                gates.append(PauliRotation(PauliString.from_label(gen), (a, b), draw(ANGLES)))
+                gates.append(PauliRotation(PauliString.from_label(gen), (a, b), draw(angles)))
         else:
             q = order.pop()
-            if draw(st.booleans()):
+            if random_cliffords and draw(st.integers(0, 2)) == 0:
+                gates.append(RandomSingleQubitClifford(q))
+            elif draw(st.booleans()):
                 gates.append(CliffordGate(draw(st.sampled_from(ONE_QUBIT_CLIFFORDS)), (q,)))
             else:
                 gen = draw(st.sampled_from(["X", "Y", "Z"]))
-                gates.append(PauliRotation(PauliString.from_label(gen), (q,), draw(ANGLES)))
+                gates.append(PauliRotation(PauliString.from_label(gen), (q,), draw(angles)))
     return tuple(gates)
 
 
@@ -165,6 +177,22 @@ def noisy_circuits(draw, n: int, depth_max: int = 4, final_layer: bool = True) -
     final = None
     if final_layer and draw(st.booleans()):
         final = Layer(draw(gate_rounds(n, two_qubit=False)))
+    return Circuit(n, layers, final)
+
+
+@st.composite
+def templates(draw, n: int, depth_max: int = 4) -> Circuit:
+    """Monte Carlo ensemble templates: every step kind the path walk compiles.
+
+    Uniform and pi/2-multiple rotations, fixed and uniformly random
+    Cliffords, noise rounds (so weight boundaries) and a final layer.
+    """
+    kw = {"angles": TEMPLATE_ANGLES, "random_cliffords": True}
+    layers = tuple(
+        Layer(draw(gate_rounds(n, **kw)), draw(noise_rounds(n)))
+        for _ in range(draw(st.integers(0, depth_max)))
+    )
+    final = Layer(draw(gate_rounds(n, two_qubit=False, **kw))) if draw(st.booleans()) else None
     return Circuit(n, layers, final)
 
 
@@ -212,6 +240,8 @@ def embed_circuit(circuit: Circuit, sites: tuple[int, ...], n: int) -> Circuit:
     """``circuit`` with its qubit i moved to ``sites[i]`` of an n-qubit register."""
 
     def gate(g):
+        if isinstance(g, RandomSingleQubitClifford):
+            return RandomSingleQubitClifford(sites[g.qubit])
         support = tuple(sites[q] for q in g.support)
         if isinstance(g, CliffordGate):
             return CliffordGate(g.name, support)

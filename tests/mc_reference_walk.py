@@ -1,0 +1,141 @@
+"""The site-code Monte Carlo walk, kept as the reference for the bit-mask walk.
+
+A chunk of paths is an (m, n) uint8 array of site codes (0=I, 1=X, 2=Y,
+3=Z), updated step by step through fancy-indexed table lookups.  The
+step list is compiled from the same backward program as
+``paulipath.montecarlo._compile_steps`` and consumes the generator's
+stream draw for draw in the same order, so for one Philox key both walks
+must reach the same paths, weights and reweight factors.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from paulipath.circuits import (
+    Circuit,
+    CliffordGate,
+    PauliRotation,
+    RandomSingleQubitClifford,
+    clifford_adjoint_table,
+)
+from paulipath.montecarlo import UnsupportedEnsembleError, _noise_tables
+from paulipath.propagation import _backward_ops, _cos_sin
+
+# site-code product table, signs dropped (only squared amplitudes matter here)
+_MULT = np.array(
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.uint8
+)
+
+
+def compile_steps(circuit: Circuit) -> list:
+    steps: list = []
+    for op in _backward_ops(circuit):
+        kind = op[0]
+        if kind == "boundary":
+            steps.append(("boundary",))
+            continue
+        if kind == "noise":
+            for q in range(circuit.n):
+                ch = op[1][q]
+                if ch is None or ch.is_identity:
+                    continue
+                prob, norm = _noise_tables(ch)
+                steps.append(("noise", q, np.cumsum(prob, axis=1), norm))
+            continue
+        for gate in op[1].gates:
+            if isinstance(gate, RandomSingleQubitClifford):
+                steps.append(("ucliff", gate.qubit))
+            elif isinstance(gate, CliffordGate):
+                table = clifford_adjoint_table(gate.name)
+                lut = np.array([q for q, _s in table], dtype=np.uint8)
+                if len(gate.support) == 1:
+                    steps.append(("cliff1", gate.support[0], lut))
+                else:
+                    steps.append(("cliff2", gate.support[0], gate.support[1], lut))
+            elif isinstance(gate, PauliRotation):
+                gcodes = gate.generator.codes()
+                if gate.angle is None:
+                    steps.append(("urot", gate.support, gcodes))
+                    continue
+                c, s = _cos_sin(gate.angle)
+                if s == 0.0:
+                    continue  # +-identity on Paulis
+                if c == 0.0:
+                    steps.append(("flip", gate.support, gcodes))
+                    continue
+                raise UnsupportedEnsembleError(
+                    "fixed rotation angles must be multiples of pi/2; "
+                    "use a uniform-angle placeholder or propagate sampled circuits"
+                )
+            else:  # pragma: no cover - exhaustive over gate variants
+                raise UnsupportedEnsembleError(f"unsupported gate {gate!r}")
+    return steps
+
+
+def _anticommute_mask(codes: np.ndarray, support, gcodes) -> np.ndarray:
+    anti = np.zeros(codes.shape[0], dtype=bool)
+    for q, g in zip(support, gcodes):
+        cq = codes[:, q]
+        anti ^= (cq != 0) & (cq != g)
+    return anti
+
+
+def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
+    idx = rng.choice(len(probs), size=m, p=probs)
+    codes = seed_codes[idx].copy()
+    weight = seed_weights[idx].astype(np.int64)
+    k_factor = np.full(m, norm_sq)
+    for step in steps:
+        kind = step[0]
+        if kind == "boundary":
+            weight += np.count_nonzero(codes, axis=1)
+        elif kind == "noise":
+            _, q, cdf, norm = step
+            c = codes[:, q]
+            k_factor *= norm[c]
+            u = rng.random(m)
+            codes[:, q] = (u[:, None] >= cdf[c]).sum(axis=1)
+        elif kind == "urot":
+            _, support, gcodes = step
+            anti = _anticommute_mask(codes, support, gcodes)
+            flip = anti & (rng.random(m) < 0.5)
+            if flip.any():
+                for q, g in zip(support, gcodes):
+                    codes[flip, q] = _MULT[codes[flip, q], g]
+        elif kind == "flip":
+            _, support, gcodes = step
+            anti = _anticommute_mask(codes, support, gcodes)
+            if anti.any():
+                for q, g in zip(support, gcodes):
+                    codes[anti, q] = _MULT[codes[anti, q], g]
+        elif kind == "cliff1":
+            _, q, lut = step
+            codes[:, q] = lut[codes[:, q]]
+        elif kind == "cliff2":
+            _, q0, q1, lut = step
+            joint = (codes[:, q0].astype(np.intp) << 2) | codes[:, q1]
+            out = lut[joint]
+            codes[:, q0] = out >> 2
+            codes[:, q1] = out & 3
+        elif kind == "ucliff":
+            _, q = step
+            nz = codes[:, q] != 0
+            draws = rng.integers(1, 4, size=m, dtype=np.uint8)
+            codes[nz, q] = draws[nz]
+        else:  # pragma: no cover
+            raise AssertionError(kind)
+    return codes, weight, k_factor
+
+
+def reference_walk(circuit, observable, m: int, rng: np.random.Generator):
+    """One chunk of m paths through ``circuit`` on the site-code walk."""
+    n = circuit.n
+    terms = list(observable.items())
+    seed_codes = np.array([[p.code(q) for q in range(n)] for p, _ in terms], dtype=np.uint8)
+    seed_weights = np.array([p.weight for p, _ in terms], dtype=np.int64)
+    coeffs_sq = np.array([c * c for _, c in terms])
+    norm_sq = coeffs_sq.sum()
+    return _walk_chunk(
+        compile_steps(circuit), seed_codes, seed_weights, coeffs_sq / norm_sq, norm_sq, m, rng
+    )

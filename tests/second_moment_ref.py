@@ -12,7 +12,9 @@ from typing import Sequence
 
 from paulipath.channels import NormalFormChannel
 from paulipath.circuits import CliffordGate, PauliRotation, clifford_adjoint_table
-from paulipath.montecarlo import _MULT, _noise_tables
+from paulipath.montecarlo import _noise_tables
+
+from mc_reference_walk import _MULT
 
 
 @dataclass(frozen=True)

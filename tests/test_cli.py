@@ -200,7 +200,9 @@ class TestEstimateCommand:
         code, out, _ = run_cli(["estimate", "--config", cfg], capsys)
         assert code == 0
         result = json.loads(out)["result"]
-        assert set(result) == {"mean", "stderr", "samples"}
+        assert set(result) == {"mean", "stderr", "samples", "nonzero_fraction"}
+        # paths ending on Y have zero overlap with |0>, those on I or Z do not
+        assert 0.0 < result["nonzero_fraction"] < 1.0
         want = 0.8**2 / 2 + 0.04
         assert result["mean"] == pytest.approx(want, abs=5 * result["stderr"] + 1e-3)
 
@@ -413,6 +415,30 @@ class TestErrors:
         assert code == 2
         assert "'J'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "trunc, key",
+        [
+            ({"k": "16"}, "k"),
+            ({"k": 16.5}, "k"),
+            ({"k": True}, "k"),
+            ({"k": 16, "xy_cutoff": True}, "xy_cutoff"),
+            ({"current_weight_cutoff": 2.0}, "current_weight_cutoff"),
+            ({"coeff_cutoff": "0.1"}, "coeff_cutoff"),
+            ({"coeff_cutoff": False}, "coeff_cutoff"),
+        ],
+    )
+    def test_badly_typed_truncation_exits_2(self, tmp_path, capsys, trunc, key):
+        cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "truncation": trunc})
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_well_typed_truncation_runs(self, tmp_path, capsys):
+        trunc = {"k": 16, "coeff_cutoff": 0, "xy_cutoff": None, "current_weight_cutoff": 3}
+        cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "truncation": trunc})
+        code, _, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
 
     def test_library_key_error_is_not_a_config_error(self, tmp_path, capsys, monkeypatch):
         import paulipath.cli

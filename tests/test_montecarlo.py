@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from paulipath import (
     Chain,
     Circuit,
@@ -24,7 +27,10 @@ from paulipath import (
     validate_estimator,
 )
 from paulipath.circuits import Layer, PauliRotation
+from paulipath.montecarlo import _compile_steps, _seed_paths, _walk_chunk
 from paulipath.oracle import rotation_forward_ptm
+
+from mc_reference_walk import reference_walk
 from second_moment_ref import (
     second_moment_clifford,
     second_moment_noise,
@@ -199,6 +205,94 @@ class TestEstimate:
             estimate(Circuit(1, ()), PauliSum(1, []), Variance(ProductState.zeros(1)), 100, 0)
         with pytest.raises(ValueError):
             estimate(Circuit(1, ()), PauliSum.single("Z"), Variance(ProductState.zeros(1)), 1, 0)
+
+
+def _rot(label, support, angle=None):
+    return PauliRotation(PauliString.from_label(label), support, angle)
+
+
+def bitmask_walk(template, observable, m, rng):
+    """One chunk of m paths on the bit-mask walk, seeded as ``estimate_many`` seeds it."""
+    return _walk_chunk(_compile_steps(template), *_seed_paths(observable), m, rng)
+
+
+def site_codes(x, z, n):
+    """(m, n) site codes 0=I, 1=X, 2=Y, 3=Z of word-major x/z masks."""
+    code = np.array([0, 1, 3, 2], dtype=np.uint8)  # indexed by x_q + 2 * z_q
+    cols = []
+    for q in range(n):
+        j, s = q >> 6, np.uint64(q & 63)
+        cols.append(code[((x[j] >> s) & 1) + 2 * ((z[j] >> s) & 1)])
+    return np.stack(cols, axis=1)
+
+
+class TestAgainstReferenceWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_walk_matches_site_code_walk(self, data):
+        n, sites = data.draw(helpers.registers())
+        template = helpers.embed_circuit(data.draw(helpers.templates(len(sites))), sites, n)
+        obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
+        m = data.draw(st.integers(1, 300), label="m")
+        key = data.draw(st.integers(0, 2**64 - 1), label="key")
+        rng = np.random.Generator(np.random.Philox(key=key))
+        (x, z), weight, k_factor = bitmask_walk(template, obs, m, rng)
+        ref = np.random.Generator(np.random.Philox(key=key))
+        ref_codes, ref_weight, ref_k_factor = reference_walk(template, obs, m, ref)
+        assert x.shape == z.shape == ((n + 63) // 64, m)
+        assert np.array_equal(site_codes(x, z, n), ref_codes)
+        assert np.array_equal(weight, ref_weight)
+        assert k_factor.tobytes() == ref_k_factor.tobytes()
+        # both walks consumed the same draws
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+
+
+class TestRandomStream:
+    def test_estimates_pinned(self):
+        # every step kind: uniform and pi/2 rotations, fixed and random
+        # Cliffords, two noise channels, weight boundaries; two chunks
+        damp, depol = make_amplitude_damping(0.15), make_depolarizing(0.1)
+        layers = (
+            Layer((_rot("X", (0,)), _rot("ZZ", (1, 2))), (damp, depol, damp)),
+            Layer((CliffordGate("CNOT", (0, 1)), CliffordGate("H", (2,))), (depol, damp, depol)),
+            Layer((RandomSingleQubitClifford(0), _rot("XY", (1, 2), math.pi / 2))),
+            Layer((_rot("YZ", (0, 2)), CliffordGate("S", (1,))), (damp, damp, damp)),
+        )
+        template = Circuit(3, layers, Layer((_rot("Y", (1,)),)))
+        obs = PauliSum.from_strings([("ZIZ", 0.7), ("IXI", -0.5), ("YYI", 0.3)])
+        state = ProductState.from_vectors([(0.3, -0.4, 0.8), (0.0, 0.6, -0.5), (0.5, 0.5, 0.5)])
+        fs = [Variance(state), TruncMSE(3, state), TruncFrobenius(4)]
+        got = estimate_many(template, obs, fs, (1 << 17) + 4099, 2024)
+        want = [
+            ("0x1.c8a54d8c9e72ep-6", "0x1.6c3bbd4df862ap-13"),
+            ("0x1.9426228cfeb6ap-6", "0x1.1185b7839626ep-13"),
+            ("0x1.c30767df19ad4p-3", "0x1.6288e453928d7p-13"),
+        ]
+        for r, (mean, stderr) in zip(got, want):
+            assert r.mean == float.fromhex(mean)
+            assert r.standard_error == float.fromhex(stderr)
+
+
+class TestNonzeroFraction:
+    def test_zero_when_cutoff_unreachable(self):
+        tmpl = build_hva(Chain(3), make_amplitude_damping(0.2), 2, noise_placement="per_block")
+        (r,) = estimate_many(tmpl, PauliSum.single("ZII"), [TruncFrobenius(100)], 5000, 4)
+        assert r.mean == 0.0 and r.nonzero_fraction == 0.0
+
+    def test_one_for_noiseless_uniform_rotation_variance(self):
+        # Z folds to Y or stays Z; both overlap a state with r_y, r_z != 0
+        tmpl = Circuit(1, (uniform_rx_layer(1, None),))
+        state = ProductState.from_vectors([(0.3, 0.5, 0.7)])
+        r = estimate(tmpl, PauliSum.single("Z"), Variance(state), 5000, 6)
+        assert r.nonzero_fraction == 1.0
+
+    def test_counts_every_chunk(self):
+        tmpl = Circuit(1, (uniform_rx_layer(1, None),))
+        samples = (1 << 17) + 1001
+        r = estimate(tmpl, PauliSum.single("Z"), Variance(ProductState.zeros(1)), samples, 8)
+        # the samples ending on Z carry the whole mean, 1 each
+        assert r.nonzero_fraction * samples == pytest.approx(r.mean * samples, abs=1e-6)
+        assert 0.45 < r.nonzero_fraction < 0.55
 
 
 class TestDeterministicCircuits:
