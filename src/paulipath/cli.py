@@ -55,6 +55,7 @@ from .propagation import (
     FrontierOverflowError,
     TruncationConfig,
     backpropagate,
+    config_int,
     expectation,
 )
 
@@ -68,6 +69,18 @@ class _ConfigObject(dict):
 
     def __missing__(self, key):
         raise ConfigError(f"config is missing {key!r}")
+
+
+def _int_value(obj: dict, key: str, *default) -> int:
+    """``obj[key]`` (or the default, if given, when absent) as an integer, else exit 2."""
+    return config_int(obj.get(key, *default) if default else obj[key], repr(key))
+
+
+def _int_list(obj: dict, key: str) -> list[int]:
+    values = obj[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{key!r} must be a list of integers, not {values!r}")
+    return [config_int(v, f"{key!r} entry") for v in values]
 
 
 def _version_string() -> str:
@@ -132,14 +145,14 @@ def _circuit_template(spec: dict) -> Circuit:
     if builder == "hva":
         angles = spec.get("angles", "uniform")
         ens = EnsembleSpec(None if angles == "uniform" else float(angles))
-        return build_hva(lattice, noise, int(spec["blocks"]), ens)
+        return build_hva(lattice, noise, _int_value(spec, "blocks"), ens)
     if builder == "trotter_tfim":
         return build_trotter_tfim(
             lattice,
             float(spec["J"]),
             float(spec["h"]),
             float(spec["dt"]),
-            int(spec["steps"]),
+            _int_value(spec, "steps"),
             noise,
             spec.get("noise_placement", "per_layer"),
         )
@@ -223,7 +236,7 @@ def cmd_channel_info(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
     circuit, resolved_circuit = _resolve_circuit(cfg, seed)
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
@@ -233,13 +246,13 @@ def cmd_propagate(args) -> int:
 
     if "k_sweep" in cfg:
         rows = []
-        for k in cfg["k_sweep"]:
+        for k in _int_list(cfg, "k_sweep"):
             t0 = time.perf_counter()
             res = backpropagate(
                 circuit,
                 observable,
                 TruncationConfig(
-                    path_weight_cutoff=int(k),
+                    path_weight_cutoff=k,
                     coeff_cutoff=trunc.coeff_cutoff,
                     xy_count_cutoff=trunc.xy_count_cutoff,
                     current_weight_cutoff=trunc.current_weight_cutoff,
@@ -248,7 +261,7 @@ def cmd_propagate(args) -> int:
             )
             rows.append(
                 {
-                    "k": int(k),
+                    "k": k,
                     "expectation": expectation(res, state),
                     "surviving_paths": res.stats.surviving_path_count,
                     "wall_time": time.perf_counter() - t0,
@@ -269,7 +282,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
     circuit, resolved_circuit = _resolve_circuit(cfg, seed)
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
@@ -285,7 +298,7 @@ def cmd_estimate(args) -> int:
     est = cfg.get("estimator")
     if not isinstance(est, dict):
         raise ConfigError("config needs an 'estimator' object")
-    seed = args.seed if args.seed is not None else int(est.get("seed", cfg.get("seed", 0)))
+    seed = args.seed if args.seed is not None else _int_value(est, "seed", cfg.get("seed", 0))
     spec = cfg.get("circuit")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'circuit' object")
@@ -296,12 +309,12 @@ def cmd_estimate(args) -> int:
     if kind == "variance":
         functional = Variance(state)
     elif kind == "trunc_mse":
-        functional = TruncMSE(int(est["k"]), state)
+        functional = TruncMSE(_int_value(est, "k"), state)
     elif kind == "trunc_frobenius":
-        functional = TruncFrobenius(int(est["k"]))
+        functional = TruncFrobenius(_int_value(est, "k"))
     else:
         raise ConfigError(f"unknown functional {kind!r}")
-    samples = int(est.get("samples", 100_000))
+    samples = _int_value(est, "samples", 100_000)
     result = mc_estimate(template, observable, functional, samples, seed)
     payload = _base_payload(args, cfg, seed)
     payload["result"] = result.to_json_obj()
@@ -311,16 +324,16 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
     lattice = lattice_from_json(cfg["lattice"])
     rows = sweep_table(
         lattice,
-        int(cfg["blocks"]),  # ansatz depth is always explicit
+        _int_value(cfg, "blocks"),  # ansatz depth is always explicit
         cfg["noise_kind"],
         [float(v) for v in cfg["noise_grid"]],
-        [int(k) for k in cfg["k_grid"]],
+        _int_list(cfg, "k_grid"),
         cfg.get("functional", "trunc_frobenius"),
-        int(cfg.get("samples", 100_000)),
+        _int_value(cfg, "samples", 100_000),
         seed,
         threads=args.threads,
         noise_placement=cfg.get("noise_placement", "per_block"),
@@ -337,7 +350,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
     lattice = lattice_from_json(cfg["lattice"])
     noise = None if cfg.get("noise") is None else channel_from_json(cfg["noise"])
     rows = dynamics_series(
@@ -345,7 +358,7 @@ def cmd_dynamics(args) -> int:
         float(cfg["J"]),
         float(cfg["h"]),
         float(cfg["dt"]),
-        int(cfg.get("steps", 0)),
+        _int_value(cfg, "steps", 0),
         noise,
         _resolve_trunc(cfg),
         cfg.get("noise_placement", "per_layer"),

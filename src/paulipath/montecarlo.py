@@ -10,15 +10,17 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk is vectorized over samples and uses the propagation engine's
+The walk is vectorized over samples and runs the propagation engine's
+compiled backward program (``propagation._compile``) in the engine's
 Pauli encoding: a chunk of m paths is a pair of word-major ``(W, m)``
 uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit ``q & 63`` of
 word ``q >> 6``.  A uniform rotation folds the generator into the paths
 that anticommute with it (one popcount parity over the gate's words),
-Cliffords and noise look up tables indexed by the bit pair x_q | z_q << 1,
-and a weight boundary adds one popcount of x | z.  Draws come from a
-counter-based generator, so results are reproducible and independent of
-chunking internals.
+Cliffords XOR the program's deltas (their signs do not matter here),
+noise draws from thresholds over each row of the program's re-indexed
+transfer matrix, and a weight boundary adds one popcount of x | z.
+Draws come from a counter-based generator, so results are reproducible
+and independent of chunking internals.
 """
 
 from __future__ import annotations
@@ -28,26 +30,20 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import NormalFormChannel
-from .circuits import (
-    Circuit,
-    CliffordGate,
-    PauliRotation,
-    RandomSingleQubitClifford,
-    sample_circuit,
-)
+from .circuits import Circuit, sample_circuit
 from .oracle import simulate_exact
 from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
 from .propagation import (
     EXACT,
-    _WORD,
-    _backward_ops,
     _bloch_scale,
-    _clifford_bit_tables,
+    _clifford,
+    _compile,
     _cos_sin,
+    _fold,
+    _odd_parity,
     _popcount,
+    _seed_columns,
     _site,
-    _split_words,
     backpropagate,
 )
 
@@ -106,9 +102,12 @@ class EstimateResult:
         }
 
 
-def _noise_tables(ch: NormalFormChannel) -> tuple[np.ndarray, np.ndarray]:
-    # row a of the forward PTM expands N^dag(P_a) over output Paulis
-    sq = ch.forward_ptm() ** 2
+def _noise_tables(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output law (proportional to the squared coefficient) and squared norm per row.
+
+    Row a of a channel's forward PTM expands N^dag(P_a) over output Paulis.
+    """
+    sq = ptm**2
     norm = sq.sum(axis=1)
     prob = np.zeros((4, 4))
     for a in range(4):
@@ -121,110 +120,48 @@ def _noise_tables(ch: NormalFormChannel) -> tuple[np.ndarray, np.ndarray]:
 
 # --- compiled vectorized walk ------------------------------------------------------
 
-# bit pair x | z << 1 of each site code I, X, Y, Z (the map is its own inverse)
-_BIT_PAIR = np.array(BITS_TO_CODE, dtype=np.intp)
-
-
-def _clifford_step(gate: CliffordGate) -> tuple:
-    """XOR deltas per touched word, indexed by the joint bit pair of the support."""
-    rows = _clifford_bit_tables(gate)  # per joint input: (x, z) per support qubit, sign
-    deltas: dict = {}
-    for k, q in enumerate(gate.support):
-        shift = 2 * (len(gate.support) - 1 - k)  # bit pair of support[k] in the index
-        dx, dz = deltas.setdefault(q >> 6, ([0] * len(rows), [0] * len(rows)))
-        for i, row in enumerate(rows):
-            dx[i] |= (row[2 * k] ^ ((i >> shift) & 1)) << (q & 63)
-            dz[i] |= (row[2 * k + 1] ^ ((i >> (shift + 1)) & 1)) << (q & 63)
-    tables = tuple(
-        (j, np.array(dx, dtype=np.uint64), np.array(dz, dtype=np.uint64))
-        for j, (dx, dz) in deltas.items()
-    )
-    return ("cliff", gate.support, tables)
-
-
-def _rotation_step(kind: str, gate: PauliRotation, n: int) -> tuple:
-    """Parity reads and fold writes of a generator, as (side, word, mask).
-
-    Side 0 is the x masks, side 1 the z masks.  A path anticommutes with
-    the generator when the reads ``x & gz`` and ``z & gx`` hold an odd
-    number of bits; folding it in XORs ``gx`` into x and ``gz`` into z.
-    """
-    gx, gz = gate.embedded_masks(n)
-    reads, writes = [], []
-    for j in sorted({q >> 6 for q in gate.support}):
-        wx, wz = np.uint64((gx >> (64 * j)) & _WORD), np.uint64((gz >> (64 * j)) & _WORD)
-        reads += [(side, j, w) for side, w in ((0, wz), (1, wx)) if w]
-        writes += [(side, j, w) for side, w in ((0, wx), (1, wz)) if w]
-    return (kind, tuple(reads), tuple(writes))
-
 
 def _compile_steps(circuit: Circuit) -> list:
-    """The backward program as walk steps on word-major x/z masks."""
+    """The backward program as walk steps: ``propagation._compile`` for sampling.
+
+    Uniform rotations become ``urot`` (fold with probability 1/2), pi/2
+    multiples ``flip`` (always fold) or nothing (identity on Paulis); noise
+    becomes output thresholds indexed by input bit pair.  Clifford and
+    boundary steps pass through; the engine's merge points are dropped.
+    """
     steps: list = []
-    for op in _backward_ops(circuit):
-        kind = op[0]
-        if kind == "boundary":
-            steps.append(("boundary",))
-            continue
-        if kind == "noise":
-            for q in range(circuit.n):
-                ch = op[1][q]
-                if ch is None or ch.is_identity:
-                    continue
-                prob, norm = _noise_tables(ch)
-                # rows by input bit pair; the thresholds keep the I, X, Y, Z
-                # output order of the site-code law (the fourth, the row total, is 1)
-                cdf = np.cumsum(prob, axis=1)[_BIT_PAIR]
-                bit = np.uint64(1 << (q & 63))
-                steps.append(("noise", q, bit, cdf[:, 0], cdf[:, 1], cdf[:, 2], norm[_BIT_PAIR]))
-            continue
-        for gate in op[1].gates:
-            if isinstance(gate, RandomSingleQubitClifford):
-                q = gate.qubit
-                # x and z bits of the drawn site code 1..3 (index 0 unused)
-                tx = np.array([(bp & 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
-                tz = np.array([(bp >> 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
-                steps.append(("ucliff", q, np.uint64(1 << (q & 63)), tx, tz))
-            elif isinstance(gate, CliffordGate):
-                steps.append(_clifford_step(gate))
-            elif isinstance(gate, PauliRotation):
-                if gate.angle is None:
-                    steps.append(_rotation_step("urot", gate, circuit.n))
-                    continue
-                c, s = _cos_sin(gate.angle)
-                if s == 0.0:
-                    continue  # +-identity on Paulis
-                if c == 0.0:
-                    steps.append(_rotation_step("flip", gate, circuit.n))
-                    continue
+    for step in _compile(circuit):
+        kind = step[0]
+        if kind == "rot":
+            _, reads, writes, _phase, angle = step
+            if angle is None:
+                steps.append(("urot", reads, writes))
+                continue
+            c, s = _cos_sin(angle)
+            if s == 0.0:
+                continue  # +-identity on Paulis
+            if c != 0.0:
                 raise UnsupportedEnsembleError(
                     "fixed rotation angles must be multiples of pi/2; "
                     "use a uniform-angle placeholder or propagate sampled circuits"
                 )
-            else:  # pragma: no cover - exhaustive over gate variants
-                raise UnsupportedEnsembleError(f"unsupported gate {gate!r}")
+            steps.append(("flip", reads, writes))
+        elif kind == "noise":
+            _, q, ptm = step
+            prob, norm = _noise_tables(ptm)
+            # the thresholds keep the I, X, Y, Z output order of the site-code
+            # law (the fourth, the row total, is 1)
+            t0, t1, t2 = np.cumsum(prob, axis=1)[:, :3].T
+            steps.append(("noise", q, np.uint64(1 << (q & 63)), t0, t1, t2, norm))
+        elif kind == "ucliff":
+            q = step[1]
+            # x and z bits of the drawn site code 1..3 (index 0 unused)
+            tx = np.array([(bp & 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
+            tz = np.array([(bp >> 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
+            steps.append(("ucliff", q, np.uint64(1 << (q & 63)), tx, tz))
+        elif kind in ("cliff", "boundary"):
+            steps.append(step)
     return steps
-
-
-def _odd_parity(paths: np.ndarray, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray):
-    """``out`` = 1 where a path anticommutes with the generator, else 0."""
-    if not reads:
-        out.fill(0)
-        return out
-    (side, j, w), *rest = reads
-    np.bitwise_and(paths[side, j], w, out=acc)
-    for side, j, w in rest:
-        acc ^= np.bitwise_and(paths[side, j], w, out=tmp)
-    # XOR across words keeps the parity of the summed popcounts
-    np.bitwise_count(acc, out=out)
-    out &= 1
-    return out
-
-
-def _fold(paths: np.ndarray, writes, flip: np.ndarray, tmp: np.ndarray) -> None:
-    """Multiply the paths where ``flip`` is 1 by the generator (signs dropped)."""
-    for side, j, w in writes:
-        paths[side, j] ^= np.multiply(flip, w, out=tmp)
 
 
 def _set_bit(row: np.ndarray, bit: np.uint64, on: np.ndarray, tmp: np.ndarray) -> None:
@@ -235,16 +172,10 @@ def _set_bit(row: np.ndarray, bit: np.uint64, on: np.ndarray, tmp: np.ndarray) -
 
 def _seed_paths(observable: PauliSum) -> tuple:
     """Term masks, weights, sampling probabilities and ||O||_F^2 of the observable."""
-    terms = list(observable.items())
-    coeffs_sq = np.array([c * c for _, c in terms])
+    x, z, weights, coeffs = _seed_columns(observable)
+    coeffs_sq = coeffs * coeffs
     norm_sq = coeffs_sq.sum()
-    return (
-        _split_words([p.x for p, _ in terms], observable.n),
-        _split_words([p.z for p, _ in terms], observable.n),
-        np.array([p.weight for p, _ in terms], dtype=np.int64),
-        coeffs_sq / norm_sq,
-        norm_sq,
-    )
+    return x, z, weights, coeffs_sq / norm_sq, norm_sq
 
 
 def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
@@ -262,7 +193,7 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
     odd = np.empty(m, dtype=np.uint8)
     hit, hit2 = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     # the tables are tiny and every code is in range; mode="clip" only keeps
-    # np.take from buffering its output
+    # np.take from buffering its output (the same holds in ``_clifford``)
     for step in steps:
         kind = step[0]
         if kind == "boundary":
@@ -289,14 +220,7 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
             _, reads, writes = step
             _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
         elif kind == "cliff":
-            _, support, deltas = step
-            _j, _s, code = _site(x, z, support[0], (a, b))
-            if len(support) == 2:
-                code <<= 2
-                code |= _site(x, z, support[1], (c, b))[2]
-            for j, dx, dz in deltas:
-                x[j] ^= np.take(dx, code, out=b, mode="clip")
-                z[j] ^= np.take(dz, code, out=b, mode="clip")
+            _clifford(paths, step[1], step[2], a, b, c)
         elif kind == "ucliff":
             _, q, bit, tx, tz = step
             j, _s, bp = _site(x, z, q, (a, b))

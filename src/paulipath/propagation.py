@@ -14,6 +14,12 @@ The frontier is columnar for every qubit count: the x and z masks are
 word-major ``(W, m)`` uint64 arrays with ``W = ceil(n / 64)``, qubit q
 in bit ``q & 63`` of word ``q >> 6``, next to the accumulated weights
 and coefficients of the m terms.
+
+``_compile`` turns a circuit into its backward program, one step per
+gate, noised qubit and weight boundary, with the gate masks and lookup
+tables built once.  The engine runs that program here; the Monte Carlo
+walk in ``montecarlo`` samples paths through the same program with the
+same parity, fold and Clifford kernels.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .circuits import (
     Circuit,
     CliffordGate,
     PauliRotation,
+    RandomSingleQubitClifford,
     clifford_adjoint_table,
     noisy_units,
     truncate_to_last_layers,
@@ -43,6 +50,13 @@ from .pauli import (
     QubitCountMismatch,
     expectation_product_state,  # noqa: F401  (kept importable from this module)
 )
+
+
+def config_int(value, name: str, expected: str = "an integer") -> int:
+    """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {expected}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -96,10 +110,7 @@ class TruncationConfig:
 
         def count(key: str) -> int | None:
             v = obj.get(key)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
-                raise ValueError(f"truncation {key!r} must be an integer or null, not {v!r}")
-            return None if v is None else int(v)
-
+            return None if v is None else config_int(v, f"truncation {key!r}", "an integer or null")
         coeff = obj.get("coeff_cutoff")
         if coeff is not None and (
             isinstance(coeff, bool)
@@ -231,59 +242,6 @@ def _cos_sin(angle: float) -> tuple[float, float]:
     return c, s
 
 
-_BIT_TABLE_CACHE: dict = {}
-
-
-def _clifford_bit_tables(gate: CliffordGate):
-    """Adjoint table translated to (x bits, z bits, sign) on bit-pair codes."""
-    key = (gate.name, len(gate.support))
-    cached = _BIT_TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    table = clifford_adjoint_table(gate.name)
-    if len(gate.support) == 1:
-        out = []
-        for bp in range(4):
-            code = BITS_TO_CODE[bp]
-            oc, sign = table[code]
-            xb, zb = CODE_TO_BITS[oc]
-            out.append((xb, zb, float(sign)))
-        _BIT_TABLE_CACHE[key] = out
-        return out
-    out2 = []
-    for bp0 in range(4):
-        for bp1 in range(4):
-            joint = BITS_TO_CODE[bp0] * 4 + BITS_TO_CODE[bp1]
-            oj, sign = table[joint]
-            xb0, zb0 = CODE_TO_BITS[oj >> 2]
-            xb1, zb1 = CODE_TO_BITS[oj & 3]
-            out2.append((xb0, zb0, xb1, zb1, float(sign)))
-    _BIT_TABLE_CACHE[key] = out2
-    return out2
-
-
-def _noise_bit_rows(ch) -> list:
-    """Adjoint rows re-indexed by bit-pair code: rows[bp] = ((x, z, coeff), ...)."""
-    rows = ch.adjoint_rows()
-    out = []
-    for bp in range(4):
-        code = BITS_TO_CODE[bp]
-        entries = []
-        for b, coeff in rows[code]:
-            xb, zb = CODE_TO_BITS[b]
-            entries.append((xb, zb, coeff))
-        out.append(tuple(entries))
-    return out
-
-
-def _cached_rows(row_cache: dict, ch) -> list:
-    """Bit-pair rows of ``ch``, computed once per channel object and walk."""
-    rows = row_cache.get(id(ch))
-    if rows is None:
-        rows = row_cache[id(ch)] = _noise_bit_rows(ch)
-    return rows
-
-
 class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
@@ -309,6 +267,79 @@ def _backward_ops(circuit: Circuit, crossed: bool = False) -> list:
         ops.append(("noise", unit[-1].noise))
         ops.extend(("layer", layer) for layer in reversed(unit))
     return ops
+
+
+def _compile(circuit: Circuit, crossed: bool = False) -> list:
+    """The backward program: ``_backward_ops`` as steps on word-major x/z masks.
+
+    Both the propagation engine and the Monte Carlo walk run these steps:
+
+    - ``("rot", reads, writes, phase, angle)``, a Pauli rotation (``angle``
+      None for a uniform placeholder).  A mask anticommutes with the
+      generator when the reads ``(side, word, bits)`` (side 0 the x masks,
+      side 1 the z masks) select an odd number of set bits; multiplying
+      by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
+    - ``("cliff", support, deltas, signs)``, a fixed Clifford: x and z XOR
+      deltas ``(word, dx, dz)`` and the image's sign, all indexed by the
+      joint input bit pair (support[0] in the high bits).
+    - ``("ucliff", q)``, a uniformly random single-qubit Clifford.
+    - ``("noise", q, ptm)``, the channel on qubit q: ``ptm[bp, b]`` is the
+      coefficient of output Pauli b (I, X, Y, Z) in the adjoint image of
+      the input with bit pair bp.
+    - ``("boundary",)``, the weight boundary, and ``("layer_end",)`` and
+      ``("noise_end",)`` after each layer's gates and each noise round.
+    """
+    n = circuit.n
+    ptms: dict = {}  # one re-indexed transfer matrix per channel object
+    steps: list = []
+    for op in _backward_ops(circuit, crossed):
+        if op[0] == "boundary":
+            steps.append(op)
+            continue
+        if op[0] == "noise":
+            for q, ch in enumerate(op[1]):
+                if ch is None or ch.is_identity:
+                    continue
+                if ch not in ptms:  # row bp is the PTM row of site code BITS_TO_CODE[bp]
+                    ptms[ch] = ch.forward_ptm()[list(BITS_TO_CODE)]
+                steps.append(("noise", q, ptms[ch]))
+            steps.append(("noise_end",))
+            continue
+        for gate in op[1].gates:
+            if isinstance(gate, PauliRotation):
+                gx, gz = gate.embedded_masks(n)
+                reads, writes = [], []
+                for j in sorted({q >> 6 for q in gate.support}):
+                    wx = np.uint64((gx >> (64 * j)) & _WORD)
+                    wz = np.uint64((gz >> (64 * j)) & _WORD)
+                    reads += [(side, j, w) for side, w in ((0, wz), (1, wx)) if w]
+                    writes += [(side, j, w) for side, w in ((0, wx), (1, wz)) if w]
+                phase = (gx & gz).bit_count()
+                steps.append(("rot", tuple(reads), tuple(writes), phase, gate.angle))
+            elif isinstance(gate, CliffordGate):
+                table = clifford_adjoint_table(gate.name)
+                k, size = len(gate.support), len(table)
+                deltas: dict = {}
+                signs = np.empty(size)
+                shifts = (2, 0)[2 - k:]  # of each support qubit's pair in a joint code
+                for i in range(size):  # joint bit pair; the table takes the joint site code
+                    out, signs[i] = table[sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts)]
+                    for q, s in zip(gate.support, shifts):
+                        bp, (xb, zb) = (i >> s) & 3, CODE_TO_BITS[(out >> s) & 3]
+                        dx, dz = deltas.setdefault(q >> 6, ([0] * size, [0] * size))
+                        dx[i] |= (xb ^ (bp & 1)) << (q & 63)
+                        dz[i] |= (zb ^ (bp >> 1)) << (q & 63)
+                words = tuple(
+                    (j, np.array(dx, dtype=np.uint64), np.array(dz, dtype=np.uint64))
+                    for j, (dx, dz) in deltas.items()
+                )
+                steps.append(("cliff", gate.support, words, signs))
+            elif isinstance(gate, RandomSingleQubitClifford):
+                steps.append(("ucliff", gate.qubit))
+            else:  # pragma: no cover - exhaustive over gate variants
+                raise ValueError(f"unsupported gate {gate!r}")
+        steps.append(("layer_end",))
+    return steps
 
 
 class _Frontier:
@@ -381,29 +412,77 @@ def _site(x: np.ndarray, z: np.ndarray, q: int, out=None) -> tuple[int, np.uint6
     return j, s, a.view(np.int64)
 
 
-def _np_rotation(f: _Frontier, gate: PauliRotation, n: int) -> None:
-    if gate.angle is None:
+def _odd_parity(paths, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out`` = 1 where a path anticommutes with the generator, else 0.
+
+    ``paths[side][j]`` is word j of the x (side 0) or z (side 1) masks, so
+    both an ``(x, z)`` pair and a ``(2, W, m)`` array work.
+    """
+    if not reads:
+        out.fill(0)
+        return out
+    (side, j, w), *rest = reads
+    np.bitwise_and(paths[side][j], w, out=acc)
+    for side, j, w in rest:
+        acc ^= np.bitwise_and(paths[side][j], w, out=tmp)
+    # XOR across words keeps the parity of the summed popcounts
+    np.bitwise_count(acc, out=out)
+    out &= 1
+    return out
+
+
+def _fold(paths, writes, flip: np.ndarray | None = None, tmp: np.ndarray | None = None) -> None:
+    """Multiply the paths where ``flip`` is 1 (all when None) by the generator, signs dropped."""
+    for side, j, w in writes:
+        paths[side][j] ^= w if flip is None else np.multiply(flip, w, out=tmp)
+
+
+def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Apply a Clifford's XOR deltas to the paths in place.
+
+    ``a``, ``b`` and ``c`` are uint64 scratch rows; the joint input bit
+    pair code is returned as an int64 view of ``a``.
+    """
+    x, z = paths
+    code = _site(x, z, support[0], (a, b))[2]
+    if len(support) == 2:
+        code <<= 2
+        code |= _site(x, z, support[1], (c, b))[2]
+    # the tables are tiny and every code is in range; mode="clip" only keeps
+    # np.take from buffering its output
+    for j, dx, dz in deltas:
+        x[j] ^= np.take(dx, code, out=b, mode="clip")
+        z[j] ^= np.take(dz, code, out=b, mode="clip")
+    return code
+
+
+def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float | None) -> None:
+    if angle is None:
         raise ValueError("circuit has unresolved ensemble placeholders")
-    gx_int, gz_int = gate.embedded_masks(n)
-    gx, gz = _split_words([gx_int], n), _split_words([gz_int], n)
-    cos_t, sin_t = _cos_sin(gate.angle)
-    # popcount(a) + popcount(b) has the parity of popcount(a ^ b)
-    anti = (_popcount((f.x & gz) ^ (f.z & gx)) & 1).astype(bool)
+    cos_t, sin_t = _cos_sin(angle)
+    m = len(f)
+    scratch = (np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
+    anti = _odd_parity((f.x, f.z), reads, *scratch, np.empty(m, dtype=np.uint8)).view(bool)
     if not anti.any():
         return
     branch = None
     if sin_t != 0.0:
         xa = np.compress(anti, f.x, axis=1)
         za = np.compress(anti, f.z, axis=1)
-        x2, z2 = xa ^ gx, za ^ gz
-        m = (
-            (gx_int & gz_int).bit_count()
-            + _popcount(xa & za)
-            - _popcount(x2 & z2)
-            + 2 * _popcount(gz & xa)
-        ) & 3
-        sign = np.where((m + 1) & 3 == 0, 1.0, -1.0)  # i*G*P = i^(m+1) * folded
-        branch = ([x2], [z2], [f.w[anti]], [f.c[anti] * (sin_t * sign)])
+        # G*P = i^e * folded with e = phase + |x & z| - |x2 & z2| + 2 |gz & x|,
+        # where the words the generator leaves alone cancel out of e
+        e = np.full(xa.shape[1], phase, dtype=np.int64)
+        words = sorted({j for _, j, _ in writes})
+        for side, j, w in reads:
+            if side == 0:
+                e += 2 * np.bitwise_count(xa[j] & w)
+        for j in words:
+            e += np.bitwise_count(xa[j] & za[j])
+        _fold((xa, za), writes)
+        for j in words:
+            e -= np.bitwise_count(xa[j] & za[j])
+        sign = np.where((e + 1) & 3 == 0, 1.0, -1.0)  # i*G*P = i^(e+1) * folded
+        branch = ([xa], [za], [f.w[anti]], [f.c[anti] * (sin_t * sign)])
     if cos_t == 0.0:
         f.select(~anti)
     else:
@@ -412,59 +491,47 @@ def _np_rotation(f: _Frontier, gate: PauliRotation, n: int) -> None:
         f.append(*branch)
 
 
-def _np_clifford(f: _Frontier, gate: CliffordGate) -> None:
-    # one table row per input bit-pair code: (x, z) per support qubit, then the sign
-    bits = np.array(_clifford_bit_tables(gate))
-    sites = [_site(f.x, f.z, q) for q in gate.support]  # read before any write
-    code = sites[0][2]
-    if len(sites) == 2:
-        code = (code << 2) | sites[1][2]
-    for i, (j, s, _) in enumerate(sites):
-        clear = ~(np.uint64(1) << s)
-        f.x[j] = (f.x[j] & clear) | (bits[:, 2 * i].astype(np.uint64)[code] << s)
-        f.z[j] = (f.z[j] & clear) | (bits[:, 2 * i + 1].astype(np.uint64)[code] << s)
-    f.c = f.c * bits[:, -1][code]
+def _np_clifford(f: _Frontier, support, deltas, signs: np.ndarray) -> None:
+    scratch = (np.empty(len(f), dtype=np.uint64) for _ in range(3))
+    code = _clifford((f.x, f.z), support, deltas, *scratch)
+    f.c = f.c * signs[code]
 
 
-def _np_noise(f: _Frontier, noise, n: int, row_cache: dict) -> None:
-    for q in range(n):
-        ch = noise[q]
-        if ch is None or ch.is_identity:
+def _np_noise(f: _Frontier, q: int, ptm: np.ndarray) -> None:
+    j, s, bp = _site(f.x, f.z, q)
+    clear = ~(np.uint64(1) << s)
+    pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
+    # first output of each non-identity input rewrites in place; extras append
+    scale = np.ones(len(f))
+    drop = np.zeros(len(f), dtype=bool)
+    xj, zj = f.x[j], f.z[j]  # views: writes land in the frontier
+    for code in range(1, 4):
+        sel = bp == code
+        if not sel.any():
             continue
-        rows = _cached_rows(row_cache, ch)
-        j, s, bp = _site(f.x, f.z, q)
-        clear = ~(np.uint64(1) << s)
-        pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
-        # first output of each non-identity row rewrites in place; extras append
-        scale = np.ones(len(f))
-        drop = np.zeros(len(f), dtype=bool)
-        xj, zj = f.x[j], f.z[j]  # views: writes land in the frontier
-        for code in range(1, 4):
-            sel = bp == code
-            if not sel.any():
-                continue
-            entries = rows[code]
-            if not entries:
-                drop |= sel
-                continue
-            xb, zb, coeff = entries[0]
-            scale[sel] = coeff
-            xj[sel] = (xj[sel] & clear) | (np.uint64(xb) << s)
-            zj[sel] = (zj[sel] & clear) | (np.uint64(zb) << s)
-            for xb, zb, coeff in entries[1:]:
-                x2 = np.compress(sel, f.x, axis=1)
-                z2 = np.compress(sel, f.z, axis=1)
-                x2[j] = (x2[j] & clear) | (np.uint64(xb) << s)
-                z2[j] = (z2[j] & clear) | (np.uint64(zb) << s)
-                for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
-                    piece.append(col)
-        f.c = f.c * scale
-        if drop.any():
-            f.select(~drop)
-        if pieces[0]:
-            f.append(*pieces)
-        if len(f) > 4 * max(f.merged_len, 1 << 16):
-            f.merge()
+        outs = [(CODE_TO_BITS[b], coeff) for b, coeff in enumerate(ptm[code]) if coeff != 0.0]
+        if not outs:
+            drop |= sel
+            continue
+        (xb, zb), coeff = outs[0]
+        scale[sel] = coeff
+        xj[sel] = (xj[sel] & clear) | (np.uint64(xb) << s)
+        zj[sel] = (zj[sel] & clear) | (np.uint64(zb) << s)
+        for (xb, zb), coeff in outs[1:]:
+            x2 = np.compress(sel, f.x, axis=1)
+            z2 = np.compress(sel, f.z, axis=1)
+            x2[j] = (x2[j] & clear) | (np.uint64(xb) << s)
+            z2[j] = (z2[j] & clear) | (np.uint64(zb) << s)
+            for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
+                piece.append(col)
+    f.c = f.c * scale
+    if drop.any():
+        f.select(~drop)
+    if pieces[0]:
+        f.append(*pieces)
+
+
+_KERNELS = {"rot": _np_rotation, "cliff": _np_clifford, "noise": _np_noise}
 
 
 def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) -> None:
@@ -487,68 +554,62 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         f.select(keep)
 
 
+def _seed_columns(obs: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Word-major x and z masks, Pauli weights and coefficients of the terms."""
+    terms = list(obs.items())
+    return (
+        _split_words([p.x for p, _ in terms], obs.n),
+        _split_words([p.z for p, _ in terms], obs.n),
+        np.array([p.weight for p, _ in terms], dtype=np.int64),
+        np.array([c for _, c in terms], dtype=np.float64),
+    )
+
+
 def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, BackpropStats, bool]:
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
-    n = circuit.n
 
     if isinstance(seed, BackpropResult):
         # copies: the kernels below rewrite the columns in place
-        f = _Frontier(
-            np.array(seed.x, dtype=np.uint64),
-            np.array(seed.z, dtype=np.uint64),
-            np.array(seed.w, dtype=np.int64),
-            np.array(seed.c, dtype=np.float64),
-        )
+        f = _Frontier(*(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
         crossed = seed.crossed_noise
     else:
-        seeds = [(p, c) for p, c in seed.items()]
-        if k is not None:
-            kept = [(p, c) for p, c in seeds if p.weight < k]
-            stats.paths_discarded_by_weight += len(seeds) - len(kept)
-            seeds = kept
-        f = _Frontier(
-            _split_words([p.x for p, _ in seeds], n),
-            _split_words([p.z for p, _ in seeds], n),
-            np.array([p.weight if track else 0 for p, _ in seeds], dtype=np.int64),
-            np.array([c for _, c in seeds], dtype=np.float64),
-        )
+        f = _Frontier(*_seed_columns(seed))  # unique Paulis: already merged
+        if k is not None:  # then weights are tracked
+            keep = f.w < k
+            stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
+            f.select(keep)
+            f.merged_len = len(f)
+        elif not track:
+            f.w[:] = 0
         _np_aux_filter(f, trunc, stats)
         crossed = False
     stats.peak_term_count = len(f)
 
-    row_cache: dict = {}
-    for op in _backward_ops(circuit, crossed):
-        kind = op[0]
-        if kind == "layer":
-            for gate in op[1].gates:
-                if isinstance(gate, PauliRotation):
-                    _np_rotation(f, gate, n)
-                elif isinstance(gate, CliffordGate):
-                    _np_clifford(f, gate)
-                else:
-                    raise ValueError("circuit has unresolved ensemble placeholders")
-                if len(f) > 4 * max(f.merged_len, 1 << 16):
-                    f.merge()
+    for step in _compile(circuit, crossed):
+        kind = step[0]
+        if kind in _KERNELS:
+            _KERNELS[kind](f, *step[1:])
+            if len(f) > 4 * max(f.merged_len, 1 << 16):
+                f.merge()
+        elif kind == "layer_end":
             f.merge()
             _np_aux_filter(f, trunc, stats)
             stats.peak_term_count = max(stats.peak_term_count, len(f))
             if max_terms is not None and len(f) > max_terms:
                 raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-        elif kind == "noise":
+        elif kind == "noise_end":
             crossed = True
-            _np_noise(f, op[1], n, row_cache)
             f.merge()
             stats.peak_term_count = max(stats.peak_term_count, len(f))
+        elif kind == "ucliff":
+            raise ValueError("circuit has unresolved ensemble placeholders")
         elif track:  # weight boundary
-            w2 = f.w + _popcount(f.x | f.z)
+            f.w = f.w + _popcount(f.x | f.z)
             if k is not None:
-                keep = w2 < k
+                keep = f.w < k
                 stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
-                f.w = w2
                 f.select(keep)
-            else:
-                f.w = w2
             f.merged_len = len(f)
 
     f.merge()

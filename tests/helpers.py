@@ -25,6 +25,7 @@ from paulipath import (
     make_dephasing,
     make_depolarizing,
 )
+from paulipath.channels import NormalFormChannel, SingleQubitPTM, rotation_ptm
 from paulipath.circuits import Layer
 from paulipath.experiments import center_z
 
@@ -158,14 +159,31 @@ def gate_rounds(
 
 
 @st.composite
+def channels(draw) -> NormalFormChannel:
+    """A depolarizing, dephasing or damping channel, half the time between two rotations.
+
+    The rotated form is a custom channel whose transfer matrix is dense,
+    with off-diagonal entries in every row but the first.
+    """
+    ch = _BUILDERS[draw(st.sampled_from(NOISE_KINDS))](draw(st.floats(0.0, 0.5)))
+    if draw(st.booleans()):
+        return ch
+    pre, post = (
+        SingleQubitPTM(
+            rotation_ptm(draw(st.sampled_from("XYZ")), draw(st.floats(0.0, 2 * math.pi))),
+            unitary=True,
+        )
+        for _ in range(2)
+    )
+    return NormalFormChannel(ch.d, ch.t, pre, post)
+
+
+@st.composite
 def noise_rounds(draw, n: int):
     """None (a noiseless layer) or one random channel per qubit."""
     if draw(st.integers(0, 3)) == 0:
         return None
-    return tuple(
-        _BUILDERS[draw(st.sampled_from(NOISE_KINDS))](draw(st.floats(0.0, 0.5)))
-        for _ in range(n)
-    )
+    return tuple(draw(channels()) for _ in range(n))
 
 
 @st.composite

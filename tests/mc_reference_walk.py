@@ -1,11 +1,13 @@
 """The site-code Monte Carlo walk, kept as the reference for the bit-mask walk.
 
 A chunk of paths is an (m, n) uint8 array of site codes (0=I, 1=X, 2=Y,
-3=Z), updated step by step through fancy-indexed table lookups.  The
-step list is compiled from the same backward program as
-``paulipath.montecarlo._compile_steps`` and consumes the generator's
-stream draw for draw in the same order, so for one Philox key both walks
-must reach the same paths, weights and reweight factors.
+3=Z), updated step by step through fancy-indexed table lookups.
+``compile_steps`` builds its own step list from ``_backward_ops``, with
+site-code tables taken straight from ``clifford_adjoint_table`` and the
+channels' forward transfer matrices, not from the compiled program that
+``paulipath.montecarlo._compile_steps`` reads.  The walk consumes the
+generator's stream draw for draw in the same order, so for one Philox key
+both walks must reach the same paths, weights and reweight factors.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def compile_steps(circuit: Circuit) -> list:
                 ch = op[1][q]
                 if ch is None or ch.is_identity:
                     continue
-                prob, norm = _noise_tables(ch)
+                prob, norm = _noise_tables(ch.forward_ptm())
                 steps.append(("noise", q, np.cumsum(prob, axis=1), norm))
             continue
         for gate in op[1].gates:

@@ -15,8 +15,14 @@ from typing import Iterator
 
 import numpy as np
 
-from paulipath.circuits import CliffordGate, Layer, PauliRotation, noisy_units
-from paulipath.pauli import PauliString, PauliSum, QubitCountMismatch
+from paulipath.circuits import (
+    CliffordGate,
+    Layer,
+    PauliRotation,
+    clifford_adjoint_table,
+    noisy_units,
+)
+from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,
     BackpropResult,
@@ -24,13 +30,47 @@ from paulipath.propagation import (
     FrontierOverflowError,
     TruncationConfig,
     _backward_ops,
-    _cached_rows,
-    _clifford_bit_tables,
     _cos_sin,
     _frozen,
     _join_words,
     _split_words,
 )
+
+
+def _clifford_bit_tables(gate: CliffordGate) -> list:
+    """Adjoint table translated to (x bits, z bits, sign) on bit-pair codes.
+
+    Built from ``clifford_adjoint_table`` on its own, not from the
+    engine's compiled deltas, so the two can be checked against each other.
+    """
+    table = clifford_adjoint_table(gate.name)
+    if len(gate.support) == 1:
+        out = []
+        for bp in range(4):
+            oc, sign = table[BITS_TO_CODE[bp]]
+            out.append((*CODE_TO_BITS[oc], float(sign)))
+        return out
+    out2 = []
+    for bp0 in range(4):
+        for bp1 in range(4):
+            oj, sign = table[BITS_TO_CODE[bp0] * 4 + BITS_TO_CODE[bp1]]
+            out2.append((*CODE_TO_BITS[oj >> 2], *CODE_TO_BITS[oj & 3], float(sign)))
+    return out2
+
+
+def _cached_rows(row_cache: dict, ch) -> list:
+    """Adjoint rows of ``ch`` re-indexed by bit-pair code, once per channel object.
+
+    rows[bp] = ((x, z, coeff), ...), from ``adjoint_rows`` on its own.
+    """
+    rows = row_cache.get(id(ch))
+    if rows is None:
+        adj = ch.adjoint_rows()
+        rows = row_cache[id(ch)] = [
+            tuple((*CODE_TO_BITS[b], coeff) for b, coeff in adj[BITS_TO_CODE[bp]])
+            for bp in range(4)
+        ]
+    return rows
 
 
 def _add(frontier: dict, key: tuple, value: float) -> None:

@@ -74,7 +74,7 @@ def second_moment_rotation(rotation: PauliRotation) -> SecondMomentStep:
 
 def second_moment_noise(ch: NormalFormChannel) -> SecondMomentStep:
     """Fixed channel: outputs drawn with probability ~ squared adjoint amplitude."""
-    return SecondMomentStep(1, _noise_tables(ch), "noise")
+    return SecondMomentStep(1, _noise_tables(ch.forward_ptm()), "noise")
 
 
 def second_moment_clifford(gate: CliffordGate) -> SecondMomentStep:

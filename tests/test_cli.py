@@ -454,3 +454,83 @@ class TestErrors:
         with pytest.raises(KeyError, match="internal"):
             main(["dynamics", "--config", cfg])
         assert "configuration" not in capsys.readouterr().err
+
+
+ESTIMATE_CONFIG = {
+    "circuit": {
+        "n": 1,
+        "layers": [
+            {
+                "gates": [{"type": "rot", "generator": "X", "support": [0], "angle": "uniform"}],
+                "noise": {"kind": "amplitude_damping", "param": 0.2},
+            }
+        ],
+    },
+    "observable": [{"pauli": "Z", "coeff": 1.0}],
+    "estimator": {"functional": "trunc_frobenius", "k": 2, "samples": 100, "seed": 3},
+}
+DYNAMICS_CONFIG = {"lattice": {"type": "chain", "n": 2}, "J": 1.0, "h": 1.0, "dt": 0.1, "steps": 1}
+HVA_CIRCUIT = {
+    "builder": "hva",
+    "lattice": {"type": "chain", "n": 2},
+    "blocks": 1,
+    "noise": {"kind": "amplitude_damping", "param": 0.1},
+    "angles": 0.3,
+}
+TFIM_CIRCUIT = {
+    "builder": "trotter_tfim",
+    "lattice": {"type": "chain", "n": 2},
+    "J": 1.0,
+    "h": 1.0,
+    "dt": 0.1,
+    "steps": 1,
+}
+
+
+def _with(base: dict, path: tuple, value) -> dict:
+    """A deep copy of ``base`` with the entry at ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(base))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _builder_config(circuit: dict) -> dict:
+    return {"circuit": circuit, "observable": [{"pauli": "ZI", "coeff": 1.0}]}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "k"), 2.7), "k"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "k"), True), "k"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "samples"), 100.5), "samples"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "seed"), "3"), "seed"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("seed",), 1.5), "seed"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("k_sweep",), [True, "3", 2.5]), "k_sweep"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("k_sweep",), 3), "k_sweep"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("blocks",), 2.0), "blocks"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("samples",), "4000"), "samples"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("k_grid",), [2, 4.5]), "k_grid"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("steps",), 2.9), "steps"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("blocks",), 2.5)), "blocks"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("steps",), False)), "steps"),
+        ],
+    )
+    def test_non_integer_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_integer_fields_run(self, tmp_path, capsys):
+        for command, cfg in (
+            ("estimate", ESTIMATE_CONFIG),
+            ("dynamics", DYNAMICS_CONFIG),
+            ("propagate", _builder_config(HVA_CIRCUIT)),
+            ("propagate", _builder_config(TFIM_CIRCUIT)),
+        ):
+            code, _, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+            assert code == 0, err
