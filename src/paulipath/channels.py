@@ -182,17 +182,6 @@ class NormalFormChannel:
             m = self.post.matrix @ m
         return m
 
-    def adjoint_ptm(self) -> np.ndarray:
-        return self.forward_ptm().T
-
-    def adjoint_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Sparse adjoint action: rows[a] lists (b, coeff) with N^dag(P_a) = sum coeff P_b."""
-        w = self.forward_ptm()
-        rows = []
-        for a in range(4):
-            rows.append(tuple((b, w[a, b]) for b in range(4) if w[a, b] != 0.0))
-        return tuple(rows)
-
 
 def _canonicalize_signs(d, t, post):
     """Bring the damping entries to a common sign via folded half-turns.

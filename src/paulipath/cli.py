@@ -76,6 +76,30 @@ def _int_value(obj: dict, key: str, *default) -> int:
     return config_int(obj.get(key, *default) if default else obj[key], repr(key))
 
 
+def _object(obj: dict, key: str) -> dict:
+    """``obj[key]`` if it is a JSON object, else exit 2 naming the key."""
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key!r} must be an object, not {value!r}")
+    return value
+
+
+def _lattice_and_noise(obj: dict):
+    """The ``lattice`` object and the optional ``noise`` channel of a builder config."""
+    noise = None if obj.get("noise") is None else channel_from_json(_object(obj, "noise"))
+    return lattice_from_json(_object(obj, "lattice")), noise
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below with the other non-positive values
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def _int_list(obj: dict, key: str) -> list[int]:
     values = obj[key]
     if not isinstance(values, list):
@@ -140,8 +164,7 @@ def _circuit_template(spec: dict) -> Circuit:
     builder = spec.get("builder")
     if builder is None:
         return circuit_from_json(spec)
-    lattice = lattice_from_json(spec["lattice"])
-    noise = None if spec.get("noise") is None else channel_from_json(spec["noise"])
+    lattice, noise = _lattice_and_noise(spec)
     if builder == "hva":
         angles = spec.get("angles", "uniform")
         ens = EnsembleSpec(None if angles == "uniform" else float(angles))
@@ -325,7 +348,7 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
-    lattice = lattice_from_json(cfg["lattice"])
+    lattice = lattice_from_json(_object(cfg, "lattice"))
     rows = sweep_table(
         lattice,
         _int_value(cfg, "blocks"),  # ansatz depth is always explicit
@@ -351,8 +374,7 @@ def cmd_sweep(args) -> int:
 def cmd_dynamics(args) -> int:
     cfg = _load_config(args)
     seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
-    lattice = lattice_from_json(cfg["lattice"])
-    noise = None if cfg.get("noise") is None else channel_from_json(cfg["noise"])
+    lattice, noise = _lattice_and_noise(cfg)
     rows = dynamics_series(
         lattice,
         float(cfg["J"]),
@@ -392,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-terms",
-        type=int,
+        type=_positive_int,
         default=None,
         help="abort (exit 3) if the propagation frontier outgrows this many terms",
     )

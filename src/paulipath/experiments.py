@@ -112,6 +112,8 @@ def dynamics_series(
     resumes from row s-1's frontier through one more step: the series
     costs one pass over the circuit.
     """
+    if steps < 0:
+        raise ValueError(f"'steps' must be nonnegative, not {steps}")
     observable = center_z(lattice)
     state = ProductState.zeros(lattice.n_sites)
     rows = [

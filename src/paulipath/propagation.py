@@ -13,7 +13,10 @@ cutoff would remove the wrong paths.
 The frontier is columnar for every qubit count: the x and z masks are
 word-major ``(W, m)`` uint64 arrays with ``W = ceil(n / 64)``, qubit q
 in bit ``q & 63`` of word ``q >> 6``, next to the accumulated weights
-and coefficients of the m terms.
+and coefficients of the m terms.  A merge sorts the rows stably by
+(x, z, w) and sums the coefficients of equal rows.  When
+2n + bits(max w) <= 64 the sort key is one packed uint64 word per row,
+else it is the columns themselves; the order is the same.
 
 ``_compile`` turns a circuit into its backward program, one step per
 gate, noised qubit and weight boundary, with the gate masks and lookup
@@ -343,12 +346,12 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
 
 
 class _Frontier:
-    """Frontier as parallel columns; keys (x, z, w) unique only after merges."""
+    """Frontier of n-qubit terms as parallel columns; keys (x, z, w) unique only after merges."""
 
-    __slots__ = ("x", "z", "w", "c", "merged_len")
+    __slots__ = ("n", "x", "z", "w", "c", "merged_len")
 
-    def __init__(self, x, z, w, c):
-        self.x, self.z, self.w, self.c = x, z, w, c
+    def __init__(self, n, x, z, w, c):
+        self.n, self.x, self.z, self.w, self.c = n, x, z, w, c
         self.merged_len = len(c)
 
     def __len__(self) -> int:
@@ -367,26 +370,40 @@ class _Frontier:
         self.c = np.concatenate((self.c, *cs))
 
     def merge(self) -> None:
-        if len(self.c) == 0:
+        """Sum the coefficients of equal (x, z, w) rows and drop zero sums.
+
+        Rows come out sorted by x, then z, then w, the masks compared as
+        integers.  The sort is stable, so each group sums its coefficients
+        in their current row order.  When one word holds the masks and
+        2n + bits(max w) <= 64, the sort key is the single packed word
+        ``x << (n + wb) | z << wb | w`` (wb = bits(max w)), whose integer
+        order is that order; otherwise the keys are ``(w, *z, *x)``, the
+        last one primary and the masks most significant word first.
+        """
+        m = len(self.c)
+        if m == 0:
             self.merged_len = 0
             return
-        # the last key is primary: rows sort by x, then z, then w, with the
-        # masks compared as integers (most significant word first)
-        order = np.lexsort((self.w, *self.z, *self.x))
-        x = np.take(self.x, order, axis=1)
-        z = np.take(self.z, order, axis=1)
-        w, c = self.w[order], self.c[order]
-        first = np.empty(len(c), dtype=bool)
+        n, wb = self.n, int(self.w.max()).bit_length()
+        if self.x.shape[0] == 1 and 2 * n + wb <= 64:
+            key = self.x[0] << np.uint64(n + wb)
+            key |= self.z[0] << np.uint64(wb)
+            key |= self.w.view(np.uint64)  # weights are nonnegative
+            keys = (key,)
+        else:
+            keys = (self.w, *self.z, *self.x)
+        order = np.lexsort(keys)
+        first = np.zeros(m, dtype=bool)
         first[0] = True
-        first[1:] = w[1:] != w[:-1]
-        first[1:] |= np.any(x[:, 1:] != x[:, :-1], axis=0)
-        first[1:] |= np.any(z[:, 1:] != z[:, :-1], axis=0)
+        for key in keys:
+            ranked = key[order]
+            first[1:] |= ranked[1:] != ranked[:-1]
         idx = np.flatnonzero(first)
-        sums = np.add.reduceat(c, idx)
+        sums = np.add.reduceat(self.c[order], idx)
         keep = sums != 0.0
-        rows = idx[keep]
-        self.x, self.z = np.take(x, rows, axis=1), np.take(z, rows, axis=1)
-        self.w, self.c = w[rows], sums[keep]
+        rows = order[idx[keep]]
+        self.x, self.z = np.take(self.x, rows, axis=1), np.take(self.z, rows, axis=1)
+        self.w, self.c = self.w[rows], sums[keep]
         self.merged_len = len(self.c)
 
 
@@ -571,10 +588,10 @@ def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, Backp
 
     if isinstance(seed, BackpropResult):
         # copies: the kernels below rewrite the columns in place
-        f = _Frontier(*(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
+        f = _Frontier(seed.n, *(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
         crossed = seed.crossed_noise
     else:
-        f = _Frontier(*_seed_columns(seed))  # unique Paulis: already merged
+        f = _Frontier(seed.n, *_seed_columns(seed))  # unique Paulis: already merged
         if k is not None:  # then weights are tracked
             keep = f.w < k
             stats.paths_discarded_by_weight += int(len(keep) - keep.sum())

@@ -237,13 +237,21 @@ def truncations(draw, k_max: int = 8) -> TruncationConfig:
 def registers(draw) -> tuple[int, tuple[int, ...]]:
     """A qubit count n and the qubits a drawn circuit acts on.
 
-    n is 1-4 (all qubits active) or 60-130.  A wide register always
-    activates the pair straddling a 64-bit word boundary below n (63/64
-    or 127/128) and up to two more qubits from the ends of its words.
+    n is 1-4 (all qubits active), 29-32 or 60-130.  At 29-32 the merge
+    packs (x, z, w) into one word only while 2n + bits(max w) <= 64, so
+    the walk takes either sort; the drawn qubits come from both ends of
+    the register.  A wide register always activates the pair straddling
+    a 64-bit word boundary below n (63/64 or 127/128) and up to two more
+    qubits from the ends of its words.
     """
-    if draw(st.booleans()):
+    band = draw(st.sampled_from(("small", "packed", "wide")))
+    if band == "small":
         n = draw(st.integers(1, 4))
         return n, tuple(range(n))
+    if band == "packed":
+        n = draw(st.integers(29, 32))
+        sites = draw(st.lists(st.sampled_from((0, 1, n - 2, n - 1)), min_size=1, max_size=3))
+        return n, tuple(sorted(set(sites)))
     n = draw(st.integers(60, 130))
     pool = sorted({q for q in (0, 1, 62, 63, 64, 65, 126, 127, 128, 129) if q < n} | {n - 1})
     sites = set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
@@ -252,6 +260,43 @@ def registers(draw) -> tuple[int, tuple[int, ...]]:
         b = draw(st.sampled_from(edges))
         sites |= {b - 1, b}
     return n, tuple(sorted(sites))
+
+
+@st.composite
+def merge_inputs(draw) -> tuple[int, list, list]:
+    """Unmerged frontier rows for ``_Frontier.merge``: n, keys (x, z, w) and coefficients.
+
+    n is 1-4, 26-33 (on both sides of the single-word pack bound
+    2n + bits(max w) <= 64, often exactly at it or one past it) or
+    60-130.  The rows repeat 2-6 keys in random order, every one at least
+    once; their masks favour the lowest, middle and top qubits,
+    the largest weight has exactly the drawn bit count (up to 13), and
+    some coefficients are followed by their exact negation.
+    """
+    n = draw(st.one_of(st.integers(1, 4), st.integers(26, 33), st.integers(60, 130)))
+    wbits = st.integers(0, 13)
+    if 26 <= n <= 32:
+        wbits = st.one_of(st.sampled_from((64 - 2 * n, 65 - 2 * n)), wbits)
+    wmax = (1 << draw(wbits)) - 1
+    qubits = st.sampled_from(sorted({q for q in (0, 1, n >> 1, n - 1) if q < n}))
+    masks = st.one_of(
+        st.sets(qubits, max_size=3).map(lambda qs: sum(1 << q for q in qs)),
+        st.integers(0, (1 << n) - 1),
+    )
+    pool = draw(
+        st.lists(st.tuples(masks, masks, st.integers(0, wmax)), min_size=2, max_size=6, unique=True)
+    )
+    pool[0] = (*pool[0][:2], wmax)
+    extra = draw(st.lists(st.sampled_from(pool), max_size=30))
+    keys, values = [], []
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False)
+    for key in draw(st.permutations(pool + extra)):
+        keys.append(key)
+        values.append(draw(coeffs))
+        if draw(st.booleans()):
+            keys.append(key)
+            values.append(-values[-1])
+    return n, keys, values
 
 
 def embed_circuit(circuit: Circuit, sites: tuple[int, ...], n: int) -> Circuit:

@@ -58,6 +58,12 @@ def _clifford_bit_tables(gate: CliffordGate) -> list:
     return out2
 
 
+def adjoint_rows(ch) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Sparse adjoint action: rows[a] lists (b, coeff) with N^dag(P_a) = sum coeff P_b."""
+    w = ch.forward_ptm()
+    return tuple(tuple((b, w[a, b]) for b in range(4) if w[a, b] != 0.0) for a in range(4))
+
+
 def _cached_rows(row_cache: dict, ch) -> list:
     """Adjoint rows of ``ch`` re-indexed by bit-pair code, once per channel object.
 
@@ -65,7 +71,7 @@ def _cached_rows(row_cache: dict, ch) -> list:
     """
     rows = row_cache.get(id(ch))
     if rows is None:
-        adj = ch.adjoint_rows()
+        adj = adjoint_rows(ch)
         rows = row_cache[id(ch)] = [
             tuple((*CODE_TO_BITS[b], coeff) for b, coeff in adj[BITS_TO_CODE[bp]])
             for bp in range(4)

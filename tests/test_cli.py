@@ -534,3 +534,38 @@ class TestIntegerFields:
         ):
             code, _, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
             assert code == 0, err
+
+
+class TestObjectFields:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("dynamics", _with(DYNAMICS_CONFIG, ("noise",), "bogus"), "noise"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("noise",), [0.1]), "noise"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice",), "x"), "lattice"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("lattice",), 3), "lattice"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("noise",), "bogus")), "noise"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("lattice",), ["chain"])), "lattice"),
+        ],
+    )
+    def test_non_object_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+
+class TestCounts:
+    def test_negative_steps_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, _with(DYNAMICS_CONFIG, ("steps",), -1))
+        code, out, err = run_cli(["dynamics", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "'steps'" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "2.5"])
+    def test_non_positive_max_terms_exit_2(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, DYNAMICS_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--config", cfg, "--max-terms", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--max-terms" in err and "positive" in err

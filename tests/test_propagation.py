@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -28,7 +28,13 @@ from paulipath import (
     simulate_exact,
 )
 from paulipath.circuits import Layer, PauliRotation
-from paulipath.propagation import EXACT, FrontierOverflowError
+from paulipath.propagation import (
+    EXACT,
+    FrontierOverflowError,
+    _Frontier,
+    _join_words,
+    _split_words,
+)
 from reference_walk import count_legal_paths, iter_legal_paths, reference_backpropagate
 
 # "dict" is the reference dict walk in tests/reference_walk.py, "numpy" the engine
@@ -471,6 +477,49 @@ class TestResume:
             res.c[0] = 1.0
         again = backpropagate(rx_damping_circuit(), res)
         assert again.stats.surviving_path_count == again.x.shape[1]
+
+
+def _group_sum(coeffs: list) -> float:
+    """The sum of one group's coefficients, added in the given order.
+
+    numpy's segment sum associates differently from a Python loop, so the
+    reference sums each group alone with the same ``reduceat`` the merge
+    applies to its groups in place: the sums agree bit for bit exactly
+    when the merge kept each group in input order.
+    """
+    return float(np.add.reduceat(np.array(coeffs), [0])[0])
+
+
+class TestMerge:
+    # at n = 32 a weight of 1 is one bit past the pack bound, and 0 exactly at it;
+    # the top and bottom mask bits tell a lost or overlapping bit apart
+    TOP = 1 << 31
+
+    @settings(max_examples=300, deadline=None)
+    @given(helpers.merge_inputs())
+    @example((32, [(TOP, 0, 1), (0, 0, 1), (1, 0, 0)], [0.5, 0.25, 1.0]))
+    @example((32, [(TOP, 0, 0), (0, 0, 0), (0, TOP, 0), (1, 0, 0)], [0.5, 0.25, 1.0, 2.0]))
+    def test_merge_matches_dict_sum(self, case):
+        n, keys, coeffs = case
+        groups: dict = {}
+        for key, coeff in zip(keys, coeffs):
+            groups.setdefault(key, []).append(coeff)
+        want = [(key, _group_sum(group)) for key, group in sorted(groups.items())]
+        want = [(key, total) for key, total in want if total != 0.0]
+        f = _Frontier(
+            n,
+            _split_words([x for x, _, _ in keys], n),
+            _split_words([z for _, z, _ in keys], n),
+            np.array([w for _, _, w in keys], dtype=np.int64),
+            np.array(coeffs),
+        )
+        f.merge()
+        assert f.x.shape == f.z.shape == ((n + 63) // 64, len(want))
+        assert f.x.dtype == f.z.dtype == np.uint64 and f.w.dtype == np.int64
+        assert f.merged_len == len(want)
+        got = list(zip(_join_words(f.x), _join_words(f.z), f.w.tolist()))
+        assert got == [key for key, _ in want]
+        assert f.c.tolist() == [total for _, total in want]
 
 
 def _assert_same_frontier(got, want):
