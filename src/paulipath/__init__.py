@@ -26,13 +26,11 @@ from .channels import (
     make_custom,
     make_dephasing,
     make_depolarizing,
-    verify_scrambler,
 )
 from .circuits import (
     Chain,
     Circuit,
     CliffordGate,
-    EnsembleSpec,
     Layer,
     PauliRotation,
     RandomSingleQubitClifford,
@@ -42,7 +40,6 @@ from .circuits import (
     sample_circuit,
     truncate_to_last_layers,
 )
-from .channels import ScramblerReport
 from .montecarlo import (
     EstimateResult,
     TruncFrobenius,
@@ -54,14 +51,13 @@ from .montecarlo import (
     estimate_many,
     validate_estimator,
 )
-from .oracle import InfeasibleSizeError, heisenberg_exact, simulate_exact
+from .oracle import InfeasibleSizeError, simulate_exact
 from .pauli import (
     PauliString,
     PauliSum,
     ProductState,
     QubitCountMismatch,
     commutes,
-    expectation_product_state,
     multiply,
 )
 from .propagation import (
@@ -71,4 +67,5 @@ from .propagation import (
     backpropagate,
     effective_depth_compare,
     expectation,
+    expectation_product_state,
 )

@@ -16,24 +16,17 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import NormalFormChannel, channel_from_json, channel_to_json
-from .pauli import PauliString
-
-_P1 = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+from .channels import _PAULI_MATS, NormalFormChannel, channel_from_json
+from .pauli import PauliString, config_int
 
 _NAMED_UNITARIES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "X": _P1[1],
-    "Y": _P1[2],
-    "Z": _P1[3],
+    "X": _PAULI_MATS[1],
+    "Y": _PAULI_MATS[2],
+    "Z": _PAULI_MATS[3],
     "CNOT": np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     ),
@@ -53,7 +46,7 @@ def _pauli_kron(idx: int, k: int) -> np.ndarray:
     """Tensor Pauli for joint code ``idx`` on k sites; site 0 is the first factor."""
     mats = []
     for pos in reversed(range(k)):
-        mats.append(_P1[(idx >> (2 * pos)) & 3])
+        mats.append(_PAULI_MATS[(idx >> (2 * pos)) & 3])
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -85,12 +78,6 @@ def _signed_perm_table(u: np.ndarray, k: int) -> tuple[tuple[int, int], ...]:
 _ADJ_TABLES: dict[str, tuple[tuple[int, int], ...]] = {}
 
 
-def _register_clifford(name: str, u: np.ndarray) -> None:
-    k = 1 if u.shape == (2, 2) else 2
-    _ADJ_TABLES[name] = _signed_perm_table(u, k)
-    _NAMED_UNITARIES[name] = u
-
-
 def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
     if name not in _ADJ_TABLES:
         if name not in _NAMED_UNITARIES:
@@ -99,15 +86,6 @@ def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
         k = 1 if u.shape == (2, 2) else 2
         _ADJ_TABLES[name] = _signed_perm_table(u, k)
     return _ADJ_TABLES[name]
-
-
-def clifford_forward_table(name: str) -> tuple[tuple[int, int], ...]:
-    """Conjugation by U itself: U P U^dag, the inverse signed permutation."""
-    adj = clifford_adjoint_table(name)
-    fwd: list[tuple[int, int]] = [(0, 1)] * len(adj)
-    for p, (q, s) in enumerate(adj):
-        fwd[q] = (p, s)
-    return tuple(fwd)
 
 
 _GROUP_NAMES: list[str] | None = None
@@ -130,7 +108,7 @@ def clifford_group_1q() -> list[str]:
                 key = _signed_perm_table(u2, 1)
                 if key not in seen:
                     seen[key] = w2
-                    _register_clifford(w2, u2)
+                    _NAMED_UNITARIES[w2], _ADJ_TABLES[w2] = u2, key
                     new_frontier.append((w2, u2))
         frontier = new_frontier
     assert len(seen) == 24
@@ -391,17 +369,6 @@ def edge_coloring(edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]
 # --- builders -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Angle/Clifford laws for randomized circuit families.
-
-    ``angle_law=None`` leaves every rotation angle as a placeholder to be
-    drawn uniformly from [0, 2*pi); a float pins all angles.
-    """
-
-    angle_law: float | None = None
-
-
 NoiseSpec = Union[NormalFormChannel, Sequence, None]
 
 
@@ -430,12 +397,14 @@ def build_hva(
     lattice: Lattice,
     noise: NoiseSpec,
     blocks: int,
-    angles: EnsembleSpec = EnsembleSpec(),
+    angle: float | None = None,
     noise_placement: str = "per_round",
 ) -> Circuit:
     """RX round, RZ round, then ZZ rotations on every lattice edge, repeated.
 
-    Edge rounds are split into disjoint-support sublayers.  With
+    Every rotation gets ``angle``; None leaves each one a placeholder
+    drawn uniformly from [0, 2*pi) at sampling time.  Edge rounds are
+    split into disjoint-support sublayers.  With
     ``noise_placement="per_round"`` noise follows each logical round (RX
     round, RZ round, completed edge round); with ``"per_block"`` it is
     applied once per repetition block, after the edge round, so the
@@ -447,16 +416,15 @@ def build_hva(
     per_round = noise_placement == "per_round"
     n = lattice.n_sites
     ch = _noise_tuple(noise, n)
-    theta = angles.angle_law
     sublayers = edge_coloring(lattice.edges())
     layers: list[Layer] = []
     for _ in range(blocks):
-        layers.append(Layer(tuple(_rot("X", q, theta) for q in range(n)), ch if per_round else None))
-        layers.append(Layer(tuple(_rot("Z", q, theta) for q in range(n)), ch if per_round else None))
+        layers.append(Layer(tuple(_rot("X", q, angle) for q in range(n)), ch if per_round else None))
+        layers.append(Layer(tuple(_rot("Z", q, angle) for q in range(n)), ch if per_round else None))
         for i, sub in enumerate(sublayers):
             last = i == len(sublayers) - 1
             layers.append(
-                Layer(tuple(_rot2("ZZ", e, theta) for e in sub), ch if last else None)
+                Layer(tuple(_rot2("ZZ", e, angle) for e in sub), ch if last else None)
             )
     return Circuit(n, tuple(layers))
 
@@ -531,17 +499,11 @@ def sample_circuit(template: Circuit, seed: int) -> Circuit:
 # --- JSON interface --------------------------------------------------------------
 
 
-def gate_to_json(g: Gate) -> dict:
-    if isinstance(g, PauliRotation):
-        return {
-            "type": "rot",
-            "generator": g.generator.label(),
-            "support": list(g.support),
-            "angle": "uniform" if g.angle is None else g.angle,
-        }
-    if isinstance(g, CliffordGate):
-        return {"type": "clifford", "name": g.name, "support": list(g.support)}
-    return {"type": "random_clifford", "support": [g.qubit]}
+def _objects(values, key: str) -> list:
+    """A JSON list of objects, else ``ValueError`` naming ``key``."""
+    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
+        raise ValueError(f"{key!r} must be a list of objects, not {values!r}")
+    return values
 
 
 def gate_from_json(obj: dict) -> Gate:
@@ -560,64 +522,39 @@ def gate_from_json(obj: dict) -> Gate:
     raise ValueError(f"unknown gate type {kind!r}")
 
 
-def _noise_to_json(noise, n: int):
-    if noise is None:
-        return None
-    first = noise[0]
-    if all(ch is first for ch in noise) and first is not None:
-        return channel_to_json(first)
-    return [None if ch is None else channel_to_json(ch) for ch in noise]
-
-
 def _noise_from_json(obj, n: int):
     if obj is None:
         return None
     if isinstance(obj, dict):
         return (channel_from_json(obj),) * n
+    if not isinstance(obj, list) or not all(e is None or isinstance(e, dict) for e in obj):
+        raise ValueError(f"'noise' must be a channel or a list of channels and nulls, not {obj!r}")
     return tuple(None if entry is None else channel_from_json(entry) for entry in obj)
 
 
-def circuit_to_json(c: Circuit) -> dict:
-    out: dict = {
-        "n": c.n,
-        "layers": [
-            {
-                "gates": [gate_to_json(g) for g in layer.gates],
-                "noise": _noise_to_json(layer.noise, c.n),
-            }
-            for layer in c.layers
-        ],
-    }
-    if c.final_layer is not None:
-        out["final_layer"] = [gate_to_json(g) for g in c.final_layer.gates]
-    return out
-
-
 def circuit_from_json(obj: dict) -> Circuit:
-    n = int(obj["n"])
+    n = config_int(obj["n"], "'n'")
     layers = tuple(
         Layer(
-            tuple(gate_from_json(g) for g in spec.get("gates", [])),
+            tuple(gate_from_json(g) for g in _objects(spec.get("gates", []), "gates")),
             _noise_from_json(spec.get("noise"), n),
         )
-        for spec in obj.get("layers", [])
+        for spec in _objects(obj.get("layers", []), "layers")
     )
     final = None
     if obj.get("final_layer"):
-        final = Layer(tuple(gate_from_json(g) for g in obj["final_layer"]), None)
+        final = Layer(tuple(gate_from_json(g) for g in _objects(obj["final_layer"], "final_layer")))
     return Circuit(n, layers, final)
 
 
 def lattice_from_json(obj: dict) -> Lattice:
     kind = obj.get("type")
+    periodic = obj.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise ValueError(f"'periodic' must be true or false, not {periodic!r}")
     if kind == "chain":
-        return Chain(int(obj["n"]), bool(obj.get("periodic", False)))
+        return Chain(config_int(obj["n"], "'n'"), periodic)
     if kind == "square":
-        return Square(int(obj["rows"]), int(obj["cols"]), bool(obj.get("periodic", False)))
+        rows, cols = (config_int(obj[key], repr(key)) for key in ("rows", "cols"))
+        return Square(rows, cols, periodic)
     raise ValueError(f"unknown lattice type {kind!r}")
-
-
-def lattice_to_json(lat: Lattice) -> dict:
-    if isinstance(lat, Chain):
-        return {"type": "chain", "n": lat.n, "periodic": lat.periodic}
-    return {"type": "square", "rows": lat.rows, "cols": lat.cols, "periodic": lat.periodic}

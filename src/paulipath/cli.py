@@ -24,20 +24,17 @@ from .channels import (
     InvalidChannelError,
     Scrambler,
     TwoDesign,
-    WorstCase,
     channel_from_json,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,
     contraction_sq_worstcase,
-    effective_depolarizing_rate,
 )
 from .circuits import (
     Circuit,
     build_hva,
     build_trotter_tfim,
     circuit_from_json,
-    EnsembleSpec,
     lattice_from_json,
     sample_circuit,
 )
@@ -50,14 +47,8 @@ from .montecarlo import (
     estimate as mc_estimate,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
-from .pauli import PauliSum, ProductState, QubitCountMismatch
-from .propagation import (
-    FrontierOverflowError,
-    TruncationConfig,
-    backpropagate,
-    config_int,
-    expectation,
-)
+from .pauli import PauliSum, ProductState, QubitCountMismatch, config_int
+from .propagation import FrontierOverflowError, TruncationConfig, backpropagate, expectation
 
 
 class ConfigError(ValueError):
@@ -167,8 +158,8 @@ def _circuit_template(spec: dict) -> Circuit:
     lattice, noise = _lattice_and_noise(spec)
     if builder == "hva":
         angles = spec.get("angles", "uniform")
-        ens = EnsembleSpec(None if angles == "uniform" else float(angles))
-        return build_hva(lattice, noise, _int_value(spec, "blocks"), ens)
+        angle = None if angles == "uniform" else float(angles)
+        return build_hva(lattice, noise, _int_value(spec, "blocks"), angle)
     if builder == "trotter_tfim":
         return build_trotter_tfim(
             lattice,
@@ -186,6 +177,10 @@ def _resolve_observable(cfg: dict, n: int) -> PauliSum:
     spec = cfg.get("observable")
     if spec is None:
         raise ConfigError("config needs an 'observable' list")
+    if not isinstance(spec, list) or not all(
+        isinstance(t, dict) and isinstance(t["pauli"], str) for t in spec
+    ):
+        raise ConfigError(f"'observable' must be a list of {{pauli, coeff}} objects, not {spec!r}")
     obs = PauliSum.from_json_obj(spec)
     if obs.n != n:
         raise ConfigError(f"observable has {obs.n} qubits, circuit has {n}")
@@ -200,9 +195,10 @@ def _resolve_trunc(cfg: dict) -> TruncationConfig:
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
-    """Write JSON (payload) or CSV (rows with embedded config comment lines)."""
-    fmt = args.format
-    if fmt == "json" or rows is None:
+    """Write JSON (payload, the rows as its result) or CSV (rows under config comment lines)."""
+    if args.format == "json" or rows is None:
+        if rows is not None:
+            payload["result"] = rows
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -363,11 +359,7 @@ def cmd_sweep(args) -> int:
     )
     payload = _base_payload(args, cfg, seed)
     payload["columns"] = ["noise_param", "k", "estimate", "stderr", "theory_bound"]
-    if args.format == "json":
-        payload["result"] = rows
-        _emit(args, payload)
-    else:
-        _emit(args, payload, rows)
+    _emit(args, payload, rows)
     return 0
 
 
@@ -388,11 +380,7 @@ def cmd_dynamics(args) -> int:
     )
     payload = _base_payload(args, cfg, seed)
     payload["columns"] = ["t", "expectation", "surviving_paths"]
-    if args.format == "json":
-        payload["result"] = rows
-        _emit(args, payload)
-    else:
-        _emit(args, payload, rows)
+    _emit(args, payload, rows)
     return 0
 
 

@@ -9,8 +9,8 @@ import numpy as np
 from .channels import _BUILDERS, NormalFormChannel, contraction_sq_worstcase
 from .circuits import Lattice, build_hva, build_trotter_tfim
 from .montecarlo import TruncFrobenius, TruncMSE, estimate_many
-from .pauli import PauliString, PauliSum, ProductState, expectation_product_state
-from .propagation import TruncationConfig, backpropagate, expectation
+from .pauli import PauliString, PauliSum, ProductState
+from .propagation import TruncationConfig, backpropagate, expectation, expectation_product_state
 
 
 def center_z(lattice: Lattice) -> PauliSum:
@@ -55,8 +55,8 @@ def sweep_table(
     scramble every qubit, which is what the reference decay curve
     assumes.
     """
-    if noise_kind not in _BUILDERS:
-        raise ValueError(f"sweep supports kinds {sorted(_BUILDERS)}, not {noise_kind!r}")
+    if not isinstance(noise_kind, str) or noise_kind not in _BUILDERS:
+        raise ValueError(f"'noise_kind' must be one of {sorted(_BUILDERS)}, not {noise_kind!r}")
     if functional not in ("trunc_frobenius", "trunc_mse"):
         raise ValueError("sweep functional must be trunc_frobenius or trunc_mse")
     observable = center_z(lattice)

@@ -45,6 +45,7 @@ from .propagation import (
     _seed_columns,
     _site,
     backpropagate,
+    expectation,
 )
 
 _CHUNK = 1 << 17
@@ -328,11 +329,7 @@ def _direct_value(circuit: Circuit, observable: PauliSum, f: Functional) -> floa
     res = backpropagate(circuit, observable, EXACT, track_weights=True)
     dropped = res.dropped_above(f.k)
     if isinstance(f, TruncMSE):
-        if not dropped:
-            return 0.0
-        from .pauli import expectation_product_state
-
-        return expectation_product_state(dropped, f.state) ** 2
+        return expectation(dropped, f.state) ** 2
     return dropped.frobenius_norm_sq()
 
 

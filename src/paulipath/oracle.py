@@ -13,12 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import (
-    Circuit,
-    CliffordGate,
-    PauliRotation,
-    clifford_forward_table,
-)
+from .circuits import Circuit, CliffordGate, PauliRotation, clifford_adjoint_table
 from .pauli import (
     PauliString,
     PauliSum,
@@ -29,7 +24,6 @@ from .pauli import (
 )
 
 MAX_STATE_QUBITS = 12
-MAX_HEISENBERG_QUBITS = 8
 
 
 class InfeasibleSizeError(ValueError):
@@ -100,11 +94,11 @@ def rotation_forward_ptm(generator: PauliString, angle: float) -> np.ndarray:
 
 
 def clifford_forward_ptm(name: str) -> np.ndarray:
-    table = clifford_forward_table(name)
+    table = clifford_adjoint_table(name)
     dim = len(table)
     w = np.zeros((dim, dim))
-    for q, (p, sign) in enumerate(table):
-        # table: U P_q U^dag = sign * P_p  (forward conjugation)
+    for p, (q, sign) in enumerate(table):
+        # U^dag P_p U = sign * P_q, so U P_q U^dag = sign * P_p
         w[p, q] = sign
     return w
 
@@ -153,43 +147,3 @@ def evolve_state(circuit: Circuit, state: ProductState) -> DensePauliVector:
 def simulate_exact(circuit: Circuit, state: ProductState, observable: PauliSum) -> float:
     """Ground-truth Tr[O C(rho)] with no truncation."""
     return evolve_state(circuit, state).expectation(observable)
-
-
-def heisenberg_exact(circuit: Circuit, observable: PauliSum) -> PauliSum:
-    """Exact adjoint evolution of an observable, as a dense-backed Pauli sum."""
-    if circuit.n > MAX_HEISENBERG_QUBITS:
-        raise InfeasibleSizeError(
-            f"dense observable evolution supports at most {MAX_HEISENBERG_QUBITS} qubits"
-        )
-    if circuit.n != observable.n:
-        raise QubitCountMismatch("circuit and observable qubit counts differ")
-    tensor = np.zeros((4,) * circuit.n)
-    for p, c in observable.items():
-        tensor[tuple(p.code(q) for q in range(circuit.n))] += c
-
-    def adjoint_gate(tensor, gate):
-        if isinstance(gate, PauliRotation):
-            if gate.angle is None:
-                raise ValueError("circuit has unresolved ensemble placeholders")
-            m = rotation_forward_ptm(gate.generator, gate.angle).T
-            return _apply_matrix(tensor, m, gate.support)
-        if isinstance(gate, CliffordGate):
-            return _apply_matrix(tensor, clifford_forward_ptm(gate.name).T, gate.support)
-        raise ValueError("circuit has unresolved ensemble placeholders")
-
-    if circuit.final_layer is not None:
-        for gate in circuit.final_layer.gates:
-            tensor = adjoint_gate(tensor, gate)
-    for layer in reversed(circuit.layers):
-        if layer.noise is not None:
-            for q, ptm in _noise_ptms(layer.noise, circuit.n):
-                tensor = _apply_matrix(tensor, ptm.T, (q,))
-        for gate in layer.gates:
-            tensor = adjoint_gate(tensor, gate)
-
-    flat = tensor.reshape(-1)
-    terms = []
-    for idx in np.flatnonzero(flat):
-        codes = np.unravel_index(idx, tensor.shape)
-        terms.append((PauliString.from_codes(int(c) for c in codes), float(flat[idx])))
-    return PauliSum(circuit.n, terms)

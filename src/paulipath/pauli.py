@@ -1,14 +1,18 @@
-"""Bit-packed n-qubit Pauli operators and sparse real linear combinations.
+"""Bit-packed n-qubit Pauli operators, sparse real linear combinations and product states.
 
 A Pauli string is stored as two integer bit masks (``x``, ``z``), one bit per
 qubit, so weight and commutation checks reduce to popcounts.  No phase is
 stored on the string itself: products return a separate power of ``i`` and
-callers fold the resulting sign into real coefficients.
+callers fold the resulting sign into real coefficients.  The overlap of a
+Pauli sum with a product state is ``propagation.expectation``, which works
+on the engine's columns.  ``config_int`` lives here, at the bottom of the
+import graph, so that every JSON parser in the package can use it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -23,6 +27,13 @@ BITS_TO_CODE = (0, 1, 3, 2)  # indexed by x_bit + 2*z_bit
 
 class QubitCountMismatch(ValueError):
     """Operands act on different numbers of qubits."""
+
+
+def config_int(value, name: str, expected: str = "an integer") -> int:
+    """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {expected}, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -100,11 +111,6 @@ class PauliString:
     def support(self) -> tuple[int, ...]:
         mask = self.x | self.z
         return tuple(q for q in range(self.n) if (mask >> q) & 1)
-
-    @property
-    def xy_count(self) -> int:
-        """Number of sites carrying an X or Y (sites with the x bit set)."""
-        return self.x.bit_count()
 
     @property
     def is_identity(self) -> bool:
@@ -222,7 +228,8 @@ class ProductState:
     """Product state given by one Bloch vector (r_x, r_y, r_z) per qubit.
 
     Tr[P rho] factorizes over sites: identity sites contribute 1 and a
-    site carrying X/Y/Z contributes the matching Bloch component.
+    site carrying X/Y/Z contributes the matching Bloch component.  The
+    overlap itself is ``propagation.expectation``.
     """
 
     bloch: tuple[tuple[float, float, float], ...]
@@ -248,29 +255,3 @@ class ProductState:
     @classmethod
     def from_vectors(cls, vectors: Iterable[Iterable[float]]) -> "ProductState":
         return cls(tuple(tuple(float(v) for v in r) for r in vectors))
-
-    def factor(self, qubit: int, code: int) -> float:
-        """Single-site expectation of the Pauli with site ``code`` (0=I..3=Z)."""
-        if code == 0:
-            return 1.0
-        return self.bloch[qubit][code - 1]
-
-
-def expectation_product_state(o: PauliSum, state: ProductState) -> float:
-    """Exact Tr[O rho] for a Pauli sum against a product state."""
-    if o.n != state.n:
-        raise QubitCountMismatch(f"observable on {o.n} qubits, state on {state.n}")
-    total = 0.0
-    for p, c in o.items():
-        f = c
-        mask = p.x | p.z
-        q = 0
-        while mask:
-            if mask & 1:
-                f *= state.factor(q, p.code(q))
-                if f == 0.0:
-                    break
-            mask >>= 1
-            q += 1
-        total += f
-    return total

@@ -23,6 +23,10 @@ gate, noised qubit and weight boundary, with the gate masks and lookup
 tables built once.  The engine runs that program here; the Monte Carlo
 walk in ``montecarlo`` samples paths through the same program with the
 same parity, fold and Clifford kernels.
+
+``expectation`` is the one product-state overlap in the package, for
+results and Pauli sums alike: one Bloch-table lookup per qubit on the
+x/z columns (``_bloch_scale``, which the walk's functionals share).
 """
 
 from __future__ import annotations
@@ -51,15 +55,8 @@ from .pauli import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
-    expectation_product_state,  # noqa: F401  (kept importable from this module)
+    config_int,
 )
-
-
-def config_int(value, name: str, expected: str = "an integer") -> int:
-    """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be {expected}, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -87,15 +84,6 @@ class TruncationConfig:
         for c in (self.xy_count_cutoff, self.current_weight_cutoff):
             if c is not None and c <= 0:
                 raise ValueError("count cutoffs must be positive")
-
-    @property
-    def is_exact(self) -> bool:
-        return (
-            self.path_weight_cutoff is None
-            and self.coeff_cutoff == 0.0
-            and self.xy_count_cutoff is None
-            and self.current_weight_cutoff is None
-        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -130,13 +118,6 @@ class TruncationConfig:
 
 
 EXACT = TruncationConfig()
-
-
-@dataclass(frozen=True)
-class WeightedTerm:
-    pauli: PauliString
-    weight: int
-    coeff: float
 
 
 @dataclass
@@ -212,16 +193,6 @@ class BackpropResult:
     def terms(self) -> PauliSum:
         """Coefficients merged over accumulated weight."""
         return self._pauli_sum(slice(None))
-
-    @cached_property
-    def weighted_terms(self) -> tuple[WeightedTerm, ...]:
-        n = self.n
-        return tuple(
-            WeightedTerm(PauliString(n, x, z), w, c)
-            for x, z, w, c in zip(
-                _join_words(self.x), _join_words(self.z), self.w.tolist(), self.c.tolist()
-            )
-        )
 
     def dropped_above(self, k: int) -> PauliSum:
         """Merged sum of the weight-tracked terms with accumulated weight >= k."""
@@ -712,13 +683,25 @@ def _bloch_scale(
     return vals
 
 
-def expectation(result: BackpropResult, state: ProductState) -> float:
-    """Overlap of the backpropagated observable with a product state."""
-    n = result.n
-    if n != state.n:
-        raise QubitCountMismatch(f"observable on {n} qubits, state on {state.n}")
-    vals = _bloch_scale(np.array(result.c, dtype=np.float64), result.x, result.z, state)
-    return math.fsum(vals.tolist())
+def expectation(obs: PauliSum | BackpropResult, state: ProductState) -> float:
+    """Tr[O rho] of a Pauli sum or a backpropagated observable against a product state.
+
+    This is the package's one product-state overlap: ``_bloch_scale`` on
+    the word-major x/z columns (a result's own, a sum's from
+    ``_seed_columns``), summed with ``math.fsum``.
+    """
+    if obs.n != state.n:
+        raise QubitCountMismatch(f"observable on {obs.n} qubits, state on {state.n}")
+    if isinstance(obs, BackpropResult):
+        x, z, c = obs.x, obs.z, obs.c
+    else:
+        x, z, _, c = _seed_columns(obs)
+    return math.fsum(_bloch_scale(np.array(c, dtype=np.float64), x, z, state).tolist())
+
+
+# the name Pauli-sum callers look up (``experiments``, and the benchmark's
+# tracer in ``perfbench/tracing.py``)
+expectation_product_state = expectation
 
 
 def effective_depth_compare(

@@ -1,5 +1,7 @@
 """Shared generators: random noisy circuits built in two independent forms,
-hypothesis strategies for small noisy circuits, and reference computations."""
+hypothesis strategies for small noisy circuits, and reference computations
+(the per-term product-state overlap, exact Heisenberg evolution on a dense
+tensor and the per-step dynamics series)."""
 
 from __future__ import annotations
 
@@ -9,25 +11,28 @@ import numpy as np
 from hypothesis import strategies as st
 
 import dense_ref
+from gate_ensembles import rotation_ptm
 from paulipath import (
     Circuit,
     CliffordGate,
+    InfeasibleSizeError,
     PauliRotation,
     PauliString,
     PauliSum,
     ProductState,
+    QubitCountMismatch,
     RandomSingleQubitClifford,
     TruncationConfig,
     backpropagate,
     build_trotter_tfim,
-    expectation_product_state,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
 )
-from paulipath.channels import NormalFormChannel, SingleQubitPTM, rotation_ptm
+from paulipath.channels import NormalFormChannel, SingleQubitPTM
 from paulipath.circuits import Layer
 from paulipath.experiments import center_z
+from paulipath.oracle import _apply_matrix, _noise_ptms, clifford_forward_ptm, rotation_forward_ptm
 
 ONE_QUBIT_CLIFFORDS = ["H", "S", "SDG", "X", "Y", "Z"]
 TWO_QUBIT_CLIFFORDS = ["CNOT", "CZ", "SWAP"]
@@ -332,16 +337,83 @@ def embed_sum(obs: PauliSum, sites: tuple[int, ...], n: int) -> PauliSum:
 
 
 @st.composite
-def product_states(draw, n: int) -> ProductState:
+def product_states(draw, n: int, zeros: bool = False) -> ProductState:
+    """One Bloch vector in the unit ball per qubit; with ``zeros`` about half
+    of the components are exactly 0."""
+    component = st.floats(-1.0, 1.0)
+    if zeros:
+        component = st.one_of(st.just(0.0), component)
     bloch = []
     for _ in range(n):
-        v = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        v = np.array(draw(st.tuples(*[component] * 3)))
         v = v / max(1.0, float(np.linalg.norm(v)) * (1.0 + 1e-12))
         bloch.append(tuple(float(c) for c in v))
     return ProductState.from_vectors(bloch)
 
 
 # --- references -----------------------------------------------------------------------
+
+MAX_HEISENBERG_QUBITS = 8
+
+
+def reference_expectation(o: PauliSum, state: ProductState) -> float:
+    """Tr[O rho] term by term: the product of one Bloch component per non-identity site."""
+    if o.n != state.n:
+        raise QubitCountMismatch(f"observable on {o.n} qubits, state on {state.n}")
+    total = 0.0
+    for p, c in o.items():
+        f = c
+        mask = p.x | p.z
+        q = 0
+        while mask:
+            if mask & 1:
+                f *= state.bloch[q][p.code(q) - 1]
+                if f == 0.0:
+                    break
+            mask >>= 1
+            q += 1
+        total += f
+    return total
+
+
+def heisenberg_exact(circuit: Circuit, observable: PauliSum) -> PauliSum:
+    """Exact adjoint evolution of an observable, as a dense-backed Pauli sum."""
+    if circuit.n > MAX_HEISENBERG_QUBITS:
+        raise InfeasibleSizeError(
+            f"dense observable evolution supports at most {MAX_HEISENBERG_QUBITS} qubits"
+        )
+    if circuit.n != observable.n:
+        raise QubitCountMismatch("circuit and observable qubit counts differ")
+    tensor = np.zeros((4,) * circuit.n)
+    for p, c in observable.items():
+        tensor[tuple(p.code(q) for q in range(circuit.n))] += c
+
+    def adjoint_gate(tensor, gate):
+        if isinstance(gate, PauliRotation):
+            if gate.angle is None:
+                raise ValueError("circuit has unresolved ensemble placeholders")
+            m = rotation_forward_ptm(gate.generator, gate.angle).T
+            return _apply_matrix(tensor, m, gate.support)
+        if isinstance(gate, CliffordGate):
+            return _apply_matrix(tensor, clifford_forward_ptm(gate.name).T, gate.support)
+        raise ValueError("circuit has unresolved ensemble placeholders")
+
+    if circuit.final_layer is not None:
+        for gate in circuit.final_layer.gates:
+            tensor = adjoint_gate(tensor, gate)
+    for layer in reversed(circuit.layers):
+        if layer.noise is not None:
+            for q, ptm in _noise_ptms(layer.noise, circuit.n):
+                tensor = _apply_matrix(tensor, ptm.T, (q,))
+        for gate in layer.gates:
+            tensor = adjoint_gate(tensor, gate)
+
+    flat = tensor.reshape(-1)
+    terms = []
+    for idx in np.flatnonzero(flat):
+        codes = np.unravel_index(idx, tensor.shape)
+        terms.append((PauliString.from_codes(int(c) for c in codes), float(flat[idx])))
+    return PauliSum(circuit.n, terms)
 
 
 def reference_dynamics_series(
@@ -357,7 +429,7 @@ def reference_dynamics_series(
     rows = [
         {
             "t": 0.0,
-            "expectation": expectation_product_state(observable, state),
+            "expectation": reference_expectation(observable, state),
             "surviving_paths": len(observable),
         }
     ]
@@ -369,7 +441,7 @@ def reference_dynamics_series(
         rows.append(
             {
                 "t": s * dt,
-                "expectation": expectation_product_state(res.terms, state),
+                "expectation": reference_expectation(res.terms, state),
                 "surviving_paths": res.stats.surviving_path_count,
             }
         )

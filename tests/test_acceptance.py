@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import heisenberg_exact
 from paulipath import (
     Chain,
     Circuit,
@@ -33,7 +34,6 @@ from paulipath import (
     estimate,
     estimate_many,
     expectation,
-    heisenberg_exact,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,

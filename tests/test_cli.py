@@ -97,6 +97,19 @@ class TestPropagate:
         assert [r["k"] for r in reader] == ["1", "2", "3"]
         assert set(reader[0]) == {"k", "expectation", "surviving_paths", "wall_time"}
 
+    def test_k_sweep_json_rows_match_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "k_sweep": [1, 2, 3]})
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        rows = json.loads(out)["result"]
+        code, out, _ = run_cli(["propagate", "--config", cfg, "--format", "csv"], capsys)
+        assert code == 0
+        lines = [r for r in out.splitlines() if not r.startswith("#")]
+        csv_rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
+        keys = ("k", "expectation", "surviving_paths")
+        assert len(rows) == 3
+        assert [[str(r[k]) for k in keys] for r in rows] == [[r[k] for k in keys] for r in csv_rows]
+
     def test_reruns_bit_identical(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -518,6 +531,11 @@ class TestIntegerFields:
             ("dynamics", _with(DYNAMICS_CONFIG, ("steps",), 2.9), "steps"),
             ("propagate", _builder_config(_with(HVA_CIRCUIT, ("blocks",), 2.5)), "blocks"),
             ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("steps",), False)), "steps"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice", "n"), 2.5), "n"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "n"), "1"), "n"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("lattice",),
+                            {"type": "square", "rows": 2.0, "cols": 2}), "rows"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice", "periodic"), "false"), "periodic"),
         ],
     )
     def test_non_integer_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
@@ -549,6 +567,23 @@ class TestObjectFields:
         ],
     )
     def test_non_object_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+
+class TestMalformedEntries:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "layers", 0, "noise"), "bogus"),
+             "noise"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "layers", 0, "gates"), ["x"]), "gates"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("observable",), "ZI"), "observable"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_kind",), ["x"]), "noise_kind"),
+        ],
+    )
+    def test_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
         assert code == 2 and out == ""
         assert repr(key) in err and "Traceback" not in err

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import heisenberg_exact
 from paulipath import (
     Circuit,
     InfeasibleSizeError,
     PauliString,
     PauliSum,
     ProductState,
-    heisenberg_exact,
+    expectation_product_state,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
@@ -102,8 +103,6 @@ class TestHeisenbergExact:
             state = helpers.random_product_state(rng, n)
             lhs = simulate_exact(circuit, state, obs)
             evolved = heisenberg_exact(circuit, obs)
-            from paulipath import expectation_product_state
-
             assert expectation_product_state(evolved, state) == pytest.approx(lhs, abs=1e-12)
 
     def test_size_cap(self):

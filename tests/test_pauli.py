@@ -45,7 +45,6 @@ class TestPauliString:
         p = PauliString.from_label("XIZY")
         assert p.support() == (0, 2, 3)
         assert p.codes() == (1, 0, 3, 2)
-        assert p.xy_count == 2
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -191,8 +190,7 @@ class TestProductState:
     def test_zeros(self):
         st0 = ProductState.zeros(3)
         assert st0.n == 3
-        assert st0.factor(1, 3) == 1.0  # Z component
-        assert st0.factor(1, 1) == 0.0  # X component
+        assert st0.bloch[1] == (0.0, 0.0, 1.0)  # (r_x, r_y, r_z)
 
     def test_invalid_bloch(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from paulipath import (
     build_hva,
     effective_depth_compare,
     expectation,
-    expectation_product_state,
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
@@ -66,10 +65,6 @@ class TestTruncationConfig:
         cfg = TruncationConfig(30, 2**-23, 5, None)
         again = TruncationConfig.from_json_obj(cfg.to_json_obj())
         assert again == cfg
-
-    def test_exact_flag(self):
-        assert EXACT.is_exact
-        assert not TruncationConfig(path_weight_cutoff=3).is_exact
 
 
 class TestBackpropagate:
@@ -188,8 +183,7 @@ class TestBackpropagate:
             )
             ra = reference_backpropagate(circuit, obs, trunc)
             rb = backpropagate(circuit, obs, trunc)
-            ta = {(t.pauli, t.weight): t.coeff for t in ra.weighted_terms}
-            tb = {(t.pauli, t.weight): t.coeff for t in rb.weighted_terms}
+            ta, tb = _weighted(ra), _weighted(rb)
             assert set(ta) == set(tb)
             for key in ta:
                 assert ta[key] == pytest.approx(tb[key], abs=1e-12)
@@ -206,7 +200,7 @@ class TestBackpropagate:
             count = res.stats.surviving_path_count
             if prev is not None:
                 assert count >= prev
-            terms = {(t.pauli, t.weight): t.coeff for t in res.weighted_terms}
+            terms = _weighted(res)
             for key, coeff in prev_terms.items():
                 assert terms.get(key, 0.0) == pytest.approx(coeff, abs=1e-12)
             prev, prev_terms = count, terms
@@ -372,7 +366,7 @@ class TestResultSurface:
         res = backpropagate(
             rx_damping_circuit(), PauliSum.single("Z"), track_weights=True
         )
-        assert {t.weight for t in res.weighted_terms} == {1}
+        assert set(res.w.tolist()) == {1}
         dropped = res.dropped_above(2)
         kept = res.kept_below(2)
         assert not dropped and len(kept) == 3
@@ -381,7 +375,31 @@ class TestResultSurface:
         res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
         obj = res.to_json_obj()
         assert set(obj) == {"terms", "stats"}
-        assert obj["stats"]["surviving_path_count"] == len(res.weighted_terms)
+        assert obj["stats"]["surviving_path_count"] == len(res.c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_overlap_matches_per_term_reference(self, data):
+        """The one overlap, for sums and results, against the per-term loop."""
+        n, sites = data.draw(helpers.registers())
+        state = data.draw(helpers.product_states(n, zeros=True))
+        wrong = ProductState.zeros(n + 1)
+        if data.draw(st.integers(0, 4)) == 0:
+            empty = PauliSum(n)
+            assert expectation(empty, state) == helpers.reference_expectation(empty, state) == 0.0
+            with pytest.raises(QubitCountMismatch):
+                expectation(empty, wrong)
+            return
+        obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
+        circuit = helpers.embed_circuit(
+            data.draw(helpers.noisy_circuits(len(sites), depth_max=2)), sites, n
+        )
+        res = backpropagate(circuit, obs, data.draw(helpers.truncations()))
+        for got, terms in ((expectation(obs, state), obs), (expectation(res, state), res.terms)):
+            assert got == pytest.approx(helpers.reference_expectation(terms, state), abs=1e-12)
+        for arg in (obs, res):
+            with pytest.raises(QubitCountMismatch):
+                expectation(arg, wrong)
 
 
 def _stat_totals(*results):
@@ -391,7 +409,9 @@ def _stat_totals(*results):
 
 
 def _weighted(res):
-    return {(t.pauli, t.weight): t.coeff for t in res.weighted_terms}
+    """(x mask, z mask, accumulated weight) -> coefficient, one entry per result row."""
+    rows = zip(_join_words(res.x), _join_words(res.z), res.w.tolist(), res.c.tolist())
+    return {(x, z, w): c for x, z, w, c in rows}
 
 
 class TestResume:
@@ -428,7 +448,7 @@ class TestResume:
         state = data.draw(helpers.product_states(n))
         res = backpropagate(circuit, obs, trunc)
         assert expectation(res, state) == pytest.approx(
-            expectation_product_state(res.terms, state), abs=1e-12
+            helpers.reference_expectation(res.terms, state), abs=1e-12
         )
 
     def test_columnar_expectation_beyond_one_word(self):
@@ -451,7 +471,7 @@ class TestResume:
         assert res.x.dtype == res.z.dtype == np.uint64
         assert res.x.shape == res.z.shape == (2, len(res.c)) and len(res.c) > 1
         assert expectation(res, state) == pytest.approx(
-            expectation_product_state(res.terms, state), abs=1e-14
+            helpers.reference_expectation(res.terms, state), abs=1e-14
         )
 
     @settings(max_examples=30, deadline=None)
