@@ -65,7 +65,6 @@ from .propagation import (
     FrontierOverflowError,
     TruncationConfig,
     backpropagate,
-    effective_depth_compare,
     expectation,
     expectation_product_state,
 )

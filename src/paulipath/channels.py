@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, config_float
 
 _PAULI_MATS = (
     np.eye(2, dtype=complex),
@@ -333,16 +333,24 @@ _BUILDERS = {
 }
 
 
+def _triple(obj: dict, key: str) -> tuple[float, float, float]:
+    """``obj[key]`` as three finite numbers; else ``ValueError`` naming the key."""
+    values = obj[key]
+    if not isinstance(values, list) or len(values) != 3:
+        raise ValueError(f"{key!r} must be a list of three numbers, not {values!r}")
+    return tuple(config_float(v, f"{key!r} entry") for v in values)
+
+
 def channel_from_json(obj: dict) -> NormalFormChannel:
     kind = obj.get("kind")
     if kind in _BUILDERS:
-        return _BUILDERS[kind](float(obj["param"]))
+        return _BUILDERS[kind](config_float(obj["param"], "'param'"))
     if kind == "custom":
         pre = obj.get("pre")
         post = obj.get("post")
         return NormalFormChannel(
-            tuple(obj["D"]),
-            tuple(obj["t"]),
+            _triple(obj, "D"),
+            _triple(obj, "t"),
             pre=SingleQubitPTM(np.asarray(pre, dtype=float)) if pre else None,
             post=SingleQubitPTM(np.asarray(post, dtype=float)) if post else None,
         )

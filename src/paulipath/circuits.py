@@ -5,7 +5,8 @@ ensemble placeholder), named Clifford gates compiled to signed Pauli
 permutations, or an explicit uniform-random single-qubit Clifford
 placeholder.  Builders produce the lattice ansatz used throughout:
 RX/RZ single-qubit rounds plus two-qubit entangling rotation rounds,
-and a symmetric-splitting transverse-field Ising step sequence.
+and a symmetric-splitting transverse-field Ising step sequence, on the
+one lattice type ``Square``; a chain is a one-row square (``Chain``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channels import _PAULI_MATS, NormalFormChannel, channel_from_json
-from .pauli import PauliString, config_int
+from .pauli import PauliString, config_float, config_int
 
 _NAMED_UNITARIES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -285,33 +286,9 @@ def truncate_to_last_layers(circuit: Circuit, j: int) -> Circuit:
 
 
 @dataclass(frozen=True)
-class Chain:
-    n: int
-    periodic: bool = False
-
-    @property
-    def n_sites(self) -> int:
-        return self.n
-
-    def edges(self) -> list[tuple[int, int]]:
-        seen = set()
-        out = []
-        pairs = [(i, i + 1) for i in range(self.n - 1)]
-        if self.periodic and self.n > 1:
-            pairs.append((self.n - 1, 0))
-        for a, b in pairs:
-            key = (min(a, b), max(a, b))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-        return out
-
-    def center(self) -> int:
-        return self.n // 2
-
-
-@dataclass(frozen=True)
 class Square:
+    """A rows x cols grid of sites numbered row-major; periodic wraps both axes."""
+
     rows: int
     cols: int
     periodic: bool = False
@@ -347,7 +324,9 @@ class Square:
         return (self.rows // 2) * self.cols + self.cols // 2
 
 
-Lattice = Union[Chain, Square]
+def Chain(n: int, periodic: bool = False) -> Square:
+    """n sites in a line (a ring when periodic): the one-row square lattice."""
+    return Square(1, n, periodic)
 
 
 def edge_coloring(edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]]]:
@@ -385,16 +364,12 @@ def _noise_tuple(noise: NoiseSpec, n: int) -> tuple | None:
     return noise
 
 
-def _rot(axis: str, qubit: int, angle: float | None) -> PauliRotation:
-    return PauliRotation(PauliString.from_label(axis), (qubit,), angle)
-
-
-def _rot2(axes: str, pair: tuple[int, int], angle: float | None) -> PauliRotation:
-    return PauliRotation(PauliString.from_label(axes), pair, angle)
+def _rot(label: str, support: tuple[int, ...], angle: float | None) -> PauliRotation:
+    return PauliRotation(PauliString.from_label(label), support, angle)
 
 
 def build_hva(
-    lattice: Lattice,
+    lattice: Square,
     noise: NoiseSpec,
     blocks: int,
     angle: float | None = None,
@@ -419,18 +394,18 @@ def build_hva(
     sublayers = edge_coloring(lattice.edges())
     layers: list[Layer] = []
     for _ in range(blocks):
-        layers.append(Layer(tuple(_rot("X", q, angle) for q in range(n)), ch if per_round else None))
-        layers.append(Layer(tuple(_rot("Z", q, angle) for q in range(n)), ch if per_round else None))
+        layers.append(Layer(tuple(_rot("X", (q,), angle) for q in range(n)), ch if per_round else None))
+        layers.append(Layer(tuple(_rot("Z", (q,), angle) for q in range(n)), ch if per_round else None))
         for i, sub in enumerate(sublayers):
             last = i == len(sublayers) - 1
             layers.append(
-                Layer(tuple(_rot2("ZZ", e, angle) for e in sub), ch if last else None)
+                Layer(tuple(_rot("ZZ", e, angle) for e in sub), ch if last else None)
             )
     return Circuit(n, tuple(layers))
 
 
 def build_trotter_tfim(
-    lattice: Lattice,
+    lattice: Square,
     j_coupling: float,
     h_field: float,
     dt: float,
@@ -459,17 +434,17 @@ def build_trotter_tfim(
     layers: list[Layer] = []
     for _ in range(steps):
         layers.append(
-            Layer(tuple(_rot("Z", q, half) for q in range(n)), ch if per_layer else None)
+            Layer(tuple(_rot("Z", (q,), half) for q in range(n)), ch if per_layer else None)
         )
         for i, sub in enumerate(sublayers):
             last = i == len(sublayers) - 1
             layers.append(
                 Layer(
-                    tuple(_rot2("XX", e, full) for e in sub),
+                    tuple(_rot("XX", e, full) for e in sub),
                     ch if (per_layer and last) else None,
                 )
             )
-        layers.append(Layer(tuple(_rot("Z", q, half) for q in range(n)), ch))
+        layers.append(Layer(tuple(_rot("Z", (q,), half) for q in range(n)), ch))
     return Circuit(n, tuple(layers))
 
 
@@ -506,19 +481,29 @@ def _objects(values, key: str) -> list:
     return values
 
 
+def _support(obj: dict) -> tuple[int, ...]:
+    """A gate's ``support`` as a tuple of integers, else ``ValueError`` naming the key."""
+    support = obj["support"]
+    if not isinstance(support, list):
+        raise ValueError(f"'support' must be a list of integers, not {support!r}")
+    return tuple(config_int(q, "'support' entry") for q in support)
+
+
 def gate_from_json(obj: dict) -> Gate:
     kind = obj["type"]
     if kind == "rot":
-        angle = obj["angle"]
+        generator, angle = obj["generator"], obj["angle"]
+        if not isinstance(generator, str):
+            raise ValueError(f"'generator' must be a Pauli label string, not {generator!r}")
         return PauliRotation(
-            PauliString.from_label(obj["generator"]),
-            tuple(obj["support"]),
-            None if angle == "uniform" else float(angle),
+            PauliString.from_label(generator),
+            _support(obj),
+            None if angle == "uniform" else config_float(angle, "'angle'"),
         )
     if kind == "clifford":
-        return CliffordGate(obj["name"], tuple(obj["support"]))
+        return CliffordGate(obj["name"], _support(obj))
     if kind == "random_clifford":
-        return RandomSingleQubitClifford(obj["support"][0])
+        return RandomSingleQubitClifford(_support(obj)[0])
     raise ValueError(f"unknown gate type {kind!r}")
 
 
@@ -547,13 +532,13 @@ def circuit_from_json(obj: dict) -> Circuit:
     return Circuit(n, layers, final)
 
 
-def lattice_from_json(obj: dict) -> Lattice:
+def lattice_from_json(obj: dict) -> Square:
     kind = obj.get("type")
     periodic = obj.get("periodic", False)
     if not isinstance(periodic, bool):
         raise ValueError(f"'periodic' must be true or false, not {periodic!r}")
     if kind == "chain":
-        return Chain(config_int(obj["n"], "'n'"), periodic)
+        return Square(1, config_int(obj["n"], "'n'"), periodic)
     if kind == "square":
         rows, cols = (config_int(obj[key], repr(key)) for key in ("rows", "cols"))
         return Square(rows, cols, periodic)

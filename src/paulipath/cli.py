@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -47,7 +48,7 @@ from .montecarlo import (
     estimate as mc_estimate,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
-from .pauli import PauliSum, ProductState, QubitCountMismatch, config_int
+from .pauli import PauliSum, ProductState, QubitCountMismatch, config_float, config_int
 from .propagation import FrontierOverflowError, TruncationConfig, backpropagate, expectation
 
 
@@ -65,6 +66,16 @@ class _ConfigObject(dict):
 def _int_value(obj: dict, key: str, *default) -> int:
     """``obj[key]`` (or the default, if given, when absent) as an integer, else exit 2."""
     return config_int(obj.get(key, *default) if default else obj[key], repr(key))
+
+
+def _float_value(obj: dict, key: str) -> float:
+    """``obj[key]`` as a finite number, else exit 2."""
+    return config_float(obj[key], repr(key))
+
+
+def _seed(args, obj: dict, default=0) -> int:
+    """The ``--seed`` option if given, else ``obj["seed"]`` (or ``default``) as an integer."""
+    return args.seed if args.seed is not None else _int_value(obj, "seed", default)
 
 
 def _object(obj: dict, key: str) -> dict:
@@ -91,11 +102,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _int_list(obj: dict, key: str) -> list[int]:
+def _list(obj: dict, key: str, convert, kind: str) -> list:
+    """``obj[key]`` as a list of ``kind``, each entry read by ``convert``; else exit 2."""
     values = obj[key]
     if not isinstance(values, list):
-        raise ConfigError(f"{key!r} must be a list of integers, not {values!r}")
-    return [config_int(v, f"{key!r} entry") for v in values]
+        raise ConfigError(f"{key!r} must be a list of {kind}, not {values!r}")
+    return [convert(v, f"{key!r} entry") for v in values]
 
 
 def _version_string() -> str:
@@ -158,14 +170,14 @@ def _circuit_template(spec: dict) -> Circuit:
     lattice, noise = _lattice_and_noise(spec)
     if builder == "hva":
         angles = spec.get("angles", "uniform")
-        angle = None if angles == "uniform" else float(angles)
+        angle = None if angles == "uniform" else config_float(angles, "'angles'")
         return build_hva(lattice, noise, _int_value(spec, "blocks"), angle)
     if builder == "trotter_tfim":
         return build_trotter_tfim(
             lattice,
-            float(spec["J"]),
-            float(spec["h"]),
-            float(spec["dt"]),
+            _float_value(spec, "J"),
+            _float_value(spec, "h"),
+            _float_value(spec, "dt"),
             _int_value(spec, "steps"),
             noise,
             spec.get("noise_placement", "per_layer"),
@@ -232,16 +244,16 @@ def cmd_channel_info(args) -> int:
     if not isinstance(spec, dict):
         raise ConfigError("provide --channel JSON or a config with a 'channel' object")
     ch = channel_from_json(spec)
-    ups = contraction_sq_bound(ch.d, ch.t)
+    worst, two = contraction_sq_worstcase(ch), contraction_sq_mean(ch, TwoDesign())
     info = {
         "D": list(ch.d),
         "t": list(ch.t),
         "class": classify(ch).value,
-        "norm_gain_bound": ups,
-        "contraction_sq_worstcase": contraction_sq_worstcase(ch),
-        "contraction_sq_two_design": contraction_sq_mean(ch, TwoDesign()),
-        "effective_rate_worstcase": 1.0 - math.sqrt(contraction_sq_worstcase(ch)),
-        "effective_rate_two_design": 1.0 - math.sqrt(contraction_sq_mean(ch, TwoDesign())),
+        "norm_gain_bound": contraction_sq_bound(ch.d, ch.t),
+        "contraction_sq_worstcase": worst,
+        "contraction_sq_two_design": two,
+        "effective_rate_worstcase": 1.0 - math.sqrt(worst),
+        "effective_rate_two_design": 1.0 - math.sqrt(two),
     }
     if args.eta is not None:
         info["contraction_sq_scrambler"] = contraction_sq_mean(ch, Scrambler(args.eta))
@@ -255,7 +267,7 @@ def cmd_channel_info(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
+    seed = _seed(args, cfg)
     circuit, resolved_circuit = _resolve_circuit(cfg, seed)
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
@@ -264,28 +276,24 @@ def cmd_propagate(args) -> int:
     payload["config"]["circuit"] = resolved_circuit
 
     if "k_sweep" in cfg:
+        # one pass at the largest k: the run at a smaller k is its rows with w < k
+        ks = _list(cfg, "k_sweep", config_int, "integers")
+        if any(k <= 0 for k in ks):
+            raise ConfigError(f"'k_sweep' entries must be positive, not {ks!r}")
         rows = []
-        for k in _int_list(cfg, "k_sweep"):
+        if ks:
             t0 = time.perf_counter()
-            res = backpropagate(
-                circuit,
-                observable,
-                TruncationConfig(
-                    path_weight_cutoff=k,
-                    coeff_cutoff=trunc.coeff_cutoff,
-                    xy_count_cutoff=trunc.xy_count_cutoff,
-                    current_weight_cutoff=trunc.current_weight_cutoff,
-                ),
-                max_terms=args.max_terms,
-            )
-            rows.append(
-                {
-                    "k": k,
-                    "expectation": expectation(res, state),
-                    "surviving_paths": res.stats.surviving_path_count,
-                    "wall_time": time.perf_counter() - t0,
-                }
-            )
+            k_max = dataclasses.replace(trunc, path_weight_cutoff=max(ks))
+            res = backpropagate(circuit, observable, k_max, max_terms=args.max_terms)
+            for k in ks:
+                rows.append(
+                    {
+                        "k": k,
+                        "expectation": expectation(res.kept_below(k), state),
+                        "surviving_paths": int((res.w < k).sum()),
+                        "wall_time": time.perf_counter() - t0,
+                    }
+                )
         payload["columns"] = ["k", "expectation", "surviving_paths", "wall_time"]
         _emit(args, payload, rows)
         return 0
@@ -301,7 +309,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
+    seed = _seed(args, cfg)
     circuit, resolved_circuit = _resolve_circuit(cfg, seed)
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
@@ -317,7 +325,7 @@ def cmd_estimate(args) -> int:
     est = cfg.get("estimator")
     if not isinstance(est, dict):
         raise ConfigError("config needs an 'estimator' object")
-    seed = args.seed if args.seed is not None else _int_value(est, "seed", cfg.get("seed", 0))
+    seed = _seed(args, est, cfg.get("seed", 0))
     spec = cfg.get("circuit")
     if not isinstance(spec, dict):
         raise ConfigError("config needs a 'circuit' object")
@@ -343,14 +351,14 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
+    seed = _seed(args, cfg)
     lattice = lattice_from_json(_object(cfg, "lattice"))
     rows = sweep_table(
         lattice,
         _int_value(cfg, "blocks"),  # ansatz depth is always explicit
         cfg["noise_kind"],
-        [float(v) for v in cfg["noise_grid"]],
-        _int_list(cfg, "k_grid"),
+        _list(cfg, "noise_grid", config_float, "numbers"),
+        _list(cfg, "k_grid", config_int, "integers"),
         cfg.get("functional", "trunc_frobenius"),
         _int_value(cfg, "samples", 100_000),
         seed,
@@ -365,13 +373,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     cfg = _load_config(args)
-    seed = args.seed if args.seed is not None else _int_value(cfg, "seed", 0)
+    seed = _seed(args, cfg)
     lattice, noise = _lattice_and_noise(cfg)
     rows = dynamics_series(
         lattice,
-        float(cfg["J"]),
-        float(cfg["h"]),
-        float(cfg["dt"]),
+        _float_value(cfg, "J"),
+        _float_value(cfg, "h"),
+        _float_value(cfg, "dt"),
         _int_value(cfg, "steps", 0),
         noise,
         _resolve_trunc(cfg),

@@ -7,13 +7,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .channels import _BUILDERS, NormalFormChannel, contraction_sq_worstcase
-from .circuits import Lattice, build_hva, build_trotter_tfim
+from .circuits import Square, build_hva, build_trotter_tfim
 from .montecarlo import TruncFrobenius, TruncMSE, estimate_many
 from .pauli import PauliString, PauliSum, ProductState
 from .propagation import TruncationConfig, backpropagate, expectation, expectation_product_state
 
 
-def center_z(lattice: Lattice) -> PauliSum:
+def center_z(lattice: Square) -> PauliSum:
     n = lattice.n_sites
     return PauliSum(n, [(PauliString.single(n, lattice.center(), "Z"), 1.0)])
 
@@ -35,7 +35,7 @@ def theory_contraction_sq(kind: str, param: float, ch: NormalFormChannel) -> flo
 
 
 def sweep_table(
-    lattice: Lattice,
+    lattice: Square,
     blocks: int,
     noise_kind: str,
     noise_grid: list[float],
@@ -43,14 +43,14 @@ def sweep_table(
     functional: str,
     samples: int,
     seed: int,
-    state: ProductState | None = None,
     threads: int | None = None,
     noise_placement: str = "per_block",
 ) -> list[dict]:
     """Monte Carlo truncation-error grid over (noise strength, cutoff order).
 
     Each noise point runs one sampling walk evaluated at every cutoff;
-    every row carries the matching reference curve value coef^k.  Noise
+    every row carries the matching reference curve value coef^k
+    (``trunc_mse`` is taken against the all-zero state).  Noise
     defaults to once per ansatz block so the gates between noise rounds
     scramble every qubit, which is what the reference decay curve
     assumes.
@@ -68,7 +68,7 @@ def sweep_table(
         if functional == "trunc_frobenius":
             fs = [TruncFrobenius(k) for k in k_grid]
         else:
-            fs = [TruncMSE(k, state or ProductState.zeros(lattice.n_sites)) for k in k_grid]
+            fs = [TruncMSE(k, ProductState.zeros(lattice.n_sites)) for k in k_grid]
         if not fs:
             return []
         sub = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
@@ -95,7 +95,7 @@ def sweep_table(
 
 
 def dynamics_series(
-    lattice: Lattice,
+    lattice: Square,
     j_coupling: float,
     h_field: float,
     dt: float,

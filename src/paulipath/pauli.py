@@ -5,8 +5,9 @@ qubit, so weight and commutation checks reduce to popcounts.  No phase is
 stored on the string itself: products return a separate power of ``i`` and
 callers fold the resulting sign into real coefficients.  The overlap of a
 Pauli sum with a product state is ``propagation.expectation``, which works
-on the engine's columns.  ``config_int`` lives here, at the bottom of the
-import graph, so that every JSON parser in the package can use it.
+on the engine's columns.  ``config_int`` and ``config_float`` live here,
+at the bottom of the import graph, so that every JSON parser in the
+package can use them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ def config_int(value, name: str, expected: str = "an integer") -> int:
     return int(value)
 
 
+def config_float(value, name: str) -> float:
+    """A finite real config value (not a boolean) as a float; else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class PauliString:
     """One n-qubit Pauli operator.
@@ -59,10 +67,6 @@ class PauliString:
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("bit mask addresses a qubit outside 0..n-1")
         object.__setattr__(self, "weight", (self.x | self.z).bit_count())
-
-    @classmethod
-    def identity(cls, n: int) -> "PauliString":
-        return cls(n, 0, 0)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -216,7 +220,7 @@ class PauliSum:
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "PauliSum":
-        return cls.from_strings([(d["pauli"], float(d["coeff"])) for d in obj])
+        return cls.from_strings([(d["pauli"], config_float(d["coeff"], "'coeff'")) for d in obj])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(f"{c:g}*{p.label()}" for p, c in self._terms.items())

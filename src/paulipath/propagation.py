@@ -20,9 +20,12 @@ else it is the columns themselves; the order is the same.
 
 ``_compile`` turns a circuit into its backward program, one step per
 gate, noised qubit and weight boundary, with the gate masks and lookup
-tables built once.  The engine runs that program here; the Monte Carlo
-walk in ``montecarlo`` samples paths through the same program with the
-same parity, fold and Clifford kernels.
+tables built once.  ``backpropagate``, the one engine entry, runs that
+program on sampled circuits and rejects a template at entry; the Monte
+Carlo walk in ``montecarlo`` samples paths, placeholders included,
+through the same program with the same parity, fold and Clifford kernels.
+The run at cutoff k_max holds the run at every smaller k as its rows with
+w < k (``kept_below``), so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
@@ -32,7 +35,6 @@ x/z columns (``_bloch_scale``, which the walk's functionals share).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,7 +48,6 @@ from .circuits import (
     RandomSingleQubitClifford,
     clifford_adjoint_table,
     noisy_units,
-    truncate_to_last_layers,
 )
 from .pauli import (
     BITS_TO_CODE,
@@ -55,6 +56,7 @@ from .pauli import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
+    config_float,
     config_int,
 )
 
@@ -103,15 +105,9 @@ class TruncationConfig:
             v = obj.get(key)
             return None if v is None else config_int(v, f"truncation {key!r}", "an integer or null")
         coeff = obj.get("coeff_cutoff")
-        if coeff is not None and (
-            isinstance(coeff, bool)
-            or not isinstance(coeff, numbers.Real)
-            or not math.isfinite(coeff)
-        ):
-            raise ValueError(f"truncation 'coeff_cutoff' must be a finite number, not {coeff!r}")
         return cls(
             path_weight_cutoff=count("k"),
-            coeff_cutoff=float(coeff or 0.0),
+            coeff_cutoff=0.0 if coeff is None else config_float(coeff, "truncation 'coeff_cutoff'"),
             xy_count_cutoff=count("xy_cutoff"),
             current_weight_cutoff=count("current_weight_cutoff"),
         )
@@ -200,9 +196,6 @@ class BackpropResult:
 
     def kept_below(self, k: int) -> PauliSum:
         return self._pauli_sum(self.w < k)
-
-    def to_json_obj(self) -> dict:
-        return {"terms": self.terms.to_json_obj(), "stats": self.stats.to_json_obj()}
 
 
 def _cos_sin(angle: float) -> tuple[float, float]:
@@ -444,9 +437,7 @@ def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarra
     return code
 
 
-def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float | None) -> None:
-    if angle is None:
-        raise ValueError("circuit has unresolved ensemble placeholders")
+def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
     cos_t, sin_t = _cos_sin(angle)
     m = len(f)
     scratch = (np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
@@ -542,6 +533,15 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         f.select(keep)
 
 
+def _drop_heavy(f: _Frontier, k: int | None, stats: BackpropStats) -> None:
+    """Drop the rows with accumulated weight >= k (none if k is None); merged stays merged."""
+    if k is not None:
+        keep = f.w < k
+        stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
+        f.select(keep)
+    f.merged_len = len(f)
+
+
 def _seed_columns(obs: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Word-major x and z masks, Pauli weights and coefficients of the terms."""
     terms = list(obs.items())
@@ -551,58 +551,6 @@ def _seed_columns(obs: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         np.array([p.weight for p, _ in terms], dtype=np.int64),
         np.array([c for _, c in terms], dtype=np.float64),
     )
-
-
-def _run_numpy(circuit, seed, trunc, track, max_terms) -> tuple[_Frontier, BackpropStats, bool]:
-    k = trunc.path_weight_cutoff
-    stats = BackpropStats()
-
-    if isinstance(seed, BackpropResult):
-        # copies: the kernels below rewrite the columns in place
-        f = _Frontier(seed.n, *(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
-        crossed = seed.crossed_noise
-    else:
-        f = _Frontier(seed.n, *_seed_columns(seed))  # unique Paulis: already merged
-        if k is not None:  # then weights are tracked
-            keep = f.w < k
-            stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
-            f.select(keep)
-            f.merged_len = len(f)
-        elif not track:
-            f.w[:] = 0
-        _np_aux_filter(f, trunc, stats)
-        crossed = False
-    stats.peak_term_count = len(f)
-
-    for step in _compile(circuit, crossed):
-        kind = step[0]
-        if kind in _KERNELS:
-            _KERNELS[kind](f, *step[1:])
-            if len(f) > 4 * max(f.merged_len, 1 << 16):
-                f.merge()
-        elif kind == "layer_end":
-            f.merge()
-            _np_aux_filter(f, trunc, stats)
-            stats.peak_term_count = max(stats.peak_term_count, len(f))
-            if max_terms is not None and len(f) > max_terms:
-                raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-        elif kind == "noise_end":
-            crossed = True
-            f.merge()
-            stats.peak_term_count = max(stats.peak_term_count, len(f))
-        elif kind == "ucliff":
-            raise ValueError("circuit has unresolved ensemble placeholders")
-        elif track:  # weight boundary
-            f.w = f.w + _popcount(f.x | f.z)
-            if k is not None:
-                keep = f.w < k
-                stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
-                f.select(keep)
-            f.merged_len = len(f)
-
-    f.merge()
-    stats.surviving_path_count = len(f)
-    return f, stats, crossed
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -632,7 +580,7 @@ def backpropagate(
     backpropagate(c2, obs))`` equals ``backpropagate(c1 then c2, obs)``
     term for term.  A resumed seed must have the same qubit count and
     ``trunc``; its weight tracking carries over.  ``stats`` count this
-    call only.
+    call only.  A circuit with placeholders raises ``ValueError``.
 
     One engine serves every qubit count.  ``engine`` is kept only for the
     benchmark's light-cone reference (``perfbench/worker.py``), which
@@ -641,20 +589,53 @@ def backpropagate(
     """
     if engine not in ("auto", "numpy"):
         raise ValueError(f"unknown engine {engine!r}")
+    if circuit.is_template():
+        raise ValueError("circuit has unresolved ensemble placeholders")
     if seed.n != circuit.n:
         raise QubitCountMismatch("circuit and seed qubit counts differ")
     k = trunc.path_weight_cutoff
+    stats = BackpropStats()
     if isinstance(seed, BackpropResult):
         if seed.trunc != trunc:
             raise ValueError("seed result was propagated with a different truncation")
         if track_weights is not None and k is None and bool(track_weights) != seed.tracked:
             raise ValueError("seed result was propagated with different weight tracking")
-        track = seed.tracked
+        track, crossed = seed.tracked, seed.crossed_noise
+        # copies: the kernels below rewrite the columns in place
+        f = _Frontier(seed.n, *(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
     else:
         if not seed:
             raise ValueError("observable has no terms")
-        track = True if k is not None else bool(track_weights)
-    f, stats, crossed = _run_numpy(circuit, seed, trunc, track, max_terms)
+        track, crossed = k is not None or bool(track_weights), False
+        f = _Frontier(seed.n, *_seed_columns(seed))  # unique Paulis: already merged
+        _drop_heavy(f, k, stats)
+        if not track:
+            f.w[:] = 0
+        _np_aux_filter(f, trunc, stats)
+    stats.peak_term_count = len(f)
+
+    for step in _compile(circuit, crossed):
+        kind = step[0]
+        if kind in _KERNELS:
+            _KERNELS[kind](f, *step[1:])
+            if len(f) > 4 * max(f.merged_len, 1 << 16):
+                f.merge()
+        elif kind == "layer_end":
+            f.merge()
+            _np_aux_filter(f, trunc, stats)
+            stats.peak_term_count = max(stats.peak_term_count, len(f))
+            if max_terms is not None and len(f) > max_terms:
+                raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
+        elif kind == "noise_end":
+            crossed = True
+            f.merge()
+            stats.peak_term_count = max(stats.peak_term_count, len(f))
+        elif track:  # the weight boundary: no "ucliff" step survives the template check
+            f.w = f.w + _popcount(f.x | f.z)
+            _drop_heavy(f, k, stats)
+
+    f.merge()
+    stats.surviving_path_count = len(f)
     return BackpropResult(
         circuit.n,
         _frozen(f.x),
@@ -703,18 +684,3 @@ def expectation(obs: PauliSum | BackpropResult, state: ProductState) -> float:
 # tracer in ``perfbench/tracing.py``)
 expectation_product_state = expectation
 
-
-def effective_depth_compare(
-    circuit: Circuit,
-    observable: PauliSum,
-    rho: ProductState,
-    sigma: ProductState,
-    j: int,
-    trunc: TruncationConfig = EXACT,
-) -> tuple[float, float, float]:
-    """Expectation from the full circuit on rho vs the last j+1 units on sigma."""
-    full = expectation(backpropagate(circuit, observable, trunc), rho)
-    shallow = expectation(
-        backpropagate(truncate_to_last_layers(circuit, j), observable, trunc), sigma
-    )
-    return full, shallow, abs(full - shallow)

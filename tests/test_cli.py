@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import paulipath.cli
 from paulipath.cli import main
 
 
@@ -109,6 +110,63 @@ class TestPropagate:
         keys = ("k", "expectation", "surviving_paths")
         assert len(rows) == 3
         assert [[str(r[k]) for k in keys] for r in rows] == [[r[k] for k in keys] for r in csv_rows]
+
+    KSWEEP_CONFIG = {
+        "circuit": {
+            "builder": "hva",
+            "lattice": {"type": "chain", "n": 4},
+            "blocks": 3,
+            "noise": {"kind": "amplitude_damping", "param": 0.1},
+            "angles": "uniform",
+        },
+        "observable": [{"pauli": "IZII", "coeff": 1.0}],
+        "truncation": {"k": None, "coeff_cutoff": 1e-3, "xy_cutoff": 2},
+        "k_sweep": [2, 6, 3, 9],
+        "seed": 4,
+    }
+
+    def test_k_sweep_rows_equal_separate_runs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.KSWEEP_CONFIG)
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        rows = json.loads(out)["result"]
+        assert [r["k"] for r in rows] == [2, 6, 3, 9]
+        assert len({r["surviving_paths"] for r in rows}) == 4
+        times = [r["wall_time"] for r in rows]
+        assert times == sorted(times)  # seconds since the one pass started
+        single = {key: v for key, v in self.KSWEEP_CONFIG.items() if key != "k_sweep"}
+        for row in rows:
+            cfg = write_config(tmp_path, _with(single, ("truncation", "k"), row["k"]), "k.json")
+            code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+            assert code == 0
+            want = json.loads(out)["result"]
+            assert row["surviving_paths"] == want["stats"]["surviving_path_count"]
+            assert row["expectation"] == pytest.approx(want["expectation"], rel=0, abs=1e-12)
+
+    def test_k_sweep_is_one_pass(self, tmp_path, capsys, monkeypatch):
+        cutoffs = []
+        backpropagate = paulipath.cli.backpropagate
+
+        def counting(circuit, seed, trunc, **kwargs):
+            cutoffs.append(trunc.path_weight_cutoff)
+            return backpropagate(circuit, seed, trunc, **kwargs)
+
+        monkeypatch.setattr(paulipath.cli, "backpropagate", counting)
+        code, _, _ = run_cli(["propagate", "--config", write_config(tmp_path, self.KSWEEP_CONFIG)],
+                             capsys)
+        assert code == 0 and cutoffs == [9]
+
+    @pytest.mark.parametrize("ks", [[0, 2], [-1]])
+    def test_non_positive_k_sweep_exits_2(self, tmp_path, capsys, ks):
+        cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "k_sweep": ks})
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "'k_sweep'" in err and "Traceback" not in err
+
+    def test_empty_k_sweep_writes_no_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "k_sweep": []})
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0 and json.loads(out)["result"] == []
 
     def test_reruns_bit_identical(self, tmp_path, capsys):
         cfg = write_config(
@@ -552,6 +610,65 @@ class TestIntegerFields:
         ):
             code, _, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
             assert code == 0, err
+
+
+ROT_GATE = ("circuit", "layers", 0, "gates", 0)
+LAYER_NOISE = ("circuit", "layers", 0, "noise")
+
+
+class TestRealFields:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("angles",), [0.3])), "angles"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("angles",), "0.3")), "angles"),
+            ("propagate", _with(RX_DAMP_CONFIG, (*ROT_GATE, "angle"), "0.3"), "angle"),
+            ("propagate", _with(RX_DAMP_CONFIG, (*ROT_GATE, "angle"), math.nan), "angle"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("J",), [1.0])), "J"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("h",), "1.0")), "h"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("dt",), True)), "dt"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("J",), [1.0]), "J"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("h",), "1.0"), "h"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("dt",), math.inf), "dt"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_grid",), 0.1), "noise_grid"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_grid",), ["0.1"]), "noise_grid"),
+            ("propagate", _with(RX_DAMP_CONFIG, (*LAYER_NOISE, "param"), [0.1]), "param"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("noise",), {"kind": "dephasing", "param": "0.1"}),
+             "param"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("observable", 0, "coeff"), "1.0"), "coeff"),
+        ],
+    )
+    def test_non_real_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+
+class TestCustomGateAndChannelFields:
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (_with(RX_DAMP_CONFIG, (*ROT_GATE, "support"), 0), "support"),
+            (_with(RX_DAMP_CONFIG, (*ROT_GATE, "support"), ["0"]), "support"),
+            (_with(RX_DAMP_CONFIG, (*ROT_GATE, "generator"), 5), "generator"),
+            (_with(RX_DAMP_CONFIG, LAYER_NOISE, {"kind": "custom", "D": 5, "t": [0, 0, 0]}), "D"),
+            (_with(RX_DAMP_CONFIG, LAYER_NOISE, {"kind": "custom", "D": [1, 1, 1], "t": [0, 0]}),
+             "t"),
+        ],
+    )
+    def test_malformed_exits_2_naming_it(self, tmp_path, capsys, cfg, key):
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_well_formed_custom_channel_runs(self, tmp_path, capsys):
+        noise = {"kind": "custom", "D": [0.7, 0.7, 0.49], "t": [0, 0, 0.51]}  # damping 0.51
+        cfg = write_config(tmp_path, _with(RX_DAMP_CONFIG, LAYER_NOISE, noise))
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["expectation"] == pytest.approx(
+            0.49 * math.cos(0.7) + 0.51, abs=1e-12
+        )
 
 
 class TestObjectFields:

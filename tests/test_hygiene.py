@@ -1,16 +1,21 @@
-"""Source hygiene: every module of the package uses each name it imports.
+"""Source hygiene: no unused imports and no dead definitions in the package.
 
-An import kept on purpose (a re-export) carries ``# noqa: F401`` on the
-line of the imported name.  ``__init__`` exists to re-export, so it is not
-checked.  Only the standard library's ``ast`` is used.
+Every module uses each name it imports; an import kept on purpose (a
+re-export) carries ``# noqa: F401`` on the line of the imported name.
+Every top-level function, class and constant is named somewhere in
+``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
+``__init__`` exists to re-export, so it is not checked, but its imports
+count as references.  Only the standard library's ``ast`` is used.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "paulipath"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "paulipath"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -63,3 +68,64 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _references(source: str) -> collections.Counter:
+    """Identifiers a source names: loaded names, attributes, imported names and strings.
+
+    A string that is an identifier counts, because code can look a name up
+    by string (``getattr``, the benchmark's tracer).
+    """
+    counts = collections.Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            counts[node.value] += node.value.isidentifier()
+    return counts
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module: name (line N)`` for each top-level definition in ``modules`` no source names.
+
+    ``modules`` maps a module name to the source whose definitions are
+    checked; references are counted in those sources and in ``others``.
+    """
+    refs = collections.Counter()
+    for source in (*modules.values(), *others):
+        refs.update(_references(source))
+    dead = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}: {name} (line {node.lineno})" for name in names if not refs[name]]
+    return dead
+
+
+def test_checker_flags_an_unreferenced_definition():
+    lib = (
+        "import os\nLIMIT = 3\n\ndef used():\n    return LIMIT\n\n"
+        "def dead():\n    pass\n\nclass Looked:\n    pass\n"
+    )
+    user = "from lib import used\nused()\ngetattr(lib, 'Looked')\n"
+    assert unreferenced_definitions({"lib.py": lib}, [user]) == ["lib.py: dead (line 7)"]
+
+
+def test_no_dead_definitions():
+    checked = {p.name: p.read_text() for p in MODULES}
+    others = [
+        p.read_text()
+        for p in (SRC / "__init__.py", *(ROOT / "tests").rglob("*.py"),
+                  *(ROOT / "perfbench").rglob("*.py"))
+    ]
+    assert unreferenced_definitions(checked, others) == []

@@ -18,7 +18,6 @@ from paulipath import (
     TruncationConfig,
     backpropagate,
     build_hva,
-    effective_depth_compare,
     expectation,
     make_amplitude_damping,
     make_dephasing,
@@ -26,7 +25,7 @@ from paulipath import (
     sample_circuit,
     simulate_exact,
 )
-from paulipath.circuits import Layer, PauliRotation
+from paulipath.circuits import Layer, PauliRotation, RandomSingleQubitClifford
 from paulipath.propagation import (
     EXACT,
     FrontierOverflowError,
@@ -210,9 +209,16 @@ class TestBackpropagate:
             backpropagate(Circuit(1, ()), PauliSum(1, []))
         with pytest.raises(QubitCountMismatch):
             backpropagate(Circuit(2, ()), PauliSum.single("Z"))
-        template = build_hva(Chain(2), make_amplitude_damping(0.1), 1)
-        with pytest.raises(ValueError):
-            backpropagate(template, PauliSum.single("ZI"))
+
+    def test_templates_rejected_at_entry(self):
+        obs = PauliSum.single("ZI")
+        angles = build_hva(Chain(2), make_amplitude_damping(0.1), 1)
+        cliffords = Circuit(2, (Layer((RandomSingleQubitClifford(0),)),))
+        resumed = backpropagate(sample_circuit(angles, 3), obs)
+        for template in (angles, cliffords):
+            for seed in (obs, resumed):
+                with pytest.raises(ValueError, match="unresolved ensemble placeholders"):
+                    backpropagate(template, seed)
 
     @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_max_terms_guard(self, engine):
@@ -339,28 +345,6 @@ class TestUnitalBranchlessness:
         assert res.stats.surviving_path_count == 1
 
 
-class TestEffectiveDepthCompare:
-    def test_full_depth_zero_gap(self):
-        circuit = sample_circuit(build_hva(Chain(3), make_amplitude_damping(0.2), 2), 1)
-        st = ProductState.zeros(3)
-        units = circuit.noisy_layer_count
-        full, shallow, gap = effective_depth_compare(
-            circuit, PauliSum.single("ZII"), st, st, units, EXACT
-        )
-        assert gap == 0.0 and full == shallow
-
-    def test_noiseless_negative_control(self):
-        circuit = Circuit(
-            1, (Layer((PauliRotation(PauliString.from_label("X"), (0,), 0.9),)),)
-        )
-        rho = ProductState.zeros(1)
-        sigma = ProductState.from_vectors([(0.0, 0.0, -1.0)])
-        full, shallow, gap = effective_depth_compare(
-            circuit, PauliSum.single("Z"), rho, sigma, 0, EXACT
-        )
-        assert gap > 0.5  # no noise, no contraction
-
-
 class TestResultSurface:
     def test_weight_resolved_terms(self):
         res = backpropagate(
@@ -370,12 +354,6 @@ class TestResultSurface:
         dropped = res.dropped_above(2)
         kept = res.kept_below(2)
         assert not dropped and len(kept) == 3
-
-    def test_json_payload(self):
-        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
-        obj = res.to_json_obj()
-        assert set(obj) == {"terms", "stats"}
-        assert obj["stats"]["surviving_path_count"] == len(res.c)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
