@@ -16,14 +16,11 @@ from .channels import (
     SingleQubitPTM,
     TwoDesign,
     WorstCase,
-    adjoint_action,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,
     contraction_sq_worstcase,
-    effective_depolarizing_rate,
     make_amplitude_damping,
-    make_custom,
     make_dephasing,
     make_depolarizing,
 )
@@ -38,18 +35,15 @@ from .circuits import (
     build_hva,
     build_trotter_tfim,
     sample_circuit,
-    truncate_to_last_layers,
 )
 from .montecarlo import (
     EstimateResult,
     TruncFrobenius,
     TruncMSE,
     UnsupportedEnsembleError,
-    ValidationReport,
     Variance,
     estimate,
     estimate_many,
-    validate_estimator,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
 from .pauli import (

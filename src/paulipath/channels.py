@@ -10,20 +10,22 @@ The module also computes contraction coefficients: the per-site rates at
 which the adjoint channel shrinks the normalized Frobenius norm of
 supported observables, either worst-case or averaged over a random
 single-qubit gate ensemble, and parses channels from their JSON form.
-Whether a gate ensemble actually scrambles is checked by sampling in the
-test suite (``tests/gate_ensembles.py``), not here.
+A custom channel is a ``NormalFormChannel(d, t)`` built directly.  The
+test suite, not this module, holds what only tests need: whether a gate
+ensemble scrambles (``tests/gate_ensembles.py``), and a channel's
+adjoint action on one Pauli and its effective depolarizing rate
+(``tests/helpers.py``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, config_float
+from .pauli import config_float, config_triple
 
 _PAULI_MATS = (
     np.eye(2, dtype=complex),
@@ -216,10 +218,6 @@ def make_amplitude_damping(gamma: float) -> NormalFormChannel:
     return NormalFormChannel((s, s, 1.0 - gamma), (0.0, 0.0, gamma))
 
 
-def make_custom(d: Sequence[float], t: Sequence[float]) -> NormalFormChannel:
-    return NormalFormChannel(tuple(d), tuple(t))
-
-
 def classify(ch: NormalFormChannel) -> ChannelClass:
     if not ch.is_unital:
         return ChannelClass.NON_UNITAL
@@ -233,20 +231,6 @@ def classify(ch: NormalFormChannel) -> ChannelClass:
         # two invariant axes force the third; cannot occur for a CPTP map
         raise InvalidChannelError("channel with exactly two unit damping entries")
     return ChannelClass.DEPOLARIZING_LIKE
-
-
-def adjoint_action(ch: NormalFormChannel, site: str | int) -> PauliSum:
-    """Heisenberg action of the channel on one single-site Pauli.
-
-    Returns the 1-qubit Pauli sum N^dag(P); for a rotation-free channel
-    this is d_P * P + t_P * I, and I maps to I for any channel.
-    """
-    code = "IXYZ".index(site.upper()) if isinstance(site, str) else int(site)
-    # expansion of N^dag(P_a) over outputs = column a of the adjoint PTM
-    row = ch.forward_ptm()[code]
-    return PauliSum(
-        1, [(PauliString.from_label("IXYZ"[b]), row[b]) for b in range(4) if row[b] != 0.0]
-    )
 
 
 # --- contraction coefficients ------------------------------------------------
@@ -313,17 +297,6 @@ def contraction_sq_mean(ch: NormalFormChannel, design: Design) -> float:
     raise UnsupportedDesignError(f"unknown design {design!r}")
 
 
-def effective_depolarizing_rate(ch: NormalFormChannel, design: Design = WorstCase()) -> float:
-    """Depolarizing strength the noise mimics on average: 1 - sqrt(chi^2)."""
-    p = 1.0 - np.sqrt(contraction_sq_mean(ch, design))
-    if p <= 0.0:
-        warnings.warn(
-            "effective depolarizing rate is zero; path damping gives no decay",
-            stacklevel=2,
-        )
-    return float(p)
-
-
 # --- JSON interface ------------------------------------------------------------
 
 _BUILDERS = {
@@ -331,14 +304,6 @@ _BUILDERS = {
     "dephasing": make_dephasing,
     "depolarizing": make_depolarizing,
 }
-
-
-def _triple(obj: dict, key: str) -> tuple[float, float, float]:
-    """``obj[key]`` as three finite numbers; else ``ValueError`` naming the key."""
-    values = obj[key]
-    if not isinstance(values, list) or len(values) != 3:
-        raise ValueError(f"{key!r} must be a list of three numbers, not {values!r}")
-    return tuple(config_float(v, f"{key!r} entry") for v in values)
 
 
 def channel_from_json(obj: dict) -> NormalFormChannel:
@@ -349,8 +314,8 @@ def channel_from_json(obj: dict) -> NormalFormChannel:
         pre = obj.get("pre")
         post = obj.get("post")
         return NormalFormChannel(
-            _triple(obj, "D"),
-            _triple(obj, "t"),
+            config_triple(obj["D"], "'D'"),
+            config_triple(obj["t"], "'t'"),
             pre=SingleQubitPTM(np.asarray(pre, dtype=float)) if pre else None,
             post=SingleQubitPTM(np.asarray(post, dtype=float)) if post else None,
         )

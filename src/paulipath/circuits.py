@@ -240,10 +240,6 @@ class Circuit:
         if layer.noise is not None and len(layer.noise) != self.n:
             raise ValueError("per-qubit noise tuple must have length n")
 
-    @property
-    def noisy_layer_count(self) -> int:
-        return sum(1 for layer in self.layers if layer.has_noise)
-
     def is_template(self) -> bool:
         for layer in (*self.layers, *([self.final_layer] if self.final_layer else [])):
             for g in layer.gates:
@@ -269,17 +265,6 @@ def noisy_units(circuit: Circuit) -> tuple[list[list[Layer]], list[Layer]]:
             units.append(current)
             current = []
     return units, current
-
-
-def truncate_to_last_layers(circuit: Circuit, j: int) -> Circuit:
-    """Keep the final single-qubit layer plus the last j+1 noise-terminated units."""
-    units, trailing = noisy_units(circuit)
-    depth = len(units)
-    if j < 0 or j > depth:
-        raise ValueError(f"truncation index {j} outside 0..{depth}")
-    kept = units[max(depth - (j + 1), 0):]
-    layers = [layer for unit in kept for layer in unit] + trailing
-    return Circuit(circuit.n, tuple(layers), circuit.final_layer)
 
 
 # --- lattices -------------------------------------------------------------------
@@ -503,7 +488,10 @@ def gate_from_json(obj: dict) -> Gate:
     if kind == "clifford":
         return CliffordGate(obj["name"], _support(obj))
     if kind == "random_clifford":
-        return RandomSingleQubitClifford(_support(obj)[0])
+        support = _support(obj)
+        if len(support) != 1:
+            raise ValueError(f"'support' of random_clifford must be one qubit, not {obj['support']!r}")
+        return RandomSingleQubitClifford(support[0])
     raise ValueError(f"unknown gate type {kind!r}")
 
 

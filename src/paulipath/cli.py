@@ -48,7 +48,14 @@ from .montecarlo import (
     estimate as mc_estimate,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
-from .pauli import PauliSum, ProductState, QubitCountMismatch, config_float, config_int
+from .pauli import (
+    PauliSum,
+    ProductState,
+    QubitCountMismatch,
+    config_float,
+    config_int,
+    config_triple,
+)
 from .propagation import FrontierOverflowError, TruncationConfig, backpropagate, expectation
 
 
@@ -143,7 +150,7 @@ def _resolve_state(spec, n: int) -> ProductState:
     if spec in (None, "zeros"):
         return ProductState.zeros(n)
     if isinstance(spec, list):
-        state = ProductState.from_vectors(spec)
+        state = ProductState.from_vectors([config_triple(v, "'state' Bloch vector") for v in spec])
         if state.n != n:
             raise ConfigError(f"state has {state.n} qubits, circuit has {n}")
         return state
@@ -286,11 +293,12 @@ def cmd_propagate(args) -> int:
             k_max = dataclasses.replace(trunc, path_weight_cutoff=max(ks))
             res = backpropagate(circuit, observable, k_max, max_terms=args.max_terms)
             for k in ks:
+                kept = res.kept_below(k)
                 rows.append(
                     {
                         "k": k,
-                        "expectation": expectation(res.kept_below(k), state),
-                        "surviving_paths": int((res.w < k).sum()),
+                        "expectation": expectation(kept, state),
+                        "surviving_paths": kept.stats.surviving_path_count,
                         "wall_time": time.perf_counter() - t0,
                     }
                 )

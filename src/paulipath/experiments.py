@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channels import _BUILDERS, NormalFormChannel, contraction_sq_worstcase
+from .channels import _BUILDERS
 from .circuits import Square, build_hva, build_trotter_tfim
 from .montecarlo import TruncFrobenius, TruncMSE, estimate_many
 from .pauli import PauliString, PauliSum, ProductState
@@ -18,20 +18,18 @@ def center_z(lattice: Square) -> PauliSum:
     return PauliSum(n, [(PauliString.single(n, lattice.center(), "Z"), 1.0)])
 
 
-def theory_contraction_sq(kind: str, param: float, ch: NormalFormChannel) -> float:
+def theory_contraction_sq(kind: str, param: float) -> float:
     """Squared per-site damping used for reference decay curves.
 
-    Relaxation noise gets its worst-case bound 1 - g + g^2; dephasing the
-    quarter-scrambler mean (1 + (1-2p)^2)/2; uniform damping the exact
-    (1-p)^2; anything else falls back to the worst-case bound.
+    ``kind`` is one of the channel builders' kinds.  Relaxation noise gets
+    its worst-case bound 1 - g + g^2; dephasing the quarter-scrambler mean
+    (1 + (1-2p)^2)/2; uniform damping (depolarizing) the exact (1-p)^2.
     """
     if kind == "amplitude_damping":
         return 1.0 - param + param * param
     if kind == "dephasing":
         return (1.0 + (1.0 - 2.0 * param) ** 2) / 2.0
-    if kind == "depolarizing":
-        return (1.0 - param) ** 2
-    return contraction_sq_worstcase(ch)
+    return (1.0 - param) ** 2
 
 
 def sweep_table(
@@ -73,7 +71,7 @@ def sweep_table(
             return []
         sub = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
         results = estimate_many(template, observable, fs, samples, sub)
-        coef = theory_contraction_sq(noise_kind, param, ch)
+        coef = theory_contraction_sq(noise_kind, param)
         return [
             {
                 "noise_param": param,

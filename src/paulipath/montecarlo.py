@@ -20,7 +20,9 @@ Cliffords XOR the program's deltas (their signs do not matter here),
 noise draws from thresholds over each row of the program's re-indexed
 transfer matrix, and a weight boundary adds one popcount of x | z.
 Draws come from a counter-based generator, so results are reproducible
-and independent of chunking internals.
+and independent of chunking internals.  The check of these estimates
+against direct circuit sampling is in the test suite
+(``tests/validation.py``).
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .circuits import Circuit, sample_circuit
-from .oracle import simulate_exact
+from .circuits import Circuit
 from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
 from .propagation import (
-    EXACT,
     _bloch_scale,
     _clifford,
     _compile,
@@ -44,8 +44,6 @@ from .propagation import (
     _popcount,
     _seed_columns,
     _site,
-    backpropagate,
-    expectation,
 )
 
 _CHUNK = 1 << 17
@@ -310,55 +308,3 @@ def estimate(
 ) -> EstimateResult:
     """Unbiased estimate of one second-moment functional, with standard error."""
     return estimate_many(template, observable, [functional], samples, seed)[0]
-
-
-# --- cross-validation against direct circuit sampling -----------------------------
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    mc: EstimateResult
-    direct: float
-    direct_stderr: float
-    agree: bool
-
-
-def _direct_value(circuit: Circuit, observable: PauliSum, f: Functional) -> float:
-    if isinstance(f, Variance):
-        return simulate_exact(circuit, f.state, observable) ** 2
-    res = backpropagate(circuit, observable, EXACT, track_weights=True)
-    dropped = res.dropped_above(f.k)
-    if isinstance(f, TruncMSE):
-        return expectation(dropped, f.state) ** 2
-    return dropped.frobenius_norm_sq()
-
-
-def validate_estimator(
-    template: Circuit,
-    observable: PauliSum,
-    f: Functional,
-    samples: int,
-    circuits: int,
-    seed: int,
-) -> ValidationReport:
-    """Compare the path-sampling estimate against brute circuit sampling.
-
-    The direct route draws concrete circuits from the template, evaluates
-    the functional exactly on each (dense oracle for the variance,
-    weight-resolved backpropagation for the truncation errors) and
-    averages.  Agreement is within four combined standard errors.
-    """
-    if isinstance(f, Variance) and template.n > 4:
-        raise ValueError("direct variance validation needs n <= 4 for the dense oracle")
-    if circuits < 2:
-        raise ValueError("need at least two directly sampled circuits")
-    mc = estimate(template, observable, f, samples, seed)
-    values = []
-    for i in range(circuits):
-        sub = int(np.random.SeedSequence([seed, 7919, i]).generate_state(1)[0])
-        values.append(_direct_value(sample_circuit(template, sub), observable, f))
-    direct = float(np.mean(values))
-    direct_se = float(np.std(values, ddof=1) / np.sqrt(circuits))
-    combined = float(np.hypot(mc.standard_error, direct_se))
-    agree = abs(mc.mean - direct) <= 4.0 * combined
-    return ValidationReport(mc, direct, direct_se, agree)

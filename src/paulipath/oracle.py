@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, CliffordGate, PauliRotation, clifford_adjoint_table
+from .circuits import Circuit, PauliRotation, clifford_adjoint_table
 from .pauli import (
     PauliString,
     PauliSum,
@@ -113,34 +113,33 @@ def _noise_ptms(noise, n: int) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-def _gate_forward(tensor: np.ndarray, gate, n: int) -> np.ndarray:
+def _gate_forward(tensor: np.ndarray, gate) -> np.ndarray:
+    """A sampled circuit's gate: a Pauli rotation with its angle, or a fixed Clifford."""
     if isinstance(gate, PauliRotation):
-        if gate.angle is None:
-            raise ValueError("circuit has unresolved ensemble placeholders")
         return _apply_matrix(tensor, rotation_forward_ptm(gate.generator, gate.angle), gate.support)
-    if isinstance(gate, CliffordGate):
-        return _apply_matrix(tensor, clifford_forward_ptm(gate.name), gate.support)
-    raise ValueError("circuit has unresolved ensemble placeholders")
+    return _apply_matrix(tensor, clifford_forward_ptm(gate.name), gate.support)
 
 
 def evolve_state(circuit: Circuit, state: ProductState) -> DensePauliVector:
-    """Apply the full noisy circuit to a product state, exactly."""
+    """Apply the full noisy circuit to a product state, exactly; a template raises."""
     if circuit.n > MAX_STATE_QUBITS:
         raise InfeasibleSizeError(
             f"dense state evolution supports at most {MAX_STATE_QUBITS} qubits"
         )
     if circuit.n != state.n:
         raise QubitCountMismatch("circuit and state qubit counts differ")
+    if circuit.is_template():
+        raise ValueError("circuit has unresolved ensemble placeholders")
     tensor = DensePauliVector.from_product_state(state).coeffs
     for layer in circuit.layers:
         for gate in layer.gates:
-            tensor = _gate_forward(tensor, gate, circuit.n)
+            tensor = _gate_forward(tensor, gate)
         if layer.noise is not None:
             for q, ptm in _noise_ptms(layer.noise, circuit.n):
                 tensor = _apply_matrix(tensor, ptm, (q,))
     if circuit.final_layer is not None:
         for gate in circuit.final_layer.gates:
-            tensor = _gate_forward(tensor, gate, circuit.n)
+            tensor = _gate_forward(tensor, gate)
     return DensePauliVector(circuit.n, tensor)
 
 

@@ -5,9 +5,9 @@ qubit, so weight and commutation checks reduce to popcounts.  No phase is
 stored on the string itself: products return a separate power of ``i`` and
 callers fold the resulting sign into real coefficients.  The overlap of a
 Pauli sum with a product state is ``propagation.expectation``, which works
-on the engine's columns.  ``config_int`` and ``config_float`` live here,
-at the bottom of the import graph, so that every JSON parser in the
-package can use them.
+on the engine's columns.  ``config_int``, ``config_float`` and
+``config_triple`` live here, at the bottom of the import graph, so that
+every JSON parser in the package can use them.
 """
 
 from __future__ import annotations
@@ -42,6 +42,13 @@ def config_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, not {value!r}")
     return float(value)
+
+
+def config_triple(value, name: str) -> tuple[float, float, float]:
+    """A list of three finite reals as floats (``config_float`` each); else ``ValueError``."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ValueError(f"{name} must be a list of three numbers, not {value!r}")
+    return tuple(config_float(v, f"{name} entry") for v in value)
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,10 @@ tables built once.  ``backpropagate``, the one engine entry, runs that
 program on sampled circuits and rejects a template at entry; the Monte
 Carlo walk in ``montecarlo`` samples paths, placeholders included,
 through the same program with the same parity, fold and Clifford kernels.
-The run at cutoff k_max holds the run at every smaller k as its rows with
-w < k (``kept_below``), so a k-sweep needs one pass.
+Weights accumulate only under a path-weight cutoff; without one every
+row has weight 0.  The run at cutoff k_max holds the run at every
+smaller k as its rows with w < k, and ``kept_below(k)`` returns that run
+as a result of its own, so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
@@ -35,7 +37,7 @@ x/z columns (``_bloch_scale``, which the walk's functionals share).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -86,14 +88,6 @@ class TruncationConfig:
         for c in (self.xy_count_cutoff, self.current_weight_cutoff):
             if c is not None and c <= 0:
                 raise ValueError("count cutoffs must be positive")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "k": self.path_weight_cutoff,
-            "coeff_cutoff": self.coeff_cutoff,
-            "xy_cutoff": self.xy_count_cutoff,
-            "current_weight_cutoff": self.current_weight_cutoff,
-        }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TruncationConfig":
@@ -153,12 +147,12 @@ class BackpropResult:
     """Backpropagated observable as a columnar frontier.
 
     Row i is the term ``c[i] * P(x[:, i], z[:, i])`` reached with
-    accumulated weight ``w[i]``; rows are unique in (x, z, w) and sorted
-    by it.  The masks are word-major ``(ceil(n/64), m)`` uint64 arrays,
-    qubit q in bit ``q & 63`` of word ``q >> 6``.  ``trunc``, ``tracked``
-    (weights were accumulated) and ``crossed_noise`` (the walk has passed
-    a noise round) let the result seed a further ``backpropagate`` call.
-    The Pauli-object views are built on first access only.
+    accumulated weight ``w[i]`` (0 for every row when ``trunc`` has no
+    path-weight cutoff); rows are unique in (x, z, w) and sorted by it.
+    The masks are word-major ``(ceil(n/64), m)`` uint64 arrays, qubit q in
+    bit ``q & 63`` of word ``q >> 6``.  ``trunc`` and ``crossed_noise``
+    (the walk has passed a noise round) let the result seed a further
+    ``backpropagate`` call.
     """
 
     n: int
@@ -168,34 +162,42 @@ class BackpropResult:
     c: np.ndarray
     stats: BackpropStats
     trunc: TruncationConfig
-    tracked: bool
     crossed_noise: bool
-
-    def _pauli_sum(self, rows) -> PauliSum:
-        n = self.n
-        return PauliSum(
-            n,
-            [
-                (PauliString(n, x, z), c)
-                for x, z, c in zip(
-                    _join_words(self.x[:, rows]),
-                    _join_words(self.z[:, rows]),
-                    self.c[rows].tolist(),
-                )
-            ],
-        )
 
     @cached_property
     def terms(self) -> PauliSum:
-        """Coefficients merged over accumulated weight."""
-        return self._pauli_sum(slice(None))
+        """The one Pauli-object view: coefficients merged over accumulated weight.
 
-    def dropped_above(self, k: int) -> PauliSum:
-        """Merged sum of the weight-tracked terms with accumulated weight >= k."""
-        return self._pauli_sum(self.w >= k)
+        Built on first access only.
+        """
+        n = self.n
+        rows = zip(_join_words(self.x), _join_words(self.z), self.c.tolist())
+        return PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in rows])
 
-    def kept_below(self, k: int) -> PauliSum:
-        return self._pauli_sum(self.w < k)
+    def kept_below(self, k: int) -> "BackpropResult":
+        """The result of the same run at path-weight cutoff k: the rows with w < k.
+
+        ``trunc`` gets ``path_weight_cutoff=k`` and ``crossed_noise`` is
+        kept, so the slice seeds a further ``backpropagate`` call as the
+        run at k would.  ``stats.surviving_path_count`` is its row count;
+        the other counters are those of the pass that made this result.
+        Raises ``ValueError`` when this result has no cutoff (its weights
+        were not accumulated) or k is above it.
+        """
+        cutoff = self.trunc.path_weight_cutoff
+        if cutoff is None or k > cutoff:
+            raise ValueError(f"cannot cut at k={k} a result propagated with cutoff {cutoff}")
+        rows = self.w < k
+        return BackpropResult(
+            self.n,
+            _frozen(np.compress(rows, self.x, axis=1)),
+            _frozen(np.compress(rows, self.z, axis=1)),
+            _frozen(self.w[rows]),
+            _frozen(self.c[rows]),
+            replace(self.stats, surviving_path_count=int(rows.sum())),
+            replace(self.trunc, path_weight_cutoff=k),
+            self.crossed_noise,
+        )
 
 
 def _cos_sin(angle: float) -> tuple[float, float]:
@@ -562,7 +564,6 @@ def backpropagate(
     circuit: Circuit,
     seed: PauliSum | BackpropResult,
     trunc: TruncationConfig = EXACT,
-    track_weights: bool | None = None,
     max_terms: int | None = None,
     engine: str = "auto",
 ) -> BackpropResult:
@@ -571,16 +572,16 @@ def backpropagate(
     Processing runs from the last layer to the first: the final
     single-qubit layer and any trailing noiseless layers first (they add
     no weight beyond the seed terms' own), then each damping-terminated
-    unit.  Before every noise round except the first one the walk ever
-    crosses, the current Pauli weight of every term is added to its
-    accumulated weight; terms reaching the cutoff are dropped.
+    unit.  Under a path-weight cutoff, before every noise round except
+    the first one the walk ever crosses, the current Pauli weight of every
+    term is added to its accumulated weight; terms reaching the cutoff are
+    dropped.  Without a cutoff no weight accumulates.
 
     ``seed`` is the observable, or the result of an earlier call, whose
     frontier the walk then continues: ``backpropagate(c1,
     backpropagate(c2, obs))`` equals ``backpropagate(c1 then c2, obs)``
     term for term.  A resumed seed must have the same qubit count and
-    ``trunc``; its weight tracking carries over.  ``stats`` count this
-    call only.  A circuit with placeholders raises ``ValueError``.
+    ``trunc``.  ``stats`` count this call only.  A circuit with placeholders raises ``ValueError``.
 
     One engine serves every qubit count.  ``engine`` is kept only for the
     benchmark's light-cone reference (``perfbench/worker.py``), which
@@ -598,18 +599,16 @@ def backpropagate(
     if isinstance(seed, BackpropResult):
         if seed.trunc != trunc:
             raise ValueError("seed result was propagated with a different truncation")
-        if track_weights is not None and k is None and bool(track_weights) != seed.tracked:
-            raise ValueError("seed result was propagated with different weight tracking")
-        track, crossed = seed.tracked, seed.crossed_noise
+        crossed = seed.crossed_noise
         # copies: the kernels below rewrite the columns in place
         f = _Frontier(seed.n, *(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
     else:
         if not seed:
             raise ValueError("observable has no terms")
-        track, crossed = k is not None or bool(track_weights), False
+        crossed = False
         f = _Frontier(seed.n, *_seed_columns(seed))  # unique Paulis: already merged
         _drop_heavy(f, k, stats)
-        if not track:
+        if k is None:
             f.w[:] = 0
         _np_aux_filter(f, trunc, stats)
     stats.peak_term_count = len(f)
@@ -630,7 +629,7 @@ def backpropagate(
             crossed = True
             f.merge()
             stats.peak_term_count = max(stats.peak_term_count, len(f))
-        elif track:  # the weight boundary: no "ucliff" step survives the template check
+        elif k is not None:  # the weight boundary: no "ucliff" step survives the template check
             f.w = f.w + _popcount(f.x | f.z)
             _drop_heavy(f, k, stats)
 
@@ -644,7 +643,6 @@ def backpropagate(
         _frozen(f.c),
         stats,
         trunc,
-        track,
         crossed,
     )
 

@@ -1,11 +1,13 @@
 """Shared generators: random noisy circuits built in two independent forms,
-hypothesis strategies for small noisy circuits, and reference computations
+hypothesis strategies for small noisy circuits, reference computations
 (the per-term product-state overlap, exact Heisenberg evolution on a dense
-tensor and the per-step dynamics series)."""
+tensor and the per-step dynamics series), and circuit and channel
+diagnostics only the tests use."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
@@ -29,8 +31,14 @@ from paulipath import (
     make_dephasing,
     make_depolarizing,
 )
-from paulipath.channels import NormalFormChannel, SingleQubitPTM
-from paulipath.circuits import Layer
+from paulipath.channels import (
+    Design,
+    NormalFormChannel,
+    SingleQubitPTM,
+    WorstCase,
+    contraction_sq_mean,
+)
+from paulipath.circuits import Layer, noisy_units
 from paulipath.experiments import center_z
 from paulipath.oracle import _apply_matrix, _noise_ptms, clifford_forward_ptm, rotation_forward_ptm
 
@@ -446,3 +454,46 @@ def reference_dynamics_series(
             }
         )
     return rows
+
+
+# --- circuit and channel diagnostics ------------------------------------------------
+
+
+def noisy_layer_count(circuit: Circuit) -> int:
+    return sum(1 for layer in circuit.layers if layer.has_noise)
+
+
+def truncate_to_last_layers(circuit: Circuit, j: int) -> Circuit:
+    """Keep the final single-qubit layer plus the last j+1 noise-terminated units."""
+    units, trailing = noisy_units(circuit)
+    depth = len(units)
+    if j < 0 or j > depth:
+        raise ValueError(f"truncation index {j} outside 0..{depth}")
+    kept = units[max(depth - (j + 1), 0):]
+    layers = [layer for unit in kept for layer in unit] + trailing
+    return Circuit(circuit.n, tuple(layers), circuit.final_layer)
+
+
+def adjoint_action(ch: NormalFormChannel, site: str | int) -> PauliSum:
+    """Heisenberg action of the channel on one single-site Pauli.
+
+    Returns the 1-qubit Pauli sum N^dag(P); for a rotation-free channel
+    this is d_P * P + t_P * I, and I maps to I for any channel.
+    """
+    code = "IXYZ".index(site.upper()) if isinstance(site, str) else int(site)
+    # expansion of N^dag(P_a) over outputs = column a of the adjoint PTM
+    row = ch.forward_ptm()[code]
+    return PauliSum(
+        1, [(PauliString.from_label("IXYZ"[b]), row[b]) for b in range(4) if row[b] != 0.0]
+    )
+
+
+def effective_depolarizing_rate(ch: NormalFormChannel, design: Design = WorstCase()) -> float:
+    """Depolarizing strength the noise mimics on average: 1 - sqrt(chi^2)."""
+    p = 1.0 - np.sqrt(contraction_sq_mean(ch, design))
+    if p <= 0.0:
+        warnings.warn(
+            "effective depolarizing rate is zero; path damping gives no decay",
+            stacklevel=2,
+        )
+    return float(p)

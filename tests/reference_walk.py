@@ -190,7 +190,7 @@ def _apply_gates(frontier: dict, layer: Layer, n: int) -> dict:
     return frontier
 
 
-def _run_dict(circuit, seed, trunc, track, max_terms) -> tuple[dict, BackpropStats, bool]:
+def _run_dict(circuit, seed, trunc, max_terms) -> tuple[dict, BackpropStats, bool]:
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
     n = circuit.n
@@ -209,7 +209,7 @@ def _run_dict(circuit, seed, trunc, track, max_terms) -> tuple[dict, BackpropSta
             if k is not None and p.weight >= k:
                 stats.paths_discarded_by_weight += 1
                 continue
-            _add(frontier, (p.x, p.z, p.weight if track else 0), c)
+            _add(frontier, (p.x, p.z, p.weight if k is not None else 0), c)
         frontier = _aux_filter(frontier, trunc, stats)
         crossed = False
     stats.peak_term_count = len(frontier)
@@ -230,7 +230,7 @@ def _run_dict(circuit, seed, trunc, track, max_terms) -> tuple[dict, BackpropSta
         frontier = after_layer(_apply_gates(frontier, layer, n))
 
     for unit in reversed(units):
-        if crossed and track:
+        if crossed and k is not None:
             boundary: dict = {}
             for (x, z, w), a in frontier.items():
                 w2 = w + (x | z).bit_count()
@@ -340,14 +340,13 @@ def count_legal_paths(circuit: Circuit, observable: PauliSum, k: int | None) -> 
 
 
 def reference_backpropagate(
-    circuit, seed, trunc: TruncationConfig = EXACT, track_weights=None, max_terms=None
+    circuit, seed, trunc: TruncationConfig = EXACT, max_terms=None
 ) -> BackpropResult:
-    """``_run_dict`` with the frontier as columns sorted by (x, z, w)."""
-    if isinstance(seed, BackpropResult):
-        track = seed.tracked
-    else:
-        track = trunc.path_weight_cutoff is not None or bool(track_weights)
-    frontier, stats, crossed = _run_dict(circuit, seed, trunc, track, max_terms)
+    """``_run_dict`` with the frontier as columns sorted by (x, z, w).
+
+    Weights accumulate only under a path-weight cutoff, as in the engine.
+    """
+    frontier, stats, crossed = _run_dict(circuit, seed, trunc, max_terms)
     keys = sorted(frontier)
     n = circuit.n
     return BackpropResult(
@@ -358,6 +357,5 @@ def reference_backpropagate(
         _frozen(np.array([frontier[key] for key in keys], dtype=np.float64)),
         stats,
         trunc,
-        track,
         crossed,
     )

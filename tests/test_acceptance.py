@@ -11,7 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from helpers import heisenberg_exact
+from helpers import (
+    effective_depolarizing_rate,
+    heisenberg_exact,
+    noisy_layer_count,
+    truncate_to_last_layers,
+)
 from paulipath import (
     Chain,
     Circuit,
@@ -30,7 +35,6 @@ from paulipath import (
     backpropagate,
     build_hva,
     build_trotter_tfim,
-    effective_depolarizing_rate,
     estimate,
     estimate_many,
     expectation,
@@ -39,11 +43,10 @@ from paulipath import (
     make_depolarizing,
     sample_circuit,
     simulate_exact,
-    truncate_to_last_layers,
-    validate_estimator,
 )
 from paulipath.circuits import Layer, noisy_units
 from paulipath.experiments import center_z, dynamics_series, theory_contraction_sq
+from validation import validate_estimator
 
 
 def report(num, name, ok, detail=""):
@@ -184,7 +187,7 @@ def test_c4_mse_bound_desk_scale():
             results = estimate_many(
                 template, obs, [TruncFrobenius(k) for k in ks], 1_000_000, 42
             )
-            coef = theory_contraction_sq(kind, param, ch)
+            coef = theory_contraction_sq(kind, param)
             for k, r in zip(ks, results):
                 if r.mean > coef**k + 3 * r.standard_error:
                     bound_ok = False
@@ -298,7 +301,7 @@ def test_c6_effective_depth():
     template_full = build_hva(Chain(6), ch, 7)  # 21 damping rounds
     units, _ = noisy_units(template_full)
     template = Circuit(6, tuple(l for unit in units[:20] for l in unit))
-    assert template.noisy_layer_count == 20
+    assert noisy_layer_count(template) == 20
     obs = center_z(Chain(6))
     state = ProductState.zeros(6)
     p = effective_depolarizing_rate(ch, WorstCase())

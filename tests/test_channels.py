@@ -9,6 +9,7 @@ from gate_ensembles import (
     uniform_clifford_ensemble,
     verify_scrambler,
 )
+from helpers import adjoint_action, effective_depolarizing_rate
 from paulipath import (
     ChannelClass,
     InvalidChannelError,
@@ -16,18 +17,15 @@ from paulipath import (
     Scrambler,
     TwoDesign,
     WorstCase,
-    adjoint_action,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,
     contraction_sq_worstcase,
-    effective_depolarizing_rate,
     make_amplitude_damping,
-    make_custom,
     make_dephasing,
     make_depolarizing,
 )
-from paulipath.channels import UnsupportedDesignError, channel_from_json
+from paulipath.channels import NormalFormChannel, UnsupportedDesignError, channel_from_json
 
 GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 
@@ -168,7 +166,7 @@ class TestContraction:
             d = rng.uniform(-1, 1, 3)
             t = rng.uniform(-1, 1, 3)
             try:
-                ch = make_custom(tuple(d), tuple(t))
+                ch = NormalFormChannel(tuple(d), tuple(t))
             except InvalidChannelError:
                 continue
             produced += 1
@@ -183,25 +181,25 @@ class TestContraction:
 class TestValidation:
     def test_rejects_non_cp(self):
         with pytest.raises(InvalidChannelError):
-            make_custom((1, 1, 1), (0, 0, 0.5))
+            NormalFormChannel((1, 1, 1), (0, 0, 0.5))
         with pytest.raises(InvalidChannelError):
-            make_custom((1, 1, -0.5), (0, 0, 0))
+            NormalFormChannel((1, 1, -0.5), (0, 0, 0))
         with pytest.raises(InvalidChannelError):
-            make_custom((1.2, 1, 1), (0, 0, 0))
+            NormalFormChannel((1.2, 1, 1), (0, 0, 0))
 
     def test_sign_canonicalization_preserves_channel(self):
         # mixed signs with even parity fold into a half-turn rotation
-        ch = make_custom((-0.2, -0.2, 1.0), (0, 0, 0))
+        ch = NormalFormChannel((-0.2, -0.2, 1.0), (0, 0, 0))
         assert ch.d == pytest.approx((0.2, 0.2, 1.0))
         direct = np.diag([1.0, -0.2, -0.2, 1.0])
         assert np.allclose(ch.forward_ptm(), direct, atol=1e-12)
         # odd parity lands all-negative
-        ch2 = make_custom((0.3, 0.3, -0.2), (0, 0, 0))
+        ch2 = NormalFormChannel((0.3, 0.3, -0.2), (0, 0, 0))
         assert all(v <= 0 for v in ch2.d)
         assert np.allclose(ch2.forward_ptm(), np.diag([1.0, 0.3, 0.3, -0.2]), atol=1e-12)
 
     def test_same_sign_invariant(self):
-        for ch in (make_dephasing(0.9), make_custom((-0.1, 0.2, 0.3), (0, 0, 0))):
+        for ch in (make_dephasing(0.9), NormalFormChannel((-0.1, 0.2, 0.3), (0, 0, 0))):
             signs = {v > 0 for v in ch.d if v != 0.0}
             assert len(signs) <= 1
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dense_ref
+from helpers import noisy_layer_count, truncate_to_last_layers
 from paulipath import (
     Chain,
     Circuit,
@@ -16,7 +17,6 @@ from paulipath import (
     make_amplitude_damping,
     sample_circuit,
     simulate_exact,
-    truncate_to_last_layers,
 )
 from paulipath.circuits import (
     Layer,
@@ -147,7 +147,7 @@ class TestBuilders:
 
     def test_hva_per_block_noise(self):
         c = build_hva(Chain(3), make_amplitude_damping(0.1), 2, noise_placement="per_block")
-        assert c.noisy_layer_count == 2
+        assert noisy_layer_count(c) == 2
         units, trailing = noisy_units(c)
         assert len(units) == 2 and not trailing
 
@@ -159,13 +159,13 @@ class TestBuilders:
         c = build_trotter_tfim(
             Square(2, 2, periodic=True), 3.004438, 1.0, 0.04, 2, make_amplitude_damping(0.1)
         )
-        assert c.n == 4 and c.noisy_layer_count == 6
+        assert c.n == 4 and noisy_layer_count(c) == 6
 
     def test_trotter_per_step_noise(self):
         c = build_trotter_tfim(
             Chain(2), 3.004438, 1.0, 0.04, 3, make_amplitude_damping(0.1), "per_step"
         )
-        assert c.noisy_layer_count == 3
+        assert noisy_layer_count(c) == 3
 
     def test_trotter_matches_dense_reference_noiseless(self):
         j_c, h, dt = 1.3, 0.7, 0.11

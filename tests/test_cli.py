@@ -6,6 +6,7 @@ import math
 import pytest
 
 import paulipath.cli
+import paulipath.propagation
 from paulipath.cli import main
 
 
@@ -155,6 +156,16 @@ class TestPropagate:
         code, _, _ = run_cli(["propagate", "--config", write_config(tmp_path, self.KSWEEP_CONFIG)],
                              capsys)
         assert code == 0 and cutoffs == [9]
+
+    def test_k_sweep_builds_no_pauli_objects(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the k-sweep built a PauliString")
+
+        monkeypatch.setattr(paulipath.propagation, "PauliString", refuse)
+        cfg = write_config(tmp_path, self.KSWEEP_CONFIG)
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0, err
+        assert [r["k"] for r in json.loads(out)["result"]] == [2, 6, 3, 9]
 
     @pytest.mark.parametrize("ks", [[0, 2], [-1]])
     def test_non_positive_k_sweep_exits_2(self, tmp_path, capsys, ks):
@@ -613,6 +624,10 @@ class TestIntegerFields:
 
 
 ROT_GATE = ("circuit", "layers", 0, "gates", 0)
+RANDOM_CLIFFORD_CONFIG = {
+    "circuit": {"n": 2, "layers": [{"gates": [{"type": "random_clifford", "support": [1]}]}]},
+    "observable": [{"pauli": "ZI", "coeff": 1.0}],
+}
 LAYER_NOISE = ("circuit", "layers", 0, "noise")
 
 
@@ -636,6 +651,10 @@ class TestRealFields:
             ("dynamics", _with(DYNAMICS_CONFIG, ("noise",), {"kind": "dephasing", "param": "0.1"}),
              "param"),
             ("propagate", _with(RX_DAMP_CONFIG, ("observable", 0, "coeff"), "1.0"), "coeff"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("state",), [5]), "state"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("state",), [["0", "0", "0.5"]]), "state"),
+            ("oracle", _with(RX_DAMP_CONFIG, ("state",), [[0.0, 0.5]]), "state"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "state"), [[0, 0, True]]), "state"),
         ],
     )
     def test_non_real_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
@@ -654,12 +673,20 @@ class TestCustomGateAndChannelFields:
             (_with(RX_DAMP_CONFIG, LAYER_NOISE, {"kind": "custom", "D": 5, "t": [0, 0, 0]}), "D"),
             (_with(RX_DAMP_CONFIG, LAYER_NOISE, {"kind": "custom", "D": [1, 1, 1], "t": [0, 0]}),
              "t"),
+            (_with(RANDOM_CLIFFORD_CONFIG, (*ROT_GATE, "support"), []), "support"),
+            (_with(RANDOM_CLIFFORD_CONFIG, (*ROT_GATE, "support"), [0, 1]), "support"),
         ],
     )
     def test_malformed_exits_2_naming_it(self, tmp_path, capsys, cfg, key):
         code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
         assert code == 2 and out == ""
         assert repr(key) in err and "Traceback" not in err
+
+    def test_well_formed_random_clifford_and_state_run(self, tmp_path, capsys):
+        cfg = _with(RANDOM_CLIFFORD_CONFIG, ("state",), [[0, 0, 1], [0.5, 0, 0]])
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["expectation"] == pytest.approx(1.0)
 
     def test_well_formed_custom_channel_runs(self, tmp_path, capsys):
         noise = {"kind": "custom", "D": [0.7, 0.7, 0.49], "t": [0, 0, 0.51]}  # damping 0.51

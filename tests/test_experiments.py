@@ -107,17 +107,9 @@ class TestSweepTable:
         assert sweep_table(Chain(2), 1, "dephasing", [0.1], [], "trunc_frobenius", 100, 0) == []
 
     def test_theory_coefficients(self):
-        assert theory_contraction_sq(
-            "amplitude_damping", 0.3, make_amplitude_damping(0.3)
-        ) == pytest.approx(1 - 0.3 + 0.09)
-        from paulipath import make_dephasing, make_depolarizing
-
-        assert theory_contraction_sq("dephasing", 0.3, make_dephasing(0.3)) == pytest.approx(
-            (1 + 0.16) / 2
-        )
-        assert theory_contraction_sq(
-            "depolarizing", 0.3, make_depolarizing(0.3)
-        ) == pytest.approx(0.49)
+        assert theory_contraction_sq("amplitude_damping", 0.3) == pytest.approx(1 - 0.3 + 0.09)
+        assert theory_contraction_sq("dephasing", 0.3) == pytest.approx((1 + 0.16) / 2)
+        assert theory_contraction_sq("depolarizing", 0.3) == pytest.approx(0.49)
 
     def test_rejects_unknown_kind_or_functional(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
-"""Source hygiene: no unused imports and no dead definitions in the package.
+"""Source hygiene: no unused imports, no dead definitions and no test-only code in the package.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
 Every top-level function, class and constant is named somewhere in
 ``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
 ``__init__`` exists to re-export, so it is not checked, but its imports
-count as references.  Only the standard library's ``ast`` is used.
+count as references.  No such definition is named by ``tests/`` alone:
+code only the tests use belongs in ``tests/``, and there a re-export
+from ``__init__`` does not count as a use.  Only the standard library's
+``ast`` is used.
 """
 
 import ast
@@ -89,16 +92,8 @@ def _references(source: str) -> collections.Counter:
     return counts
 
 
-def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
-    """``module: name (line N)`` for each top-level definition in ``modules`` no source names.
-
-    ``modules`` maps a module name to the source whose definitions are
-    checked; references are counted in those sources and in ``others``.
-    """
-    refs = collections.Counter()
-    for source in (*modules.values(), *others):
-        refs.update(_references(source))
-    dead = []
+def _definitions(modules: dict[str, str]):
+    """``(module, name, line)`` for each top-level function, class and constant."""
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -108,8 +103,38 @@ def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            dead += [f"{module}: {name} (line {node.lineno})" for name in names if not refs[name]]
-    return dead
+            yield from ((module, name, node.lineno) for name in names)
+
+
+def _all_references(sources) -> collections.Counter:
+    refs = collections.Counter()
+    for source in sources:
+        refs.update(_references(source))
+    return refs
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """``module: name (line N)`` for each top-level definition in ``modules`` no source names.
+
+    ``modules`` maps a module name to the source whose definitions are
+    checked; references are counted in those sources and in ``others``.
+    """
+    refs = _all_references((*modules.values(), *others))
+    return [f"{m}: {name} (line {line})" for m, name, line in _definitions(modules) if not refs[name]]
+
+
+def used_only_by_tests(modules: dict[str, str], tests: list[str], others: list[str]) -> list[str]:
+    """``module: name (line N)`` for each top-level definition only ``tests`` name.
+
+    A definition in ``modules`` is used by the package when one of those
+    sources (its own module included) or one of ``others`` names it.
+    """
+    used, tested = _all_references((*modules.values(), *others)), _all_references(tests)
+    return [
+        f"{m}: {name} (line {line})"
+        for m, name, line in _definitions(modules)
+        if tested[name] and not used[name]
+    ]
 
 
 def test_checker_flags_an_unreferenced_definition():
@@ -119,6 +144,27 @@ def test_checker_flags_an_unreferenced_definition():
     )
     user = "from lib import used\nused()\ngetattr(lib, 'Looked')\n"
     assert unreferenced_definitions({"lib.py": lib}, [user]) == ["lib.py: dead (line 7)"]
+
+
+def test_checker_flags_a_test_only_definition():
+    lib = (
+        "def used():\n    return helper()\n\ndef helper():\n    pass\n\n"
+        "def for_tests():\n    pass\n"
+    )
+    tests = ["from lib import for_tests, used\nfor_tests()\nused()\n"]
+    bench = ["import lib\nlib.used()\n"]
+    assert used_only_by_tests({"lib.py": lib}, tests, bench) == ["lib.py: for_tests (line 7)"]
+    assert used_only_by_tests({"lib.py": lib}, tests, []) == [
+        "lib.py: used (line 1)",
+        "lib.py: for_tests (line 7)",
+    ]
+
+
+def test_no_test_only_definitions():
+    checked = {p.name: p.read_text() for p in MODULES}
+    tests = [p.read_text() for p in (ROOT / "tests").rglob("*.py")]
+    bench = [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")]
+    assert used_only_by_tests(checked, tests, bench) == []
 
 
 def test_no_dead_definitions():

@@ -24,11 +24,11 @@ from paulipath import (
     make_amplitude_damping,
     make_dephasing,
     make_depolarizing,
-    validate_estimator,
 )
 from paulipath.circuits import Layer, PauliRotation
 from paulipath.montecarlo import _compile_steps, _seed_paths, _walk_chunk
 from paulipath.oracle import rotation_forward_ptm
+from validation import validate_estimator
 
 from mc_reference_walk import reference_walk
 from second_moment_ref import (
@@ -147,13 +147,13 @@ class TestEstimate:
         assert mse.mean <= var.mean + 3 * (var.standard_error + mse.standard_error)
 
     def test_truncation_tail_decay_bound(self):
-        from paulipath import WorstCase, effective_depolarizing_rate
+        from paulipath import WorstCase
 
         g = 0.3
         ch = make_amplitude_damping(g)
         tmpl = build_hva(Chain(3), ch, 3, noise_placement="per_block")
         obs = PauliSum.single("ZII")
-        p = effective_depolarizing_rate(ch, WorstCase())
+        p = helpers.effective_depolarizing_rate(ch, WorstCase())
         for k in (3, 5, 7):
             r = estimate(tmpl, obs, TruncFrobenius(k), 200_000, 13)
             assert r.mean <= (1 - p) ** (2 * k) + 3 * r.standard_error

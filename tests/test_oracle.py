@@ -8,6 +8,7 @@ from helpers import heisenberg_exact
 from paulipath import (
     Circuit,
     InfeasibleSizeError,
+    RandomSingleQubitClifford,
     PauliString,
     PauliSum,
     ProductState,
@@ -67,6 +68,18 @@ class TestSimulateExact:
     def test_size_cap(self):
         with pytest.raises(InfeasibleSizeError):
             simulate_exact(Circuit(13, ()), ProductState.zeros(13), PauliSum.single("Z" + "I" * 12))
+
+
+    @pytest.mark.parametrize(
+        "gate",
+        [RandomSingleQubitClifford(1), PauliRotation(PauliString.from_label("X"), (0,), None)],
+    )
+    @pytest.mark.parametrize("final", [False, True])
+    def test_templates_rejected_at_entry(self, gate, final):
+        layer = Layer((gate,))
+        circuit = Circuit(2, (), layer) if final else Circuit(2, (layer,))
+        with pytest.raises(ValueError, match="^circuit has unresolved ensemble placeholders$"):
+            evolve_state(circuit, ProductState.zeros(2))
 
 
 class TestHeisenbergExact:

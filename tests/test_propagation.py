@@ -61,9 +61,12 @@ class TestTruncationConfig:
             TruncationConfig(xy_count_cutoff=0)
 
     def test_json_round_trip(self):
-        cfg = TruncationConfig(30, 2**-23, 5, None)
-        again = TruncationConfig.from_json_obj(cfg.to_json_obj())
-        assert again == cfg
+        obj = {"k": 30, "coeff_cutoff": 2**-23, "xy_cutoff": 5, "current_weight_cutoff": None}
+        assert TruncationConfig.from_json_obj(obj) == TruncationConfig(30, 2**-23, 5, None)
+        assert TruncationConfig.from_json_obj({"current_weight_cutoff": 4}) == TruncationConfig(
+            current_weight_cutoff=4
+        )
+        assert TruncationConfig.from_json_obj({}) == EXACT
 
 
 class TestBackpropagate:
@@ -119,8 +122,7 @@ class TestBackpropagate:
 
     def test_matches_oracle_with_custom_channels(self):
         # shifted channels with folded rotations exercise dense adjoint rows
-        from paulipath import make_custom
-        from paulipath.channels import InvalidChannelError
+        from paulipath.channels import InvalidChannelError, NormalFormChannel
 
         rng = np.random.default_rng(123)
         channels = []
@@ -128,7 +130,7 @@ class TestBackpropagate:
             d = rng.uniform(-1, 1, 3)
             t = rng.uniform(-0.5, 0.5, 3)
             try:
-                channels.append(make_custom(tuple(d), tuple(t)))
+                channels.append(NormalFormChannel(tuple(d), tuple(t)))
             except InvalidChannelError:
                 continue
         for trial in range(12):
@@ -347,13 +349,22 @@ class TestUnitalBranchlessness:
 
 class TestResultSurface:
     def test_weight_resolved_terms(self):
-        res = backpropagate(
-            rx_damping_circuit(), PauliSum.single("Z"), track_weights=True
-        )
+        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"), TruncationConfig(2))
         assert set(res.w.tolist()) == {1}
-        dropped = res.dropped_above(2)
         kept = res.kept_below(2)
-        assert not dropped and len(kept) == 3
+        assert len(kept.terms) == 3 and kept.stats.surviving_path_count == 3
+        empty = res.kept_below(1)
+        assert len(empty.c) == 0 and empty.stats.surviving_path_count == 0
+        assert empty.trunc == TruncationConfig(1)
+
+    def test_kept_below_needs_a_cutoff_at_least_k(self):
+        exact = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
+        assert not exact.w.any()
+        with pytest.raises(ValueError):
+            exact.kept_below(1)
+        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"), TruncationConfig(2))
+        with pytest.raises(ValueError):
+            res.kept_below(3)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -401,11 +412,10 @@ class TestResume:
         late = data.draw(helpers.noisy_circuits(n))
         obs = data.draw(helpers.observables(n))
         trunc = data.draw(helpers.truncations())
-        track = data.draw(st.booleans())
         both = Circuit(n, early.layers + late.layers, late.final_layer)
 
-        whole = backpropagate(both, obs, trunc, track)
-        first = backpropagate(late, obs, trunc, track)
+        whole = backpropagate(both, obs, trunc)
+        first = backpropagate(late, obs, trunc)
         chained = backpropagate(early, first, trunc)
 
         want, got = _weighted(whole), _weighted(chained)
@@ -542,38 +552,38 @@ class TestAgainstReference:
         late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(k)), sites, n)
         obs = helpers.embed_sum(data.draw(helpers.observables(k)), sites, n)
         trunc = data.draw(helpers.truncations())
-        track = data.draw(st.booleans())
         if data.draw(st.booleans(), label="resume"):
-            got = backpropagate(early, backpropagate(late, obs, trunc, track), trunc)
-            want = reference_backpropagate(
-                early, reference_backpropagate(late, obs, trunc, track), trunc
-            )
+            got = backpropagate(early, backpropagate(late, obs, trunc), trunc)
+            want = reference_backpropagate(early, reference_backpropagate(late, obs, trunc), trunc)
         else:
             both = Circuit(n, early.layers + late.layers, late.final_layer)
-            got = backpropagate(both, obs, trunc, track)
-            want = reference_backpropagate(both, obs, trunc, track)
+            got = backpropagate(both, obs, trunc)
+            want = reference_backpropagate(both, obs, trunc)
         _assert_same_frontier(got, want)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_kmax_run_contains_smaller_cutoff_runs(self, data):
         n, sites = data.draw(helpers.registers())
-        circuit = helpers.embed_circuit(data.draw(helpers.noisy_circuits(len(sites))), sites, n)
+        late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(len(sites))), sites, n)
+        early = helpers.embed_circuit(
+            data.draw(helpers.noisy_circuits(len(sites), final_layer=False)), sites, n
+        )
         obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
-        base = data.draw(helpers.truncations())
+        # weight-only (EXACT) or with auxiliary cutoffs too
+        base = data.draw(st.one_of(st.just(EXACT), helpers.truncations()))
         k = data.draw(st.integers(1, 8))
         k_max = data.draw(st.integers(k, 10))
-        big = backpropagate(circuit, obs, dataclasses.replace(base, path_weight_cutoff=k_max))
-        small = backpropagate(circuit, obs, dataclasses.replace(base, path_weight_cutoff=k))
-        below = big.w < k
-        assert np.array_equal(big.x[:, below], small.x)
-        assert np.array_equal(big.z[:, below], small.z)
-        assert np.array_equal(big.w[below], small.w)
-        np.testing.assert_allclose(big.c[below], small.c, rtol=0, atol=1e-12)
+        big = backpropagate(late, obs, dataclasses.replace(base, path_weight_cutoff=k_max))
+        small = backpropagate(late, obs, dataclasses.replace(base, path_weight_cutoff=k))
         kept = big.kept_below(k)
-        assert set(kept.terms) == set(small.terms.terms)
-        for pauli, coeff in small.terms.items():
-            assert kept.coeff(pauli) == pytest.approx(coeff, abs=1e-12)
+        _assert_same_frontier(kept, small)
+        assert kept.trunc == small.trunc
+        assert not kept.c.flags.writeable
+        # the slice seeds a further walk as the run at k does
+        _assert_same_frontier(
+            backpropagate(early, kept, small.trunc), backpropagate(early, small, small.trunc)
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
