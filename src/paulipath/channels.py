@@ -9,9 +9,9 @@ makes adjoint (Heisenberg) rows trivial to read off: P -> d_P P + t_P I.
 The module also computes contraction coefficients: the per-site rates at
 which the adjoint channel shrinks the normalized Frobenius norm of
 supported observables, either worst-case or averaged over a random
-single-qubit gate ensemble, and parses channels from their JSON form.
-A custom channel is a ``NormalFormChannel(d, t)`` built directly.  The
-test suite, not this module, holds what only tests need: whether a gate
+single-qubit gate ensemble.  The config form of a channel is read by
+``cli``; a custom channel is a ``NormalFormChannel(d, t)`` built directly.
+The test suite, not this module, holds what only tests need: whether a gate
 ensemble scrambles (``tests/gate_ensembles.py``), and a channel's
 adjoint action on one Pauli and its effective depolarizing rate
 (``tests/helpers.py``).
@@ -24,8 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-
-from .pauli import config_float, config_triple
 
 _PAULI_MATS = (
     np.eye(2, dtype=complex),
@@ -45,26 +43,25 @@ class UnsupportedDesignError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SingleQubitPTM:
-    """A 4x4 real transfer matrix in Pauli basis order (I, X, Y, Z).
+    """The 4x4 real transfer matrix of a unitary, in Pauli basis order (I, X, Y, Z).
 
-    The first row must be (1, 0, 0, 0) (trace preservation).  When
-    ``unitary=True`` the lower-right 3x3 block is additionally checked to
-    be orthogonal.
+    A unitary channel rotates the Bloch sphere: the first row and the
+    first column must be (1, 0, 0, 0) and the lower-right 3x3 block a
+    rotation, orthogonal with determinant +1.
     """
 
     matrix: np.ndarray
-    unitary: bool = False
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("PTM must be 4x4")
-        if not np.allclose(m[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12):
-            raise ValueError("first PTM row must be (1, 0, 0, 0)")
-        if self.unitary:
-            block = m[1:, 1:]
-            if not np.allclose(block @ block.T, np.eye(3), atol=1e-10):
-                raise ValueError("unitary flag set but rotation block is not orthogonal")
+        if not (np.allclose(m[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+                and np.allclose(m[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)):
+            raise ValueError("first PTM row and column must be (1, 0, 0, 0)")
+        block = m[1:, 1:]
+        if not np.allclose(block @ block.T, np.eye(3), atol=1e-10) or np.linalg.det(block) < 0.0:
+            raise ValueError("PTM block must be a rotation (orthogonal, determinant +1)")
         object.__setattr__(self, "matrix", m)
 
 
@@ -187,11 +184,7 @@ def _canonicalize_signs(d, t, post):
         for i in flip:
             signs[i] = -1.0
         sign_ptm = np.diag([1.0, *signs])
-        post = (
-            SingleQubitPTM(sign_ptm, unitary=True)
-            if post is None
-            else SingleQubitPTM(post.matrix @ sign_ptm, unitary=post.unitary)
-        )
+        post = SingleQubitPTM(sign_ptm if post is None else post.matrix @ sign_ptm)
         d = tuple(s * v for s, v in zip(signs, d))
         t = tuple(s * v for s, v in zip(signs, t))
 
@@ -216,6 +209,13 @@ def make_amplitude_damping(gamma: float) -> NormalFormChannel:
         raise InvalidChannelError("damping rate must lie in [0, 1]")
     s = np.sqrt(1.0 - gamma)
     return NormalFormChannel((s, s, 1.0 - gamma), (0.0, 0.0, gamma))
+
+
+_BUILDERS = {
+    "amplitude_damping": make_amplitude_damping,
+    "dephasing": make_dephasing,
+    "depolarizing": make_depolarizing,
+}
 
 
 def classify(ch: NormalFormChannel) -> ChannelClass:
@@ -296,27 +296,3 @@ def contraction_sq_mean(ch: NormalFormChannel, design: Design) -> float:
         return contraction_sq_worstcase(ch)
     raise UnsupportedDesignError(f"unknown design {design!r}")
 
-
-# --- JSON interface ------------------------------------------------------------
-
-_BUILDERS = {
-    "amplitude_damping": make_amplitude_damping,
-    "dephasing": make_dephasing,
-    "depolarizing": make_depolarizing,
-}
-
-
-def channel_from_json(obj: dict) -> NormalFormChannel:
-    kind = obj.get("kind")
-    if kind in _BUILDERS:
-        return _BUILDERS[kind](config_float(obj["param"], "'param'"))
-    if kind == "custom":
-        pre = obj.get("pre")
-        post = obj.get("post")
-        return NormalFormChannel(
-            config_triple(obj["D"], "'D'"),
-            config_triple(obj["t"], "'t'"),
-            pre=SingleQubitPTM(np.asarray(pre, dtype=float)) if pre else None,
-            post=SingleQubitPTM(np.asarray(post, dtype=float)) if post else None,
-        )
-    raise InvalidChannelError(f"unknown channel kind {kind!r}")

@@ -7,6 +7,7 @@ placeholder.  Builders produce the lattice ansatz used throughout:
 RX/RZ single-qubit rounds plus two-qubit entangling rotation rounds,
 and a symmetric-splitting transverse-field Ising step sequence, on the
 one lattice type ``Square``; a chain is a one-row square (``Chain``).
+The config form of a circuit or lattice is read by ``cli``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .channels import _PAULI_MATS, NormalFormChannel, channel_from_json
-from .pauli import PauliString, config_float, config_int
+from .channels import _PAULI_MATS, NormalFormChannel
+from .pauli import PauliString
 
 _NAMED_UNITARIES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -80,9 +81,12 @@ _ADJ_TABLES: dict[str, tuple[tuple[int, int], ...]] = {}
 
 
 def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
-    if name not in _ADJ_TABLES:
+    """The table of a named gate or of one of the H/S words ``clifford_group_1q`` names."""
+    if name not in _NAMED_UNITARIES:
+        clifford_group_1q()  # registers the words, so that no name depends on call order
         if name not in _NAMED_UNITARIES:
             raise NotCliffordError(f"unknown Clifford gate {name!r}")
+    if name not in _ADJ_TABLES:
         u = _NAMED_UNITARIES[name]
         k = 1 if u.shape == (2, 2) else 2
         _ADJ_TABLES[name] = _signed_perm_table(u, k)
@@ -248,23 +252,6 @@ class Circuit:
                 if isinstance(g, PauliRotation) and g.angle is None:
                     return True
         return False
-
-
-def noisy_units(circuit: Circuit) -> tuple[list[list[Layer]], list[Layer]]:
-    """Group layers into noise-terminated units plus a trailing noiseless run.
-
-    Each unit is a maximal run of noiseless layers followed by one noisy
-    layer; one unit corresponds to one damping round, which is where
-    path weight is sampled during backpropagation.
-    """
-    units: list[list[Layer]] = []
-    current: list[Layer] = []
-    for layer in circuit.layers:
-        current.append(layer)
-        if layer.has_noise:
-            units.append(current)
-            current = []
-    return units, current
 
 
 # --- lattices -------------------------------------------------------------------
@@ -455,79 +442,3 @@ def sample_circuit(template: Circuit, seed: int) -> Circuit:
     final = concretize(template.final_layer) if template.final_layer else None
     return Circuit(template.n, layers, final)
 
-
-# --- JSON interface --------------------------------------------------------------
-
-
-def _objects(values, key: str) -> list:
-    """A JSON list of objects, else ``ValueError`` naming ``key``."""
-    if not isinstance(values, list) or not all(isinstance(v, dict) for v in values):
-        raise ValueError(f"{key!r} must be a list of objects, not {values!r}")
-    return values
-
-
-def _support(obj: dict) -> tuple[int, ...]:
-    """A gate's ``support`` as a tuple of integers, else ``ValueError`` naming the key."""
-    support = obj["support"]
-    if not isinstance(support, list):
-        raise ValueError(f"'support' must be a list of integers, not {support!r}")
-    return tuple(config_int(q, "'support' entry") for q in support)
-
-
-def gate_from_json(obj: dict) -> Gate:
-    kind = obj["type"]
-    if kind == "rot":
-        generator, angle = obj["generator"], obj["angle"]
-        if not isinstance(generator, str):
-            raise ValueError(f"'generator' must be a Pauli label string, not {generator!r}")
-        return PauliRotation(
-            PauliString.from_label(generator),
-            _support(obj),
-            None if angle == "uniform" else config_float(angle, "'angle'"),
-        )
-    if kind == "clifford":
-        return CliffordGate(obj["name"], _support(obj))
-    if kind == "random_clifford":
-        support = _support(obj)
-        if len(support) != 1:
-            raise ValueError(f"'support' of random_clifford must be one qubit, not {obj['support']!r}")
-        return RandomSingleQubitClifford(support[0])
-    raise ValueError(f"unknown gate type {kind!r}")
-
-
-def _noise_from_json(obj, n: int):
-    if obj is None:
-        return None
-    if isinstance(obj, dict):
-        return (channel_from_json(obj),) * n
-    if not isinstance(obj, list) or not all(e is None or isinstance(e, dict) for e in obj):
-        raise ValueError(f"'noise' must be a channel or a list of channels and nulls, not {obj!r}")
-    return tuple(None if entry is None else channel_from_json(entry) for entry in obj)
-
-
-def circuit_from_json(obj: dict) -> Circuit:
-    n = config_int(obj["n"], "'n'")
-    layers = tuple(
-        Layer(
-            tuple(gate_from_json(g) for g in _objects(spec.get("gates", []), "gates")),
-            _noise_from_json(spec.get("noise"), n),
-        )
-        for spec in _objects(obj.get("layers", []), "layers")
-    )
-    final = None
-    if obj.get("final_layer"):
-        final = Layer(tuple(gate_from_json(g) for g in _objects(obj["final_layer"], "final_layer")))
-    return Circuit(n, layers, final)
-
-
-def lattice_from_json(obj: dict) -> Square:
-    kind = obj.get("type")
-    periodic = obj.get("periodic", False)
-    if not isinstance(periodic, bool):
-        raise ValueError(f"'periodic' must be true or false, not {periodic!r}")
-    if kind == "chain":
-        return Square(1, config_int(obj["n"], "'n'"), periodic)
-    if kind == "square":
-        rows, cols = (config_int(obj[key], repr(key)) for key in ("rows", "cols"))
-        return Square(rows, cols, periodic)
-    raise ValueError(f"unknown lattice type {kind!r}")

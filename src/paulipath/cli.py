@@ -1,10 +1,12 @@
-"""Command-line front end.
+"""Command-line front end, and the one reader and writer of the config format.
 
 Subcommands: channel-info, propagate, estimate, oracle, sweep, dynamics.
-Every output artifact embeds the resolved configuration, the seed and a
-version string so reruns are reproducible (timing columns excepted).
-Exit codes: 0 success, 2 configuration error, 3 infeasible size,
-4 numeric failure.
+Every config field is read here, through the typed readers below, into the
+library's model objects; a badly typed or malformed field exits 2 naming
+its key.  Every output artifact embeds the resolved configuration, the
+seed and a version string so reruns are reproducible (timing columns
+excepted).  Exit codes: 0 success, 2 configuration error, 3 infeasible
+size, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ import time
 
 from . import __version__
 from .channels import (
+    _BUILDERS,
     InvalidChannelError,
+    NormalFormChannel,
     Scrambler,
+    SingleQubitPTM,
     TwoDesign,
-    channel_from_json,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,
@@ -33,10 +37,14 @@ from .channels import (
 )
 from .circuits import (
     Circuit,
+    CliffordGate,
+    Gate,
+    Layer,
+    PauliRotation,
+    RandomSingleQubitClifford,
+    Square,
     build_hva,
     build_trotter_tfim,
-    circuit_from_json,
-    lattice_from_json,
     sample_circuit,
 )
 from .experiments import dynamics_series, sweep_table
@@ -49,12 +57,12 @@ from .montecarlo import (
 )
 from .oracle import InfeasibleSizeError, simulate_exact
 from .pauli import (
+    PauliString,
     PauliSum,
     ProductState,
     QubitCountMismatch,
     config_float,
     config_int,
-    config_triple,
 )
 from .propagation import FrontierOverflowError, TruncationConfig, backpropagate, expectation
 
@@ -70,35 +78,6 @@ class _ConfigObject(dict):
         raise ConfigError(f"config is missing {key!r}")
 
 
-def _int_value(obj: dict, key: str, *default) -> int:
-    """``obj[key]`` (or the default, if given, when absent) as an integer, else exit 2."""
-    return config_int(obj.get(key, *default) if default else obj[key], repr(key))
-
-
-def _float_value(obj: dict, key: str) -> float:
-    """``obj[key]`` as a finite number, else exit 2."""
-    return config_float(obj[key], repr(key))
-
-
-def _seed(args, obj: dict, default=0) -> int:
-    """The ``--seed`` option if given, else ``obj["seed"]`` (or ``default``) as an integer."""
-    return args.seed if args.seed is not None else _int_value(obj, "seed", default)
-
-
-def _object(obj: dict, key: str) -> dict:
-    """``obj[key]`` if it is a JSON object, else exit 2 naming the key."""
-    value = obj[key]
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key!r} must be an object, not {value!r}")
-    return value
-
-
-def _lattice_and_noise(obj: dict):
-    """The ``lattice`` object and the optional ``noise`` channel of a builder config."""
-    noise = None if obj.get("noise") is None else channel_from_json(_object(obj, "noise"))
-    return lattice_from_json(_object(obj, "lattice")), noise
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -107,14 +86,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
     return value
-
-
-def _list(obj: dict, key: str, convert, kind: str) -> list:
-    """``obj[key]`` as a list of ``kind``, each entry read by ``convert``; else exit 2."""
-    values = obj[key]
-    if not isinstance(values, list):
-        raise ConfigError(f"{key!r} must be a list of {kind}, not {values!r}")
-    return [convert(v, f"{key!r} entry") for v in values]
 
 
 def _version_string() -> str:
@@ -146,35 +117,166 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _resolve_state(spec, n: int) -> ProductState:
-    if spec in (None, "zeros"):
-        return ProductState.zeros(n)
-    if isinstance(spec, list):
-        state = ProductState.from_vectors([config_triple(v, "'state' Bloch vector") for v in spec])
-        if state.n != n:
-            raise ConfigError(f"state has {state.n} qubits, circuit has {n}")
-        return state
-    raise ConfigError(f"unknown state spec {spec!r}")
+# --- typed readers --------------------------------------------------------------------
+# A value reader takes ``(value, name)`` and a field reader ``(obj, key)``; each
+# returns the value as its type or raises a ValueError (exit 2) naming the field.
 
 
-def _resolve_circuit(cfg: dict, seed: int) -> tuple[Circuit, dict]:
-    """Build the circuit (sampling templates) and return it with the resolved spec."""
-    spec = cfg.get("circuit")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'circuit' object")
-    template = _circuit_template(spec)
-    resolved = dict(spec)
-    if template.is_template():
-        template = sample_circuit(template, seed)
-        resolved["sampled_with_seed"] = seed
-    return template, resolved
+def _int_value(obj: dict, key: str, *default) -> int:
+    """``obj[key]`` (or the default, if given, when absent) as an integer, else exit 2."""
+    return config_int(obj.get(key, *default) if default else obj[key], repr(key))
 
 
-def _circuit_template(spec: dict) -> Circuit:
+def _float_value(obj: dict, key: str) -> float:
+    """``obj[key]`` as a finite number, else exit 2."""
+    return config_float(obj[key], repr(key))
+
+
+def _seed(args, obj: dict, default=0) -> int:
+    """The ``--seed`` option if given, else ``obj["seed"]`` (or ``default``) as an integer."""
+    return args.seed if args.seed is not None else _int_value(obj, "seed", default)
+
+
+def _as_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object, else exit 2 naming it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, not {value!r}")
+    return value
+
+
+def _object(obj: dict, key: str) -> dict:
+    """``obj[key]`` if it is a JSON object, else exit 2 naming the key."""
+    return _as_object(obj[key], repr(key))
+
+
+def _string(obj: dict, key: str) -> str:
+    """``obj[key]`` if it is a string, else exit 2 naming the key."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"{key!r} must be a string, not {value!r}")
+    return value
+
+
+def _list(obj: dict, key: str, convert, kind: str, *default) -> list:
+    """``obj[key]`` (or the default, if given) as a list of ``kind``, entries read by ``convert``."""
+    values = obj.get(key, *default) if default else obj[key]
+    if not isinstance(values, list):
+        raise ConfigError(f"{key!r} must be a list of {kind}, not {values!r}")
+    return [convert(v, f"{key!r} entry") for v in values]
+
+
+def _optional(obj: dict, key: str, convert, default=None):
+    """``obj[key]`` read by the value reader ``convert``; ``default`` when absent or null."""
+    value = obj.get(key)
+    return default if value is None else convert(value, repr(key))
+
+
+def _triple(value, name: str) -> tuple[float, float, float]:
+    """A list of three finite numbers as floats (``config_float`` each); else exit 2."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{name} must be a list of three numbers, not {value!r}")
+    return tuple(config_float(v, f"{name} entry") for v in value)
+
+
+def _rotation(value, name: str) -> SingleQubitPTM:
+    """A 4x4 list of numbers that is the transfer matrix of a rotation, else exit 2."""
+    if not isinstance(value, list) or len(value) != 4 or not all(
+        isinstance(row, list) and len(row) == 4 for row in value
+    ):
+        raise ConfigError(f"{name} must be a 4x4 list of numbers, not {value!r}")
+    matrix = [[config_float(v, f"{name} entry") for v in row] for row in value]
+    try:
+        return SingleQubitPTM(matrix)
+    except ValueError as exc:
+        raise ConfigError(f"{name} is not a rotation: {exc}") from None
+
+
+def _channel(value, name: str) -> NormalFormChannel:
+    """A channel: a builder ``kind`` with its ``param``, or ``custom`` with ``D`` and ``t``.
+
+    A custom channel's optional ``pre`` and ``post`` are rotations.
+    """
+    spec = _as_object(value, name)
+    kind = spec.get("kind")
+    if isinstance(kind, str) and kind in _BUILDERS:
+        return _BUILDERS[kind](_float_value(spec, "param"))
+    if kind == "custom":
+        return NormalFormChannel(
+            _triple(spec["D"], "'D'"),
+            _triple(spec["t"], "'t'"),
+            pre=_optional(spec, "pre", _rotation),
+            post=_optional(spec, "post", _rotation),
+        )
+    kinds = ["custom", *sorted(_BUILDERS)]
+    raise InvalidChannelError(f"'kind' must be one of {kinds}, not {kind!r}")
+
+
+def _lattice(value, name: str) -> Square:
+    """A ``chain`` of ``n`` sites or a ``square`` of ``rows`` x ``cols``, maybe ``periodic``."""
+    spec = _as_object(value, name)
+    kind = spec.get("type")
+    periodic = spec.get("periodic", False)
+    if not isinstance(periodic, bool):
+        raise ConfigError(f"'periodic' must be true or false, not {periodic!r}")
+    if kind == "chain":
+        return Square(1, _int_value(spec, "n"), periodic)
+    if kind == "square":
+        return Square(_int_value(spec, "rows"), _int_value(spec, "cols"), periodic)
+    raise ConfigError(f"unknown lattice type {kind!r}")
+
+
+def _gate(value, name: str) -> Gate:
+    """A gate on its ``support``: ``rot``, ``clifford`` (by ``name``) or ``random_clifford``.
+
+    A rotation's ``angle`` is a number, or "uniform" for a placeholder.
+    """
+    spec = _as_object(value, name)
+    kind = spec["type"]
+    if kind not in ("rot", "clifford", "random_clifford"):
+        raise ConfigError(f"unknown gate type {kind!r}")
+    support = tuple(_list(spec, "support", config_int, "integers"))
+    if kind == "clifford":
+        return CliffordGate(_string(spec, "name"), support)
+    if kind == "random_clifford":
+        if len(support) != 1:
+            raise ConfigError(f"'support' of random_clifford must be one qubit, not {support!r}")
+        return RandomSingleQubitClifford(support[0])
+    angle = spec["angle"]
+    return PauliRotation(
+        PauliString.from_label(_string(spec, "generator")),
+        support,
+        None if angle == "uniform" else config_float(angle, "'angle'"),
+    )
+
+
+def _circuit(spec: dict) -> Circuit:
+    """A custom circuit: ``n``, ``layers`` of ``gates`` and ``noise``, and a ``final_layer``.
+
+    A layer's noise is one channel for every qubit, or a list of channels
+    and nulls, one per qubit.
+    """
+    n = _int_value(spec, "n")
+    layers = []
+    for layer in _list(spec, "layers", _as_object, "objects", []):
+        noise = layer.get("noise")
+        if isinstance(noise, list):
+            noise = tuple(None if ch is None else _channel(ch, "'noise' entry") for ch in noise)
+        elif noise is not None:
+            noise = (_channel(noise, "'noise'"),) * n
+        layers.append(Layer(tuple(_list(layer, "gates", _gate, "gates", [])), noise))
+    final = None
+    if spec.get("final_layer"):  # an empty list is no final layer
+        final = Layer(tuple(_list(spec, "final_layer", _gate, "gates")))
+    return Circuit(n, tuple(layers), final)
+
+
+def _circuit_template(cfg: dict) -> Circuit:
+    """The ``circuit`` object: a custom circuit, or a ``builder`` and its parameters."""
+    spec = _object(cfg, "circuit")
     builder = spec.get("builder")
     if builder is None:
-        return circuit_from_json(spec)
-    lattice, noise = _lattice_and_noise(spec)
+        return _circuit(spec)
+    lattice, noise = _lattice(spec["lattice"], "'lattice'"), _optional(spec, "noise", _channel)
     if builder == "hva":
         angles = spec.get("angles", "uniform")
         angle = None if angles == "uniform" else config_float(angles, "'angles'")
@@ -192,25 +294,49 @@ def _circuit_template(spec: dict) -> Circuit:
     raise ConfigError(f"unknown builder {builder!r}")
 
 
+def _resolve_circuit(cfg: dict, seed: int) -> tuple[Circuit, dict]:
+    """Build the circuit (sampling templates) and return it with the resolved spec."""
+    template = _circuit_template(cfg)
+    resolved = dict(cfg["circuit"])
+    if template.is_template():
+        template = sample_circuit(template, seed)
+        resolved["sampled_with_seed"] = seed
+    return template, resolved
+
+
+def _resolve_state(spec, n: int) -> ProductState:
+    if spec in (None, "zeros"):
+        return ProductState.zeros(n)
+    if isinstance(spec, list):
+        state = ProductState.from_vectors([_triple(v, "'state' Bloch vector") for v in spec])
+        if state.n != n:
+            raise ConfigError(f"state has {state.n} qubits, circuit has {n}")
+        return state
+    raise ConfigError(f"unknown state spec {spec!r}")
+
+
 def _resolve_observable(cfg: dict, n: int) -> PauliSum:
-    spec = cfg.get("observable")
-    if spec is None:
-        raise ConfigError("config needs an 'observable' list")
-    if not isinstance(spec, list) or not all(
-        isinstance(t, dict) and isinstance(t["pauli"], str) for t in spec
-    ):
-        raise ConfigError(f"'observable' must be a list of {{pauli, coeff}} objects, not {spec!r}")
-    obs = PauliSum.from_json_obj(spec)
+    terms = _list(cfg, "observable", _as_object, "{pauli, coeff} objects")
+    for term in terms:
+        _string(term, "pauli")  # PauliSum.from_json_obj reads the coefficients
+    obs = PauliSum.from_json_obj(terms)
     if obs.n != n:
         raise ConfigError(f"observable has {obs.n} qubits, circuit has {n}")
     return obs
 
 
 def _resolve_trunc(cfg: dict) -> TruncationConfig:
-    spec = cfg.get("truncation")
-    if spec is None:
-        return TruncationConfig()
-    return TruncationConfig.from_json_obj(spec)
+    """The optional ``truncation`` object; an absent or null cutoff in it is none."""
+    spec = _optional(cfg, "truncation", _as_object, {})
+    return TruncationConfig(
+        _optional(spec, "k", config_int),
+        _optional(spec, "coeff_cutoff", config_float, 0.0),
+        _optional(spec, "xy_cutoff", config_int),
+        _optional(spec, "current_weight_cutoff", config_int),
+    )
+
+
+# --- output --------------------------------------------------------------------------
 
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
@@ -247,10 +373,8 @@ def cmd_channel_info(args) -> int:
     if args.channel:
         spec = json.loads(args.channel, object_hook=_ConfigObject)
     else:
-        spec = _load_config(args).get("channel")
-    if not isinstance(spec, dict):
-        raise ConfigError("provide --channel JSON or a config with a 'channel' object")
-    ch = channel_from_json(spec)
+        spec = _load_config(args)["channel"]
+    ch = _channel(spec, "'channel'")
     worst, two = contraction_sq_worstcase(ch), contraction_sq_mean(ch, TwoDesign())
     info = {
         "D": list(ch.d),
@@ -310,7 +434,7 @@ def cmd_propagate(args) -> int:
     value = expectation(res, state)
     if math.isnan(value) or math.isinf(value):
         raise FloatingPointError("propagation produced a non-finite expectation")
-    payload["result"] = {"expectation": value, "stats": res.stats.to_json_obj()}
+    payload["result"] = {"expectation": value, "stats": dataclasses.asdict(res.stats)}
     _emit(args, payload)
     return 0
 
@@ -330,14 +454,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    est = cfg.get("estimator")
-    if not isinstance(est, dict):
-        raise ConfigError("config needs an 'estimator' object")
+    est = _object(cfg, "estimator")
     seed = _seed(args, est, cfg.get("seed", 0))
-    spec = cfg.get("circuit")
-    if not isinstance(spec, dict):
-        raise ConfigError("config needs a 'circuit' object")
-    template = _circuit_template(spec)
+    template = _circuit_template(cfg)
     observable = _resolve_observable(cfg, template.n)
     kind = est.get("functional")
     state = _resolve_state(est.get("state"), template.n)
@@ -352,7 +471,12 @@ def cmd_estimate(args) -> int:
     samples = _int_value(est, "samples", 100_000)
     result = mc_estimate(template, observable, functional, samples, seed)
     payload = _base_payload(args, cfg, seed)
-    payload["result"] = result.to_json_obj()
+    payload["result"] = {
+        "mean": result.mean,
+        "stderr": result.standard_error,
+        "samples": result.samples,
+        "nonzero_fraction": result.nonzero_fraction,
+    }
     _emit(args, payload)
     return 0
 
@@ -360,9 +484,8 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    lattice = lattice_from_json(_object(cfg, "lattice"))
     rows = sweep_table(
-        lattice,
+        _lattice(cfg["lattice"], "'lattice'"),
         _int_value(cfg, "blocks"),  # ansatz depth is always explicit
         cfg["noise_kind"],
         _list(cfg, "noise_grid", config_float, "numbers"),
@@ -382,14 +505,13 @@ def cmd_sweep(args) -> int:
 def cmd_dynamics(args) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
-    lattice, noise = _lattice_and_noise(cfg)
     rows = dynamics_series(
-        lattice,
+        _lattice(cfg["lattice"], "'lattice'"),
         _float_value(cfg, "J"),
         _float_value(cfg, "h"),
         _float_value(cfg, "dt"),
         _int_value(cfg, "steps", 0),
-        noise,
+        _optional(cfg, "noise", _channel),
         _resolve_trunc(cfg),
         cfg.get("noise_placement", "per_layer"),
         max_terms=args.max_terms,

@@ -92,14 +92,6 @@ class EstimateResult:
     seed: int
     nonzero_fraction: float
 
-    def to_json_obj(self) -> dict:
-        return {
-            "mean": self.mean,
-            "stderr": self.standard_error,
-            "samples": self.samples,
-            "nonzero_fraction": self.nonzero_fraction,
-        }
-
 
 def _noise_tables(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output law (proportional to the squared coefficient) and squared norm per row.

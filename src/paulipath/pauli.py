@@ -5,9 +5,10 @@ qubit, so weight and commutation checks reduce to popcounts.  No phase is
 stored on the string itself: products return a separate power of ``i`` and
 callers fold the resulting sign into real coefficients.  The overlap of a
 Pauli sum with a product state is ``propagation.expectation``, which works
-on the engine's columns.  ``config_int``, ``config_float`` and
-``config_triple`` live here, at the bottom of the import graph, so that
-every JSON parser in the package can use them.
+on the engine's columns.  ``config_int`` and ``config_float``, the checks
+on a config value, live here because ``PauliSum.from_json_obj`` reads a
+coefficient with ``config_float``; every other config field is read by
+``cli``.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ class QubitCountMismatch(ValueError):
     """Operands act on different numbers of qubits."""
 
 
-def config_int(value, name: str, expected: str = "an integer") -> int:
+def config_int(value, name: str) -> int:
     """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be {expected}, not {value!r}")
+        raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
 
 
@@ -42,13 +43,6 @@ def config_float(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, not {value!r}")
     return float(value)
-
-
-def config_triple(value, name: str) -> tuple[float, float, float]:
-    """A list of three finite reals as floats (``config_float`` each); else ``ValueError``."""
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValueError(f"{name} must be a list of three numbers, not {value!r}")
-    return tuple(config_float(v, f"{name} entry") for v in value)
 
 
 @dataclass(frozen=True)
@@ -218,12 +212,6 @@ class PauliSum:
     def frobenius_norm_sq(self) -> float:
         """Squared normalized Frobenius norm: the sum of squared coefficients."""
         return math.fsum(c * c for c in self._terms.values())
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"pauli": p.label(), "coeff": c}
-            for p, c in sorted(self._terms.items(), key=lambda kv: kv[0].label())
-        ]
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "PauliSum":

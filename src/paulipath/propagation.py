@@ -49,7 +49,6 @@ from .circuits import (
     PauliRotation,
     RandomSingleQubitClifford,
     clifford_adjoint_table,
-    noisy_units,
 )
 from .pauli import (
     BITS_TO_CODE,
@@ -58,8 +57,6 @@ from .pauli import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
-    config_float,
-    config_int,
 )
 
 
@@ -89,23 +86,6 @@ class TruncationConfig:
             if c is not None and c <= 0:
                 raise ValueError("count cutoffs must be positive")
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "TruncationConfig":
-        """Parse the config form; a badly typed value raises ``ValueError``."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"truncation must be an object, not {obj!r}")
-
-        def count(key: str) -> int | None:
-            v = obj.get(key)
-            return None if v is None else config_int(v, f"truncation {key!r}", "an integer or null")
-        coeff = obj.get("coeff_cutoff")
-        return cls(
-            path_weight_cutoff=count("k"),
-            coeff_cutoff=0.0 if coeff is None else config_float(coeff, "truncation 'coeff_cutoff'"),
-            xy_count_cutoff=count("xy_cutoff"),
-            current_weight_cutoff=count("current_weight_cutoff"),
-        )
-
 
 EXACT = TruncationConfig()
 
@@ -118,9 +98,6 @@ class BackpropStats:
     paths_discarded_by_current_weight: int = 0
     peak_term_count: int = 0
     surviving_path_count: int = 0
-
-    def to_json_obj(self) -> dict:
-        return dict(self.__dict__)
 
 
 _WORD = (1 << 64) - 1
@@ -220,21 +197,21 @@ def _backward_ops(circuit: Circuit, crossed: bool = False) -> list:
 
     ``("layer", layer)`` applies a layer's gates, ``("noise", noise)`` a
     noise round and ``("boundary",)`` adds every term's current Pauli
-    weight to its accumulated weight.  A boundary goes before every noise
-    round except the first one the walk crosses; ``crossed`` says the
-    walk already crossed one before this circuit.
+    weight to its accumulated weight.  A noisy layer's noise round comes
+    before its gates, and a boundary before every noise round except the
+    first one the walk crosses; ``crossed`` says the walk already crossed
+    one before this circuit.
     """
-    units, trailing = noisy_units(circuit)
     ops: list = []
     if circuit.final_layer is not None:
         ops.append(("layer", circuit.final_layer))
-    ops.extend(("layer", layer) for layer in reversed(trailing))
-    for unit in reversed(units):
-        if crossed:
-            ops.append(("boundary",))
-        crossed = True
-        ops.append(("noise", unit[-1].noise))
-        ops.extend(("layer", layer) for layer in reversed(unit))
+    for layer in reversed(circuit.layers):
+        if layer.has_noise:
+            if crossed:
+                ops.append(("boundary",))
+            crossed = True
+            ops.append(("noise", layer.noise))
+        ops.append(("layer", layer))
     return ops
 
 

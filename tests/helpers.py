@@ -1,7 +1,7 @@
 """Shared generators: random noisy circuits built in two independent forms,
 hypothesis strategies for small noisy circuits, reference computations
 (the per-term product-state overlap, exact Heisenberg evolution on a dense
-tensor and the per-step dynamics series), and circuit and channel
+tensor and the per-step dynamics series), and circuit, channel and Pauli-sum
 diagnostics only the tests use."""
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from paulipath.channels import (
     WorstCase,
     contraction_sq_mean,
 )
-from paulipath.circuits import Layer, noisy_units
+from paulipath.circuits import Layer
 from paulipath.experiments import center_z
 from paulipath.oracle import _apply_matrix, _noise_ptms, clifford_forward_ptm, rotation_forward_ptm
 
@@ -183,8 +183,7 @@ def channels(draw) -> NormalFormChannel:
         return ch
     pre, post = (
         SingleQubitPTM(
-            rotation_ptm(draw(st.sampled_from("XYZ")), draw(st.floats(0.0, 2 * math.pi))),
-            unitary=True,
+            rotation_ptm(draw(st.sampled_from("XYZ")), draw(st.floats(0.0, 2 * math.pi)))
         )
         for _ in range(2)
     )
@@ -459,6 +458,44 @@ def reference_dynamics_series(
 # --- circuit and channel diagnostics ------------------------------------------------
 
 
+def noisy_units(circuit: Circuit) -> tuple[list[list[Layer]], list[Layer]]:
+    """Group layers into noise-terminated units plus a trailing noiseless run.
+
+    Each unit is a maximal run of noiseless layers followed by one noisy
+    layer; one unit corresponds to one damping round, which is where
+    path weight is sampled during backpropagation.
+    """
+    units: list[list[Layer]] = []
+    current: list[Layer] = []
+    for layer in circuit.layers:
+        current.append(layer)
+        if layer.has_noise:
+            units.append(current)
+            current = []
+    return units, current
+
+
+def backward_ops_by_units(circuit: Circuit, crossed: bool = False) -> list:
+    """``propagation._backward_ops`` built from ``noisy_units``: the unit form.
+
+    The final layer and the trailing noiseless run go first, then each unit
+    from the last: a boundary (unless no noise round was crossed yet), its
+    noise round and its layers in reverse.
+    """
+    units, trailing = noisy_units(circuit)
+    ops: list = []
+    if circuit.final_layer is not None:
+        ops.append(("layer", circuit.final_layer))
+    ops.extend(("layer", layer) for layer in reversed(trailing))
+    for unit in reversed(units):
+        if crossed:
+            ops.append(("boundary",))
+        crossed = True
+        ops.append(("noise", unit[-1].noise))
+        ops.extend(("layer", layer) for layer in reversed(unit))
+    return ops
+
+
 def noisy_layer_count(circuit: Circuit) -> int:
     return sum(1 for layer in circuit.layers if layer.has_noise)
 
@@ -497,3 +534,10 @@ def effective_depolarizing_rate(ch: NormalFormChannel, design: Design = WorstCas
             stacklevel=2,
         )
     return float(p)
+
+
+def pauli_sum_json(s: PauliSum) -> list[dict]:
+    """The terms as ``{"pauli", "coeff"}`` objects sorted by label: the config form."""
+    return [
+        {"pauli": p.label(), "coeff": c} for p, c in sorted(s.items(), key=lambda kv: kv[0].label())
+    ]

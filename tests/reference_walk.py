@@ -20,8 +20,8 @@ from paulipath.circuits import (
     Layer,
     PauliRotation,
     clifford_adjoint_table,
-    noisy_units,
 )
+from helpers import noisy_units
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,

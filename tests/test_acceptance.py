@@ -15,6 +15,7 @@ from helpers import (
     effective_depolarizing_rate,
     heisenberg_exact,
     noisy_layer_count,
+    noisy_units,
     truncate_to_last_layers,
 )
 from paulipath import (
@@ -44,7 +45,7 @@ from paulipath import (
     sample_circuit,
     simulate_exact,
 )
-from paulipath.circuits import Layer, noisy_units
+from paulipath.circuits import Layer
 from paulipath.experiments import center_z, dynamics_series, theory_contraction_sq
 from validation import validate_estimator
 

@@ -9,7 +9,7 @@ from gate_ensembles import (
     uniform_clifford_ensemble,
     verify_scrambler,
 )
-from helpers import adjoint_action, effective_depolarizing_rate
+from helpers import adjoint_action, effective_depolarizing_rate, pauli_sum_json
 from paulipath import (
     ChannelClass,
     InvalidChannelError,
@@ -25,9 +25,32 @@ from paulipath import (
     make_dephasing,
     make_depolarizing,
 )
-from paulipath.channels import NormalFormChannel, UnsupportedDesignError, channel_from_json
+from paulipath.channels import NormalFormChannel, SingleQubitPTM, UnsupportedDesignError
+from paulipath.cli import _channel
 
 GRID = [round(0.05 * i, 2) for i in range(1, 20)]
+
+
+class TestRotationPTM:
+    def test_rotations_and_half_turns_pass(self):
+        quarter = np.array([[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+        for m in (np.eye(4), quarter, np.diag([1.0, -1.0, -1.0, 1.0])):
+            assert np.array_equal(SingleQubitPTM(m).matrix, m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, 1.0, 1.0, 5.0]),  # not orthogonal
+            np.diag([1.0, 1.0, 1.0, -1.0]),  # a reflection: orthogonal, determinant -1
+            np.diag([1.0, -1.0, -1.0, -1.0]),  # the inversion of the Bloch ball
+            np.array([[1, 0, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),  # first column
+            np.diag([2.0, 1.0, 1.0, 1.0]),  # first row
+            np.eye(3),
+        ],
+    )
+    def test_other_matrices_are_rejected(self, m):
+        with pytest.raises(ValueError):
+            SingleQubitPTM(m)
 
 
 class TestBuilders:
@@ -92,7 +115,7 @@ class TestAdjointAction:
 
     def test_dephasing_x(self):
         acted = adjoint_action(make_dephasing(0.3), "X")
-        assert acted.to_json_obj() == [{"pauli": "X", "coeff": pytest.approx(0.4)}]
+        assert pauli_sum_json(acted) == [{"pauli": "X", "coeff": pytest.approx(0.4)}]
 
     @pytest.mark.parametrize(
         "ch",
@@ -100,7 +123,7 @@ class TestAdjointAction:
     )
     def test_identity_maps_to_identity(self, ch):
         acted = adjoint_action(ch, "I")
-        assert acted.to_json_obj() == [{"pauli": "I", "coeff": 1.0}]
+        assert pauli_sum_json(acted) == [{"pauli": "I", "coeff": 1.0}]
 
     @pytest.mark.parametrize(
         "ch",
@@ -226,17 +249,17 @@ class TestScramblerDiagnostics:
 
 class TestJson:
     def test_builder_kinds(self):
-        ch = channel_from_json({"kind": "amplitude_damping", "param": 0.36})
+        ch = _channel({"kind": "amplitude_damping", "param": 0.36}, "'noise'")
         assert ch.d == pytest.approx((0.8, 0.8, 0.64))
-        ch2 = channel_from_json({"kind": "custom", "D": list(ch.d), "t": list(ch.t)})
+        ch2 = _channel({"kind": "custom", "D": list(ch.d), "t": list(ch.t)}, "'noise'")
         assert ch2.d == pytest.approx(ch.d) and ch2.t == pytest.approx(ch.t)
 
     def test_custom_round_trip_with_rotation(self):
         ch = make_dephasing(0.8)  # carries a folded half-turn
         obj = {"kind": "custom", "D": list(ch.d), "t": list(ch.t), "post": ch.post.matrix.tolist()}
-        ch2 = channel_from_json(obj)
+        ch2 = _channel(obj, "'noise'")
         assert np.allclose(ch2.forward_ptm(), ch.forward_ptm(), atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidChannelError):
-            channel_from_json({"kind": "thermal"})
+            _channel({"kind": "thermal"}, "'noise'")

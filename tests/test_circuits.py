@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import dense_ref
-from helpers import noisy_layer_count, truncate_to_last_layers
+from helpers import noisy_layer_count, noisy_units, truncate_to_last_layers
 from paulipath import (
     Chain,
     Circuit,
@@ -21,13 +26,11 @@ from paulipath import (
 from paulipath.circuits import (
     Layer,
     NotCliffordError,
-    circuit_from_json,
     clifford_adjoint_table,
     clifford_group_1q,
     edge_coloring,
-    lattice_from_json,
-    noisy_units,
 )
+from paulipath.cli import _circuit, _lattice
 from paulipath.experiments import center_z
 
 
@@ -62,6 +65,22 @@ class TestCliffordTables:
     def test_unknown_gate(self):
         with pytest.raises(NotCliffordError):
             CliffordGate("T", (0,))
+
+    def test_word_names_do_not_depend_on_call_history(self):
+        # a fresh interpreter, where nothing has called clifford_group_1q yet
+        script = (
+            "from paulipath.circuits import CliffordGate, NotCliffordError\n"
+            "CliffordGate('HS', (0,))\n"
+            "try:\n    CliffordGate('T', (0,))\nexcept NotCliffordError:\n    pass\n"
+            "else:\n    raise SystemExit('T is not a Clifford')\n"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert fresh.returncode == 0, fresh.stderr
 
 
 class TestGateValidation:
@@ -271,7 +290,7 @@ class TestJsonInterface:
                 {"gates": z, "noise": damping},
             ],
         }
-        c = circuit_from_json(obj)
+        c = _circuit(obj)
         want = build_trotter_tfim(Chain(3), 1.5, 0.5, 0.1, 1, make_amplitude_damping(0.25))
         assert [layer.gates for layer in c.layers] == [layer.gates for layer in want.layers]
         assert _noise_params(c) == _noise_params(want)
@@ -284,7 +303,7 @@ class TestJsonInterface:
                 {"gates": [{"type": "rot", "generator": "X", "support": [0], "angle": "uniform"}]}
             ],
         }
-        c = circuit_from_json(obj)
+        c = _circuit(obj)
         assert c.layers[0].gates[0].angle is None
         assert c.is_template()
 
@@ -298,7 +317,7 @@ class TestJsonInterface:
                 }
             ],
         }
-        c = circuit_from_json(obj)
+        c = _circuit(obj)
         assert c.layers[0].noise[0].d == pytest.approx((1.0 - 0.2, 1.0 - 0.2, 1.0))
         assert c.layers[0].noise[1] is None
 
@@ -308,13 +327,15 @@ class TestJsonInterface:
             "layers": [],
             "final_layer": [{"type": "clifford", "name": "H", "support": [0]}],
         }
-        c = circuit_from_json(obj)
+        c = _circuit(obj)
         assert c.final_layer is not None
         assert c.final_layer.gates == (CliffordGate("H", (0,)),)
 
     def test_lattice_from_literal(self):
-        assert lattice_from_json({"type": "chain", "n": 5, "periodic": True}) == Chain(5, True)
-        assert lattice_from_json({"type": "square", "rows": 2, "cols": 3}) == Square(2, 3, False)
+        chain = {"type": "chain", "n": 5, "periodic": True}
+        assert _lattice(chain, "'lattice'") == Chain(5, True)
+        square = {"type": "square", "rows": 2, "cols": 3}
+        assert _lattice(square, "'lattice'") == Square(2, 3, False)
 
 
 class TestDisjointnessFuzz:

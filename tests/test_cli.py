@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -696,6 +700,88 @@ class TestCustomGateAndChannelFields:
         assert json.loads(out)["result"]["expectation"] == pytest.approx(
             0.49 * math.cos(0.7) + 0.51, abs=1e-12
         )
+
+
+def _custom(**fields) -> dict:
+    """A custom channel with D = (0.9, 0.9, 0.9), t = 0 and the given fields."""
+    return {"kind": "custom", "D": [0.9, 0.9, 0.9], "t": [0, 0, 0], **fields}
+
+
+def _diag(*entries) -> list:
+    return [[entries[i] if i == j else 0 for j in range(4)] for i in range(4)]
+
+
+# a ``post`` whose first column is (1, 0.5, 0, 0): it would give <X> = 1.4 on |+>
+_SHIFTED = [[1, 0, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+CHANNEL_ONLY_CONFIG = {
+    "circuit": {"n": 1, "layers": [{"gates": [], "noise": _custom()}]},
+    "observable": [{"pauli": "X", "coeff": 1.0}],
+    "state": [[1.0, 0.0, 0.0]],
+}
+
+
+class TestRotationFields:
+    @pytest.mark.parametrize(
+        "noise, key",
+        [
+            (_custom(pre=_diag(1, 1, 1, 5)), "pre"),  # not orthogonal
+            (_custom(post=_diag(1, 1, 1, -1)), "post"),  # a reflection
+            (_custom(post=_SHIFTED), "post"),  # first column is not (1, 0, 0, 0)
+            (_custom(pre="x"), "pre"),
+            (_custom(pre=[]), "pre"),
+            (_custom(post=_diag(1, 1, "1", 1)), "post"),
+            (_custom(pre=_diag(1, True, 1, 1)), "pre"),
+            (_custom(pre=[[1, 0, 0, 0]] * 3), "pre"),
+        ],
+    )
+    def test_non_rotation_exits_2_naming_it(self, tmp_path, capsys, noise, key):
+        cfg = write_config(tmp_path, _with(CHANNEL_ONLY_CONFIG, LAYER_NOISE, noise))
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_rotations_run(self, tmp_path, capsys):
+        # pre is a half-turn about z, post a quarter turn about z; the PTM's X row
+        # post[1] @ diag(1, 0.9, 0.9, 0.9) @ pre is (0, 0, 0.9, 0), so <X> = 0.9 r_y
+        quarter = [[1, 0, 0, 0], [0, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        noise = _custom(pre=_diag(1, -1, -1, 1), post=quarter)
+        cfg = _with(CHANNEL_ONLY_CONFIG, LAYER_NOISE, noise)
+        cfg["state"] = [[0.0, 1.0, 0.0]]
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["result"]["expectation"] == pytest.approx(0.9, abs=1e-12)
+
+
+class TestNames:
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            (_with(RX_DAMP_CONFIG, (*LAYER_NOISE, "kind"), ["dephasing"]), "kind"),
+            (_with(RX_DAMP_CONFIG, ROT_GATE, {"type": "clifford", "name": ["H"], "support": [0]}),
+             "name"),
+        ],
+    )
+    def test_unhashable_name_exits_2_naming_it(self, tmp_path, capsys, cfg, key):
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
+    def test_clifford_word_in_a_fresh_process(self, tmp_path, capsys):
+        # "HS" is one of the H/S words that name the 24 single-qubit Cliffords
+        gate = {"type": "clifford", "name": "HS", "support": [0]}
+        cfg = _with(RX_DAMP_CONFIG, ROT_GATE, gate)
+        cfg = write_config(tmp_path, {**cfg, "state": [[1, 0, 0]]})
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = "import sys; from paulipath.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, "propagate", "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        assert json.loads(fresh.stdout)["result"] == json.loads(out)["result"]
 
 
 class TestObjectFields:

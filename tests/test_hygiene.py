@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports, no dead definitions and no test-only code in the package.
+"""Source hygiene: no unused imports, no dead definitions, no test-only code in the package,
+and no config-format code outside the CLI.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
@@ -7,8 +8,11 @@ Every top-level function, class and constant is named somewhere in
 ``__init__`` exists to re-export, so it is not checked, but its imports
 count as references.  No such definition is named by ``tests/`` alone:
 code only the tests use belongs in ``tests/``, and there a re-export
-from ``__init__`` does not count as a use.  Only the standard library's
-``ast`` is used.
+from ``__init__`` does not count as a use.  ``cli`` alone reads and writes
+the config format: no other module defines a function or method with
+``json`` in its name (``PauliSum.from_json_obj`` excepted), and only
+``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  Only the
+standard library's ``ast`` is used.
 """
 
 import ast
@@ -175,3 +179,85 @@ def test_no_dead_definitions():
                   *(ROOT / "perfbench").rglob("*.py"))
     ]
     assert unreferenced_definitions(checked, others) == []
+
+
+def _functions(body: list, prefix: str = ""):
+    """Qualified names of the functions and methods defined in ``body``, nested ones too."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, ast.ClassDef):
+                yield prefix + node.name
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def config_format_outside_cli(modules: dict[str, str]) -> list[str]:
+    """``module: name`` for each config reader or writer, and each config check, outside ``cli``.
+
+    ``modules`` maps a module's file name to its source.
+    """
+    found = []
+    for module, source in modules.items():
+        if module == "cli.py":
+            continue
+        found += [
+            f"{module}: {name}"
+            for name in _functions(ast.parse(source).body)
+            if "json" in name.split(".")[-1] and name != "PauliSum.from_json_obj"
+        ]
+        if module != "pauli.py":
+            refs = _references(source)
+            checks = ("config_int", "config_float")
+            found += [f"{module}: names {name}" for name in checks if refs[name]]
+    return found
+
+
+def test_checker_flags_config_format_outside_cli():
+    # the readers and writers of the config format as they once were spread over the package
+    modules = {
+        "channels.py": (
+            "from .pauli import config_float, config_triple\n\n"
+            "def channel_from_json(obj):\n    return config_float(obj['param'], 'param')\n"
+        ),
+        "circuits.py": (
+            "from .pauli import config_float, config_int\n\n"
+            "def gate_from_json(obj):\n    pass\n\n"
+            "def _noise_from_json(obj, n):\n    pass\n\n"
+            "def circuit_from_json(obj):\n    pass\n\n"
+            "def lattice_from_json(obj):\n    pass\n"
+        ),
+        "propagation.py": (
+            "from . import pauli\n\n"
+            "class TruncationConfig:\n"
+            "    @classmethod\n    def from_json_obj(cls, obj):\n"
+            "        return pauli.config_int(obj['k'], 'k')\n\n"
+            "class BackpropStats:\n    def to_json_obj(self):\n        pass\n"
+        ),
+        "montecarlo.py": "class EstimateResult:\n    def to_json_obj(self):\n        pass\n",
+        "pauli.py": (
+            "def config_float(value, name):\n    pass\n\n"
+            "def config_triple(value, name):\n    return config_float(value, name)\n\n"
+            "class PauliSum:\n    def to_json_obj(self):\n        pass\n\n"
+            "    @classmethod\n    def from_json_obj(cls, obj):\n        pass\n"
+        ),
+        "cli.py": "from .pauli import config_int\n\ndef _read_json(text):\n    pass\n",
+    }
+    assert config_format_outside_cli(modules) == [
+        "channels.py: channel_from_json",
+        "channels.py: names config_float",
+        "circuits.py: gate_from_json",
+        "circuits.py: _noise_from_json",
+        "circuits.py: circuit_from_json",
+        "circuits.py: lattice_from_json",
+        "circuits.py: names config_int",
+        "circuits.py: names config_float",
+        "propagation.py: TruncationConfig.from_json_obj",
+        "propagation.py: BackpropStats.to_json_obj",
+        "propagation.py: names config_int",
+        "montecarlo.py: EstimateResult.to_json_obj",
+        "pauli.py: PauliSum.to_json_obj",
+    ]
+
+
+def test_no_config_format_outside_cli():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert config_format_outside_cli(modules) == []

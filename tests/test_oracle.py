@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import heisenberg_exact
+from helpers import heisenberg_exact, pauli_sum_json
 from paulipath import (
     Circuit,
     InfeasibleSizeError,
@@ -85,7 +85,7 @@ class TestSimulateExact:
 class TestHeisenbergExact:
     def test_identity(self):
         obs = PauliSum.from_strings([("XZ", 0.3), ("YI", -0.2)])
-        assert heisenberg_exact(Circuit(2, ()), obs).to_json_obj() == obs.to_json_obj()
+        assert pauli_sum_json(heisenberg_exact(Circuit(2, ()), obs)) == pauli_sum_json(obs)
 
     def test_depolarizing_layer_scales_by_weight(self):
         p = 0.2

@@ -15,9 +15,11 @@ from paulipath import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
+    Square,
     TruncationConfig,
     backpropagate,
     build_hva,
+    build_trotter_tfim,
     expectation,
     make_amplitude_damping,
     make_dephasing,
@@ -26,9 +28,11 @@ from paulipath import (
     simulate_exact,
 )
 from paulipath.circuits import Layer, PauliRotation, RandomSingleQubitClifford
+from paulipath.cli import _resolve_trunc
 from paulipath.propagation import (
     EXACT,
     FrontierOverflowError,
+    _backward_ops,
     _Frontier,
     _join_words,
     _split_words,
@@ -62,18 +66,18 @@ class TestTruncationConfig:
 
     def test_json_round_trip(self):
         obj = {"k": 30, "coeff_cutoff": 2**-23, "xy_cutoff": 5, "current_weight_cutoff": None}
-        assert TruncationConfig.from_json_obj(obj) == TruncationConfig(30, 2**-23, 5, None)
-        assert TruncationConfig.from_json_obj({"current_weight_cutoff": 4}) == TruncationConfig(
+        assert _resolve_trunc({"truncation": obj}) == TruncationConfig(30, 2**-23, 5, None)
+        assert _resolve_trunc({"truncation": {"current_weight_cutoff": 4}}) == TruncationConfig(
             current_weight_cutoff=4
         )
-        assert TruncationConfig.from_json_obj({}) == EXACT
+        assert _resolve_trunc({"truncation": {}}) == EXACT
 
 
 class TestBackpropagate:
     def test_identity_circuit_passthrough(self):
         obs = PauliSum.from_strings([("XZ", 0.4), ("IY", -0.3)])
         res = backpropagate(Circuit(2, ()), obs, TruncationConfig(path_weight_cutoff=5))
-        assert res.terms.to_json_obj() == obs.to_json_obj()
+        assert helpers.pauli_sum_json(res.terms) == helpers.pauli_sum_json(obs)
 
     @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_rx_damping_exact_terms(self, engine):
@@ -91,7 +95,7 @@ class TestBackpropagate:
         p, layers_count = 0.1, 4
         c = Circuit(3, tuple(Layer((), (make_depolarizing(p),) * 3) for _ in range(layers_count)))
         res = backpropagate(c, PauliSum.single("ZIZ"))
-        assert res.terms.to_json_obj() == [
+        assert helpers.pauli_sum_json(res.terms) == [
             {"pauli": "ZIZ", "coeff": pytest.approx((1 - p) ** (layers_count * 2))}
         ]
 
@@ -158,7 +162,7 @@ class TestBackpropagate:
     def test_seed_terms_above_cutoff_are_dropped(self, engine):
         obs = PauliSum.from_strings([("ZZZ", 1.0), ("ZII", 0.5)])
         res = WALKS[engine](Circuit(3, ()), obs, TruncationConfig(path_weight_cutoff=2))
-        assert res.terms.to_json_obj() == [{"pauli": "ZII", "coeff": 0.5}]
+        assert helpers.pauli_sum_json(res.terms) == [{"pauli": "ZII", "coeff": 0.5}]
         assert res.stats.paths_discarded_by_weight == 1
 
     @pytest.mark.parametrize("engine", sorted(WALKS))
@@ -538,6 +542,34 @@ def _assert_same_frontier(got, want):
     np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-12)
     assert got.stats.surviving_path_count == want.stats.surviving_path_count
     assert got.crossed_noise == want.crossed_noise
+
+
+class TestBackwardOps:
+    """The layer-by-layer walk emits the op list of the unit form, op for op."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_circuits_match_unit_form(self, data):
+        n = data.draw(st.integers(1, 4))
+        circuit = data.draw(
+            st.one_of(helpers.noisy_circuits(n, depth_max=6), helpers.templates(n, depth_max=6))
+        )
+        crossed = data.draw(st.booleans())
+        assert _backward_ops(circuit, crossed) == helpers.backward_ops_by_units(circuit, crossed)
+
+    @pytest.mark.parametrize("crossed", [False, True])
+    def test_builders_match_unit_form(self, crossed):
+        ch = make_amplitude_damping(0.1)
+        for circuit in (
+            build_hva(Square(2, 3), ch, 2),
+            build_hva(Chain(4, periodic=True), ch, 3, noise_placement="per_block"),
+            build_hva(Chain(3), None, 1),
+            build_trotter_tfim(Square(2, 2, periodic=True), 1.0, 0.5, 0.1, 2, ch),
+            build_trotter_tfim(Chain(5), 1.0, 0.5, 0.1, 3, ch, "per_step"),
+        ):
+            ops = _backward_ops(circuit, crossed)
+            assert ops == helpers.backward_ops_by_units(circuit, crossed)
+            assert sum(op[0] == "noise" for op in ops) == helpers.noisy_layer_count(circuit)
 
 
 class TestAgainstReference:
