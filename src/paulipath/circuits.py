@@ -93,6 +93,18 @@ def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
     return _ADJ_TABLES[name]
 
 
+def clifford_forward_ptm(name: str) -> np.ndarray:
+    """Forward PTM of a named Clifford: ``w[p, q] = sign`` when U^dag P_p U = sign * P_q.
+
+    Row p is the adjoint image of P_p, as in a channel's ``forward_ptm``.
+    """
+    table = clifford_adjoint_table(name)
+    w = np.zeros((len(table), len(table)))
+    for p, (q, sign) in enumerate(table):
+        w[p, q] = sign
+    return w
+
+
 _GROUP_NAMES: list[str] | None = None
 
 
@@ -146,7 +158,7 @@ class PauliRotation:
         if self.generator.weight != self.generator.n:
             raise ValueError("generator must be non-identity on every support site")
 
-    def embedded_masks(self, n: int) -> tuple[int, int]:
+    def embedded_masks(self) -> tuple[int, int]:
         gx = gz = 0
         for i, q in enumerate(self.support):
             gx |= ((self.generator.x >> i) & 1) << q

@@ -144,11 +144,6 @@ def _as_object(value, name: str) -> dict:
     return value
 
 
-def _object(obj: dict, key: str) -> dict:
-    """``obj[key]`` if it is a JSON object, else exit 2 naming the key."""
-    return _as_object(obj[key], repr(key))
-
-
 def _string(obj: dict, key: str) -> str:
     """``obj[key]`` if it is a string, else exit 2 naming the key."""
     value = obj[key]
@@ -176,6 +171,13 @@ def _triple(value, name: str) -> tuple[float, float, float]:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{name} must be a list of three numbers, not {value!r}")
     return tuple(config_float(v, f"{name} entry") for v in value)
+
+
+def _pauli(value, name: str) -> PauliString:
+    """A non-empty label over I, X, Y, Z (qubit 0 first) as a Pauli string, else exit 2."""
+    if not isinstance(value, str) or not value or not set(value.upper()) <= set("IXYZ"):
+        raise ConfigError(f"{name} must be a non-empty label over I, X, Y, Z, not {value!r}")
+    return PauliString.from_label(value)
 
 
 def _rotation(value, name: str) -> SingleQubitPTM:
@@ -243,7 +245,7 @@ def _gate(value, name: str) -> Gate:
         return RandomSingleQubitClifford(support[0])
     angle = spec["angle"]
     return PauliRotation(
-        PauliString.from_label(_string(spec, "generator")),
+        _pauli(spec["generator"], "'generator'"),
         support,
         None if angle == "uniform" else config_float(angle, "'angle'"),
     )
@@ -272,7 +274,7 @@ def _circuit(spec: dict) -> Circuit:
 
 def _circuit_template(cfg: dict) -> Circuit:
     """The ``circuit`` object: a custom circuit, or a ``builder`` and its parameters."""
-    spec = _object(cfg, "circuit")
+    spec = _as_object(cfg["circuit"], "'circuit'")
     builder = spec.get("builder")
     if builder is None:
         return _circuit(spec)
@@ -316,13 +318,12 @@ def _resolve_state(spec, n: int) -> ProductState:
 
 
 def _resolve_observable(cfg: dict, n: int) -> PauliSum:
+    """The ``observable``: ``{pauli, coeff}`` terms, each on the circuit's n qubits."""
     terms = _list(cfg, "observable", _as_object, "{pauli, coeff} objects")
     for term in terms:
-        _string(term, "pauli")  # PauliSum.from_json_obj reads the coefficients
-    obs = PauliSum.from_json_obj(terms)
-    if obs.n != n:
-        raise ConfigError(f"observable has {obs.n} qubits, circuit has {n}")
-    return obs
+        if _pauli(term["pauli"], "'pauli'").n != n:
+            raise ConfigError(f"'pauli' {term['pauli']!r} is not a label on the circuit's {n} qubits")
+    return PauliSum.from_json_obj(terms)  # which reads the coefficients
 
 
 def _resolve_trunc(cfg: dict) -> TruncationConfig:
@@ -360,10 +361,8 @@ def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _base_payload(args, cfg: dict, seed: int) -> dict:
-    resolved = dict(cfg)
-    resolved["seed"] = seed
-    return {"version": _version_string(), "config": resolved}
+def _base_payload(cfg: dict, seed: int) -> dict:
+    return {"version": _version_string(), "config": {**cfg, "seed": seed}}
 
 
 # --- subcommands -------------------------------------------------------------------
@@ -403,7 +402,7 @@ def cmd_propagate(args) -> int:
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
     trunc = _resolve_trunc(cfg)
-    payload = _base_payload(args, cfg, seed)
+    payload = _base_payload(cfg, seed)
     payload["config"]["circuit"] = resolved_circuit
 
     if "k_sweep" in cfg:
@@ -445,7 +444,7 @@ def cmd_oracle(args) -> int:
     circuit, resolved_circuit = _resolve_circuit(cfg, seed)
     observable = _resolve_observable(cfg, circuit.n)
     state = _resolve_state(cfg.get("state"), circuit.n)
-    payload = _base_payload(args, cfg, seed)
+    payload = _base_payload(cfg, seed)
     payload["config"]["circuit"] = resolved_circuit
     payload["result"] = {"expectation": simulate_exact(circuit, state, observable)}
     _emit(args, payload)
@@ -454,7 +453,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_estimate(args) -> int:
     cfg = _load_config(args)
-    est = _object(cfg, "estimator")
+    est = _as_object(cfg["estimator"], "'estimator'")
     seed = _seed(args, est, cfg.get("seed", 0))
     template = _circuit_template(cfg)
     observable = _resolve_observable(cfg, template.n)
@@ -470,7 +469,7 @@ def cmd_estimate(args) -> int:
         raise ConfigError(f"unknown functional {kind!r}")
     samples = _int_value(est, "samples", 100_000)
     result = mc_estimate(template, observable, functional, samples, seed)
-    payload = _base_payload(args, cfg, seed)
+    payload = _base_payload(cfg, seed)
     payload["result"] = {
         "mean": result.mean,
         "stderr": result.standard_error,
@@ -496,7 +495,7 @@ def cmd_sweep(args) -> int:
         threads=args.threads,
         noise_placement=cfg.get("noise_placement", "per_block"),
     )
-    payload = _base_payload(args, cfg, seed)
+    payload = _base_payload(cfg, seed)
     payload["columns"] = ["noise_param", "k", "estimate", "stderr", "theory_bound"]
     _emit(args, payload, rows)
     return 0
@@ -516,7 +515,7 @@ def cmd_dynamics(args) -> int:
         cfg.get("noise_placement", "per_layer"),
         max_terms=args.max_terms,
     )
-    payload = _base_payload(args, cfg, seed)
+    payload = _base_payload(cfg, seed)
     payload["columns"] = ["t", "expectation", "surviving_paths"]
     _emit(args, payload, rows)
     return 0

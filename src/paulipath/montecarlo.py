@@ -96,17 +96,14 @@ class EstimateResult:
 def _noise_tables(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output law (proportional to the squared coefficient) and squared norm per row.
 
-    Row a of a channel's forward PTM expands N^dag(P_a) over output Paulis.
+    Row a of a channel's transfer matrix expands the adjoint image of input a
+    over the output Paulis I, X, Y, Z.
     """
     sq = ptm**2
     norm = sq.sum(axis=1)
-    prob = np.zeros((4, 4))
-    for a in range(4):
-        if norm[a] > 0.0:
-            prob[a] = sq[a] / norm[a]
-        else:
-            prob[a, 0] = 1.0  # dead branch; the zero norm kills its contribution
-    return prob, norm
+    # a dead row draws I; its zero norm kills the contribution
+    dead = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    return np.divide(sq, norm[:, None], out=dead, where=norm[:, None] > 0.0), norm
 
 
 # --- compiled vectorized walk ------------------------------------------------------
@@ -138,8 +135,8 @@ def _compile_steps(circuit: Circuit) -> list:
                 )
             steps.append(("flip", reads, writes))
         elif kind == "noise":
-            _, q, ptm = step
-            prob, norm = _noise_tables(ptm)
+            (q,), rows = step[1], step[5]
+            prob, norm = _noise_tables(rows)
             # the thresholds keep the I, X, Y, Z output order of the site-code
             # law (the fourth, the row total, is 1)
             t0, t1, t2 = np.cumsum(prob, axis=1)[:, :3].T

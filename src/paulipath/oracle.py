@@ -13,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, PauliRotation, clifford_adjoint_table
+from .circuits import Circuit, PauliRotation, clifford_forward_ptm
 from .pauli import (
     PauliString,
     PauliSum,
@@ -90,16 +90,6 @@ def rotation_forward_ptm(generator: PauliString, angle: float) -> np.ndarray:
             r, m = multiply(generator, pstr)
             sign = 1.0 if (m + 1) % 4 == 0 else -1.0  # i*G*P = i^(m+1)*R, m odd
             w[_joint_index(r.codes()), p] = -s * sign
-    return w
-
-
-def clifford_forward_ptm(name: str) -> np.ndarray:
-    table = clifford_adjoint_table(name)
-    dim = len(table)
-    w = np.zeros((dim, dim))
-    for p, (q, sign) in enumerate(table):
-        # U^dag P_p U = sign * P_q, so U P_q U^dag = sign * P_p
-        w[p, q] = sign
     return w
 
 

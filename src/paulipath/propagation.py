@@ -18,12 +18,15 @@ and coefficients of the m terms.  A merge sorts the rows stably by
 2n + bits(max w) <= 64 the sort key is one packed uint64 word per row,
 else it is the columns themselves; the order is the same.
 
-``_compile`` turns a circuit into its backward program, one step per
-gate, noised qubit and weight boundary, with the gate masks and lookup
-tables built once.  ``backpropagate``, the one engine entry, runs that
-program on sampled circuits and rejects a template at entry; the Monte
-Carlo walk in ``montecarlo`` samples paths, placeholders included,
-through the same program with the same parity, fold and Clifford kernels.
+``_compile`` turns a circuit into its backward program in one pass, one
+step per gate, noised qubit and weight boundary, with the masks and
+tables built once.  A fixed Clifford and a noise channel are one kind of
+step, built by ``_local_step`` from the forward PTM and run by one
+kernel: each input's first output in place, further outputs appended.
+``backpropagate``, the one engine entry, runs that program on sampled
+circuits and rejects a template at entry; the Monte Carlo walk in
+``montecarlo`` samples paths, placeholders included, through the same
+program with the same parity, fold and delta kernels.
 Weights accumulate only under a path-weight cutoff; without one every
 row has weight 0.  The run at cutoff k_max holds the run at every
 smaller k as its rows with w < k, and ``kept_below(k)`` returns that run
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,11 +51,10 @@ from .circuits import (
     CliffordGate,
     PauliRotation,
     RandomSingleQubitClifford,
-    clifford_adjoint_table,
+    clifford_forward_ptm,
 )
 from .pauli import (
     BITS_TO_CODE,
-    CODE_TO_BITS,
     PauliString,
     PauliSum,
     ProductState,
@@ -192,68 +194,77 @@ class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
 
-def _backward_ops(circuit: Circuit, crossed: bool = False) -> list:
-    """The circuit as backward-walk operations, last layer first.
+def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
+    """A Clifford (``source`` its name) or a channel on ``support`` as a step, from its forward PTM.
 
-    ``("layer", layer)`` applies a layer's gates, ``("noise", noise)`` a
-    noise round and ``("boundary",)`` adds every term's current Pauli
-    weight to its accumulated weight.  A noisy layer's noise round comes
-    before its gates, and a boundary before every noise round except the
-    first one the walk crosses; ``crossed`` says the walk already crossed
-    one before this circuit.
+    Inputs are joint bit pairs (support[0] in the high bits); row i of
+    ``rows`` is input i's adjoint image over outputs in joint site-code
+    order.  Input i's first non-zero output is applied in place, by XOR
+    ``deltas`` ``(word, dx, dz)`` and ``coeffs[i]`` (0 drops the input);
+    each further output is an extra ``(i, masks, coeff)`` whose XOR masks
+    take the first output to it, in input-then-output order.  The identity
+    input is left untouched.
     """
-    ops: list = []
-    if circuit.final_layer is not None:
-        ops.append(("layer", circuit.final_layer))
-    for layer in reversed(circuit.layers):
-        if layer.has_noise:
-            if crossed:
-                ops.append(("boundary",))
-            crossed = True
-            ops.append(("noise", layer.noise))
-        ops.append(("layer", layer))
-    return ops
+    shifts = (2, 0)[2 - len(support):]  # of each support qubit's pair in a joint code
+    size, words = 4 ** len(support), sorted({q >> 6 for q in support})
+    # joint site code of each joint bit pair, and back: the map is an involution
+    flip = [sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts) for i in range(size)]
+    ptm = clifford_forward_ptm(source) if kind == "cliff" else source.forward_ptm()
+    rows = ptm[flip]
+
+    def masks(diff: int) -> list:
+        """``(word, dx, dz)`` per support word for the joint bit-pair change ``diff``."""
+        # a pair's x bit is bit s of the joint code and its z bit is bit s + 1
+        d = [sum(((diff >> (s + b)) & 1) << q for q, s in zip(support, shifts)) for b in (0, 1)]
+        return [(j, *(np.uint64((v >> 64 * j) & _WORD) for v in d)) for j in words]
+
+    deltas = [(j, np.zeros(size, np.uint64), np.zeros(size, np.uint64)) for j in words]
+    coeffs, extras = np.ones(size), []
+    for i in range(1, size):
+        outs = [(flip[o], c) for o, c in enumerate(rows[i]) if c != 0.0]
+        (first, coeffs[i]), *rest = outs or [(i, 0.0)]
+        for (_, dx, dz), (_, mx, mz) in zip(deltas, masks(i ^ first)):
+            dx[i], dz[i] = mx, mz
+        extras += [(i, masks(first ^ o), c) for o, c in rest]
+    return (kind, support, tuple(deltas), coeffs, tuple(extras), rows)
 
 
 def _compile(circuit: Circuit, crossed: bool = False) -> list:
-    """The backward program: ``_backward_ops`` as steps on word-major x/z masks.
+    """The backward program: the circuit as steps on word-major x/z masks.
 
-    Both the propagation engine and the Monte Carlo walk run these steps:
+    The final layer comes first, then the layers from the last, each noise
+    round before its layer's gates.  The engine and the walk run these steps:
 
     - ``("rot", reads, writes, phase, angle)``, a Pauli rotation (``angle``
       None for a uniform placeholder).  A mask anticommutes with the
       generator when the reads ``(side, word, bits)`` (side 0 the x masks,
       side 1 the z masks) select an odd number of set bits; multiplying
       by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
-    - ``("cliff", support, deltas, signs)``, a fixed Clifford: x and z XOR
-      deltas ``(word, dx, dz)`` and the image's sign, all indexed by the
-      joint input bit pair (support[0] in the high bits).
+    - ``("cliff", support, deltas, coeffs, extras, rows)``, a fixed
+      Clifford, and ``("noise", (q,), deltas, coeffs, extras, rows)``, the
+      channel on qubit q: both built by ``_local_step`` from the forward
+      PTM, so one kernel runs them.
     - ``("ucliff", q)``, a uniformly random single-qubit Clifford.
-    - ``("noise", q, ptm)``, the channel on qubit q: ``ptm[bp, b]`` is the
-      coefficient of output Pauli b (I, X, Y, Z) in the adjoint image of
-      the input with bit pair bp.
-    - ``("boundary",)``, the weight boundary, and ``("layer_end",)`` and
+    - ``("boundary",)``, the weight boundary, before every noise round
+      but the first one the walk crosses (``crossed`` says the walk
+      crossed one before this circuit), and ``("layer_end",)`` and
       ``("noise_end",)`` after each layer's gates and each noise round.
     """
-    n = circuit.n
-    ptms: dict = {}  # one re-indexed transfer matrix per channel object
+    local = cache(_local_step)  # one step per kind, support and channel object or Clifford name
     steps: list = []
-    for op in _backward_ops(circuit, crossed):
-        if op[0] == "boundary":
-            steps.append(op)
-            continue
-        if op[0] == "noise":
-            for q, ch in enumerate(op[1]):
-                if ch is None or ch.is_identity:
-                    continue
-                if ch not in ptms:  # row bp is the PTM row of site code BITS_TO_CODE[bp]
-                    ptms[ch] = ch.forward_ptm()[list(BITS_TO_CODE)]
-                steps.append(("noise", q, ptms[ch]))
+    final = [circuit.final_layer] if circuit.final_layer is not None else []
+    for layer in final + list(reversed(circuit.layers)):
+        if layer.has_noise:
+            if crossed:
+                steps.append(("boundary",))
+            crossed = True
+            for q, ch in enumerate(layer.noise):
+                if ch is not None and not ch.is_identity:
+                    steps.append(local("noise", (q,), ch))
             steps.append(("noise_end",))
-            continue
-        for gate in op[1].gates:
+        for gate in layer.gates:
             if isinstance(gate, PauliRotation):
-                gx, gz = gate.embedded_masks(n)
+                gx, gz = gate.embedded_masks()
                 reads, writes = [], []
                 for j in sorted({q >> 6 for q in gate.support}):
                     wx = np.uint64((gx >> (64 * j)) & _WORD)
@@ -263,23 +274,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
                 phase = (gx & gz).bit_count()
                 steps.append(("rot", tuple(reads), tuple(writes), phase, gate.angle))
             elif isinstance(gate, CliffordGate):
-                table = clifford_adjoint_table(gate.name)
-                k, size = len(gate.support), len(table)
-                deltas: dict = {}
-                signs = np.empty(size)
-                shifts = (2, 0)[2 - k:]  # of each support qubit's pair in a joint code
-                for i in range(size):  # joint bit pair; the table takes the joint site code
-                    out, signs[i] = table[sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts)]
-                    for q, s in zip(gate.support, shifts):
-                        bp, (xb, zb) = (i >> s) & 3, CODE_TO_BITS[(out >> s) & 3]
-                        dx, dz = deltas.setdefault(q >> 6, ([0] * size, [0] * size))
-                        dx[i] |= (xb ^ (bp & 1)) << (q & 63)
-                        dz[i] |= (zb ^ (bp >> 1)) << (q & 63)
-                words = tuple(
-                    (j, np.array(dx, dtype=np.uint64), np.array(dz, dtype=np.uint64))
-                    for j, (dx, dz) in deltas.items()
-                )
-                steps.append(("cliff", gate.support, words, signs))
+                steps.append(local("cliff", gate.support, gate.name))
             elif isinstance(gate, RandomSingleQubitClifford):
                 steps.append(("ucliff", gate.qubit))
             else:  # pragma: no cover - exhaustive over gate variants
@@ -449,47 +444,28 @@ def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
         f.append(*branch)
 
 
-def _np_clifford(f: _Frontier, support, deltas, signs: np.ndarray) -> None:
+def _np_local(f: _Frontier, support, deltas, coeffs: np.ndarray, extras, _rows) -> None:
+    """Run a ``_local_step``: first outputs in place, extras appended (rows are the walk's)."""
     scratch = (np.empty(len(f), dtype=np.uint64) for _ in range(3))
     code = _clifford((f.x, f.z), support, deltas, *scratch)
-    f.c = f.c * signs[code]
-
-
-def _np_noise(f: _Frontier, q: int, ptm: np.ndarray) -> None:
-    j, s, bp = _site(f.x, f.z, q)
-    clear = ~(np.uint64(1) << s)
     pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
-    # first output of each non-identity input rewrites in place; extras append
-    scale = np.ones(len(f))
-    drop = np.zeros(len(f), dtype=bool)
-    xj, zj = f.x[j], f.z[j]  # views: writes land in the frontier
-    for code in range(1, 4):
-        sel = bp == code
-        if not sel.any():
-            continue
-        outs = [(CODE_TO_BITS[b], coeff) for b, coeff in enumerate(ptm[code]) if coeff != 0.0]
-        if not outs:
-            drop |= sel
-            continue
-        (xb, zb), coeff = outs[0]
-        scale[sel] = coeff
-        xj[sel] = (xj[sel] & clear) | (np.uint64(xb) << s)
-        zj[sel] = (zj[sel] & clear) | (np.uint64(zb) << s)
-        for (xb, zb), coeff in outs[1:]:
-            x2 = np.compress(sel, f.x, axis=1)
-            z2 = np.compress(sel, f.z, axis=1)
-            x2[j] = (x2[j] & clear) | (np.uint64(xb) << s)
-            z2[j] = (z2[j] & clear) | (np.uint64(zb) << s)
-            for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
-                piece.append(col)
+    for i, words, coeff in extras:
+        sel = code == i
+        x2, z2 = np.compress(sel, f.x, axis=1), np.compress(sel, f.z, axis=1)
+        for j, dx, dz in words:
+            x2[j] ^= dx
+            z2[j] ^= dz
+        for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
+            piece.append(col)
+    scale = coeffs[code]
     f.c = f.c * scale
-    if drop.any():
-        f.select(~drop)
+    if not coeffs.all():
+        f.select(scale != 0.0)
     if pieces[0]:
         f.append(*pieces)
 
 
-_KERNELS = {"rot": _np_rotation, "cliff": _np_clifford, "noise": _np_noise}
+_KERNELS = {"rot": _np_rotation, "cliff": _np_local, "noise": _np_local}
 
 
 def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) -> None:

@@ -38,9 +38,9 @@ from paulipath.channels import (
     WorstCase,
     contraction_sq_mean,
 )
-from paulipath.circuits import Layer
+from paulipath.circuits import Layer, clifford_forward_ptm
 from paulipath.experiments import center_z
-from paulipath.oracle import _apply_matrix, _noise_ptms, clifford_forward_ptm, rotation_forward_ptm
+from paulipath.oracle import _apply_matrix, _noise_ptms, rotation_forward_ptm
 
 ONE_QUBIT_CLIFFORDS = ["H", "S", "SDG", "X", "Y", "Z"]
 TWO_QUBIT_CLIFFORDS = ["CNOT", "CZ", "SWAP"]
@@ -476,11 +476,15 @@ def noisy_units(circuit: Circuit) -> tuple[list[list[Layer]], list[Layer]]:
 
 
 def backward_ops_by_units(circuit: Circuit, crossed: bool = False) -> list:
-    """``propagation._backward_ops`` built from ``noisy_units``: the unit form.
+    """The backward walk as an op list, built from ``noisy_units``: the unit form.
 
-    The final layer and the trailing noiseless run go first, then each unit
-    from the last: a boundary (unless no noise round was crossed yet), its
-    noise round and its layers in reverse.
+    ``("layer", layer)`` applies a layer's gates, ``("noise", noise)`` a
+    noise round and ``("boundary",)`` is the weight boundary.  The final
+    layer and the trailing noiseless run go first, then each unit from the
+    last: a boundary (unless no noise round was crossed yet; ``crossed``
+    says one was before this circuit), its noise round and its layers in
+    reverse.  The reference walks run this list, and ``TestBackwardOps``
+    checks ``propagation._compile`` against it.
     """
     units, trailing = noisy_units(circuit)
     ops: list = []

@@ -2,9 +2,10 @@
 
 A chunk of paths is an (m, n) uint8 array of site codes (0=I, 1=X, 2=Y,
 3=Z), updated step by step through fancy-indexed table lookups.
-``compile_steps`` builds its own step list from ``_backward_ops``, with
-site-code tables taken straight from ``clifford_adjoint_table`` and the
-channels' forward transfer matrices, not from the compiled program that
+``compile_steps`` builds its own step list from the tests' op list
+(``helpers.backward_ops_by_units``), with site-code tables taken straight
+from ``clifford_adjoint_table`` and the channels' forward transfer
+matrices, not from the compiled program (``propagation._compile``) that
 ``paulipath.montecarlo._compile_steps`` reads.  The walk consumes the
 generator's stream draw for draw in the same order, so for one Philox key
 both walks must reach the same paths, weights and reweight factors.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from helpers import backward_ops_by_units
 from paulipath.circuits import (
     Circuit,
     CliffordGate,
@@ -22,7 +24,7 @@ from paulipath.circuits import (
     clifford_adjoint_table,
 )
 from paulipath.montecarlo import UnsupportedEnsembleError, _noise_tables
-from paulipath.propagation import _backward_ops, _cos_sin
+from paulipath.propagation import _cos_sin
 
 # site-code product table, signs dropped (only squared amplitudes matter here)
 _MULT = np.array(
@@ -32,7 +34,7 @@ _MULT = np.array(
 
 def compile_steps(circuit: Circuit) -> list:
     steps: list = []
-    for op in _backward_ops(circuit):
+    for op in backward_ops_by_units(circuit):
         kind = op[0]
         if kind == "boundary":
             steps.append(("boundary",))

@@ -21,7 +21,7 @@ from paulipath.circuits import (
     PauliRotation,
     clifford_adjoint_table,
 )
-from helpers import noisy_units
+from helpers import backward_ops_by_units, noisy_units
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,
@@ -29,7 +29,6 @@ from paulipath.propagation import (
     BackpropStats,
     FrontierOverflowError,
     TruncationConfig,
-    _backward_ops,
     _cos_sin,
     _frozen,
     _join_words,
@@ -88,10 +87,10 @@ def _add(frontier: dict, key: tuple, value: float) -> None:
 
 
 
-def _apply_rotation(frontier: dict, gate: PauliRotation, n: int) -> dict:
+def _apply_rotation(frontier: dict, gate: PauliRotation) -> dict:
     if gate.angle is None:
         raise ValueError("circuit has unresolved ensemble placeholders")
-    gx, gz = gate.embedded_masks(n)
+    gx, gz = gate.embedded_masks()
     c, s = _cos_sin(gate.angle)
     gphase = (gx & gz).bit_count()
     new: dict = {}
@@ -179,10 +178,10 @@ def _aux_filter(frontier: dict, trunc: TruncationConfig, stats: BackpropStats) -
     return out
 
 
-def _apply_gates(frontier: dict, layer: Layer, n: int) -> dict:
+def _apply_gates(frontier: dict, layer: Layer) -> dict:
     for gate in layer.gates:
         if isinstance(gate, PauliRotation):
-            frontier = _apply_rotation(frontier, gate, n)
+            frontier = _apply_rotation(frontier, gate)
         elif isinstance(gate, CliffordGate):
             frontier = _apply_clifford(frontier, gate)
         else:
@@ -225,9 +224,9 @@ def _run_dict(circuit, seed, trunc, max_terms) -> tuple[dict, BackpropStats, boo
         return front
 
     if circuit.final_layer is not None:
-        frontier = after_layer(_apply_gates(frontier, circuit.final_layer, n))
+        frontier = after_layer(_apply_gates(frontier, circuit.final_layer))
     for layer in reversed(trailing):
-        frontier = after_layer(_apply_gates(frontier, layer, n))
+        frontier = after_layer(_apply_gates(frontier, layer))
 
     for unit in reversed(units):
         if crossed and k is not None:
@@ -243,7 +242,7 @@ def _run_dict(circuit, seed, trunc, max_terms) -> tuple[dict, BackpropStats, boo
         frontier = _apply_noise(frontier, unit[-1].noise, n, row_cache)
         stats.peak_term_count = max(stats.peak_term_count, len(frontier))
         for layer in reversed(unit):
-            frontier = after_layer(_apply_gates(frontier, layer, n))
+            frontier = after_layer(_apply_gates(frontier, layer))
     stats.surviving_path_count = len(frontier)
     return frontier, stats, crossed
 
@@ -278,7 +277,7 @@ def iter_legal_paths(
         raise QubitCountMismatch("circuit and observable qubit counts differ")
     n = circuit.n
     ops = []
-    for op in _backward_ops(circuit):
+    for op in backward_ops_by_units(circuit):
         if op[0] == "layer":
             ops.extend(("gate", g) for g in op[1].gates)
         else:
@@ -292,7 +291,7 @@ def iter_legal_paths(
             if isinstance(gate, CliffordGate):
                 front = _apply_clifford({(x, z, 0): 1.0}, gate)
             else:
-                front = _apply_rotation({(x, z, 0): 1.0}, gate, n)
+                front = _apply_rotation({(x, z, 0): 1.0}, gate)
             return [(xx, zz, a) for (xx, zz, _w), a in front.items()]
         noise = op[1]
         states = [(x, z, 1.0)]

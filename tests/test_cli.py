@@ -41,6 +41,58 @@ RX_DAMP_CONFIG = {
 }
 
 
+
+def _mixed_config() -> dict:
+    """A 66-qubit propagate config that mixes every local step the engine runs.
+
+    Rotations, H and S, CNOT and CZ on qubits 63 and 64 (one in each mask
+    word), amplitude damping, dephasing and a custom channel whose ``pre``
+    rotation gives several outputs per input; every cutoff discards paths.
+    """
+    n = 66
+
+    def label(**sites):
+        return "".join(sites.get(f"q{q}", "I") for q in range(n))
+
+    def noise(**sites):
+        return [sites.get(f"q{q}") for q in range(n)]
+
+    def rot(generator, support, angle):
+        return {"type": "rot", "generator": generator, "support": support, "angle": angle}
+
+    def cliff(name, support):
+        return {"type": "clifford", "name": name, "support": support}
+
+    c, s = math.cos(0.6), math.sin(0.6)
+    turn = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, -s], [0, 0, s, c]]  # about the x axis
+    damp = {"kind": "amplitude_damping", "param": 0.15}
+    deph = {"kind": "dephasing", "param": 0.2}
+    custom = {"kind": "custom", "D": [0.8, 0.7, 0.6], "t": [0.0, 0.1, 0.2], "pre": turn}
+    layers = [
+        ([rot("X", [62], 0.3), rot("Y", [63], 0.7), rot("Z", [64], -0.4), rot("XZ", [61, 65], 0.9)],
+         noise(q61=custom, q62=damp, q63=damp, q64=deph, q65=custom)),
+        ([cliff("CNOT", [63, 64]), cliff("H", [62]), cliff("S", [65]), rot("ZZ", [0, 61], 1.2)],
+         noise(q0=deph, q62=custom, q63=custom, q64=damp)),
+        ([cliff("CZ", [64, 63]), rot("YY", [61, 62], 1.1), rot("X", [65], 0.5), cliff("H", [0])],
+         noise(q61=damp, q62=deph, q63=custom, q64=custom, q65=damp)),
+        ([rot("ZX", [62, 63], 0.8), rot("Y", [64], 1.3), cliff("S", [61]), rot("XY", [65, 0], -0.6)],
+         noise(q0=custom, q61=deph, q62=damp, q63=custom, q64=custom, q65=deph)),
+    ]
+    return {
+        "circuit": {
+            "n": n,
+            "layers": [{"gates": gates, "noise": chs} for gates, chs in layers],
+            "final_layer": [rot("X", [63], 0.2), cliff("S", [62]), cliff("H", [64])],
+        },
+        "observable": [
+            {"pauli": label(q63="Z", q64="Z"), "coeff": 1.0},
+            {"pauli": label(q62="X", q63="Y"), "coeff": -0.5},
+            {"pauli": label(q64="Y", q65="X", q0="Z"), "coeff": 0.25},
+        ],
+        "state": [[0.3 * math.sin(q), 0.3 * math.cos(q), 0.8] for q in range(n)],
+        "truncation": {"k": 12, "coeff_cutoff": 1e-3, "xy_cutoff": 3, "current_weight_cutoff": 4},
+    }
+
 class TestChannelInfo:
     def test_amplitude_damping(self, capsys):
         code, out, _ = run_cli(
@@ -93,6 +145,21 @@ class TestPropagate:
         assert code == 0
         got = json.loads(out)["result"]["expectation"]
         assert got == pytest.approx(0.8 * math.cos(0.7) + 0.2, abs=1e-12)
+
+    def test_mixed_circuit_pinned(self, tmp_path, capsys):
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, _mixed_config())],
+                                 capsys)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["expectation"] == float.fromhex("0x1.84f6018fc232bp-4")
+        assert result["stats"] == {
+            "paths_discarded_by_weight": 32,
+            "paths_discarded_by_coeff": 307,
+            "paths_discarded_by_xy": 5,
+            "paths_discarded_by_current_weight": 16,
+            "peak_term_count": 202,
+            "surviving_path_count": 139,
+        }
 
     def test_k_sweep_csv_contract(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**RX_DAMP_CONFIG, "k_sweep": [1, 2, 3]})
@@ -782,6 +849,28 @@ class TestNames:
         code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
         assert code == 0
         assert json.loads(fresh.stdout)["result"] == json.loads(out)["result"]
+
+
+class TestPauliLabels:
+    TWO_TERMS = {
+        "circuit": {"n": 2, "layers": []},
+        "observable": [{"pauli": "ZZ", "coeff": 1.0}, {"pauli": "Z", "coeff": 0.5}],
+    }
+
+    @pytest.mark.parametrize(
+        "cfg, key, label",
+        [
+            (_with(RX_DAMP_CONFIG, (*ROT_GATE, "generator"), "Q"), "generator", "Q"),
+            (_with(RX_DAMP_CONFIG, ("observable", 0, "pauli"), "W"), "pauli", "W"),
+            (_with(RX_DAMP_CONFIG, (*ROT_GATE, "generator"), ""), "generator", ""),
+            (_with(RX_DAMP_CONFIG, ("observable", 0, "pauli"), ""), "pauli", ""),
+            (TWO_TERMS, "pauli", "Z"),  # shorter than the first term
+        ],
+    )
+    def test_bad_label_exits_2_naming_key_and_label(self, tmp_path, capsys, cfg, key, label):
+        code, out, err = run_cli(["propagate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and repr(label) in err and "Traceback" not in err
 
 
 class TestObjectFields:

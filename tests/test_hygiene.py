@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, no dead definitions, no test-only code in the package,
-and no config-format code outside the CLI.
+no config-format code outside the CLI and no unused parameters.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
@@ -11,8 +11,10 @@ code only the tests use belongs in ``tests/``, and there a re-export
 from ``__init__`` does not count as a use.  ``cli`` alone reads and writes
 the config format: no other module defines a function or method with
 ``json`` in its name (``PauliSum.from_json_obj`` excepted), and only
-``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  Only the
-standard library's ``ast`` is used.
+``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  No function
+or method has a parameter it never uses, apart from dunder methods and
+parameters whose names start with ``_``.  Only the standard library's
+``ast`` is used.
 """
 
 import ast
@@ -261,3 +263,48 @@ def test_checker_flags_config_format_outside_cli():
 def test_no_config_format_outside_cli():
     modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert config_format_outside_cli(modules) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``function: parameter (line N)``, in line order, for each parameter its function never names.
+
+    A use in a nested function counts.  Dunder methods, whose signatures
+    are fixed, and parameters whose names start with ``_`` are exempt.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        used = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [
+            (p.lineno, f"{node.name}: {p.arg} (line {p.lineno})")
+            for p in params
+            if not p.arg.startswith("_") and p.arg not in used
+        ]
+    return [text for _, text in sorted(found)]
+
+
+def test_checker_flags_an_unused_parameter():
+    # the two offenders the rule found when it was added, and what it exempts
+    source = (
+        "class PauliRotation:\n"
+        "    def embedded_masks(self, n):\n        return self.support\n\n"
+        "    def __exit__(self, kind, value, tb):\n        pass\n\n"
+        "def _base_payload(args, cfg, seed):\n    return {'config': cfg, 'seed': seed}\n\n"
+        "def kernel(f, *steps, _rows=None, **opts):\n"
+        "    def inner():\n        return steps, opts\n    return f, inner\n"
+    )
+    assert unused_parameters(source) == [
+        "embedded_masks: n (line 2)",
+        "_base_payload: args (line 8)",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []

@@ -32,7 +32,7 @@ from paulipath.cli import _resolve_trunc
 from paulipath.propagation import (
     EXACT,
     FrontierOverflowError,
-    _backward_ops,
+    _compile,
     _Frontier,
     _join_words,
     _split_words,
@@ -544,8 +544,33 @@ def _assert_same_frontier(got, want):
     assert got.crossed_noise == want.crossed_noise
 
 
+def _skeleton(steps) -> list:
+    """The markers of a compiled program, each with the count of steps since the last marker."""
+    out, count = [], 0
+    for step in steps:
+        if step[0] in ("boundary", "noise_end", "layer_end"):
+            out.append((step[0], count))
+            count = 0
+        else:
+            count += 1
+    return out
+
+
+def _unit_skeleton(ops) -> list:
+    """``_skeleton`` of the unit-form op list: one step per gate and per noised qubit."""
+    out = []
+    for op in ops:
+        if op[0] == "layer":
+            out.append(("layer_end", len(op[1].gates)))
+        elif op[0] == "noise":
+            out.append(("noise_end", sum(ch is not None and not ch.is_identity for ch in op[1])))
+        else:
+            out.append(("boundary", 0))
+    return out
+
+
 class TestBackwardOps:
-    """The layer-by-layer walk emits the op list of the unit form, op for op."""
+    """The compiled program walks the circuit as the unit form does, marker for marker."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -555,7 +580,8 @@ class TestBackwardOps:
             st.one_of(helpers.noisy_circuits(n, depth_max=6), helpers.templates(n, depth_max=6))
         )
         crossed = data.draw(st.booleans())
-        assert _backward_ops(circuit, crossed) == helpers.backward_ops_by_units(circuit, crossed)
+        want = _unit_skeleton(helpers.backward_ops_by_units(circuit, crossed))
+        assert _skeleton(_compile(circuit, crossed)) == want
 
     @pytest.mark.parametrize("crossed", [False, True])
     def test_builders_match_unit_form(self, crossed):
@@ -567,9 +593,9 @@ class TestBackwardOps:
             build_trotter_tfim(Square(2, 2, periodic=True), 1.0, 0.5, 0.1, 2, ch),
             build_trotter_tfim(Chain(5), 1.0, 0.5, 0.1, 3, ch, "per_step"),
         ):
-            ops = _backward_ops(circuit, crossed)
-            assert ops == helpers.backward_ops_by_units(circuit, crossed)
-            assert sum(op[0] == "noise" for op in ops) == helpers.noisy_layer_count(circuit)
+            got = _skeleton(_compile(circuit, crossed))
+            assert got == _unit_skeleton(helpers.backward_ops_by_units(circuit, crossed))
+            assert [m for m, _ in got].count("noise_end") == helpers.noisy_layer_count(circuit)
 
 
 class TestAgainstReference:
