@@ -46,14 +46,7 @@ from .montecarlo import (
     estimate_many,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
-from .pauli import (
-    PauliString,
-    PauliSum,
-    ProductState,
-    QubitCountMismatch,
-    commutes,
-    multiply,
-)
+from .pauli import PauliString, PauliSum, ProductState, QubitCountMismatch
 from .propagation import (
     BackpropResult,
     FrontierOverflowError,

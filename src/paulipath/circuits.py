@@ -1,17 +1,21 @@
 """Circuits as layered gate rounds with interleaved per-qubit noise.
 
 Gates are either Pauli rotations (angle possibly left open as an
-ensemble placeholder), named Clifford gates compiled to signed Pauli
-permutations, or an explicit uniform-random single-qubit Clifford
-placeholder.  Builders produce the lattice ansatz used throughout:
-RX/RZ single-qubit rounds plus two-qubit entangling rotation rounds,
-and a symmetric-splitting transverse-field Ising step sequence, on the
-one lattice type ``Square``; a chain is a one-row square (``Chain``).
-The config form of a circuit or lattice is read by ``cli``.
+ensemble placeholder), named Clifford gates, or an explicit
+uniform-random single-qubit Clifford placeholder.  Every gate's Pauli
+transfer matrix (PTM) is built by one function, ``unitary_ptm``, as a
+channel's is by its ``forward_ptm``; a Clifford's is that matrix rounded
+to a signed Pauli permutation.  Builders produce the lattice ansatz used
+throughout: RX/RZ single-qubit rounds plus two-qubit entangling rotation
+rounds, and a symmetric-splitting transverse-field Ising step sequence,
+on the one lattice type ``Square``; a chain is a one-row square
+(``Chain``).  The config form of a circuit or lattice is read by ``cli``.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -44,93 +48,73 @@ class NotCliffordError(ValueError):
     """The named unitary does not permute the Pauli group."""
 
 
-def _pauli_kron(idx: int, k: int) -> np.ndarray:
-    """Tensor Pauli for joint code ``idx`` on k sites; site 0 is the first factor."""
-    mats = []
-    for pos in reversed(range(k)):
-        mats.append(_PAULI_MATS[(idx >> (2 * pos)) & 3])
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _pauli_kron(codes: Sequence[int]) -> np.ndarray:
+    """Tensor Pauli for the site codes ``codes``; the first site is the first factor."""
+    return functools.reduce(np.kron, (_PAULI_MATS[c] for c in codes))
 
 
-def _signed_perm_table(u: np.ndarray, k: int) -> tuple[tuple[int, int], ...]:
-    """Adjoint conjugation table: entry p -> (q, sign) with U^dag P_p U = sign * P_q."""
-    dim = 4**k
-    table = []
-    for p in range(dim):
-        conj = u.conj().T @ _pauli_kron(p, k) @ u
-        found = None
-        for q in range(dim):
-            s = np.trace(_pauli_kron(q, k).conj().T @ conj).real / (2**k)
-            if abs(abs(s) - 1.0) < 1e-9:
-                if not np.allclose(conj, s * _pauli_kron(q, k), atol=1e-9):
-                    raise NotCliffordError("conjugation is not a signed Pauli")
-                found = (q, int(round(s)))
-                break
-            if abs(s) > 1e-9:
-                raise NotCliffordError("conjugation mixes Pauli operators")
-        if found is None:
-            raise NotCliffordError("conjugation lost the Pauli component")
-        table.append(found)
-    return tuple(table)
+def unitary_ptm(u: np.ndarray) -> np.ndarray:
+    """Forward PTM of conjugation by a k-qubit unitary u: ``Re Tr(P_q U^dag P_p U) / 2^k``.
 
-
-_ADJ_TABLES: dict[str, tuple[tuple[int, int], ...]] = {}
-
-
-def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
-    """The table of a named gate or of one of the H/S words ``clifford_group_1q`` names."""
-    if name not in _NAMED_UNITARIES:
-        clifford_group_1q()  # registers the words, so that no name depends on call order
-        if name not in _NAMED_UNITARIES:
-            raise NotCliffordError(f"unknown Clifford gate {name!r}")
-    if name not in _ADJ_TABLES:
-        u = _NAMED_UNITARIES[name]
-        k = 1 if u.shape == (2, 2) else 2
-        _ADJ_TABLES[name] = _signed_perm_table(u, k)
-    return _ADJ_TABLES[name]
-
-
-def clifford_forward_ptm(name: str) -> np.ndarray:
-    """Forward PTM of a named Clifford: ``w[p, q] = sign`` when U^dag P_p U = sign * P_q.
-
-    Row p is the adjoint image of P_p, as in a channel's ``forward_ptm``.
+    Row p is the adjoint image of P_p, as in a channel's ``forward_ptm``;
+    rows and columns are joint site codes with the first site in the high bits.
     """
-    table = clifford_adjoint_table(name)
-    w = np.zeros((len(table), len(table)))
-    for p, (q, sign) in enumerate(table):
-        w[p, q] = sign
-    return w
+    k = len(u).bit_length() - 1
+    basis = _pauli_basis(k)
+    return np.einsum("qab,pba->pq", basis, u.conj().T @ basis @ u).real / 2**k
 
 
-_GROUP_NAMES: list[str] | None = None
+@functools.cache
+def _pauli_basis(k: int) -> np.ndarray:
+    """The 4^k tensor Paulis on k sites, in joint site-code order (read-only)."""
+    basis = np.array([_pauli_kron(codes) for codes in itertools.product(range(4), repeat=k)])
+    basis.setflags(write=False)
+    return basis
 
 
+@functools.cache
+def clifford_forward_ptm(name: str) -> np.ndarray:
+    """Read-only forward PTM of a named gate or of an H/S word ``clifford_group_1q`` names.
+
+    ``w[p, q] = sign`` when U^dag P_p U = sign * P_q.
+    """
+    if name in _NAMED_UNITARIES:
+        u = _NAMED_UNITARIES[name]
+    elif name in clifford_group_1q():
+        u = functools.reduce(np.matmul, (_NAMED_UNITARIES[g] for g in name))
+    else:
+        raise NotCliffordError(f"unknown Clifford gate {name!r}")
+    return _signed_permutation(u)
+
+
+def _signed_permutation(u: np.ndarray) -> np.ndarray:
+    """``unitary_ptm(u)`` rounded to a read-only signed permutation, else ``NotCliffordError``."""
+    w = unitary_ptm(u)
+    rounded = np.rint(w) + 0.0  # + 0.0 turns -0.0 into 0.0
+    if np.abs(w - rounded).max() > 1e-9 or (np.abs(rounded).sum(axis=1) != 1).any():
+        raise NotCliffordError("conjugation does not map every Pauli to a signed Pauli")
+    rounded.setflags(write=False)
+    return rounded
+
+
+@functools.cache
 def clifford_group_1q() -> list[str]:
     """Names of the 24 single-qubit Cliffords, generated as words over H and S."""
-    global _GROUP_NAMES
-    if _GROUP_NAMES is not None:
-        return _GROUP_NAMES
-    seen: dict[tuple, str] = {}
-    frontier = [("I", np.eye(2, dtype=complex))]
-    seen[_signed_perm_table(np.eye(2, dtype=complex), 1)] = "I"
+    seen = {_signed_permutation(_NAMED_UNITARIES["I"]).tobytes(): "I"}
+    frontier = [("I", _NAMED_UNITARIES["I"])]
     while frontier:
         new_frontier = []
         for word, u in frontier:
             for g in "HS":
                 w2 = g if word == "I" else word + g
                 u2 = u @ _NAMED_UNITARIES[g]
-                key = _signed_perm_table(u2, 1)
+                key = _signed_permutation(u2).tobytes()
                 if key not in seen:
                     seen[key] = w2
-                    _NAMED_UNITARIES[w2], _ADJ_TABLES[w2] = u2, key
                     new_frontier.append((w2, u2))
         frontier = new_frontier
     assert len(seen) == 24
-    _GROUP_NAMES = sorted(seen.values(), key=lambda w: (len(w), w))
-    return _GROUP_NAMES
+    return sorted(seen.values(), key=lambda w: (len(w), w))
 
 
 @dataclass(frozen=True)
@@ -152,11 +136,12 @@ class PauliRotation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(self.support))
         if len(set(self.support)) != len(self.support):
-            raise ValueError("rotation support has repeated qubits")
-        if self.generator.n != len(self.support):
-            raise ValueError("generator length must match support size")
-        if self.generator.weight != self.generator.n:
-            raise ValueError("generator must be non-identity on every support site")
+            raise ValueError(f"'support' {list(self.support)} has repeated qubits")
+        if not self.generator.n == self.generator.weight == len(self.support):
+            raise ValueError(
+                f"'generator' {self.generator.label()!r} must be X, Y or Z on each of the "
+                f"'support' qubits {list(self.support)}"
+            )
 
     def embedded_masks(self) -> tuple[int, int]:
         gx = gz = 0
@@ -175,12 +160,13 @@ class CliffordGate:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(self.support))
-        table = clifford_adjoint_table(self.name)  # validates the name
-        arity = 1 if len(table) == 4 else 2
+        arity = 1 if len(clifford_forward_ptm(self.name)) == 4 else 2  # validates the name
         if len(self.support) != arity:
-            raise ValueError(f"{self.name} acts on {arity} qubit(s)")
+            raise ValueError(
+                f"'name' {self.name!r} acts on {arity} qubit(s), not 'support' {list(self.support)}"
+            )
         if len(set(self.support)) != len(self.support):
-            raise ValueError("gate support has repeated qubits")
+            raise ValueError(f"'support' {list(self.support)} has repeated qubits")
 
 
 @dataclass(frozen=True)
@@ -252,7 +238,9 @@ class Circuit:
         for g in layer.gates:
             for q in g.support:
                 if not 0 <= q < self.n:
-                    raise ValueError(f"gate touches qubit {q} outside 0..{self.n - 1}")
+                    raise ValueError(
+                        f"'support' {list(g.support)} names qubit {q} outside 0..{self.n - 1}"
+                    )
         if layer.noise is not None and len(layer.noise) != self.n:
             raise ValueError("per-qubit noise tuple must have length n")
 
@@ -276,6 +264,12 @@ class Square:
     rows: int
     cols: int
     periodic: bool = False
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(
+                f"'rows' and 'cols' must be at least 1, not {self.rows} and {self.cols}"
+            )
 
     @property
     def n_sites(self) -> int:
@@ -370,6 +364,8 @@ def build_hva(
     gates between consecutive noise rounds include an orthogonal
     rotation pair on every qubit.
     """
+    if blocks < 0:
+        raise ValueError(f"'blocks' must be nonnegative, not {blocks}")
     if noise_placement not in ("per_round", "per_block"):
         raise ValueError("noise_placement must be 'per_round' or 'per_block'")
     per_round = noise_placement == "per_round"
@@ -406,7 +402,7 @@ def build_trotter_tfim(
     three rounds) or "per_step" (once per step, after the closing round).
     """
     if steps < 0:
-        raise ValueError("step count must be nonnegative")
+        raise ValueError(f"'steps' must be nonnegative, not {steps}")
     if noise_placement not in ("per_layer", "per_step"):
         raise ValueError("noise_placement must be 'per_layer' or 'per_step'")
     n = lattice.n_sites

@@ -221,7 +221,9 @@ def _lattice(value, name: str) -> Square:
     if not isinstance(periodic, bool):
         raise ConfigError(f"'periodic' must be true or false, not {periodic!r}")
     if kind == "chain":
-        return Square(1, _int_value(spec, "n"), periodic)
+        if (n := _int_value(spec, "n")) < 1:
+            raise ConfigError(f"'n' must be at least 1, not {n}")
+        return Square(1, n, periodic)
     if kind == "square":
         return Square(_int_value(spec, "rows"), _int_value(spec, "cols"), periodic)
     raise ConfigError(f"unknown lattice type {kind!r}")

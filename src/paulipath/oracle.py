@@ -2,26 +2,23 @@
 
 States and observables are real vectors indexed by base-4 Pauli codes
 (axis q = qubit q, index order I, X, Y, Z).  Every primitive in scope
-has a real transfer matrix, so no complex arithmetic is needed.  Sizes
-are capped so validation suites stay interactive.
+acts through a real transfer matrix: a channel's ``forward_ptm``, and a
+gate's from ``circuits.unitary_ptm``, which conjugates Pauli matrices by
+the gate's unitary.  So the state is never a complex matrix, and no
+rotation sign rule is shared with the engine's mask kernels.  Sizes are
+capped so validation suites stay interactive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, PauliRotation, clifford_forward_ptm
-from .pauli import (
-    PauliString,
-    PauliSum,
-    ProductState,
-    QubitCountMismatch,
-    commutes,
-    multiply,
-)
+from .circuits import Circuit, PauliRotation, _pauli_kron, clifford_forward_ptm, unitary_ptm
+from .pauli import PauliSum, ProductState, QubitCountMismatch
 
 MAX_STATE_QUBITS = 12
 
@@ -59,40 +56,6 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) ->
     return np.moveaxis(out, tuple(range(k)), axes)
 
 
-def _joint_codes(idx: int, k: int) -> tuple[int, ...]:
-    return tuple((idx >> (2 * (k - 1 - i))) & 3 for i in range(k))
-
-
-def _joint_index(codes) -> int:
-    idx = 0
-    for c in codes:
-        idx = (idx << 2) | c
-    return idx
-
-
-def rotation_forward_ptm(generator: PauliString, angle: float) -> np.ndarray:
-    """Forward PTM of exp(-i*angle/2*G) conjugation on the gate's own qubits.
-
-    Column p expands U P_p U^dag: unchanged when [P, G] = 0, otherwise
-    cos(angle)*P_p - sin(angle)*(i G P_p) with the product folded to a
-    signed Pauli.
-    """
-    k = generator.n
-    dim = 4**k
-    w = np.zeros((dim, dim))
-    c, s = np.cos(angle), np.sin(angle)
-    for p in range(dim):
-        pstr = PauliString.from_codes(_joint_codes(p, k))
-        if commutes(pstr, generator):
-            w[p, p] = 1.0
-        else:
-            w[p, p] = c
-            r, m = multiply(generator, pstr)
-            sign = 1.0 if (m + 1) % 4 == 0 else -1.0  # i*G*P = i^(m+1)*R, m odd
-            w[_joint_index(r.codes()), p] = -s * sign
-    return w
-
-
 def _noise_ptms(noise, n: int) -> list[tuple[int, np.ndarray]]:
     out = []
     for q in range(n):
@@ -106,7 +69,9 @@ def _noise_ptms(noise, n: int) -> list[tuple[int, np.ndarray]]:
 def _gate_forward(tensor: np.ndarray, gate) -> np.ndarray:
     """A sampled circuit's gate: a Pauli rotation with its angle, or a fixed Clifford."""
     if isinstance(gate, PauliRotation):
-        return _apply_matrix(tensor, rotation_forward_ptm(gate.generator, gate.angle), gate.support)
+        g = _pauli_kron(gate.generator.codes())
+        u = math.cos(gate.angle / 2) * np.eye(len(g)) - 1j * math.sin(gate.angle / 2) * g
+        return _apply_matrix(tensor, unitary_ptm(u), gate.support)
     return _apply_matrix(tensor, clifford_forward_ptm(gate.name), gate.support)
 
 

@@ -1,12 +1,13 @@
 """Bit-packed n-qubit Pauli operators, sparse real linear combinations and product states.
 
 A Pauli string is stored as two integer bit masks (``x``, ``z``), one bit per
-qubit, so weight and commutation checks reduce to popcounts.  No phase is
-stored on the string itself: products return a separate power of ``i`` and
-callers fold the resulting sign into real coefficients.  The overlap of a
-Pauli sum with a product state is ``propagation.expectation``, which works
-on the engine's columns.  ``config_int`` and ``config_float``, the checks
-on a config value, live here because ``PauliSum.from_json_obj`` reads a
+qubit, so its weight is a popcount.  No phase is stored on the string
+itself, and this module has no product: the engine folds each rotation's
+sign into real coefficients on its columns, and every gate's transfer
+matrix comes from ``circuits.unitary_ptm``.  The overlap of a Pauli sum
+with a product state is ``propagation.expectation``, which works on the
+engine's columns.  ``config_int`` and ``config_float``, the checks on a
+config value, live here because ``PauliSum.from_json_obj`` reads a
 coefficient with ``config_float``; every other config field is read by
 ``cli``.
 """
@@ -123,36 +124,6 @@ class PauliString:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PauliString({self.label()!r})"
-
-
-def _require_same_n(p: PauliString, q: PauliString) -> None:
-    if p.n != q.n:
-        raise QubitCountMismatch(f"{p.n} qubits vs {q.n} qubits")
-
-
-def multiply(p: PauliString, q: PauliString) -> tuple[PauliString, int]:
-    """Product of two Pauli strings.
-
-    Returns ``(r, m)`` with ``p @ q == i**m * r`` and ``r`` canonical
-    (phase-free).  Each site contributes via Y = i X Z bookkeeping; the
-    total exponent is reduced mod 4.
-    """
-    _require_same_n(p, q)
-    x3 = p.x ^ q.x
-    z3 = p.z ^ q.z
-    m = (
-        (p.x & p.z).bit_count()
-        + (q.x & q.z).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.z & q.x).bit_count()
-    ) % 4
-    return PauliString(p.n, x3, z3), m
-
-
-def commutes(p: PauliString, q: PauliString) -> bool:
-    """True iff the symplectic inner product of ``p`` and ``q`` vanishes mod 2."""
-    _require_same_n(p, q)
-    return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 0
 
 
 class PauliSum:

@@ -38,9 +38,22 @@ from paulipath.channels import (
     WorstCase,
     contraction_sq_mean,
 )
-from paulipath.circuits import Layer, clifford_forward_ptm
+from paulipath.circuits import Layer, _pauli_kron, clifford_forward_ptm, unitary_ptm
 from paulipath.experiments import center_z
-from paulipath.oracle import _apply_matrix, _noise_ptms, rotation_forward_ptm
+from paulipath.oracle import _apply_matrix, _noise_ptms
+
+
+def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
+    """Entry p is ``(q, sign)`` with U^dag P_p U = sign * P_q, from ``clifford_forward_ptm``."""
+    w = clifford_forward_ptm(name)
+    return tuple((int(q), int(w[p, q])) for p, q in enumerate(np.abs(w).argmax(axis=1)))
+
+
+def rotation_forward_ptm(generator: PauliString, angle: float) -> np.ndarray:
+    """Forward PTM of conjugation by exp(-i*angle/2*G) on the gate's own qubits."""
+    g = _pauli_kron(generator.codes())
+    return unitary_ptm(math.cos(angle / 2) * np.eye(len(g)) - 1j * math.sin(angle / 2) * g)
+
 
 ONE_QUBIT_CLIFFORDS = ["H", "S", "SDG", "X", "Y", "Z"]
 TWO_QUBIT_CLIFFORDS = ["CNOT", "CZ", "SWAP"]

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from helpers import backward_ops_by_units
+from helpers import backward_ops_by_units, clifford_adjoint_table
 from paulipath.circuits import (
     Circuit,
     CliffordGate,
     PauliRotation,
     RandomSingleQubitClifford,
-    clifford_adjoint_table,
 )
 from paulipath.montecarlo import UnsupportedEnsembleError, _noise_tables
 from paulipath.propagation import _cos_sin

@@ -19,9 +19,8 @@ from paulipath.circuits import (
     CliffordGate,
     Layer,
     PauliRotation,
-    clifford_adjoint_table,
 )
-from helpers import backward_ops_by_units, noisy_units
+from helpers import backward_ops_by_units, clifford_adjoint_table, noisy_units
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,

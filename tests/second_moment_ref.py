@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from paulipath.channels import NormalFormChannel
-from paulipath.circuits import CliffordGate, PauliRotation, clifford_adjoint_table
+from helpers import clifford_adjoint_table
+from paulipath.circuits import CliffordGate, PauliRotation
 from paulipath.montecarlo import _noise_tables
 
 from mc_reference_walk import _MULT

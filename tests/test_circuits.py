@@ -1,3 +1,5 @@
+import functools
+import itertools
 import os
 import pathlib
 import subprocess
@@ -5,9 +7,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dense_ref
-from helpers import noisy_layer_count, noisy_units, truncate_to_last_layers
+from helpers import (
+    clifford_adjoint_table,
+    noisy_layer_count,
+    noisy_units,
+    rotation_forward_ptm,
+    truncate_to_last_layers,
+)
 from paulipath import (
     Chain,
     Circuit,
@@ -26,9 +36,11 @@ from paulipath import (
 from paulipath.circuits import (
     Layer,
     NotCliffordError,
-    clifford_adjoint_table,
+    _signed_permutation,
+    clifford_forward_ptm,
     clifford_group_1q,
     edge_coloring,
+    unitary_ptm,
 )
 from paulipath.cli import _circuit, _lattice
 from paulipath.experiments import center_z
@@ -81,6 +93,56 @@ class TestCliffordTables:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
         )
         assert fresh.returncode == 0, fresh.stderr
+
+
+def _dense_ptm(u: np.ndarray) -> np.ndarray:
+    """``w[p, q]`` = Re Tr(P_q U^dag P_p U) / 2^k, entry by entry on dense_ref's label matrices."""
+    k = len(u).bit_length() - 1
+    labels = ["".join(codes) for codes in itertools.product("IXYZ", repeat=k)]
+    return np.array(
+        [
+            [np.trace(dense_ref.pauli_matrix(q) @ u.conj().T @ dense_ref.pauli_matrix(p) @ u).real
+             for q in labels]
+            for p in labels
+        ]
+    ) / 2**k
+
+
+class TestUnitaryPtm:
+    """``unitary_ptm`` against explicit conjugation of dense_ref's complex matrices."""
+
+    def test_clifford_ptms_are_the_exact_signed_permutations(self):
+        words = {w: functools.reduce(np.matmul, (dense_ref.GATE_UNITARIES[g] for g in w))
+                 for w in clifford_group_1q()}
+        assert len(words) == 24
+        for name, u in {**dense_ref.GATE_UNITARIES, **words}.items():
+            dense = _dense_ptm(u)
+            expected = np.rint(dense)
+            assert np.abs(dense - expected).max() < 1e-12, name
+            assert (np.abs(expected).sum(axis=1) == 1).all(), name
+            w = clifford_forward_ptm(name)
+            assert set(np.unique(w)) <= {-1.0, 0.0, 1.0}, name
+            assert np.array_equal(w, expected), name
+            assert not w.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["X", "Y", "Z", "XX", "XY", "XZ", "YX", "YY", "YZ", "ZX", "ZY", "ZZ",
+                         "IX", "ZI", "IY"]),
+        st.floats(-10.0, 10.0, allow_nan=False),
+    )
+    def test_rotation_ptms_match_dense_conjugation(self, generator, angle):
+        u = dense_ref.rotation_unitary(generator, angle)
+        dense = _dense_ptm(u)
+        assert np.abs(unitary_ptm(u) - dense).max() < 1e-12
+        if "I" not in generator:  # a gate's generator acts on every support site
+            ptm = rotation_forward_ptm(PauliString.from_label(generator), angle)
+            assert np.abs(ptm - dense).max() < 1e-12
+
+    def test_non_clifford_raises(self):
+        t_gate = np.diag([1, np.exp(0.25j * np.pi)])
+        with pytest.raises(NotCliffordError):
+            _signed_permutation(t_gate)
 
 
 class TestGateValidation:

@@ -873,6 +873,33 @@ class TestPauliLabels:
         assert repr(key) in err and repr(label) in err and "Traceback" not in err
 
 
+TWO_QUBIT_GATES = ("circuit", "layers", 0, "gates")
+TWO_QUBIT_CONFIG = {
+    "circuit": {"n": 2, "layers": [{"gates": []}]},
+    "observable": [{"pauli": "ZI", "coeff": 1.0}],
+}
+
+
+class TestGateFit:
+    @pytest.mark.parametrize(
+        "gate, key, value",
+        [
+            ({"type": "rot", "generator": "XX", "support": [0], "angle": 0.1}, "generator", "'XX'"),
+            ({"type": "rot", "generator": "XI", "support": [0, 1], "angle": 0.1}, "generator",
+             "'XI'"),
+            ({"type": "clifford", "name": "CNOT", "support": [0]}, "name", "'CNOT'"),
+            ({"type": "rot", "generator": "XX", "support": [0, 0], "angle": 0.1}, "support",
+             "[0, 0]"),
+            ({"type": "rot", "generator": "X", "support": [5], "angle": 0.1}, "support", "[5]"),
+        ],
+    )
+    def test_misfit_gate_exits_2_naming_key_and_value(self, tmp_path, capsys, gate, key, value):
+        cfg = write_config(tmp_path, _with(TWO_QUBIT_CONFIG, TWO_QUBIT_GATES, [gate]))
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and value in err and "Traceback" not in err
+
+
 class TestObjectFields:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -908,7 +935,31 @@ class TestMalformedEntries:
         assert repr(key) in err and "Traceback" not in err
 
 
+def _square(rows, cols) -> dict:
+    return {"type": "square", "rows": rows, "cols": cols}
+
+
 class TestCounts:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("blocks",), -2)), "blocks"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("blocks",), -1), "blocks"),
+            ("propagate", _builder_config(_with(TFIM_CIRCUIT, ("steps",), -1)), "steps"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("lattice",), _square(-2, 3))),
+             "rows"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice",), _square(0, 2)), "rows"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("lattice",), _square(2, 0)), "cols"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice", "n"), 0), "n"),
+        ],
+    )
+    def test_out_of_range_size_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli(
+            [command, "--config", write_config(tmp_path, cfg), "--threads", "1"], capsys
+        )
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
     def test_negative_steps_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, _with(DYNAMICS_CONFIG, ("steps",), -1))
         code, out, err = run_cli(["dynamics", "--config", cfg], capsys)

@@ -13,8 +13,9 @@ the config format: no other module defines a function or method with
 ``json`` in its name (``PauliSum.from_json_obj`` excepted), and only
 ``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  No function
 or method has a parameter it never uses, apart from dunder methods and
-parameters whose names start with ``_``.  Only the standard library's
-``ast`` is used.
+parameters whose names start with ``_``.  No function declares a
+``global``: a module-level cache is a ``functools.cache``, not a variable
+that a function rebinds.  Only the standard library's ``ast`` is used.
 """
 
 import ast
@@ -308,3 +309,30 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text()) == []
+
+
+def global_statements(source: str) -> list[str]:
+    """``global name (line N)`` for each name a ``global`` statement declares."""
+    return [
+        f"global {name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    ]
+
+
+def test_checker_flags_a_global_statement():
+    # the hand-made cache the rule found when it was added; a nonlocal is not flagged
+    source = (
+        "_GROUP_NAMES = None\n\n"
+        "def clifford_group_1q():\n    global _GROUP_NAMES\n"
+        "    if _GROUP_NAMES is None:\n        _GROUP_NAMES = ['I']\n    return _GROUP_NAMES\n\n"
+        "def counter():\n    n = 0\n    def bump():\n        nonlocal n\n        n += 1\n"
+        "    return bump\n"
+    )
+    assert global_statements(source) == ["global _GROUP_NAMES (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []

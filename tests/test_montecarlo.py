@@ -27,7 +27,7 @@ from paulipath import (
 )
 from paulipath.circuits import Layer, PauliRotation
 from paulipath.montecarlo import _compile_steps, _seed_paths, _walk_chunk
-from paulipath.oracle import rotation_forward_ptm
+from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
 from mc_reference_walk import reference_walk

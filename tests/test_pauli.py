@@ -1,9 +1,5 @@
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dense_ref
 from helpers import pauli_sum_json
@@ -12,12 +8,8 @@ from paulipath import (
     PauliSum,
     ProductState,
     QubitCountMismatch,
-    commutes,
     expectation_product_state,
-    multiply,
 )
-
-LABELS_1Q = ["I", "X", "Y", "Z"]
 
 
 def dense(p: PauliString) -> np.ndarray:
@@ -54,92 +46,6 @@ class TestPauliString:
             PauliString(2, 4, 0)
         with pytest.raises(ValueError):
             PauliString(0, 0, 0)
-
-
-class TestMultiply:
-    def test_all_single_qubit_pairs_against_dense(self):
-        for la, lb in itertools.product(LABELS_1Q, repeat=2):
-            a, b = PauliString.from_label(la), PauliString.from_label(lb)
-            r, m = multiply(a, b)
-            lhs = dense(a) @ dense(b)
-            rhs = (1j**m) * dense(r)
-            assert np.allclose(lhs, rhs), (la, lb, r.label(), m)
-
-    def test_examples(self):
-        assert multiply(PauliString.from_label("X"), PauliString.from_label("X")) == (
-            PauliString.from_label("I"),
-            0,
-        )
-        # X @ Z = -iY
-        r, m = multiply(PauliString.from_label("X"), PauliString.from_label("Z"))
-        assert (r.label(), m) == ("Y", 3)
-        r, m = multiply(PauliString.from_label("XZ"), PauliString.from_label("ZZ"))
-        assert (r.label(), m) == ("YI", 3)
-
-    def test_recover_second_factor(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            p = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-            q = PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-            prod, _ = multiply(p, q)
-            back, _ = multiply(p, prod)
-            assert back == q  # P(PQ) = Q up to phase
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_associativity_phases(self, data):
-        n = data.draw(st.integers(1, 8))
-        masks = data.draw(
-            st.tuples(*[st.integers(0, (1 << n) - 1) for _ in range(6)])
-        )
-        p = PauliString(n, masks[0], masks[1])
-        q = PauliString(n, masks[2], masks[3])
-        r = PauliString(n, masks[4], masks[5])
-        pq, m1 = multiply(p, q)
-        left, m2 = multiply(pq, r)
-        qr, m3 = multiply(q, r)
-        right, m4 = multiply(p, qr)
-        assert left == right
-        assert (m1 + m2) % 4 == (m3 + m4) % 4
-
-    def test_triple_products_against_dense(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            ps = [
-                PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)))
-                for _ in range(3)
-            ]
-            first, m01 = multiply(ps[0], ps[1])
-            prod, m2 = multiply(first, ps[2])
-            m_total = (m01 + m2) % 4
-            lhs = dense(ps[0]) @ dense(ps[1]) @ dense(ps[2])
-            assert np.allclose(lhs, (1j**m_total) * dense(prod))
-
-    def test_mismatch(self):
-        with pytest.raises(QubitCountMismatch):
-            multiply(PauliString.from_label("X"), PauliString.from_label("XX"))
-
-
-class TestCommutes:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [("X", "X", True), ("X", "Z", False), ("XZ", "ZX", True)],
-    )
-    def test_examples(self, a, b, expected):
-        assert commutes(PauliString.from_label(a), PauliString.from_label(b)) is expected
-
-    def test_exhaustive_small_against_dense(self):
-        for n in (1, 2, 3):
-            for codes_a in itertools.product(range(4), repeat=n):
-                a = PauliString.from_codes(codes_a)
-                da = dense(a)
-                for codes_b in itertools.product(range(4), repeat=n):
-                    b = PauliString.from_codes(codes_b)
-                    db = dense(b)
-                    dense_commutes = np.allclose(da @ db, db @ da)
-                    assert commutes(a, b) is dense_commutes
 
 
 class TestPauliSum:
