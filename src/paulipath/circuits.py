@@ -200,7 +200,7 @@ class Layer:
         for g in self.gates:
             for q in g.support:
                 if q in seen:
-                    raise ValueError(f"qubit {q} appears in two gates of one layer")
+                    raise ValueError(f"'support' {list(g.support)} reuses qubit {q} of the layer")
                 seen.add(q)
         if self.noise is not None:
             object.__setattr__(self, "noise", tuple(self.noise))
@@ -223,6 +223,8 @@ class Circuit:
     final_layer: Layer | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"'n' must be at least 1, not {self.n}")
         object.__setattr__(self, "layers", tuple(self.layers))
         for layer in self.layers:
             self._check_layer(layer)
@@ -242,7 +244,7 @@ class Circuit:
                         f"'support' {list(g.support)} names qubit {q} outside 0..{self.n - 1}"
                     )
         if layer.noise is not None and len(layer.noise) != self.n:
-            raise ValueError("per-qubit noise tuple must have length n")
+            raise ValueError(f"'noise' has {len(layer.noise)} entries for n = {self.n} qubits")
 
     def is_template(self) -> bool:
         for layer in (*self.layers, *([self.final_layer] if self.final_layer else [])):
@@ -367,7 +369,7 @@ def build_hva(
     if blocks < 0:
         raise ValueError(f"'blocks' must be nonnegative, not {blocks}")
     if noise_placement not in ("per_round", "per_block"):
-        raise ValueError("noise_placement must be 'per_round' or 'per_block'")
+        raise ValueError(f"'noise_placement' {noise_placement!r} is not per_round or per_block")
     per_round = noise_placement == "per_round"
     n = lattice.n_sites
     ch = _noise_tuple(noise, n)
@@ -404,7 +406,7 @@ def build_trotter_tfim(
     if steps < 0:
         raise ValueError(f"'steps' must be nonnegative, not {steps}")
     if noise_placement not in ("per_layer", "per_step"):
-        raise ValueError("noise_placement must be 'per_layer' or 'per_step'")
+        raise ValueError(f"'noise_placement' {noise_placement!r} is not per_layer or per_step")
     n = lattice.n_sites
     ch = _noise_tuple(noise, n)
     per_layer = noise_placement == "per_layer"

@@ -31,7 +31,6 @@ from .channels import (
     SingleQubitPTM,
     TwoDesign,
     classify,
-    contraction_sq_bound,
     contraction_sq_mean,
     contraction_sq_worstcase,
 )
@@ -284,7 +283,8 @@ def _circuit_template(cfg: dict) -> Circuit:
     if builder == "hva":
         angles = spec.get("angles", "uniform")
         angle = None if angles == "uniform" else config_float(angles, "'angles'")
-        return build_hva(lattice, noise, _int_value(spec, "blocks"), angle)
+        placement = spec.get("noise_placement", "per_round")
+        return build_hva(lattice, noise, _int_value(spec, "blocks"), angle, placement)
     if builder == "trotter_tfim":
         return build_trotter_tfim(
             lattice,
@@ -381,7 +381,7 @@ def cmd_channel_info(args) -> int:
         "D": list(ch.d),
         "t": list(ch.t),
         "class": classify(ch).value,
-        "norm_gain_bound": contraction_sq_bound(ch.d, ch.t),
+        "norm_gain_bound": worst,
         "contraction_sq_worstcase": worst,
         "contraction_sq_two_design": two,
         "effective_rate_worstcase": 1.0 - math.sqrt(worst),

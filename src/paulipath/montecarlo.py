@@ -10,15 +10,18 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk is vectorized over samples and runs the propagation engine's
-compiled backward program (``propagation._compile``) in the engine's
-Pauli encoding: a chunk of m paths is a pair of word-major ``(W, m)``
-uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit ``q & 63`` of
-word ``q >> 6``.  A uniform rotation folds the generator into the paths
-that anticommute with it (one popcount parity over the gate's words),
-Cliffords XOR the program's deltas (their signs do not matter here),
-noise draws from thresholds over each row of the program's re-indexed
-transfer matrix, and a weight boundary adds one popcount of x | z.
+The walk is vectorized over samples and runs the list of steps that
+``propagation._compile`` returns, the engine's own backward program, in
+the engine's Pauli encoding: a chunk of m paths is a pair of word-major
+``(W, m)`` uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit
+``q & 63`` of word ``q >> 6``.  A uniform rotation folds the generator
+into the paths that anticommute with it (one popcount parity over the
+gate's words) on a coin, a pi/2 multiple always.  Cliffords and noise
+share the slot tables of ``propagation._local_step``: slot 0's XOR
+deltas move every path (signs do not matter here); a noise step then
+reweights by the input's squared norm and moves on through each further
+slot whose threshold the step's uniform draw reaches.  A weight boundary
+adds one popcount of x | z.
 Draws come from a counter-based generator, so results are reproducible
 and independent of chunking internals.  The check of these estimates
 against direct circuit sampling is in the test suite
@@ -33,7 +36,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .circuits import Circuit
-from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
+from .pauli import PauliSum, ProductState, QubitCountMismatch
 from .propagation import (
     _bloch_scale,
     _clifford,
@@ -93,69 +96,14 @@ class EstimateResult:
     nonzero_fraction: float
 
 
-def _noise_tables(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output law (proportional to the squared coefficient) and squared norm per row.
-
-    Row a of a channel's transfer matrix expands the adjoint image of input a
-    over the output Paulis I, X, Y, Z.
-    """
-    sq = ptm**2
-    norm = sq.sum(axis=1)
-    # a dead row draws I; its zero norm kills the contribution
-    dead = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
-    return np.divide(sq, norm[:, None], out=dead, where=norm[:, None] > 0.0), norm
-
-
-# --- compiled vectorized walk ------------------------------------------------------
-
-
-def _compile_steps(circuit: Circuit) -> list:
-    """The backward program as walk steps: ``propagation._compile`` for sampling.
-
-    Uniform rotations become ``urot`` (fold with probability 1/2), pi/2
-    multiples ``flip`` (always fold) or nothing (identity on Paulis); noise
-    becomes output thresholds indexed by input bit pair.  Clifford and
-    boundary steps pass through; the engine's merge points are dropped.
-    """
-    steps: list = []
-    for step in _compile(circuit):
-        kind = step[0]
-        if kind == "rot":
-            _, reads, writes, _phase, angle = step
-            if angle is None:
-                steps.append(("urot", reads, writes))
-                continue
-            c, s = _cos_sin(angle)
-            if s == 0.0:
-                continue  # +-identity on Paulis
-            if c != 0.0:
-                raise UnsupportedEnsembleError(
-                    "fixed rotation angles must be multiples of pi/2; "
-                    "use a uniform-angle placeholder or propagate sampled circuits"
-                )
-            steps.append(("flip", reads, writes))
-        elif kind == "noise":
-            (q,), rows = step[1], step[5]
-            prob, norm = _noise_tables(rows)
-            # the thresholds keep the I, X, Y, Z output order of the site-code
-            # law (the fourth, the row total, is 1)
-            t0, t1, t2 = np.cumsum(prob, axis=1)[:, :3].T
-            steps.append(("noise", q, np.uint64(1 << (q & 63)), t0, t1, t2, norm))
-        elif kind == "ucliff":
-            q = step[1]
-            # x and z bits of the drawn site code 1..3 (index 0 unused)
-            tx = np.array([(bp & 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
-            tz = np.array([(bp >> 1) << (q & 63) for bp in BITS_TO_CODE], dtype=np.uint64)
-            steps.append(("ucliff", q, np.uint64(1 << (q & 63)), tx, tz))
-        elif kind in ("cliff", "boundary"):
-            steps.append(step)
-    return steps
-
-
-def _set_bit(row: np.ndarray, bit: np.uint64, on: np.ndarray, tmp: np.ndarray) -> None:
-    """Set ``bit`` of ``row`` where ``on`` holds and clear it elsewhere."""
-    row &= ~bit
-    row |= np.multiply(on, bit, out=tmp)
+def _check_angles(steps: list) -> None:
+    """Reject a fixed rotation angle that is not a multiple of pi/2."""
+    for step in steps:
+        if step[0] == "rot" and step[4] is not None and 0.0 not in _cos_sin(step[4]):
+            raise UnsupportedEnsembleError(
+                "fixed rotation angles must be multiples of pi/2; "
+                "use a uniform-angle placeholder or propagate sampled circuits"
+            )
 
 
 def _seed_paths(observable: PauliSum) -> tuple:
@@ -167,7 +115,10 @@ def _seed_paths(observable: PauliSum) -> tuple:
 
 
 def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
-    """Walk m sampled paths; returns ((x, z) masks, accumulated weights, reweight factors)."""
+    """Walk m sampled paths through ``propagation._compile``'s program.
+
+    Returns ((x, z) masks, accumulated weights, reweight factors).
+    """
     idx = rng.choice(len(probs), size=m, p=probs)
     paths = np.take(np.stack((seed_x, seed_z)), idx, axis=2)  # (2, W, m): x, z
     x, z = paths
@@ -179,36 +130,36 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
     u, g = np.empty(m), np.empty(m)  # uniform draws, gathered table values
     a, b, c = (np.empty(m, dtype=np.uint64) for _ in range(3))
     odd = np.empty(m, dtype=np.uint8)
-    hit, hit2 = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    hit = np.empty(m, dtype=bool)
     # the tables are tiny and every code is in range; mode="clip" only keeps
     # np.take from buffering its output (the same holds in ``_clifford``)
     for step in steps:
         kind = step[0]
         if kind == "boundary":
             weight += _popcount(x | z)
-        elif kind == "noise":
-            _, q, bit, t0, t1, t2, norm = step
-            j, _s, bp = _site(x, z, q, (a, b))
-            k_factor *= np.take(norm, bp, out=g, mode="clip")
+        elif kind in ("cliff", "noise"):
+            _, support, ((deltas, _, _), *rest), norm = step
+            code = _clifford(paths, support, deltas, a, b, c)
+            if kind == "cliff":
+                continue
+            k_factor *= np.take(norm, code, out=g, mode="clip")
             rng.random(out=u)
-            # the site code drawn is the number of thresholds u passed:
-            # 1 or 2 sets the x bit, 2 or 3 the z bit
-            np.greater_equal(u, np.take(t0, bp, out=g, mode="clip"), out=hit)
-            hit ^= np.greater_equal(u, np.take(t2, bp, out=g, mode="clip"), out=hit2)
-            np.greater_equal(u, np.take(t1, bp, out=g, mode="clip"), out=hit2)
-            _set_bit(x[j], bit, hit, a)
-            _set_bit(z[j], bit, hit2, a)
-        elif kind == "urot":
-            _, reads, writes = step
-            _odd_parity(paths, reads, a, b, odd)
-            rng.random(out=u)
-            odd &= np.less(u, 0.5, out=hit)
-            _fold(paths, writes, odd, a)
-        elif kind == "flip":
-            _, reads, writes = step
-            _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
-        elif kind == "cliff":
-            _clifford(paths, step[1], step[2], a, b, c)
+            # the path ends on the last slot whose threshold u reaches
+            for deltas, _, thresholds in rest:
+                np.greater_equal(u, np.take(thresholds, code, out=g, mode="clip"), out=hit)
+                for j, dx, dz in deltas:
+                    x[j] ^= np.multiply(np.take(dx, code, out=b, mode="clip"), hit, out=b)
+                    z[j] ^= np.multiply(np.take(dz, code, out=b, mode="clip"), hit, out=b)
+        elif kind == "rot":
+            _, reads, writes, _phase, angle = step
+            if angle is None:
+                _odd_parity(paths, reads, a, b, odd)
+                rng.random(out=u)
+                odd &= np.less(u, 0.5, out=hit)
+                _fold(paths, writes, odd, a)
+            elif _cos_sin(angle)[0] == 0.0:
+                _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
+            # else sin is 0 (``_check_angles`` rejects the rest): +-identity on Paulis
         elif kind == "ucliff":
             _, q, bit, tx, tz = step
             j, _s, bp = _site(x, z, q, (a, b))
@@ -218,8 +169,6 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
             for row, table in ((x[j], tx), (z[j], tz)):
                 row &= ~bit
                 row |= np.multiply(np.take(table, draws, out=a, mode="clip"), hit, out=a)
-        else:  # pragma: no cover
-            raise AssertionError(kind)
     return (x, z), weight, k_factor
 
 
@@ -256,7 +205,8 @@ def estimate_many(
         raise ValueError("need at least two samples")
     _check_functionals(functionals, template.n)
 
-    steps = _compile_steps(template)
+    steps = _compile(template)
+    _check_angles(steps)
     seeds = _seed_paths(observable)
     norm_sq = seeds[-1]
 

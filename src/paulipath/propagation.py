@@ -21,10 +21,12 @@ else it is the columns themselves; the order is the same.
 ``_compile`` turns a circuit into its backward program in one pass, one
 step per gate, noised qubit and weight boundary, with the masks and
 tables built once.  A fixed Clifford and a noise channel are one kind of
-step, built by ``_local_step`` from the forward PTM and run by one
-kernel: each input's first output in place, further outputs appended.
-``backpropagate``, the one engine entry, runs that program on sampled
-circuits and rejects a template at entry; the Monte Carlo walk in
+step, a slot table built by ``_local_step`` from the forward PTM: slot s
+of an input is its s-th non-zero output, as XOR deltas, a coefficient
+and a sampling threshold per input.  The engine applies slot 0 in place
+and appends each further slot; the walk applies slot 0 and draws among
+the rest.  ``backpropagate``, the one engine entry, runs that program on
+sampled circuits and rejects a template at entry; the Monte Carlo walk in
 ``montecarlo`` samples paths, placeholders included, through the same
 program with the same parity, fold and delta kernels.
 Weights accumulate only under a path-weight cutoff; without one every
@@ -195,15 +197,25 @@ class FrontierOverflowError(RuntimeError):
 
 
 def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
-    """A Clifford (``source`` its name) or a channel on ``support`` as a step, from its forward PTM.
+    """A Clifford (``source`` its name) or a channel on ``support`` as slot tables, from its PTM.
 
-    Inputs are joint bit pairs (support[0] in the high bits); row i of
-    ``rows`` is input i's adjoint image over outputs in joint site-code
-    order.  Input i's first non-zero output is applied in place, by XOR
-    ``deltas`` ``(word, dx, dz)`` and ``coeffs[i]`` (0 drops the input);
-    each further output is an extra ``(i, masks, coeff)`` whose XOR masks
-    take the first output to it, in input-then-output order.  The identity
-    input is left untouched.
+    Inputs are joint bit pairs (support[0] in the high bits); the forward
+    PTM re-indexed by them lists input i's adjoint image over outputs in
+    joint site-code order.  Slot s of input i is its s-th non-zero output,
+    as ``(deltas, coeffs, thresholds)`` tables indexed by input:
+
+    - ``deltas``, XOR tables ``(word, dx, dz)`` per support word that take
+      the input (slot 0), or the output of slot s - 1, to this output;
+    - ``coeffs``, the output's coefficient: 0 where the input has no slot s,
+      and the identity input has one slot, itself with coefficient 1.  An
+      input of zero squared norm (a dead one, or one whose coefficients
+      underflow when squared) first goes to I with coefficient 0;
+    - ``thresholds``, the share of the input's squared norm that comes
+      before this output (1 where the input has no slot s or zero norm).
+
+    The step is ``(kind, support, slots, norm)``, ``norm`` each input's
+    squared norm: the walk draws slot s where a uniform u reaches its
+    threshold and reweights by the norm.
     """
     shifts = (2, 0)[2 - len(support):]  # of each support qubit's pair in a joint code
     size, words = 4 ** len(support), sorted({q >> 6 for q in support})
@@ -211,22 +223,34 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
     flip = [sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts) for i in range(size)]
     ptm = clifford_forward_ptm(source) if kind == "cliff" else source.forward_ptm()
     rows = ptm[flip]
-
-    def masks(diff: int) -> list:
-        """``(word, dx, dz)`` per support word for the joint bit-pair change ``diff``."""
-        # a pair's x bit is bit s of the joint code and its z bit is bit s + 1
-        d = [sum(((diff >> (s + b)) & 1) << q for q, s in zip(support, shifts)) for b in (0, 1)]
-        return [(j, *(np.uint64((v >> 64 * j) & _WORD) for v in d)) for j in words]
-
-    deltas = [(j, np.zeros(size, np.uint64), np.zeros(size, np.uint64)) for j in words]
-    coeffs, extras = np.ones(size), []
+    sq = rows**2
+    norm = sq.sum(axis=1)
+    # the walk's output law; an input of zero norm draws I
+    law = np.tile(np.eye(1, size), (size, 1))
+    share = np.cumsum(np.divide(sq, norm[:, None], out=law, where=norm[:, None] > 0.0), axis=1)
+    # (output bit pair, coefficient, threshold) of each input's slots; an
+    # input of zero norm first goes to I with coefficient 0, so that the
+    # walk stays there and the engine keeps only its later slots
+    outs = [[(0, 1.0, 0.0)]]
     for i in range(1, size):
-        outs = [(flip[o], c) for o, c in enumerate(rows[i]) if c != 0.0]
-        (first, coeffs[i]), *rest = outs or [(i, 0.0)]
-        for (_, dx, dz), (_, mx, mz) in zip(deltas, masks(i ^ first)):
-            dx[i], dz[i] = mx, mz
-        extras += [(i, masks(first ^ o), c) for o, c in rest]
-    return (kind, support, tuple(deltas), coeffs, tuple(extras), rows)
+        out = [(flip[o], c, share[i, o - 1] if o else 0.0) for o, c in enumerate(rows[i]) if c]
+        outs.append(out if norm[i] > 0.0 else [(0, 0.0, 0.0), *out])
+
+    slots, prev = [], list(range(size))  # each input's current output
+    for s in range(max(map(len, outs))):
+        deltas = [(j, np.zeros(size, np.uint64), np.zeros(size, np.uint64)) for j in words]
+        coeffs, thresholds = np.zeros(size), np.ones(size)
+        for i, out in enumerate(outs):
+            if s >= len(out):
+                continue
+            o, coeffs[i], thresholds[i] = out[s]
+            diff, prev[i] = prev[i] ^ o, o
+            # a pair's x bit is bit t of the joint code and its z bit is bit t + 1
+            d = [sum(((diff >> (t + b)) & 1) << q for q, t in zip(support, shifts)) for b in (0, 1)]
+            for j, dx, dz in deltas:
+                dx[i], dz[i] = ((v >> 64 * j) & _WORD for v in d)
+        slots.append((tuple(deltas), coeffs, thresholds))
+    return (kind, support, tuple(slots), norm)
 
 
 def _compile(circuit: Circuit, crossed: bool = False) -> list:
@@ -240,11 +264,13 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
       generator when the reads ``(side, word, bits)`` (side 0 the x masks,
       side 1 the z masks) select an odd number of set bits; multiplying
       by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
-    - ``("cliff", support, deltas, coeffs, extras, rows)``, a fixed
-      Clifford, and ``("noise", (q,), deltas, coeffs, extras, rows)``, the
-      channel on qubit q: both built by ``_local_step`` from the forward
-      PTM, so one kernel runs them.
-    - ``("ucliff", q)``, a uniformly random single-qubit Clifford.
+    - ``("cliff", support, slots, norm)``, a fixed Clifford, and
+      ``("noise", (q,), slots, norm)``, the channel on qubit q: both slot
+      tables built by ``_local_step`` from the forward PTM, so one kernel
+      runs them in the engine and one branch in the walk.
+    - ``("ucliff", q, bit, tx, tz)``, a uniformly random single-qubit
+      Clifford: ``bit`` is qubit q's bit in its word, and ``tx``/``tz``
+      that bit's x and z values for each site code 1..3 (index 0 unused).
     - ``("boundary",)``, the weight boundary, before every noise round
       but the first one the walk crosses (``crossed`` says the walk
       crossed one before this circuit), and ``("layer_end",)`` and
@@ -276,7 +302,12 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
             elif isinstance(gate, CliffordGate):
                 steps.append(local("cliff", gate.support, gate.name))
             elif isinstance(gate, RandomSingleQubitClifford):
-                steps.append(("ucliff", gate.qubit))
+                bit = 1 << (gate.qubit & 63)
+                tx, tz = (
+                    np.array([bit * ((bp >> b) & 1) for bp in BITS_TO_CODE], dtype=np.uint64)
+                    for b in (0, 1)
+                )
+                steps.append(("ucliff", gate.qubit, np.uint64(bit), tx, tz))
             else:  # pragma: no cover - exhaustive over gate variants
                 raise ValueError(f"unsupported gate {gate!r}")
         steps.append(("layer_end",))
@@ -444,20 +475,27 @@ def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
         f.append(*branch)
 
 
-def _np_local(f: _Frontier, support, deltas, coeffs: np.ndarray, extras, _rows) -> None:
-    """Run a ``_local_step``: first outputs in place, extras appended (rows are the walk's)."""
+def _np_local(f: _Frontier, support, slots, _norm) -> None:
+    """Run a ``_local_step``: slot 0 in place, each further slot appended (the norm is the walk's).
+
+    Slot s's rows are compressed from slot s - 1's, where the input has a
+    slot s, and carry the input's coefficient times the slot's.
+    """
     scratch = (np.empty(len(f), dtype=np.uint64) for _ in range(3))
+    (deltas, coeffs, _), *rest = slots
     code = _clifford((f.x, f.z), support, deltas, *scratch)
-    pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
-    for i, words, coeff in extras:
-        sel = code == i
-        x2, z2 = np.compress(sel, f.x, axis=1), np.compress(sel, f.z, axis=1)
-        for j, dx, dz in words:
-            x2[j] ^= dx
-            z2[j] ^= dz
-        for piece, col in zip(pieces, (x2, z2, f.w[sel], f.c[sel] * coeff)):
-            piece.append(col)
     scale = coeffs[code]
+    x, z, w, c = f.x, f.z, f.w, f.c
+    pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
+    for deltas, coeffs_s, _ in rest:
+        sel = coeffs_s[code] != 0.0
+        x, z = np.compress(sel, x, axis=1), np.compress(sel, z, axis=1)
+        w, c, code = w[sel], c[sel], code[sel]
+        for j, dx, dz in deltas:
+            x[j] ^= dx[code]
+            z[j] ^= dz[code]
+        for piece, col in zip(pieces, (x, z, w, c * coeffs_s[code])):
+            piece.append(col)
     f.c = f.c * scale
     if not coeffs.all():
         f.select(scale != 0.0)

@@ -4,11 +4,13 @@ A chunk of paths is an (m, n) uint8 array of site codes (0=I, 1=X, 2=Y,
 3=Z), updated step by step through fancy-indexed table lookups.
 ``compile_steps`` builds its own step list from the tests' op list
 (``helpers.backward_ops_by_units``), with site-code tables taken straight
-from ``clifford_adjoint_table`` and the channels' forward transfer
-matrices, not from the compiled program (``propagation._compile``) that
-``paulipath.montecarlo._compile_steps`` reads.  The walk consumes the
-generator's stream draw for draw in the same order, so for one Philox key
-both walks must reach the same paths, weights and reweight factors.
+from ``clifford_adjoint_table`` and, for noise, an output law and squared
+norm per input read off each channel's forward transfer matrix by
+``noise_tables``: not from the slot tables of the compiled program
+(``propagation._compile``) that ``paulipath.montecarlo._walk_chunk`` runs.
+The walk consumes the generator's stream draw for draw in the same order,
+so for one Philox key both walks must reach the same paths, weights and
+reweight factors.
 """
 
 from __future__ import annotations
@@ -22,13 +24,26 @@ from paulipath.circuits import (
     PauliRotation,
     RandomSingleQubitClifford,
 )
-from paulipath.montecarlo import UnsupportedEnsembleError, _noise_tables
+from paulipath.montecarlo import UnsupportedEnsembleError
 from paulipath.propagation import _cos_sin
 
 # site-code product table, signs dropped (only squared amplitudes matter here)
 _MULT = np.array(
     [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.uint8
 )
+
+
+def noise_tables(ptm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Output law (proportional to the squared coefficient) and squared norm per row.
+
+    Row a of a channel's transfer matrix expands the adjoint image of input a
+    over the output Paulis I, X, Y, Z.
+    """
+    sq = ptm**2
+    norm = sq.sum(axis=1)
+    # a dead row draws I; its zero norm kills the contribution
+    dead = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    return np.divide(sq, norm[:, None], out=dead, where=norm[:, None] > 0.0), norm
 
 
 def compile_steps(circuit: Circuit) -> list:
@@ -43,7 +58,7 @@ def compile_steps(circuit: Circuit) -> list:
                 ch = op[1][q]
                 if ch is None or ch.is_identity:
                     continue
-                prob, norm = _noise_tables(ch.forward_ptm())
+                prob, norm = noise_tables(ch.forward_ptm())
                 steps.append(("noise", q, np.cumsum(prob, axis=1), norm))
             continue
         for gate in op[1].gates:

@@ -13,9 +13,8 @@ from typing import Sequence
 from paulipath.channels import NormalFormChannel
 from helpers import clifford_adjoint_table
 from paulipath.circuits import CliffordGate, PauliRotation
-from paulipath.montecarlo import _noise_tables
 
-from mc_reference_walk import _MULT
+from mc_reference_walk import _MULT, noise_tables
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def second_moment_rotation(rotation: PauliRotation) -> SecondMomentStep:
 
 def second_moment_noise(ch: NormalFormChannel) -> SecondMomentStep:
     """Fixed channel: outputs drawn with probability ~ squared adjoint amplitude."""
-    return SecondMomentStep(1, _noise_tables(ch.forward_ptm()), "noise")
+    return SecondMomentStep(1, noise_tables(ch.forward_ptm()), "noise")
 
 
 def second_moment_clifford(gate: CliffordGate) -> SecondMomentStep:

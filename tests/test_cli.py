@@ -900,6 +900,28 @@ class TestGateFit:
         assert repr(key) in err and value in err and "Traceback" not in err
 
 
+class TestHvaNoisePlacement:
+    def expectation(self, tmp_path, capsys, **extra):
+        cfg = write_config(tmp_path, _builder_config({**HVA_CIRCUIT, "blocks": 2, **extra}))
+        code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 0
+        return json.loads(out)["result"]["expectation"]
+
+    def test_placement_from_config(self, tmp_path, capsys):
+        default = self.expectation(tmp_path, capsys)
+        per_round = self.expectation(tmp_path, capsys, noise_placement="per_round")
+        per_block = self.expectation(tmp_path, capsys, noise_placement="per_block")
+        assert default == per_round != per_block
+
+    @pytest.mark.parametrize("command, value", [("propagate", "bogus"), ("estimate", "per_step")])
+    def test_bad_placement_exits_2_naming_key_and_value(self, tmp_path, capsys, command, value):
+        cfg = _builder_config(_with(HVA_CIRCUIT, ("noise_placement",), value))
+        cfg["estimator"] = ESTIMATE_CONFIG["estimator"]
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert "'noise_placement'" in err and repr(value) in err and "Traceback" not in err
+
+
 class TestObjectFields:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -927,6 +949,12 @@ class TestMalformedEntries:
             ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "layers", 0, "gates"), ["x"]), "gates"),
             ("propagate", _with(RX_DAMP_CONFIG, ("observable",), "ZI"), "observable"),
             ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_kind",), ["x"]), "noise_kind"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "layers", 0, "noise"), [None, None]),
+             "noise"),
+            ("propagate", _with(TWO_QUBIT_CONFIG, TWO_QUBIT_GATES, [
+                {"type": "clifford", "name": "H", "support": [0]},
+                {"type": "rot", "generator": "ZZ", "support": [1, 0], "angle": 0.1},
+            ]), "support"),
         ],
     )
     def test_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
@@ -951,6 +979,8 @@ class TestCounts:
             ("dynamics", _with(DYNAMICS_CONFIG, ("lattice",), _square(0, 2)), "rows"),
             ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("lattice",), _square(2, 0)), "cols"),
             ("dynamics", _with(DYNAMICS_CONFIG, ("lattice", "n"), 0), "n"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("circuit", "n"), 0), "n"),
+            ("oracle", _with(RX_DAMP_CONFIG, ("circuit", "n"), -1), "n"),
         ],
     )
     def test_out_of_range_size_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):

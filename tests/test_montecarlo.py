@@ -26,7 +26,8 @@ from paulipath import (
     make_depolarizing,
 )
 from paulipath.circuits import Layer, PauliRotation
-from paulipath.montecarlo import _compile_steps, _seed_paths, _walk_chunk
+from paulipath.montecarlo import _seed_paths, _walk_chunk
+from paulipath.propagation import _compile
 from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
@@ -213,7 +214,7 @@ def _rot(label, support, angle=None):
 
 def bitmask_walk(template, observable, m, rng):
     """One chunk of m paths on the bit-mask walk, seeded as ``estimate_many`` seeds it."""
-    return _walk_chunk(_compile_steps(template), *_seed_paths(observable), m, rng)
+    return _walk_chunk(_compile(template), *_seed_paths(observable), m, rng)
 
 
 def site_codes(x, z, n):

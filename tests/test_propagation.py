@@ -27,16 +27,26 @@ from paulipath import (
     sample_circuit,
     simulate_exact,
 )
-from paulipath.circuits import Layer, PauliRotation, RandomSingleQubitClifford
+from paulipath.circuits import (
+    _NAMED_UNITARIES,
+    Layer,
+    PauliRotation,
+    RandomSingleQubitClifford,
+    clifford_forward_ptm,
+    clifford_group_1q,
+)
 from paulipath.cli import _resolve_trunc
+from paulipath.pauli import BITS_TO_CODE
 from paulipath.propagation import (
     EXACT,
     FrontierOverflowError,
     _compile,
     _Frontier,
     _join_words,
+    _local_step,
     _split_words,
 )
+from mc_reference_walk import noise_tables
 from reference_walk import count_legal_paths, iter_legal_paths, reference_backpropagate
 
 # "dict" is the reference dict walk in tests/reference_walk.py, "numpy" the engine
@@ -652,3 +662,101 @@ class TestAgainstReference:
         state = data.draw(helpers.product_states(n))
         got = expectation(backpropagate(circuit, obs), state)
         assert got == pytest.approx(simulate_exact(circuit, state, obs), abs=1e-10)
+
+
+def _run_slots(step) -> tuple[np.ndarray, list]:
+    """Every input of a ``_local_step`` run through its slots.
+
+    Returns the re-indexed forward PTM the slots rebuild (row i over
+    output site codes, i a joint bit pair) and, per input, the output site
+    code and threshold of each of its slots.
+    """
+    _kind, support, slots, _norm = step
+    shifts = (2, 0)[2 - len(support):]
+    support_bits = {}  # word -> bits of the support in it
+    for q in support:
+        support_bits[q >> 6] = support_bits.get(q >> 6, 0) | 1 << (q & 63)
+    size = 4 ** len(support)
+    ptm, outs = np.zeros((size, size)), []
+    for i in range(size):
+        masks = {j: [0, 0] for j in support_bits}
+        for q, t in zip(support, shifts):
+            masks[q >> 6][0] |= ((i >> t) & 1) << (q & 63)
+            masks[q >> 6][1] |= ((i >> (t + 1)) & 1) << (q & 63)
+        out = []
+        for deltas, coeffs, thresholds in slots:
+            if out and coeffs[i] == 0.0:
+                # no slot s: nothing moves
+                assert all(dx[i] == dz[i] == 0 for _, dx, dz in deltas)
+                continue
+            for j, dx, dz in deltas:
+                masks[j][0] ^= int(dx[i])
+                masks[j][1] ^= int(dz[i])
+            assert all(v & ~support_bits[j] == 0 for j, m in masks.items() for v in m)
+            code = 0
+            for q, t in zip(support, shifts):
+                x, z = ((v >> (q & 63)) & 1 for v in masks[q >> 6])
+                code |= BITS_TO_CODE[x | z << 1] << t
+            ptm[i, code] += coeffs[i]
+            out.append((code, thresholds[i]))
+        outs.append(out)
+    return ptm, outs
+
+
+def _joint_flip(arity: int) -> list[int]:
+    """Joint site code of each joint bit pair (support[0] in the high bits)."""
+    shifts = (2, 0)[2 - arity:]
+    return [sum(BITS_TO_CODE[(i >> t) & 3] << t for t in shifts) for i in range(4**arity)]
+
+
+def _check_slot_table(step, rows: np.ndarray) -> list:
+    """Assert that a slot table encodes ``rows``, its re-indexed PTM.
+
+    Returns each input's (output site code, threshold) per slot.
+    """
+    _kind, _support, slots, _norm = step
+    ptm, outs = _run_slots(step)
+    # the identity input has one slot, itself with coefficient 1 (a channel
+    # maps I to I up to rounding in its transfer matrix's first row)
+    assert outs[0] == [(0, 0.0)]
+    assert [coeffs[0] for _, coeffs, _ in slots] == [1.0] + [0.0] * (len(slots) - 1)
+    assert np.array_equal(ptm[1:], rows[1:])
+    for i, out in enumerate(outs[1:], 1):
+        codes = [code for code, _ in out]
+        if not (rows[i] ** 2).sum():
+            # zero squared norm: to I with coefficient 0 first
+            assert codes[0] == 0 and slots[0][1][i] == 0.0
+            codes = codes[1:]
+        assert codes == sorted(set(codes))  # joint site-code order
+    return outs
+
+
+# by PTM size: one- and two-qubit supports, some across the word boundary at 63/64
+LOCAL_SUPPORTS = {
+    4: [(0,), (63,), (64,), (129,)],
+    16: [(0, 1), (1, 0), (63, 64), (64, 63), (2, 129)],
+}
+
+
+class TestLocalStep:
+    @pytest.mark.parametrize("name", sorted(_NAMED_UNITARIES) + clifford_group_1q())
+    def test_clifford_slots_rebuild_its_ptm(self, name):
+        ptm = clifford_forward_ptm(name)
+        for support in LOCAL_SUPPORTS[len(ptm)]:
+            step = _local_step("cliff", support, name)
+            outs = _check_slot_table(step, ptm[_joint_flip(len(support))])
+            assert [len(out) for out in outs] == [1] * len(ptm)
+            assert np.array_equal(step[3], np.ones(len(ptm)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(helpers.channels(), st.sampled_from([0, 63, 64, 129]))
+    def test_channel_slots_rebuild_its_ptm_and_sampling_law(self, ch, q):
+        step = _local_step("noise", (q,), ch)
+        rows = ch.forward_ptm()[_joint_flip(1)]
+        outs = _check_slot_table(step, rows)
+        prob, norm = noise_tables(rows)
+        assert step[3].tobytes() == norm.tobytes()
+        # slot s's threshold is the share of the norm before its output
+        cdf = np.cumsum(prob, axis=1)
+        for i, out in enumerate(outs[1:], 1):
+            assert [t for _, t in out] == [cdf[i, code - 1] if code else 0.0 for code, _ in out]
