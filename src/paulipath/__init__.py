@@ -15,7 +15,6 @@ from .channels import (
     Scrambler,
     SingleQubitPTM,
     TwoDesign,
-    WorstCase,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,

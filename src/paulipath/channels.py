@@ -8,8 +8,9 @@ makes adjoint (Heisenberg) rows trivial to read off: P -> d_P P + t_P I.
 
 The module also computes contraction coefficients: the per-site rates at
 which the adjoint channel shrinks the normalized Frobenius norm of
-supported observables, either worst-case or averaged over a random
-single-qubit gate ensemble.  The config form of a channel is read by
+supported observables, either worst-case (``contraction_sq_worstcase``)
+or averaged over a random single-qubit gate ensemble, a ``TwoDesign`` or
+a ``Scrambler`` (``contraction_sq_mean``).  The config form of a channel is read by
 ``cli``; a custom channel is a ``NormalFormChannel(d, t)`` built directly.
 The test suite, not this module, holds what only tests need: whether a gate
 ensemble scrambles (``tests/gate_ensembles.py``), and a channel's
@@ -237,11 +238,6 @@ def classify(ch: NormalFormChannel) -> ChannelClass:
 
 
 @dataclass(frozen=True)
-class WorstCase:
-    """No ensemble assumption: bound the contraction over all inputs."""
-
-
-@dataclass(frozen=True)
 class TwoDesign:
     """Gates drawn from a single-qubit unitary 2-design."""
 
@@ -257,7 +253,7 @@ class Scrambler:
             raise UnsupportedDesignError("scrambler slack must lie in [0, 1)")
 
 
-Design = WorstCase | TwoDesign | Scrambler
+Design = TwoDesign | Scrambler
 
 
 def contraction_sq_bound(d: Sequence[float], t: Sequence[float]) -> float:
@@ -292,7 +288,5 @@ def contraction_sq_mean(ch: NormalFormChannel, design: Design) -> float:
                 "dephasing-like channels; use TwoDesign or the worst-case bound"
             )
         return design.eta + (1.0 - design.eta) * d2 / 3.0
-    if isinstance(design, WorstCase):
-        return contraction_sq_worstcase(ch)
     raise UnsupportedDesignError(f"unknown design {design!r}")
 

@@ -309,23 +309,32 @@ def _resolve_circuit(cfg: dict, seed: int) -> tuple[Circuit, dict]:
 
 
 def _resolve_state(spec, n: int) -> ProductState:
+    """The ``state``: absent, ``"zeros"`` or one Bloch vector per qubit in the unit ball."""
     if spec in (None, "zeros"):
         return ProductState.zeros(n)
-    if isinstance(spec, list):
-        state = ProductState.from_vectors([_triple(v, "'state' Bloch vector") for v in spec])
-        if state.n != n:
-            raise ConfigError(f"state has {state.n} qubits, circuit has {n}")
-        return state
-    raise ConfigError(f"unknown state spec {spec!r}")
+    if not isinstance(spec, list):
+        raise ConfigError(f"'state' must be \"zeros\" or a list of Bloch vectors, not {spec!r}")
+    if len(spec) != n:
+        raise ConfigError(f"'state' has {len(spec)} Bloch vectors, but the circuit has {n} qubits")
+    vectors = [_triple(v, "'state' Bloch vector") for v in spec]
+    try:
+        return ProductState.from_vectors(vectors)
+    except ValueError as exc:  # a vector outside the unit ball
+        raise ConfigError(f"'state' {exc}") from None
 
 
 def _resolve_observable(cfg: dict, n: int) -> PauliSum:
-    """The ``observable``: ``{pauli, coeff}`` terms, each on the circuit's n qubits."""
+    """The ``observable``: ``{pauli, coeff}`` terms, each on the circuit's n qubits, not all 0."""
     terms = _list(cfg, "observable", _as_object, "{pauli, coeff} objects")
     for term in terms:
         if _pauli(term["pauli"], "'pauli'").n != n:
             raise ConfigError(f"'pauli' {term['pauli']!r} is not a label on the circuit's {n} qubits")
-    return PauliSum.from_json_obj(terms)  # which reads the coefficients
+    if not terms:
+        raise ConfigError("'observable' has no terms")
+    observable = PauliSum.from_json_obj(terms)  # which reads the coefficients
+    if not observable:
+        raise ConfigError("'observable' has no term with a non-zero 'coeff'")
+    return observable
 
 
 def _resolve_trunc(cfg: dict) -> TruncationConfig:

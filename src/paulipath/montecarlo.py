@@ -83,16 +83,16 @@ Functional = Union[Variance, TruncMSE, TruncFrobenius]
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Sample mean and standard error of one functional.
+    """Sample mean, standard error and sample count of one functional.
 
     ``nonzero_fraction`` is the share of samples whose functional value
-    is non-zero: near 0 the mean rests on few paths.
+    is non-zero: near 0 the mean rests on few paths.  The seed is the
+    caller's own and is not echoed back.
     """
 
     mean: float
     standard_error: float
     samples: int
-    seed: int
     nonzero_fraction: float
 
 
@@ -234,7 +234,7 @@ def estimate_many(
     out = []
     for cnt, mean, m2, nonzero in stats:
         stderr = float(np.sqrt(m2 / (cnt - 1) / cnt)) if cnt > 1 else 0.0
-        out.append(EstimateResult(mean, stderr, cnt, seed, nonzero / cnt))
+        out.append(EstimateResult(mean, stderr, cnt, nonzero / cnt))
     return out
 
 

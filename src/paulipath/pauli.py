@@ -4,9 +4,11 @@ A Pauli string is stored as two integer bit masks (``x``, ``z``), one bit per
 qubit, so its weight is a popcount.  No phase is stored on the string
 itself, and this module has no product: the engine folds each rotation's
 sign into real coefficients on its columns, and every gate's transfer
-matrix comes from ``circuits.unitary_ptm``.  The overlap of a Pauli sum
-with a product state is ``propagation.expectation``, which works on the
-engine's columns.  ``config_int`` and ``config_float``, the checks on a
+matrix comes from ``circuits.unitary_ptm``.  A ``PauliSum`` is built,
+counted and iterated, and nothing more: the overlap of a Pauli sum with a
+product state is ``propagation.expectation``, which works on the engine's
+columns, and the coefficient lookups and norms the tests check against
+live in the test suite.  ``config_int`` and ``config_float``, the checks on a
 config value, live here because ``PauliSum.from_json_obj`` reads a
 coefficient with ``config_float``; every other config field is read by
 ``cli``.
@@ -17,7 +19,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 CODE_CHARS = "IXYZ"
@@ -93,17 +94,6 @@ class PauliString:
         xb, zb = CODE_TO_BITS[code]
         return cls(n, xb << qubit, zb << qubit)
 
-    @classmethod
-    def from_codes(cls, codes: Iterable[int]) -> "PauliString":
-        x = z = 0
-        count = 0
-        for q, code in enumerate(codes):
-            xb, zb = CODE_TO_BITS[code]
-            x |= xb << q
-            z |= zb << q
-            count += 1
-        return cls(count, x, z)
-
     def code(self, qubit: int) -> int:
         """Site code at ``qubit``: 0=I, 1=X, 2=Y, 3=Z."""
         return BITS_TO_CODE[((self.x >> qubit) & 1) + 2 * ((self.z >> qubit) & 1)]
@@ -113,14 +103,6 @@ class PauliString:
 
     def label(self) -> str:
         return "".join(CODE_CHARS[self.code(q)] for q in range(self.n))
-
-    def support(self) -> tuple[int, ...]:
-        mask = self.x | self.z
-        return tuple(q for q in range(self.n) if (mask >> q) & 1)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PauliString({self.label()!r})"
@@ -164,25 +146,14 @@ class PauliSum:
     def single(cls, label: str, coeff: float = 1.0) -> "PauliSum":
         return cls.from_strings([(label, coeff)])
 
-    @property
-    def terms(self) -> Mapping[PauliString, float]:
-        return MappingProxyType(self._terms)
-
     def items(self) -> Iterator[tuple[PauliString, float]]:
         return iter(self._terms.items())
-
-    def coeff(self, p: PauliString) -> float:
-        return self._terms.get(p, 0.0)
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    def frobenius_norm_sq(self) -> float:
-        """Squared normalized Frobenius norm: the sum of squared coefficients."""
-        return math.fsum(c * c for c in self._terms.values())
 
     @classmethod
     def from_json_obj(cls, obj: list[dict]) -> "PauliSum":

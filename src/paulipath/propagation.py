@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -55,13 +55,7 @@ from .circuits import (
     RandomSingleQubitClifford,
     clifford_forward_ptm,
 )
-from .pauli import (
-    BITS_TO_CODE,
-    PauliString,
-    PauliSum,
-    ProductState,
-    QubitCountMismatch,
-)
+from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
 
 
 @dataclass(frozen=True)
@@ -115,14 +109,6 @@ def _split_words(masks: Sequence[int], n: int) -> np.ndarray:
     ).reshape(words, len(masks))
 
 
-def _join_words(words: np.ndarray) -> list[int]:
-    """Inverse of ``_split_words``: one Python int per column."""
-    ints = [0] * words.shape[1]
-    for row in words[::-1].tolist():
-        ints = [(v << 64) | r for v, r in zip(ints, row)]
-    return ints
-
-
 @dataclass(frozen=True, eq=False)
 class BackpropResult:
     """Backpropagated observable as a columnar frontier.
@@ -144,16 +130,6 @@ class BackpropResult:
     stats: BackpropStats
     trunc: TruncationConfig
     crossed_noise: bool
-
-    @cached_property
-    def terms(self) -> PauliSum:
-        """The one Pauli-object view: coefficients merged over accumulated weight.
-
-        Built on first access only.
-        """
-        n = self.n
-        rows = zip(_join_words(self.x), _join_words(self.z), self.c.tolist())
-        return PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in rows])
 
     def kept_below(self, k: int) -> "BackpropResult":
         """The result of the same run at path-weight cutoff k: the rows with w < k.
@@ -402,11 +378,9 @@ def _odd_parity(paths, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray)
     """``out`` = 1 where a path anticommutes with the generator, else 0.
 
     ``paths[side][j]`` is word j of the x (side 0) or z (side 1) masks, so
-    both an ``(x, z)`` pair and a ``(2, W, m)`` array work.
+    both an ``(x, z)`` pair and a ``(2, W, m)`` array work.  ``reads`` is
+    never empty: a generator covers a qubit and is not the identity there.
     """
-    if not reads:
-        out.fill(0)
-        return out
     (side, j, w), *rest = reads
     np.bitwise_and(paths[side][j], w, out=acc)
     for side, j, w in rest:

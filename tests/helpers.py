@@ -1,8 +1,9 @@
 """Shared generators: random noisy circuits built in two independent forms,
 hypothesis strategies for small noisy circuits, reference computations
 (the per-term product-state overlap, exact Heisenberg evolution on a dense
-tensor and the per-step dynamics series), and circuit, channel and Pauli-sum
-diagnostics only the tests use."""
+tensor and the per-step dynamics series), circuit, channel and Pauli-sum
+diagnostics only the tests use, and the Pauli-object views of a result and a
+Pauli sum (its terms, a coefficient, its squared norm)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import dense_ref
 from gate_ensembles import rotation_ptm
 from paulipath import (
+    BackpropResult,
     Circuit,
     CliffordGate,
     InfeasibleSizeError,
@@ -35,12 +37,13 @@ from paulipath.channels import (
     Design,
     NormalFormChannel,
     SingleQubitPTM,
-    WorstCase,
     contraction_sq_mean,
+    contraction_sq_worstcase,
 )
 from paulipath.circuits import Layer, _pauli_kron, clifford_forward_ptm, unitary_ptm
 from paulipath.experiments import center_z
 from paulipath.oracle import _apply_matrix, _noise_ptms
+from paulipath.pauli import CODE_TO_BITS
 
 
 def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
@@ -432,7 +435,7 @@ def heisenberg_exact(circuit: Circuit, observable: PauliSum) -> PauliSum:
     terms = []
     for idx in np.flatnonzero(flat):
         codes = np.unravel_index(idx, tensor.shape)
-        terms.append((PauliString.from_codes(int(c) for c in codes), float(flat[idx])))
+        terms.append((pauli_from_codes(int(c) for c in codes), float(flat[idx])))
     return PauliSum(circuit.n, terms)
 
 
@@ -461,7 +464,7 @@ def reference_dynamics_series(
         rows.append(
             {
                 "t": s * dt,
-                "expectation": reference_expectation(res.terms, state),
+                "expectation": reference_expectation(result_terms(res), state),
                 "surviving_paths": res.stats.surviving_path_count,
             }
         )
@@ -542,9 +545,13 @@ def adjoint_action(ch: NormalFormChannel, site: str | int) -> PauliSum:
     )
 
 
-def effective_depolarizing_rate(ch: NormalFormChannel, design: Design = WorstCase()) -> float:
-    """Depolarizing strength the noise mimics on average: 1 - sqrt(chi^2)."""
-    p = 1.0 - np.sqrt(contraction_sq_mean(ch, design))
+def effective_depolarizing_rate(ch: NormalFormChannel, design: Design | None = None) -> float:
+    """Depolarizing strength the noise mimics on average: 1 - sqrt(chi^2).
+
+    chi^2 is the mean over ``design``, or the worst case when it is None.
+    """
+    sq = contraction_sq_worstcase(ch) if design is None else contraction_sq_mean(ch, design)
+    p = 1.0 - np.sqrt(sq)
     if p <= 0.0:
         warnings.warn(
             "effective depolarizing rate is zero; path damping gives no decay",
@@ -558,3 +565,42 @@ def pauli_sum_json(s: PauliSum) -> list[dict]:
     return [
         {"pauli": p.label(), "coeff": c} for p, c in sorted(s.items(), key=lambda kv: kv[0].label())
     ]
+
+
+# --- Pauli-object views ----------------------------------------------------------------
+
+
+def pauli_from_codes(codes) -> PauliString:
+    """The string with site code ``codes[q]`` (0=I, 1=X, 2=Y, 3=Z) on qubit q."""
+    x = z = n = 0
+    for q, code in enumerate(codes):
+        xb, zb = CODE_TO_BITS[code]
+        x |= xb << q
+        z |= zb << q
+        n += 1
+    return PauliString(n, x, z)
+
+
+def join_words(words: np.ndarray) -> list[int]:
+    """Word-major ``(W, m)`` uint64 masks as one Python int per column."""
+    ints = [0] * words.shape[1]
+    for row in words[::-1].tolist():
+        ints = [(v << 64) | r for v, r in zip(ints, row)]
+    return ints
+
+
+def result_terms(res: BackpropResult) -> PauliSum:
+    """A result's rows as a Pauli sum: coefficients merged over accumulated weight."""
+    n = res.n
+    rows = zip(join_words(res.x), join_words(res.z), res.c.tolist())
+    return PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in rows])
+
+
+def coeff(s: PauliSum, p: PauliString) -> float:
+    """The coefficient of ``p`` in ``s``, 0 when absent."""
+    return dict(s.items()).get(p, 0.0)
+
+
+def frobenius_norm_sq(s: PauliSum) -> float:
+    """Squared normalized Frobenius norm: the sum of squared coefficients."""
+    return math.fsum(c * c for _, c in s.items())

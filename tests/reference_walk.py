@@ -20,7 +20,7 @@ from paulipath.circuits import (
     Layer,
     PauliRotation,
 )
-from helpers import backward_ops_by_units, clifford_adjoint_table, noisy_units
+from helpers import backward_ops_by_units, clifford_adjoint_table, join_words, noisy_units
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,
@@ -30,7 +30,6 @@ from paulipath.propagation import (
     TruncationConfig,
     _cos_sin,
     _frozen,
-    _join_words,
     _split_words,
 )
 
@@ -196,7 +195,7 @@ def _run_dict(circuit, seed, trunc, max_terms) -> tuple[dict, BackpropStats, boo
     if isinstance(seed, BackpropResult):
         frontier = dict(
             zip(
-                zip(_join_words(seed.x), _join_words(seed.z), seed.w.tolist()),
+                zip(join_words(seed.x), join_words(seed.z), seed.w.tolist()),
                 seed.c.tolist(),
             )
         )

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    coeff,
     effective_depolarizing_rate,
+    frobenius_norm_sq,
     heisenberg_exact,
     noisy_layer_count,
     noisy_units,
@@ -32,7 +34,6 @@ from paulipath import (
     TruncMSE,
     TruncationConfig,
     Variance,
-    WorstCase,
     backpropagate,
     build_hva,
     build_trotter_tfim,
@@ -134,14 +135,14 @@ def test_c2_normal_form_arithmetic():
         circuit = Circuit(2, (Layer((), (make_amplitude_damping(q),) * 2),))
         acted = heisenberg_exact(circuit, obs)
         checks = [
-            abs(acted.coeff(PauliString.from_label("ZZ")) - (1 - q) ** 2) <= 1e-12,
-            abs(acted.coeff(PauliString.from_label("IZ")) - (1 - q * q)) <= 1e-12,
-            abs(acted.coeff(PauliString.from_label("ZI")) - (1 - q * q)) <= 1e-12,
-            abs(acted.coeff(PauliString.from_label("II")) - (2 * q + q * q)) <= 1e-12,
+            abs(coeff(acted, PauliString.from_label("ZZ")) - (1 - q) ** 2) <= 1e-12,
+            abs(coeff(acted, PauliString.from_label("IZ")) - (1 - q * q)) <= 1e-12,
+            abs(coeff(acted, PauliString.from_label("ZI")) - (1 - q * q)) <= 1e-12,
+            abs(coeff(acted, PauliString.from_label("II")) - (2 * q + q * q)) <= 1e-12,
         ]
         ok &= all(checks)
         if q == 1.0:
-            ratio = acted.frobenius_norm_sq() / obs.frobenius_norm_sq()
+            ratio = frobenius_norm_sq(acted) / frobenius_norm_sq(obs)
             ok &= abs(ratio - 3.0) <= 1e-12
             details.append(f"ratio(q=1) = {ratio}")
     report(2, "two-site damping expansion", ok, "; ".join(details))
@@ -305,7 +306,7 @@ def test_c6_effective_depth():
     assert noisy_layer_count(template) == 20
     obs = center_z(Chain(6))
     state = ProductState.zeros(6)
-    p = effective_depolarizing_rate(ch, WorstCase())
+    p = effective_depolarizing_rate(ch)
     t0 = time.perf_counter()
     sq_gaps = {j: [] for j in (2, 4, 6, 8)}
     for i in range(200):

@@ -9,14 +9,13 @@ from gate_ensembles import (
     uniform_clifford_ensemble,
     verify_scrambler,
 )
-from helpers import adjoint_action, effective_depolarizing_rate, pauli_sum_json
+from helpers import adjoint_action, coeff, effective_depolarizing_rate, pauli_sum_json
 from paulipath import (
     ChannelClass,
     InvalidChannelError,
     PauliString,
     Scrambler,
     TwoDesign,
-    WorstCase,
     classify,
     contraction_sq_bound,
     contraction_sq_mean,
@@ -64,7 +63,7 @@ class TestBuilders:
         ch = make_depolarizing(0.1)
         for site in "XYZ":
             acted = adjoint_action(ch, site)
-            assert acted.coeff(PauliString.from_label(site)) == pytest.approx(0.9)
+            assert coeff(acted, PauliString.from_label(site)) == pytest.approx(0.9)
             assert len(acted) == 1
 
     def test_dephasing(self):
@@ -110,8 +109,8 @@ class TestClassify:
 class TestAdjointAction:
     def test_amplitude_damping_z(self):
         acted = adjoint_action(make_amplitude_damping(0.36), "Z")
-        assert acted.coeff(PauliString.from_label("Z")) == pytest.approx(0.64)
-        assert acted.coeff(PauliString.from_label("I")) == pytest.approx(0.36)
+        assert coeff(acted, PauliString.from_label("Z")) == pytest.approx(0.64)
+        assert coeff(acted, PauliString.from_label("I")) == pytest.approx(0.36)
 
     def test_dephasing_x(self):
         acted = adjoint_action(make_dephasing(0.3), "X")
@@ -175,7 +174,7 @@ class TestContraction:
     def test_effective_rate_examples(self):
         with pytest.warns(UserWarning):
             assert effective_depolarizing_rate(make_depolarizing(0.0)) == 0.0
-        got = effective_depolarizing_rate(make_amplitude_damping(0.2), WorstCase())
+        got = effective_depolarizing_rate(make_amplitude_damping(0.2))
         # the worst-case coefficient for this channel is max(1-g, (1-g)^2+g^2)
         assert got == pytest.approx(1 - math.sqrt(0.8), abs=1e-12)
         assert 1 - math.sqrt(1 - 0.2 + 0.04) <= got + 1e-12

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import paulipath.cli
-import paulipath.propagation
+import paulipath.pauli
 from paulipath.cli import main
 
 
@@ -229,10 +229,17 @@ class TestPropagate:
         assert code == 0 and cutoffs == [9]
 
     def test_k_sweep_builds_no_pauli_objects(self, tmp_path, capsys, monkeypatch):
+        # once the observable is read, the pass and every k's row work on columns
         def refuse(*args):
             raise AssertionError("the k-sweep built a PauliString")
 
-        monkeypatch.setattr(paulipath.propagation, "PauliString", refuse)
+        backpropagate = paulipath.cli.backpropagate
+
+        def then_refuse(*args, **kwargs):
+            monkeypatch.setattr(paulipath.pauli.PauliString, "__post_init__", refuse)
+            return backpropagate(*args, **kwargs)
+
+        monkeypatch.setattr(paulipath.cli, "backpropagate", then_refuse)
         cfg = write_config(tmp_path, self.KSWEEP_CONFIG)
         code, out, err = run_cli(["propagate", "--config", cfg], capsys)
         assert code == 0, err
@@ -940,6 +947,9 @@ class TestObjectFields:
         assert repr(key) in err and "Traceback" not in err
 
 
+ZERO_OBSERVABLE = [{"pauli": "Z", "coeff": 0.0}, {"pauli": "X", "coeff": 0}]
+
+
 class TestMalformedEntries:
     @pytest.mark.parametrize(
         "command, cfg, key",
@@ -955,6 +965,13 @@ class TestMalformedEntries:
                 {"type": "clifford", "name": "H", "support": [0]},
                 {"type": "rot", "generator": "ZZ", "support": [1, 0], "angle": 0.1},
             ]), "support"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("state",), [[2.0, 0.0, 0.0]]), "state"),
+            ("oracle", _with(RX_DAMP_CONFIG, ("state",), [[0, 0, 1], [0, 0, 1]]), "state"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("state",), []), "state"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "state"), "ones"), "state"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("observable",), ZERO_OBSERVABLE), "observable"),
+            ("oracle", _with(RX_DAMP_CONFIG, ("observable",), ZERO_OBSERVABLE), "observable"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("observable",), []), "observable"),
         ],
     )
     def test_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):

@@ -3,12 +3,16 @@ no config-format code outside the CLI and no unused parameters.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
-Every top-level function, class and constant is named somewhere in
-``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
-``__init__`` exists to re-export, so it is not checked, but its imports
-count as references.  No such definition is named by ``tests/`` alone:
-code only the tests use belongs in ``tests/``, and there a re-export
-from ``__init__`` does not count as a use.  ``cli`` alone reads and writes
+Every top-level function, class and constant, and every method and
+property of a top-level class, is named somewhere in ``src/``, ``tests/``
+or ``perfbench/`` besides its own definition.  ``__init__`` exists to
+re-export, so it is not checked, but its imports count as references.  No
+such definition is named by ``tests/`` alone: code only the tests use
+belongs in ``tests/``, and there a re-export from ``__init__`` does not
+count as a use.  A member is named where code reads it as an attribute
+(``obj.name``); dunder methods, which Python calls itself, are exempt.
+The check goes by name, not by class, so a member that shares its name
+with another one passes while either is used.  ``cli`` alone reads and writes
 the config format: no other module defines a function or method with
 ``json`` in its name (``PauliSum.from_json_obj`` excepted), and only
 ``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  No function
@@ -84,7 +88,8 @@ def _references(source: str) -> collections.Counter:
     """Identifiers a source names: loaded names, attributes, imported names and strings.
 
     A string that is an identifier counts, because code can look a name up
-    by string (``getattr``, the benchmark's tracer).
+    by string (``getattr``, the benchmark's tracer).  An attribute also
+    counts under ``.name``, the key a class member is looked up by.
     """
     counts = collections.Counter()
     for node in ast.walk(ast.parse(source)):
@@ -92,6 +97,7 @@ def _references(source: str) -> collections.Counter:
             counts[node.id] += 1
         elif isinstance(node, ast.Attribute):
             counts[node.attr] += 1
+            counts["." + node.attr] += 1
         elif isinstance(node, ast.alias):
             counts[node.name.split(".")[-1]] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -100,7 +106,12 @@ def _references(source: str) -> collections.Counter:
 
 
 def _definitions(modules: dict[str, str]):
-    """``(module, name, line)`` for each top-level function, class and constant."""
+    """``(module, name, line, key)`` for each top-level function, class and constant,
+    and each method and property of a top-level class but dunders.
+
+    ``key`` is what ``_references`` counts a use under: the name itself, or
+    ``.member`` for a member, whose name is ``Class.member``.
+    """
     for module, source in modules.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -110,7 +121,13 @@ def _definitions(modules: dict[str, str]):
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            yield from ((module, name, node.lineno) for name in names)
+            yield from ((module, name, node.lineno, name) for name in names)
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    qualified = f"{node.name}.{member.name}"
+                    yield module, qualified, member.lineno, "." + member.name
 
 
 def _all_references(sources) -> collections.Counter:
@@ -121,17 +138,19 @@ def _all_references(sources) -> collections.Counter:
 
 
 def unreferenced_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
-    """``module: name (line N)`` for each top-level definition in ``modules`` no source names.
+    """``module: name (line N)`` for each definition in ``modules`` no source names.
 
     ``modules`` maps a module name to the source whose definitions are
     checked; references are counted in those sources and in ``others``.
     """
     refs = _all_references((*modules.values(), *others))
-    return [f"{m}: {name} (line {line})" for m, name, line in _definitions(modules) if not refs[name]]
+    return [
+        f"{m}: {name} (line {line})" for m, name, line, key in _definitions(modules) if not refs[key]
+    ]
 
 
 def used_only_by_tests(modules: dict[str, str], tests: list[str], others: list[str]) -> list[str]:
-    """``module: name (line N)`` for each top-level definition only ``tests`` name.
+    """``module: name (line N)`` for each definition only ``tests`` name.
 
     A definition in ``modules`` is used by the package when one of those
     sources (its own module included) or one of ``others`` names it.
@@ -139,8 +158,8 @@ def used_only_by_tests(modules: dict[str, str], tests: list[str], others: list[s
     used, tested = _all_references((*modules.values(), *others)), _all_references(tests)
     return [
         f"{m}: {name} (line {line})"
-        for m, name, line in _definitions(modules)
-        if tested[name] and not used[name]
+        for m, name, line, key in _definitions(modules)
+        if tested[key] and not used[key]
     ]
 
 
@@ -165,6 +184,25 @@ def test_checker_flags_a_test_only_definition():
         "lib.py: used (line 1)",
         "lib.py: for_tests (line 7)",
     ]
+
+
+def test_checker_flags_members():
+    # a member only tests read and a property nothing reads are flagged; a
+    # string or a local variable of a member's name is not a use of it
+    lib = (
+        "class Sum:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def items(self):\n        return iter(())\n\n"
+        "    def coeff(self, p):\n        return 0.0\n\n"
+        "    @property\n    def is_identity(self):\n        return True\n\n"
+        "def columns(s):\n    coeff = 'coeff'\n    return list(s.items()), coeff\n"
+    )
+    tests = ["from lib import Sum\nSum().coeff(1)\n"]
+    bench = ["import lib\nlib.columns(lib.Sum())\n"]
+    assert unreferenced_definitions({"lib.py": lib}, tests + bench) == [
+        "lib.py: Sum.is_identity (line 12)"
+    ]
+    assert used_only_by_tests({"lib.py": lib}, tests, bench) == ["lib.py: Sum.coeff (line 8)"]
 
 
 def test_no_test_only_definitions():

@@ -136,7 +136,7 @@ class TestEstimate:
         obs = PauliSum.from_strings([("ZI", 0.6), ("IX", 0.8)])
         tmpl = Circuit(2, (uniform_rx_layer(2, (make_amplitude_damping(0.2),) * 2),))
         r = estimate(tmpl, obs, Variance(ProductState.zeros(2)), 20_000, 1)
-        assert 0.0 <= r.mean <= obs.frobenius_norm_sq()
+        assert 0.0 <= r.mean <= helpers.frobenius_norm_sq(obs)
 
     def test_trunc_mse_dominated_by_variance(self):
         tmpl = build_hva(Chain(3), make_amplitude_damping(0.2), 2, noise_placement="per_block")
@@ -148,13 +148,11 @@ class TestEstimate:
         assert mse.mean <= var.mean + 3 * (var.standard_error + mse.standard_error)
 
     def test_truncation_tail_decay_bound(self):
-        from paulipath import WorstCase
-
         g = 0.3
         ch = make_amplitude_damping(g)
         tmpl = build_hva(Chain(3), ch, 3, noise_placement="per_block")
         obs = PauliSum.single("ZII")
-        p = helpers.effective_depolarizing_rate(ch, WorstCase())
+        p = helpers.effective_depolarizing_rate(ch)
         for k in (3, 5, 7):
             r = estimate(tmpl, obs, TruncFrobenius(k), 200_000, 13)
             assert r.mean <= (1 - p) ** (2 * k) + 3 * r.standard_error

@@ -42,7 +42,6 @@ from paulipath.propagation import (
     FrontierOverflowError,
     _compile,
     _Frontier,
-    _join_words,
     _local_step,
     _split_words,
 )
@@ -87,25 +86,26 @@ class TestBackpropagate:
     def test_identity_circuit_passthrough(self):
         obs = PauliSum.from_strings([("XZ", 0.4), ("IY", -0.3)])
         res = backpropagate(Circuit(2, ()), obs, TruncationConfig(path_weight_cutoff=5))
-        assert helpers.pauli_sum_json(res.terms) == helpers.pauli_sum_json(obs)
+        assert helpers.pauli_sum_json(helpers.result_terms(res)) == helpers.pauli_sum_json(obs)
 
     @pytest.mark.parametrize("engine", sorted(WALKS))
     def test_rx_damping_exact_terms(self, engine):
         theta, gamma = 0.7, 0.2
         res = WALKS[engine](rx_damping_circuit(theta, gamma), PauliSum.single("Z"))
-        assert res.terms.coeff(PauliString.from_label("Z")) == pytest.approx(
+        terms = helpers.result_terms(res)
+        assert helpers.coeff(terms, PauliString.from_label("Z")) == pytest.approx(
             (1 - gamma) * math.cos(theta)
         )
-        assert res.terms.coeff(PauliString.from_label("Y")) == pytest.approx(
+        assert helpers.coeff(terms, PauliString.from_label("Y")) == pytest.approx(
             (1 - gamma) * math.sin(theta)
         )
-        assert res.terms.coeff(PauliString.from_label("I")) == pytest.approx(gamma)
+        assert helpers.coeff(terms, PauliString.from_label("I")) == pytest.approx(gamma)
 
     def test_depolarizing_layers_scale_with_total_weight(self):
         p, layers_count = 0.1, 4
         c = Circuit(3, tuple(Layer((), (make_depolarizing(p),) * 3) for _ in range(layers_count)))
         res = backpropagate(c, PauliSum.single("ZIZ"))
-        assert helpers.pauli_sum_json(res.terms) == [
+        assert helpers.pauli_sum_json(helpers.result_terms(res)) == [
             {"pauli": "ZIZ", "coeff": pytest.approx((1 - p) ** (layers_count * 2))}
         ]
 
@@ -172,7 +172,7 @@ class TestBackpropagate:
     def test_seed_terms_above_cutoff_are_dropped(self, engine):
         obs = PauliSum.from_strings([("ZZZ", 1.0), ("ZII", 0.5)])
         res = WALKS[engine](Circuit(3, ()), obs, TruncationConfig(path_weight_cutoff=2))
-        assert helpers.pauli_sum_json(res.terms) == [{"pauli": "ZII", "coeff": 0.5}]
+        assert helpers.pauli_sum_json(helpers.result_terms(res)) == [{"pauli": "ZII", "coeff": 0.5}]
         assert res.stats.paths_discarded_by_weight == 1
 
     @pytest.mark.parametrize("engine", sorted(WALKS))
@@ -181,7 +181,7 @@ class TestBackpropagate:
             2, (Layer((), (make_amplitude_damping(0.2),) * 2),) * 3
         )
         res = WALKS[engine](c, PauliSum.single("ZZ"), TruncationConfig(path_weight_cutoff=2))
-        assert len(res.terms) == 0
+        assert len(helpers.result_terms(res)) == 0
         assert res.stats.surviving_path_count == 0
         assert expectation(res, ProductState.zeros(2)) == 0.0
 
@@ -288,7 +288,7 @@ class TestAuxiliaryCutoffs:
         assert res2.stats.paths_discarded_by_xy == 0
         res3 = backpropagate(c2, PauliSum.single("XI"), TruncationConfig(current_weight_cutoff=1))
         assert res3.stats.paths_discarded_by_current_weight == 1
-        assert len(res3.terms) == 1
+        assert len(helpers.result_terms(res3)) == 1
 
     def test_coeff_cutoff(self):
         res = backpropagate(
@@ -297,7 +297,7 @@ class TestAuxiliaryCutoffs:
             TruncationConfig(coeff_cutoff=0.01),
         )
         # the identity branch carries coefficient 0.001 < cutoff
-        assert res.terms.coeff(PauliString.from_label("I")) == 0.0
+        assert helpers.coeff(helpers.result_terms(res), PauliString.from_label("I")) == 0.0
         assert res.stats.paths_discarded_by_coeff >= 1
 
 
@@ -338,10 +338,9 @@ class TestLegalPaths:
                 p0 = path.boundaries[-1]
                 summed[p0] = summed.get(p0, 0.0) + path.amplitude
             res = backpropagate(circuit, obs, TruncationConfig(path_weight_cutoff=k))
-            for pauli in set(summed) | set(res.terms.terms):
-                assert summed.get(pauli, 0.0) == pytest.approx(
-                    res.terms.coeff(pauli), abs=1e-10
-                )
+            terms = dict(helpers.result_terms(res).items())
+            for pauli in set(summed) | set(terms):
+                assert summed.get(pauli, 0.0) == pytest.approx(terms.get(pauli, 0.0), abs=1e-10)
 
 
 class TestUnitalBranchlessness:
@@ -366,7 +365,7 @@ class TestResultSurface:
         res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"), TruncationConfig(2))
         assert set(res.w.tolist()) == {1}
         kept = res.kept_below(2)
-        assert len(kept.terms) == 3 and kept.stats.surviving_path_count == 3
+        assert len(helpers.result_terms(kept)) == 3 and kept.stats.surviving_path_count == 3
         empty = res.kept_below(1)
         assert len(empty.c) == 0 and empty.stats.surviving_path_count == 0
         assert empty.trunc == TruncationConfig(1)
@@ -398,7 +397,8 @@ class TestResultSurface:
             data.draw(helpers.noisy_circuits(len(sites), depth_max=2)), sites, n
         )
         res = backpropagate(circuit, obs, data.draw(helpers.truncations()))
-        for got, terms in ((expectation(obs, state), obs), (expectation(res, state), res.terms)):
+        view = helpers.result_terms(res)
+        for got, terms in ((expectation(obs, state), obs), (expectation(res, state), view)):
             assert got == pytest.approx(helpers.reference_expectation(terms, state), abs=1e-12)
         for arg in (obs, res):
             with pytest.raises(QubitCountMismatch):
@@ -413,7 +413,7 @@ def _stat_totals(*results):
 
 def _weighted(res):
     """(x mask, z mask, accumulated weight) -> coefficient, one entry per result row."""
-    rows = zip(_join_words(res.x), _join_words(res.z), res.w.tolist(), res.c.tolist())
+    rows = zip(helpers.join_words(res.x), helpers.join_words(res.z), res.w.tolist(), res.c.tolist())
     return {(x, z, w): c for x, z, w, c in rows}
 
 
@@ -450,7 +450,7 @@ class TestResume:
         state = data.draw(helpers.product_states(n))
         res = backpropagate(circuit, obs, trunc)
         assert expectation(res, state) == pytest.approx(
-            helpers.reference_expectation(res.terms, state), abs=1e-12
+            helpers.reference_expectation(helpers.result_terms(res), state), abs=1e-12
         )
 
     def test_columnar_expectation_beyond_one_word(self):
@@ -473,7 +473,7 @@ class TestResume:
         assert res.x.dtype == res.z.dtype == np.uint64
         assert res.x.shape == res.z.shape == (2, len(res.c)) and len(res.c) > 1
         assert expectation(res, state) == pytest.approx(
-            helpers.reference_expectation(res.terms, state), abs=1e-14
+            helpers.reference_expectation(helpers.result_terms(res), state), abs=1e-14
         )
 
     @settings(max_examples=30, deadline=None)
@@ -539,7 +539,7 @@ class TestMerge:
         assert f.x.shape == f.z.shape == ((n + 63) // 64, len(want))
         assert f.x.dtype == f.z.dtype == np.uint64 and f.w.dtype == np.int64
         assert f.merged_len == len(want)
-        got = list(zip(_join_words(f.x), _join_words(f.z), f.w.tolist()))
+        got = list(zip(helpers.join_words(f.x), helpers.join_words(f.z), f.w.tolist()))
         assert got == [key for key, _ in want]
         assert f.c.tolist() == [total for _, total in want]
 
@@ -606,6 +606,25 @@ class TestBackwardOps:
             got = _skeleton(_compile(circuit, crossed))
             assert got == _unit_skeleton(helpers.backward_ops_by_units(circuit, crossed))
             assert [m for m, _ in got].count("noise_end") == helpers.noisy_layer_count(circuit)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_rotation_reads_each_qubit_of_its_support(self, data):
+        # a generator covers a qubit and is not the identity there, so a
+        # rotation step never has empty reads (``_odd_parity`` relies on it)
+        support = tuple(
+            data.draw(
+                st.lists(st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 129]),
+                         min_size=1, max_size=3, unique=True)
+            )
+        )
+        label = "".join(data.draw(st.sampled_from("XYZ")) for _ in support)
+        angle = data.draw(st.one_of(st.none(), helpers.ANGLES))
+        gate = PauliRotation(PauliString.from_label(label), support, angle)
+        rot = [step for step in _compile(Circuit(130, (Layer((gate,)),))) if step[0] == "rot"]
+        assert len(rot) == 1 and rot[0][1]
+        read = {64 * j + b for _, j, w in rot[0][1] for b in range(64) if (int(w) >> b) & 1}
+        assert read == set(support)
 
 
 class TestAgainstReference:

@@ -20,6 +20,7 @@ from paulipath import (
     simulate_exact,
 )
 from paulipath.montecarlo import Functional
+from helpers import frobenius_norm_sq, result_terms
 
 
 @dataclass(frozen=True)
@@ -34,12 +35,12 @@ def _direct_value(circuit: Circuit, observable: PauliSum, f: Functional) -> floa
     if isinstance(f, Variance):
         return simulate_exact(circuit, f.state, observable) ** 2
     # the paths with w >= k: all paths minus the paths with w < k
-    every = backpropagate(circuit, observable).terms
-    kept = backpropagate(circuit, observable, TruncationConfig(f.k)).terms
+    every = result_terms(backpropagate(circuit, observable))
+    kept = result_terms(backpropagate(circuit, observable, TruncationConfig(f.k)))
     dropped = PauliSum(observable.n, [*every.items(), *((p, -c) for p, c in kept.items())])
     if isinstance(f, TruncMSE):
         return expectation(dropped, f.state) ** 2
-    return dropped.frobenius_norm_sq()
+    return frobenius_norm_sq(dropped)
 
 
 def validate_estimator(
