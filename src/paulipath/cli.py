@@ -486,6 +486,7 @@ def cmd_estimate(args) -> int:
         "stderr": result.standard_error,
         "samples": result.samples,
         "nonzero_fraction": result.nonzero_fraction,
+        "max_reweight": result.max_reweight,
     }
     _emit(args, payload)
     return 0

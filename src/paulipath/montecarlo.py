@@ -16,12 +16,14 @@ the engine's Pauli encoding: a chunk of m paths is a pair of word-major
 ``(W, m)`` uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit
 ``q & 63`` of word ``q >> 6``.  A uniform rotation folds the generator
 into the paths that anticommute with it (one popcount parity over the
-gate's words) on a coin, a pi/2 multiple always.  Cliffords and noise
+gate's words) on a coin, a pi/2 multiple always.  The coins of one
+uniform rotation come from ``ceil(m / 64)`` raw 64-bit Philox words:
+path p's coin is bit ``p & 63`` of word ``p >> 6``.  Cliffords and noise
 share the slot tables of ``propagation._local_step``: slot 0's XOR
 deltas move every path (signs do not matter here); a noise step then
 reweights by the input's squared norm and moves on through each further
-slot whose threshold the step's uniform draw reaches.  A weight boundary
-adds one popcount of x | z.
+slot whose threshold the step's uniform draw, one ``random()`` double
+per path, reaches.  A weight boundary adds one popcount of x | z.
 Draws come from a counter-based generator, so results are reproducible
 and independent of chunking internals.  The check of these estimates
 against direct circuit sampling is in the test suite
@@ -86,14 +88,17 @@ class EstimateResult:
     """Sample mean, standard error and sample count of one functional.
 
     ``nonzero_fraction`` is the share of samples whose functional value
-    is non-zero: near 0 the mean rests on few paths.  The seed is the
-    caller's own and is not echoed back.
+    is non-zero: near 0 the mean rests on few paths.  ``max_reweight`` is
+    the largest reweight factor of any sampled path, at most ||O||_F^2
+    (shared by every functional of one walk).  The seed is the caller's
+    own and is not echoed back.
     """
 
     mean: float
     standard_error: float
     samples: int
     nonzero_fraction: float
+    max_reweight: float
 
 
 def _check_angles(steps: list) -> None:
@@ -154,8 +159,10 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
             _, reads, writes, _phase, angle = step
             if angle is None:
                 _odd_parity(paths, reads, a, b, odd)
-                rng.random(out=u)
-                odd &= np.less(u, 0.5, out=hit)
+                # path p's coin is bit p & 63 of raw word p >> 6, also on a
+                # big-endian host ("<u8")
+                words = rng.bit_generator.random_raw(-(-m // 64)).astype("<u8", copy=False)
+                odd &= np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
                 _fold(paths, writes, odd, a)
             elif _cos_sin(angle)[0] == 0.0:
                 _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
@@ -212,13 +219,15 @@ def estimate_many(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     stats = [(0, 0.0, 0.0, 0) for _ in functionals]  # (count, mean, M2, non-zero count)
+    max_reweight = 0.0
 
     remaining = samples
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
         (x, z), weight, k_factor = _walk_chunk(steps, *seeds, m, rng)
-        if k_factor.max() > norm_sq * (1.0 + 1e-9):
+        max_reweight = max(max_reweight, float(k_factor.max()))
+        if max_reweight > norm_sq * (1.0 + 1e-9):
             raise FloatingPointError("sample reweighting escaped [0, ||O||_F^2]")
         for i, f in enumerate(functionals):
             lam = _functional_values(f, x, z, weight, k_factor)
@@ -234,7 +243,7 @@ def estimate_many(
     out = []
     for cnt, mean, m2, nonzero in stats:
         stderr = float(np.sqrt(m2 / (cnt - 1) / cnt)) if cnt > 1 else 0.0
-        out.append(EstimateResult(mean, stderr, cnt, nonzero / cnt))
+        out.append(EstimateResult(mean, stderr, cnt, nonzero / cnt, max_reweight))
     return out
 
 

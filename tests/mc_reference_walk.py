@@ -10,7 +10,9 @@ norm per input read off each channel's forward transfer matrix by
 (``propagation._compile``) that ``paulipath.montecarlo._walk_chunk`` runs.
 The walk consumes the generator's stream draw for draw in the same order,
 so for one Philox key both walks must reach the same paths, weights and
-reweight factors.
+reweight factors.  A uniform rotation's coins are bits of raw 64-bit
+words, path p's coin bit ``p & 63`` of word ``p >> 6``; this walk reads
+them with shifts, the library walk with ``np.unpackbits``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,10 @@ def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
         elif kind == "urot":
             _, support, gcodes = step
             anti = _anticommute_mask(codes, support, gcodes)
-            flip = anti & (rng.random(m) < 0.5)
+            # path p's coin is bit p & 63 of raw word p >> 6
+            words = rng.bit_generator.random_raw(-(-m // 64))
+            p = np.arange(m, dtype=np.uint64)
+            flip = anti & ((words[p >> 6] >> (p & 63)) & 1).astype(bool)
             if flip.any():
                 for q, g in zip(support, gcodes):
                     codes[flip, q] = _MULT[codes[flip, q], g]

@@ -360,9 +360,11 @@ class TestEstimateCommand:
         code, out, _ = run_cli(["estimate", "--config", cfg], capsys)
         assert code == 0
         result = json.loads(out)["result"]
-        assert set(result) == {"mean", "stderr", "samples", "nonzero_fraction"}
+        assert set(result) == {"mean", "stderr", "samples", "nonzero_fraction", "max_reweight"}
         # paths ending on Y have zero overlap with |0>, those on I or Z do not
         assert 0.0 < result["nonzero_fraction"] < 1.0
+        # the damping step scales every path by the squared norm of Z's image
+        assert result["max_reweight"] == pytest.approx(0.8**2 + 0.2**2, rel=1e-12)
         want = 0.8**2 / 2 + 0.04
         assert result["mean"] == pytest.approx(want, abs=5 * result["stderr"] + 1e-3)
 

@@ -263,9 +263,9 @@ class TestRandomStream:
         fs = [Variance(state), TruncMSE(3, state), TruncFrobenius(4)]
         got = estimate_many(template, obs, fs, (1 << 17) + 4099, 2024)
         want = [
-            ("0x1.c8a54d8c9e72ep-6", "0x1.6c3bbd4df862ap-13"),
-            ("0x1.9426228cfeb6ap-6", "0x1.1185b7839626ep-13"),
-            ("0x1.c30767df19ad4p-3", "0x1.6288e453928d7p-13"),
+            ("0x1.ce9e427f94465p-6", "0x1.6d7ff13d2c95ap-13"),
+            ("0x1.9b07a3e42511fp-6", "0x1.15f4a49ccebcfp-13"),
+            ("0x1.c4002ea6b8e00p-3", "0x1.631283a45181bp-13"),
         ]
         for r, (mean, stderr) in zip(got, want):
             assert r.mean == float.fromhex(mean)
@@ -292,6 +292,27 @@ class TestNonzeroFraction:
         # the samples ending on Z carry the whole mean, 1 each
         assert r.nonzero_fraction * samples == pytest.approx(r.mean * samples, abs=1e-6)
         assert 0.45 < r.nonzero_fraction < 0.55
+
+
+class TestMaxReweight:
+    def test_equals_norm_on_noiseless_uniform_rotations(self):
+        tmpl = Circuit(2, (uniform_rx_layer(2, None),))
+        obs = PauliSum.from_strings([("ZI", 0.7), ("IZ", -0.5)])
+        fs = [Variance(ProductState.zeros(2)), TruncFrobenius(1)]
+        got = estimate_many(tmpl, obs, fs, (1 << 17) + 11, 3)
+        # nothing reweights a path, so every factor stays ||O||_F^2
+        assert [r.max_reweight for r in got] == [_seed_paths(obs)[-1]] * 2
+
+    def test_at_most_norm_under_amplitude_damping(self):
+        g = 0.3
+        tmpl = Circuit(1, (uniform_rx_layer(1, (make_amplitude_damping(g),)),))
+        r = estimate(tmpl, PauliSum.single("Z"), TruncFrobenius(1), 5000, 5)
+        # the adjoint channel maps Z to (1 - g) Z + g I before any rotation
+        assert r.max_reweight == pytest.approx((1 - g) ** 2 + g**2, rel=1e-12)
+        tmpl = build_hva(Chain(3), make_amplitude_damping(0.2), 2, noise_placement="per_block")
+        obs = PauliSum.from_strings([("ZII", 0.6), ("IXX", 0.8)])
+        (r,) = estimate_many(tmpl, obs, [TruncFrobenius(2)], 20_000, 9)
+        assert 0.0 < r.max_reweight <= _seed_paths(obs)[-1]
 
 
 class TestDeterministicCircuits:
