@@ -15,8 +15,9 @@ word-major ``(W, m)`` uint64 arrays with ``W = ceil(n / 64)``, qubit q
 in bit ``q & 63`` of word ``q >> 6``, next to the accumulated weights
 and coefficients of the m terms.  A merge sorts the rows stably by
 (x, z, w) and sums the coefficients of equal rows.  When
-2n + bits(max w) <= 64 the sort key is one packed uint64 word per row,
-else it is the columns themselves; the order is the same.
+2n + bits(max w) + bits(m - 1) <= 64 each row is one uint64 word, its
+packed key over its row index, sorted in place; else ``lexsort`` sorts
+the columns themselves.  The order is the same in both.
 
 ``_compile`` turns a circuit into its backward program in one pass, one
 step per gate, noised qubit and weight boundary, with the masks and
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -172,6 +173,12 @@ class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
 
+# Keyed by Clifford name or channel object (by identity).  Sampled circuits
+# and the steps of a dynamics series reuse their template's channel objects,
+# so each table is built once per process; a circuit built with fresh channel
+# objects misses, and its entries keep those channels alive until 4096 newer
+# ones evict them.
+@lru_cache(maxsize=4096)
 def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
     """A Clifford (``source`` its name) or a channel on ``support`` as slot tables, from its PTM.
 
@@ -191,7 +198,8 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
 
     The step is ``(kind, support, slots, norm)``, ``norm`` each input's
     squared norm: the walk draws slot s where a uniform u reaches its
-    threshold and reweights by the norm.
+    threshold and reweights by the norm.  Steps are cached by their
+    arguments (a channel by identity), so every table is read-only.
     """
     shifts = (2, 0)[2 - len(support):]  # of each support qubit's pair in a joint code
     size, words = 4 ** len(support), sorted({q >> 6 for q in support})
@@ -225,8 +233,10 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
             d = [sum(((diff >> (t + b)) & 1) << q for q, t in zip(support, shifts)) for b in (0, 1)]
             for j, dx, dz in deltas:
                 dx[i], dz[i] = ((v >> 64 * j) & _WORD for v in d)
-        slots.append((tuple(deltas), coeffs, thresholds))
-    return (kind, support, tuple(slots), norm)
+        for _, dx, dz in deltas:
+            dx.flags.writeable = dz.flags.writeable = False
+        slots.append((tuple(deltas), _frozen(coeffs), _frozen(thresholds)))
+    return (kind, support, tuple(slots), _frozen(norm))
 
 
 def _compile(circuit: Circuit, crossed: bool = False) -> list:
@@ -252,7 +262,6 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
       crossed one before this circuit), and ``("layer_end",)`` and
       ``("noise_end",)`` after each layer's gates and each noise round.
     """
-    local = cache(_local_step)  # one step per kind, support and channel object or Clifford name
     steps: list = []
     final = [circuit.final_layer] if circuit.final_layer is not None else []
     for layer in final + list(reversed(circuit.layers)):
@@ -262,7 +271,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
             crossed = True
             for q, ch in enumerate(layer.noise):
                 if ch is not None and not ch.is_identity:
-                    steps.append(local("noise", (q,), ch))
+                    steps.append(_local_step("noise", (q,), ch))
             steps.append(("noise_end",))
         for gate in layer.gates:
             if isinstance(gate, PauliRotation):
@@ -276,7 +285,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
                 phase = (gx & gz).bit_count()
                 steps.append(("rot", tuple(reads), tuple(writes), phase, gate.angle))
             elif isinstance(gate, CliffordGate):
-                steps.append(local("cliff", gate.support, gate.name))
+                steps.append(_local_step("cliff", gate.support, gate.name))
             elif isinstance(gate, RandomSingleQubitClifford):
                 bit = 1 << (gate.qubit & 63)
                 tx, tz = (
@@ -320,35 +329,52 @@ class _Frontier:
         Rows come out sorted by x, then z, then w, the masks compared as
         integers.  The sort is stable, so each group sums its coefficients
         in their current row order.  When one word holds the masks and
-        2n + bits(max w) <= 64, the sort key is the single packed word
-        ``x << (n + wb) | z << wb | w`` (wb = bits(max w)), whose integer
-        order is that order; otherwise the keys are ``(w, *z, *x)``, the
-        last one primary and the masks most significant word first.
+        2n + wb + ib <= 64 (wb = bits(max w), ib = bits(m - 1)), each row
+        packs into the word ``(x << (n + wb) | z << wb | w) << ib | i``
+        with i its row index.  The words are unique and their integer order
+        is that order, ties broken by row, so a plain in-place sort gives
+        it, and the merged x, z and w are decoded from the kept words.
+        Other rows sort under the keys ``(w, *z, *x)``, the last one
+        primary and the masks most significant word first.
         """
         m = len(self.c)
         if m == 0:
             self.merged_len = 0
             return
-        n, wb = self.n, int(self.w.max()).bit_length()
-        if self.x.shape[0] == 1 and 2 * n + wb <= 64:
+        n, wb, ib = self.n, int(self.w.max()).bit_length(), (m - 1).bit_length()
+        indexed = self.x.shape[0] == 1 and 2 * n + wb + ib <= 64
+        if indexed:
             key = self.x[0] << np.uint64(n + wb)
             key |= self.z[0] << np.uint64(wb)
             key |= self.w.view(np.uint64)  # weights are nonnegative
-            keys = (key,)
+            key <<= np.uint64(ib)
+            key |= np.arange(m, dtype=np.uint64)
+            key.sort()
+            order = (key & np.uint64((1 << ib) - 1)).view(np.int64)
+            key >>= np.uint64(ib)
+            ranks = (key,)
         else:
             keys = (self.w, *self.z, *self.x)
-        order = np.lexsort(keys)
+            order = np.lexsort(keys)
+            ranks = (key[order] for key in keys)  # one at a time
         first = np.zeros(m, dtype=bool)
         first[0] = True
-        for key in keys:
-            ranked = key[order]
+        for ranked in ranks:
             first[1:] |= ranked[1:] != ranked[:-1]
         idx = np.flatnonzero(first)
         sums = np.add.reduceat(self.c[order], idx)
         keep = sums != 0.0
-        rows = order[idx[keep]]
-        self.x, self.z = np.take(self.x, rows, axis=1), np.take(self.z, rows, axis=1)
-        self.w, self.c = self.w[rows], sums[keep]
+        if indexed:
+            kept = key[idx[keep]]
+            self.w = (kept & np.uint64((1 << wb) - 1)).view(np.int64)
+            kept >>= np.uint64(wb)
+            self.z = (kept & np.uint64((1 << n) - 1))[None]
+            self.x = (kept >> np.uint64(n))[None]
+        else:
+            rows = order[idx[keep]]
+            self.x, self.z = np.take(self.x, rows, axis=1), np.take(self.z, rows, axis=1)
+            self.w = self.w[rows]
+        self.c = sums[keep]
         self.merged_len = len(self.c)
 
 
@@ -421,12 +447,13 @@ def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
     m = len(f)
     scratch = (np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
     anti = _odd_parity((f.x, f.z), reads, *scratch, np.empty(m, dtype=np.uint8)).view(bool)
-    if not anti.any():
+    rows = np.flatnonzero(anti)  # gathers by index beat boolean masks that are about half set
+    if not len(rows):
         return
     branch = None
     if sin_t != 0.0:
-        xa = np.compress(anti, f.x, axis=1)
-        za = np.compress(anti, f.z, axis=1)
+        xa = np.take(f.x, rows, axis=1)
+        za = np.take(f.z, rows, axis=1)
         # G*P = i^e * folded with e = phase + |x & z| - |x2 & z2| + 2 |gz & x|,
         # where the words the generator leaves alone cancel out of e
         e = np.full(xa.shape[1], phase, dtype=np.int64)
@@ -440,11 +467,11 @@ def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
         for j in words:
             e -= np.bitwise_count(xa[j] & za[j])
         sign = np.where((e + 1) & 3 == 0, 1.0, -1.0)  # i*G*P = i^(e+1) * folded
-        branch = ([xa], [za], [f.w[anti]], [f.c[anti] * (sin_t * sign)])
+        branch = ([xa], [za], [f.w[rows]], [f.c[rows] * (sin_t * sign)])
     if cos_t == 0.0:
         f.select(~anti)
     else:
-        f.c = np.where(anti, f.c * cos_t, f.c)
+        f.c[rows] *= cos_t  # the frontier owns its coefficient column
     if branch is not None:
         f.append(*branch)
 

@@ -266,9 +266,9 @@ def registers(draw) -> tuple[int, tuple[int, ...]]:
     """A qubit count n and the qubits a drawn circuit acts on.
 
     n is 1-4 (all qubits active), 29-32 or 60-130.  At 29-32 the merge
-    packs (x, z, w) into one word only while 2n + bits(max w) <= 64, so
-    the walk takes either sort; the drawn qubits come from both ends of
-    the register.  A wide register always activates the pair straddling
+    packs (x, z, w) and the row index into one word only while
+    2n + bits(max w) + bits(m - 1) <= 64, so the walk takes either sort;
+    the drawn qubits come from both ends of the register.  A wide register always activates the pair straddling
     a 64-bit word boundary below n (63/64 or 127/128) and up to two more
     qubits from the ends of its words.
     """
@@ -295,35 +295,58 @@ def merge_inputs(draw) -> tuple[int, list, list]:
     """Unmerged frontier rows for ``_Frontier.merge``: n, keys (x, z, w) and coefficients.
 
     n is 1-4, 26-33 (on both sides of the single-word pack bound
-    2n + bits(max w) <= 64, often exactly at it or one past it) or
-    60-130.  The rows repeat 2-6 keys in random order, every one at least
-    once; their masks favour the lowest, middle and top qubits,
-    the largest weight has exactly the drawn bit count (up to 13), and
-    some coefficients are followed by their exact negation.
+    2n + bits(max w) + bits(m - 1) <= 64, with 2n + bits(max w) often 64
+    or 65 by itself) or 60-130.  The rows repeat 2-6 keys in random
+    order, every one at least once; their masks favour the lowest, middle
+    and top qubits, the largest weight has exactly the drawn bit count (up
+    to 13), and some coefficients are followed by their exact negation.
+    For n in 26-32 the row count m is half the time drawn with the weight
+    bits so that 2n + bits(max w) + bits(m - 1) is exactly 64 or one past
+    it (m up to 256; the rows beyond the repeats are more keys from the
+    pool).
     """
     n = draw(st.one_of(st.integers(1, 4), st.integers(26, 33), st.integers(60, 130)))
     wbits = st.integers(0, 13)
+    rows = None  # the row count to reach, when drawn
     if 26 <= n <= 32:
         wbits = st.one_of(st.sampled_from((64 - 2 * n, 65 - 2 * n)), wbits)
+        if draw(st.booleans()):
+            past = draw(st.integers(0, 1)) if n < 32 else 1  # 64 + past
+            ib = draw(st.integers(max(1, 51 - 2 * n + past), min(8, 64 - 2 * n + past)))
+            wbits = st.just(64 + past - 2 * n - ib)
+            rows = draw(st.integers((1 << (ib - 1)) + 1, 1 << ib))
     wmax = (1 << draw(wbits)) - 1
     qubits = st.sampled_from(sorted({q for q in (0, 1, n >> 1, n - 1) if q < n}))
     masks = st.one_of(
         st.sets(qubits, max_size=3).map(lambda qs: sum(1 << q for q in qs)),
         st.integers(0, (1 << n) - 1),
     )
+    limit = math.inf if rows is None else rows
     pool = draw(
-        st.lists(st.tuples(masks, masks, st.integers(0, wmax)), min_size=2, max_size=6, unique=True)
+        st.lists(
+            st.tuples(masks, masks, st.integers(0, wmax)),
+            min_size=2,
+            max_size=min(6, limit),
+            unique=True,
+        )
     )
     pool[0] = (*pool[0][:2], wmax)
-    extra = draw(st.lists(st.sampled_from(pool), max_size=30))
+    extra = draw(st.lists(st.sampled_from(pool), max_size=min(30, limit - len(pool))))
     keys, values = [], []
     coeffs = st.floats(-2.0, 2.0, allow_nan=False)
-    for key in draw(st.permutations(pool + extra)):
+    order = draw(st.permutations(pool + extra))
+    for i, key in enumerate(order):
         keys.append(key)
         values.append(draw(coeffs))
-        if draw(st.booleans()):
+        # a repeat must leave room for the rows still to come
+        if len(keys) + len(order) - i <= limit and draw(st.booleans()):
             keys.append(key)
             values.append(-values[-1])
+    if rows is not None:
+        pad = rows - len(keys)
+        for key in draw(st.lists(st.sampled_from(pool), min_size=pad, max_size=pad)):
+            keys.append(key)
+            values.append(draw(coeffs))
     return n, keys, values
 
 

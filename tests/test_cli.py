@@ -1023,3 +1023,13 @@ class TestCounts:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "--max-terms" in err and "positive" in err
+
+    @pytest.mark.parametrize("command", ["propagate", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_threads_exit_2(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, TestSweepCommand.SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--threads", value])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert "--threads" in err and "positive" in err

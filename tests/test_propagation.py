@@ -521,6 +521,12 @@ class TestMerge:
     @given(helpers.merge_inputs())
     @example((32, [(TOP, 0, 1), (0, 0, 1), (1, 0, 0)], [0.5, 0.25, 1.0]))
     @example((32, [(TOP, 0, 0), (0, 0, 0), (0, TOP, 0), (1, 0, 0)], [0.5, 0.25, 1.0, 2.0]))
+    # the row index packed in: 58 + bits(7) + bits(6 - 1) = 64, the top x bit in bit 63
+    @example((29, [(1 << 28, 0, 7), (0, 0, 1), (1, 1 << 28, 7), (1 << 28, 0, 7), (0, 0, 1),
+                   (1, 0, 0)], [0.5, 0.25, 1.0, -0.5, 2.0, 1.5]))
+    # and 62 + bits(0) + bits(5 - 1) = 65, one past it
+    @example((31, [(1 << 30, 0, 0), (0, 1 << 30, 0), (1, 0, 0), (1 << 30, 0, 0), (0, 0, 0)],
+              [0.5, 0.25, 1.0, 0.125, 2.0]))
     def test_merge_matches_dict_sum(self, case):
         n, keys, coeffs = case
         groups: dict = {}
