@@ -132,8 +132,14 @@ def _float_value(obj: dict, key: str) -> float:
 
 
 def _seed(args, obj: dict, default=0) -> int:
-    """The ``--seed`` option if given, else ``obj["seed"]`` (or ``default``) as an integer."""
-    return args.seed if args.seed is not None else _int_value(obj, "seed", default)
+    """The ``--seed`` option if given, else ``obj["seed"]`` (or ``default``), a nonnegative integer."""
+    if args.seed is not None:
+        seed, name = args.seed, "--seed"
+    else:
+        seed, name = _int_value(obj, "seed", default), repr("seed")
+    if seed < 0:
+        raise ConfigError(f"{name} must be nonnegative, not {seed}")
+    return seed
 
 
 def _as_object(value, name: str) -> dict:

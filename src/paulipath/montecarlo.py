@@ -10,29 +10,38 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk is vectorized over samples and runs the list of steps that
-``propagation._compile`` returns, the engine's own backward program, in
-the engine's Pauli encoding: a chunk of m paths is a pair of word-major
-``(W, m)`` uint64 x/z masks, ``W = ceil(n / 64)``, qubit q in bit
-``q & 63`` of word ``q >> 6``.  A uniform rotation folds the generator
-into the paths that anticommute with it (one popcount parity over the
-gate's words) on a coin, a pi/2 multiple always.  The coins of one
-uniform rotation come from ``ceil(m / 64)`` raw 64-bit Philox words:
-path p's coin is bit ``p & 63`` of word ``p >> 6``.  Cliffords and noise
-share the slot tables of ``propagation._local_step``: slot 0's XOR
-deltas move every path (signs do not matter here); a noise step then
-reweights by the input's squared norm and moves on through each further
-slot whose threshold the step's uniform draw, one ``random()`` double
-per path, reaches.  A weight boundary adds one popcount of x | z.
-Draws come from a counter-based generator, so results are reproducible
-and independent of chunking internals.  The check of these estimates
-against direct circuit sampling is in the test suite
-(``tests/validation.py``).
+The walk is vectorized over samples and runs ``_walk_program``, the
+engine's own backward program from ``propagation._compile`` with its
+rotations grouped, in the engine's Pauli encoding: a chunk of m paths is
+a pair of word-major ``(W, m)`` uint64 x/z masks, ``W = ceil(n / 64)``,
+qubit q in bit ``q & 63`` of word ``q >> 6``.  A uniform rotation folds
+the generator into the paths that anticommute with it on a coin, a pi/2
+multiple always.  Rotations come in runs: a maximal stretch of
+consecutive rotations whose generators commute pairwise, at most 64
+(multiples of pi drop out).  Folding by one generator of a run leaves
+every path's parity with the others as it was, so one step applies the
+whole run from byte tables over GF(2): bit i of a path's parity word,
+the XOR of one table entry per mask byte the run reads, says whether it
+anticommutes with generator i.  ANDed with the path's coin word (one raw
+64-bit word per path, bit i for rotation i, drawn only when the run has
+a uniform rotation), ORed with the pi/2 bits, it selects the generators
+whose product one table entry per byte of that word XORs in.  Cliffords
+and noise share the slot tables of ``propagation._local_step``: slot 0's
+XOR deltas move every path (signs do not matter here); a noise step then
+reweights by the input's squared norm and, when some input has a
+further slot, moves on through each further slot whose threshold the
+step's uniform draw, one ``random()`` double per path, reaches.  A weight
+boundary adds one popcount of x | z.  Draws come from an SFC64 generator
+seeded by the seed through ``SeedSequence`` (any nonnegative integer);
+chunks draw one after another from its stream, so results are
+reproducible.  The check of these estimates against direct circuit
+sampling is in the test suite (``tests/validation.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
@@ -44,11 +53,10 @@ from .propagation import (
     _clifford,
     _compile,
     _cos_sin,
-    _fold,
-    _odd_parity,
     _popcount,
     _seed_columns,
     _site,
+    _WORD,
 )
 
 _CHUNK = 1 << 17
@@ -101,16 +109,6 @@ class EstimateResult:
     max_reweight: float
 
 
-def _check_angles(steps: list) -> None:
-    """Reject a fixed rotation angle that is not a multiple of pi/2."""
-    for step in steps:
-        if step[0] == "rot" and step[4] is not None and 0.0 not in _cos_sin(step[4]):
-            raise UnsupportedEnsembleError(
-                "fixed rotation angles must be multiples of pi/2; "
-                "use a uniform-angle placeholder or propagate sampled circuits"
-            )
-
-
 def _seed_paths(observable: PauliSum) -> tuple:
     """Term masks, weights, sampling probabilities and ||O||_F^2 of the observable."""
     x, z, weights, coeffs = _seed_columns(observable)
@@ -119,8 +117,131 @@ def _seed_paths(observable: PauliSum) -> tuple:
     return x, z, weights, coeffs_sq / norm_sq, norm_sq
 
 
-def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
-    """Walk m sampled paths through ``propagation._compile``'s program.
+_RUN_MAX = 64  # rotations in one run: its coin word holds one bit for each
+
+
+def _byte_at(k: int) -> int:
+    """Index of byte k (bits 8k..8k+7) of a uint64 word in the word's uint8 view."""
+    return k if np.little_endian else 7 - k
+
+
+def _run_tables(gens: tuple) -> tuple:
+    """Byte tables of a run of pairwise commuting generators, given as (x, z) integer masks.
+
+    Input tables ``(side, j, at, table)``: byte ``at`` of word j of the x
+    (side 0) or z (side 1) masks maps to its share of the run's parity
+    word, bit i the parity of the byte's set bits under generator i (x
+    bits against its z mask, z bits against its x mask).  XORing the
+    shares of every byte the run reads gives each path's parity with
+    every generator.  Output tables ``(at, ((side, j, table), ...))``: byte
+    ``at`` of a word of fold bits maps to the XOR of the generators it
+    selects, for each mask word they write.
+    """
+    width = max(max(g).bit_length() for g in gens)
+    values = np.arange(256, dtype=np.uint8)
+    reads = [(side, b) for side in (0, 1) for b in range(-(-width // 8))]
+    gbytes = np.array(
+        [[(g[1 - side] >> 8 * b) & 255 for g in gens] for side, b in reads], dtype=np.uint8
+    )
+    used = gbytes.any(axis=1)
+    parity = np.bitwise_count(values[:, None] & gbytes[used, None, :]) & 1  # (read, value, gen)
+    ins = parity.astype(np.uint64) @ np.left_shift(
+        np.uint64(1), np.arange(len(gens), dtype=np.uint64)
+    )
+
+    folds = -(-len(gens) // 8)  # bytes of the fold word
+    pad = [0] * (8 * folds - len(gens))
+    masks = np.array(
+        [
+            [[(g[side] >> 64 * j) & _WORD for g in gens] + pad for j in range(-(-width // 64))]
+            for side in (0, 1)
+        ],
+        dtype=np.uint64,
+    ).reshape(2, -1, folds, 1, 8)
+    select = (values[:, None] >> np.arange(8, dtype=np.uint8)) & 1  # (value, bit)
+    outs = np.bitwise_xor.reduce(masks * select, axis=-1)  # (side, word, fold byte, value)
+    ins.flags.writeable = outs.flags.writeable = False
+    written = masks.any(axis=(-2, -1))  # (side, word, fold byte)
+    return (
+        tuple(
+            (side, b >> 3, _byte_at(b & 7), table)
+            for (side, b), table in zip(compress(reads, used), ins)
+        ),
+        tuple(
+            (_byte_at(k), tuple(
+                (side, j, outs[side, j, k]) for side, j in np.argwhere(written[..., k]).tolist()
+            ))
+            for k in range(folds)
+        ),
+    )
+
+
+def _walk_program(template: Circuit) -> list:
+    """The steps the walk runs: ``propagation._compile``'s program with rotations grouped in runs.
+
+    A run is a maximal stretch of consecutive rotations, uniform or by a
+    multiple of pi/2, whose generators commute pairwise, at most 64 of
+    them.  ``layer_end`` and ``noise_end`` steps are dropped without
+    ending a run, and so are rotations by a multiple of pi (+-identity
+    on Paulis); every other step ends one.  A run becomes one step
+    ``("run", ins, outs, coins, fixed)``: the tables of ``_run_tables``
+    (built once per distinct run), whether it has a uniform rotation, and
+    the bits of its pi/2 rotations.  Raises ``UnsupportedEnsembleError``
+    on a fixed angle that is not a multiple of pi/2.
+    """
+    program: list = []
+    run: list = []  # (generator masks, uniform) of each rotation in the open run
+    union = [0, 0]  # the OR of the open run's generator x and z masks
+    tables: dict = {}
+
+    def close_run() -> None:
+        if run:
+            gens = tuple(g for g, _ in run)
+            if gens not in tables:
+                tables[gens] = _run_tables(gens)
+            fixed = sum(1 << i for i, (_, uniform) in enumerate(run) if not uniform)
+            coins = fixed != (1 << len(run)) - 1
+            program.append(("run", *tables[gens], coins, np.uint64(fixed)))
+            run.clear()
+            union[:] = 0, 0
+
+    for step in _compile(template):
+        kind = step[0]
+        if kind in ("layer_end", "noise_end"):
+            continue
+        if kind != "rot":
+            close_run()
+            program.append(step)
+            continue
+        _, _reads, writes, _phase, angle = step
+        if angle is not None:
+            cos_t, sin_t = _cos_sin(angle)
+            if sin_t == 0.0:
+                continue
+            if cos_t != 0.0:
+                raise UnsupportedEnsembleError(
+                    "fixed rotation angles must be multiples of pi/2; "
+                    "use a uniform-angle placeholder or propagate sampled circuits"
+                )
+        g = [0, 0]  # the generator's x and z masks
+        for side, j, w in writes:
+            g[side] |= int(w) << 64 * j
+        gx, gz = g
+        # a generator whose x bits miss the run's z bits and whose z bits miss
+        # its x bits commutes with the whole run; only otherwise test each
+        if len(run) == _RUN_MAX or (gx & union[1] or gz & union[0]) and any(
+            ((gx & hz) ^ (gz & hx)).bit_count() & 1 for (hx, hz), _ in run
+        ):
+            close_run()
+        run.append(((gx, gz), angle is None))
+        union[0] |= gx
+        union[1] |= gz
+    close_run()
+    return program
+
+
+def _walk_chunk(program, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
+    """Walk m sampled paths through ``_walk_program``'s steps.
 
     Returns ((x, z) masks, accumulated weights, reweight factors).
     """
@@ -132,22 +253,47 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
     k_factor = np.full(m, norm_sq)
     # scratch rows reused by every step: mapping fresh temporaries of this
     # size costs more than the arithmetic done on them
-    u, g = np.empty(m), np.empty(m)  # uniform draws, gathered table values
+    u = np.empty(m)  # uniform draws
     a, b, c = (np.empty(m, dtype=np.uint64) for _ in range(3))
-    odd = np.empty(m, dtype=np.uint8)
+    g = c.view(np.float64)  # gathered table values; a noise step leaves c free
     hit = np.empty(m, dtype=bool)
     # the tables are tiny and every code is in range; mode="clip" only keeps
     # np.take from buffering its output (the same holds in ``_clifford``)
-    for step in steps:
+    for step in program:
         kind = step[0]
         if kind == "boundary":
             weight += _popcount(x | z)
+        elif kind == "run":
+            _, ins, outs, coins, fixed = step
+            # bit i of a: the path's parity with generator i, all read from the
+            # masks at the start of the run, since folding by one generator
+            # leaves the parities with the others (it commutes with) alone
+            # byte values go through a uint8 view of the words into a scratch
+            # row of indices, which np.take would otherwise allocate itself
+            idx = b.view(np.int64)
+            (side, j, at, table), *rest = ins
+            np.copyto(idx, paths[side][j].view(np.uint8)[at::8])
+            np.take(table, idx, out=a, mode="clip")
+            for side, j, at, table in rest:
+                np.copyto(idx, paths[side][j].view(np.uint8)[at::8])
+                a ^= np.take(table, idx, out=c, mode="clip")
+            if coins:  # bit i of path p's raw word is its coin for rotation i
+                words = rng.bit_generator.random_raw(m)
+                words |= fixed
+                a &= words
+                del words  # else it would still be alive beside the next run's draw
+            for at, writes in outs:
+                np.copyto(idx, a.view(np.uint8)[at::8])
+                for side, j, table in writes:
+                    paths[side][j] ^= np.take(table, idx, out=c, mode="clip")
         elif kind in ("cliff", "noise"):
             _, support, ((deltas, _, _), *rest), norm = step
             code = _clifford(paths, support, deltas, a, b, c)
             if kind == "cliff":
                 continue
             k_factor *= np.take(norm, code, out=g, mode="clip")
+            if not rest:
+                continue  # every input has one slot: nothing to draw
             rng.random(out=u)
             # the path ends on the last slot whose threshold u reaches
             for deltas, _, thresholds in rest:
@@ -155,18 +301,6 @@ def _walk_chunk(steps, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
                 for j, dx, dz in deltas:
                     x[j] ^= np.multiply(np.take(dx, code, out=b, mode="clip"), hit, out=b)
                     z[j] ^= np.multiply(np.take(dz, code, out=b, mode="clip"), hit, out=b)
-        elif kind == "rot":
-            _, reads, writes, _phase, angle = step
-            if angle is None:
-                _odd_parity(paths, reads, a, b, odd)
-                # path p's coin is bit p & 63 of raw word p >> 6, also on a
-                # big-endian host ("<u8")
-                words = rng.bit_generator.random_raw(-(-m // 64)).astype("<u8", copy=False)
-                odd &= np.unpackbits(words.view(np.uint8), count=m, bitorder="little")
-                _fold(paths, writes, odd, a)
-            elif _cos_sin(angle)[0] == 0.0:
-                _fold(paths, writes, _odd_parity(paths, reads, a, b, odd), a)
-            # else sin is 0 (``_check_angles`` rejects the rest): +-identity on Paulis
         elif kind == "ucliff":
             _, q, bit, tx, tz = step
             j, _s, bp = _site(x, z, q, (a, b))
@@ -212,12 +346,11 @@ def estimate_many(
         raise ValueError("need at least two samples")
     _check_functionals(functionals, template.n)
 
-    steps = _compile(template)
-    _check_angles(steps)
+    program = _walk_program(template)
     seeds = _seed_paths(observable)
     norm_sq = seeds[-1]
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.SFC64(seed))
     stats = [(0, 0.0, 0.0, 0) for _ in functionals]  # (count, mean, M2, non-zero count)
     max_reweight = 0.0
 
@@ -225,7 +358,7 @@ def estimate_many(
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
-        (x, z), weight, k_factor = _walk_chunk(steps, *seeds, m, rng)
+        (x, z), weight, k_factor = _walk_chunk(program, *seeds, m, rng)
         max_reweight = max(max_reweight, float(k_factor.max()))
         if max_reweight > norm_sq * (1.0 + 1e-9):
             raise FloatingPointError("sample reweighting escaped [0, ||O||_F^2]")

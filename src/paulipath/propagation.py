@@ -417,10 +417,10 @@ def _odd_parity(paths, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray)
     return out
 
 
-def _fold(paths, writes, flip: np.ndarray | None = None, tmp: np.ndarray | None = None) -> None:
-    """Multiply the paths where ``flip`` is 1 (all when None) by the generator, signs dropped."""
+def _fold(paths, writes) -> None:
+    """Multiply every path by the generator, signs dropped."""
     for side, j, w in writes:
-        paths[side][j] ^= w if flip is None else np.multiply(flip, w, out=tmp)
+        paths[side][j] ^= w
 
 
 def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

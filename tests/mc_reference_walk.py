@@ -9,10 +9,15 @@ norm per input read off each channel's forward transfer matrix by
 ``noise_tables``: not from the slot tables of the compiled program
 (``propagation._compile``) that ``paulipath.montecarlo._walk_chunk`` runs.
 The walk consumes the generator's stream draw for draw in the same order,
-so for one Philox key both walks must reach the same paths, weights and
-reweight factors.  A uniform rotation's coins are bits of raw 64-bit
-words, path p's coin bit ``p & 63`` of word ``p >> 6``; this walk reads
-them with shifts, the library walk with ``np.unpackbits``.
+so for one seed both walks must reach the same paths, weights and
+reweight factors.  Rotations come in runs, cut here by the library's rule
+but from site codes: consecutive rotations (multiples of pi dropped)
+whose generators commute pairwise, at most 64.  A run with a uniform
+rotation draws one raw 64-bit word per path, and bit i of path p's word
+is its coin for the run's rotation i; this walk applies the rotations
+one by one, the library walk as one table step.  A noise step draws one
+``random()`` double per path only when some input of the channel has
+more than one output to choose from.
 """
 
 from __future__ import annotations
@@ -60,8 +65,12 @@ def compile_steps(circuit: Circuit) -> list:
                 ch = op[1][q]
                 if ch is None or ch.is_identity:
                     continue
-                prob, norm = noise_tables(ch.forward_ptm())
-                steps.append(("noise", q, np.cumsum(prob, axis=1), norm))
+                ptm = ch.forward_ptm()
+                prob, norm = noise_tables(ptm)
+                # an input branches when it has two outputs, or one output
+                # whose square underflows (it first goes to I with norm 0)
+                draws = bool((np.count_nonzero(ptm, axis=1) + (norm == 0.0) > 1).any())
+                steps.append(("noise", q, np.cumsum(prob, axis=1), norm, draws))
             continue
         for gate in op[1].gates:
             if isinstance(gate, RandomSingleQubitClifford):
@@ -75,30 +84,34 @@ def compile_steps(circuit: Circuit) -> list:
                     steps.append(("cliff2", gate.support[0], gate.support[1], lut))
             elif isinstance(gate, PauliRotation):
                 gcodes = gate.generator.codes()
-                if gate.angle is None:
-                    steps.append(("urot", gate.support, gcodes))
-                    continue
-                c, s = _cos_sin(gate.angle)
-                if s == 0.0:
-                    continue  # +-identity on Paulis
-                if c == 0.0:
-                    steps.append(("flip", gate.support, gcodes))
-                    continue
-                raise UnsupportedEnsembleError(
-                    "fixed rotation angles must be multiples of pi/2; "
-                    "use a uniform-angle placeholder or propagate sampled circuits"
-                )
+                if gate.angle is not None:
+                    c, s = _cos_sin(gate.angle)
+                    if s == 0.0:
+                        continue  # +-identity on Paulis
+                    if c != 0.0:
+                        raise UnsupportedEnsembleError(
+                            "fixed rotation angles must be multiples of pi/2; "
+                            "use a uniform-angle placeholder or propagate sampled circuits"
+                        )
+                rot = (dict(zip(gate.support, gcodes)), gate.angle is None)
+                if steps and steps[-1][0] == "run" and _joins(steps[-1][1], rot[0]):
+                    steps[-1][1].append(rot)
+                else:
+                    steps.append(("run", [rot]))
             else:  # pragma: no cover - exhaustive over gate variants
                 raise UnsupportedEnsembleError(f"unsupported gate {gate!r}")
     return steps
 
 
-def _anticommute_mask(codes: np.ndarray, support, gcodes) -> np.ndarray:
-    anti = np.zeros(codes.shape[0], dtype=bool)
-    for q, g in zip(support, gcodes):
-        cq = codes[:, q]
-        anti ^= (cq != 0) & (cq != g)
-    return anti
+def _joins(run: list, gen: dict) -> bool:
+    """Whether a generator (site to code) extends a run: room left, and it commutes with each."""
+    if len(run) == 64:
+        return False
+    for other, _ in run:
+        clashes = sum(1 for q, g in gen.items() if other.get(q, g) != g)
+        if clashes % 2:
+            return False
+    return True
 
 
 def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
@@ -111,27 +124,28 @@ def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
         if kind == "boundary":
             weight += np.count_nonzero(codes, axis=1)
         elif kind == "noise":
-            _, q, cdf, norm = step
+            _, q, cdf, norm, draws = step
             c = codes[:, q]
             k_factor *= norm[c]
-            u = rng.random(m)
-            codes[:, q] = (u[:, None] >= cdf[c]).sum(axis=1)
-        elif kind == "urot":
-            _, support, gcodes = step
-            anti = _anticommute_mask(codes, support, gcodes)
-            # path p's coin is bit p & 63 of raw word p >> 6
-            words = rng.bit_generator.random_raw(-(-m // 64))
-            p = np.arange(m, dtype=np.uint64)
-            flip = anti & ((words[p >> 6] >> (p & 63)) & 1).astype(bool)
-            if flip.any():
-                for q, g in zip(support, gcodes):
+            if draws:
+                u = rng.random(m)
+                codes[:, q] = (u[:, None] >= cdf[c]).sum(axis=1)
+            else:  # each input's one output: the outputs of zero share come before it
+                codes[:, q] = (cdf[c] <= 0.0).sum(axis=1)
+        elif kind == "run":
+            _, run = step
+            words = None
+            if any(uniform for _, uniform in run):
+                words = rng.bit_generator.random_raw(m)
+            for i, (gen, uniform) in enumerate(run):
+                flip = np.zeros(m, dtype=bool)  # paths that anticommute with the generator
+                for q, g in gen.items():
+                    cq = codes[:, q]
+                    flip ^= (cq != 0) & (cq != g)
+                if uniform:
+                    flip &= ((words >> np.uint64(i)) & 1).astype(bool)
+                for q, g in gen.items():
                     codes[flip, q] = _MULT[codes[flip, q], g]
-        elif kind == "flip":
-            _, support, gcodes = step
-            anti = _anticommute_mask(codes, support, gcodes)
-            if anti.any():
-                for q, g in zip(support, gcodes):
-                    codes[anti, q] = _MULT[codes[anti, q], g]
         elif kind == "cliff1":
             _, q, lut = step
             codes[:, q] = lut[codes[:, q]]

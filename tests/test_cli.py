@@ -703,6 +703,41 @@ class TestIntegerFields:
             assert code == 0, err
 
 
+TEMPLATE_CONFIG = _builder_config({**HVA_CIRCUIT, "angles": "uniform"})
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "command, cfg, flag, key",
+        [
+            ("estimate", ESTIMATE_CONFIG, ["--seed", "-1"], "--seed"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "seed"), -5), [], "'seed'"),
+            ("estimate", {**_with(ESTIMATE_CONFIG, ("estimator",), {
+                "functional": "trunc_frobenius", "k": 2, "samples": 100}), "seed": -2}, [], "'seed'"),
+            ("sweep", TestSweepCommand.SWEEP_CONFIG, ["--seed", "-1"], "--seed"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("seed",), -5), [], "'seed'"),
+            ("propagate", TEMPLATE_CONFIG, ["--seed", "-1"], "--seed"),
+            ("propagate", {**TEMPLATE_CONFIG, "seed": -3}, [], "'seed'"),
+        ],
+    )
+    def test_negative_exits_2_naming_it(self, tmp_path, capsys, command, cfg, flag, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg), *flag], capsys)
+        assert code == 2 and out == ""
+        assert key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [("estimate", ESTIMATE_CONFIG), ("sweep", TestSweepCommand.SWEEP_CONFIG),
+         ("propagate", TEMPLATE_CONFIG)],
+    )
+    def test_any_nonnegative_seed_runs(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        for seed in ("0", str(2**128), str(2**200 + 7)):
+            code, out, err = run_cli([command, "--config", path, "--seed", seed], capsys)
+            assert code == 0, err
+            assert json.loads(out)["config"]["seed"] == int(seed)
+
+
 ROT_GATE = ("circuit", "layers", 0, "gates", 0)
 RANDOM_CLIFFORD_CONFIG = {
     "circuit": {"n": 2, "layers": [{"gates": [{"type": "random_clifford", "support": [1]}]}]},
