@@ -186,8 +186,8 @@ def _canonicalize_signs(d, t, post):
             signs[i] = -1.0
         sign_ptm = np.diag([1.0, *signs])
         post = SingleQubitPTM(sign_ptm if post is None else post.matrix @ sign_ptm)
-        d = tuple(s * v for s, v in zip(signs, d))
-        t = tuple(s * v for s, v in zip(signs, t))
+        d = tuple(s * v + 0.0 for s, v in zip(signs, d))  # + 0.0 turns -0.0 into 0.0
+        t = tuple(s * v + 0.0 for s, v in zip(signs, t))
 
 
 def make_depolarizing(p: float) -> NormalFormChannel:

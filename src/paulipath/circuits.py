@@ -328,29 +328,22 @@ def edge_coloring(edges: Sequence[tuple[int, int]]) -> list[list[tuple[int, int]
 # --- builders -------------------------------------------------------------------
 
 
-NoiseSpec = Union[NormalFormChannel, Sequence, None]
-
-
-def _noise_tuple(noise: NoiseSpec, n: int) -> tuple | None:
-    if noise is None:
-        return None
-    if isinstance(noise, NormalFormChannel):
-        return (noise,) * n
-    noise = tuple(noise)
-    if len(noise) != n:
-        raise ValueError("per-qubit noise list must have length n")
-    if all(ch is None for ch in noise):
-        return None
-    return noise
-
-
 def _rot(label: str, support: tuple[int, ...], angle: float | None) -> PauliRotation:
     return PauliRotation(PauliString.from_label(label), support, angle)
 
 
+def _edge_rounds(sublayers, label: str, angle: float | None, noise: tuple | None) -> list[Layer]:
+    """``label`` rotations on every edge, one layer per sublayer, ``noise`` after the last only."""
+    last = len(sublayers) - 1
+    return [
+        Layer(tuple(_rot(label, e, angle) for e in sub), noise if i == last else None)
+        for i, sub in enumerate(sublayers)
+    ]
+
+
 def build_hva(
     lattice: Square,
-    noise: NoiseSpec,
+    noise: NormalFormChannel | None,
     blocks: int,
     angle: float | None = None,
     noise_placement: str = "per_round",
@@ -372,17 +365,13 @@ def build_hva(
         raise ValueError(f"'noise_placement' {noise_placement!r} is not per_round or per_block")
     per_round = noise_placement == "per_round"
     n = lattice.n_sites
-    ch = _noise_tuple(noise, n)
+    ch = None if noise is None else (noise,) * n
     sublayers = edge_coloring(lattice.edges())
     layers: list[Layer] = []
     for _ in range(blocks):
         layers.append(Layer(tuple(_rot("X", (q,), angle) for q in range(n)), ch if per_round else None))
         layers.append(Layer(tuple(_rot("Z", (q,), angle) for q in range(n)), ch if per_round else None))
-        for i, sub in enumerate(sublayers):
-            last = i == len(sublayers) - 1
-            layers.append(
-                Layer(tuple(_rot("ZZ", e, angle) for e in sub), ch if last else None)
-            )
+        layers += _edge_rounds(sublayers, "ZZ", angle, ch)
     return Circuit(n, tuple(layers))
 
 
@@ -392,7 +381,7 @@ def build_trotter_tfim(
     h_field: float,
     dt: float,
     steps: int,
-    noise: NoiseSpec,
+    noise: NormalFormChannel | None,
     noise_placement: str = "per_layer",
 ) -> Circuit:
     """Symmetric second-order splitting of H' = J sum XX + h sum Z.
@@ -408,7 +397,7 @@ def build_trotter_tfim(
     if noise_placement not in ("per_layer", "per_step"):
         raise ValueError(f"'noise_placement' {noise_placement!r} is not per_layer or per_step")
     n = lattice.n_sites
-    ch = _noise_tuple(noise, n)
+    ch = None if noise is None else (noise,) * n
     per_layer = noise_placement == "per_layer"
     sublayers = edge_coloring(lattice.edges())
     half = h_field * dt
@@ -418,14 +407,7 @@ def build_trotter_tfim(
         layers.append(
             Layer(tuple(_rot("Z", (q,), half) for q in range(n)), ch if per_layer else None)
         )
-        for i, sub in enumerate(sublayers):
-            last = i == len(sublayers) - 1
-            layers.append(
-                Layer(
-                    tuple(_rot("XX", e, full) for e in sub),
-                    ch if (per_layer and last) else None,
-                )
-            )
+        layers += _edge_rounds(sublayers, "XX", full, ch if per_layer else None)
         layers.append(Layer(tuple(_rot("Z", (q,), half) for q in range(n)), ch))
     return Circuit(n, tuple(layers))
 

@@ -50,7 +50,6 @@ from .experiments import dynamics_series, sweep_table
 from .montecarlo import (
     TruncFrobenius,
     TruncMSE,
-    UnsupportedEnsembleError,
     Variance,
     estimate as mc_estimate,
 )
@@ -59,7 +58,6 @@ from .pauli import (
     PauliString,
     PauliSum,
     ProductState,
-    QubitCountMismatch,
     config_float,
     config_int,
 )
@@ -586,10 +584,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidChannelError, QubitCountMismatch,
-            json.JSONDecodeError, UnsupportedEnsembleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (InfeasibleSizeError, FrontierOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,22 +26,21 @@ anticommutes with generator i.  ANDed with the path's coin word (one raw
 64-bit word per path, bit i for rotation i, drawn only when the run has
 a uniform rotation), ORed with the pi/2 bits, it selects the generators
 whose product one table entry per byte of that word XORs in.  Cliffords
-and noise share the slot tables of ``propagation._local_step``: slot 0's
-XOR deltas move every path (signs do not matter here); a noise step then
-reweights by the input's squared norm and, when some input has a
-further slot, moves on through each further slot whose threshold the
-step's uniform draw, one ``random()`` double per path, reaches.  A weight
-boundary adds one popcount of x | z.  Draws come from an SFC64 generator
-seeded by the seed through ``SeedSequence`` (any nonnegative integer);
-chunks draw one after another from its stream, so results are
-reproducible.  The check of these estimates against direct circuit
-sampling is in the test suite (``tests/validation.py``).
+and noise are one ``"local"`` step, the slot tables of
+``propagation._local_step``: slot 0's XOR deltas move every path (signs
+do not matter here), the path reweights by the input's squared norm
+and, when some input has a further slot, moves on through each further
+slot whose threshold the step's uniform draw, one ``random()`` double
+per path, reaches.  A weight boundary adds one popcount of x | z.  Draws
+come from an SFC64 generator seeded by the seed through ``SeedSequence``
+(any nonnegative integer); chunks draw one after another from its
+stream, so results are reproducible.  The check of these estimates
+against direct circuit sampling is in ``tests/validation.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence, Union
 
 import numpy as np
@@ -125,6 +124,17 @@ def _byte_at(k: int) -> int:
     return k if np.little_endian else 7 - k
 
 
+def _byte_tables(images: list) -> np.ndarray:
+    """Read-only uint64 tables, 256 entries on the last axis, of maps linear over GF(2) in a byte.
+
+    ``images[..., t]`` is a map's image of bit t; entry v is the XOR of the images of v's set bits.
+    """
+    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
+    tables = np.bitwise_xor.reduce(np.array(images, dtype=np.uint64)[..., None, :] * bits, axis=-1)
+    tables.flags.writeable = False
+    return tables
+
+
 def _run_tables(gens: tuple) -> tuple:
     """Byte tables of a run of pairwise commuting generators, given as (x, z) integer masks.
 
@@ -138,40 +148,24 @@ def _run_tables(gens: tuple) -> tuple:
     selects, for each mask word they write.
     """
     width = max(max(g).bit_length() for g in gens)
-    values = np.arange(256, dtype=np.uint8)
+    # bit t of byte b of one side: bit i set where generator i has bit 8b + t on the other side
     reads = [(side, b) for side in (0, 1) for b in range(-(-width // 8))]
-    gbytes = np.array(
-        [[(g[1 - side] >> 8 * b) & 255 for g in gens] for side, b in reads], dtype=np.uint8
-    )
-    used = gbytes.any(axis=1)
-    parity = np.bitwise_count(values[:, None] & gbytes[used, None, :]) & 1  # (read, value, gen)
-    ins = parity.astype(np.uint64) @ np.left_shift(
-        np.uint64(1), np.arange(len(gens), dtype=np.uint64)
-    )
-
-    folds = -(-len(gens) // 8)  # bytes of the fold word
-    pad = [0] * (8 * folds - len(gens))
-    masks = np.array(
-        [
-            [[(g[side] >> 64 * j) & _WORD for g in gens] + pad for j in range(-(-width // 64))]
-            for side in (0, 1)
-        ],
-        dtype=np.uint64,
-    ).reshape(2, -1, folds, 1, 8)
-    select = (values[:, None] >> np.arange(8, dtype=np.uint8)) & 1  # (value, bit)
-    outs = np.bitwise_xor.reduce(masks * select, axis=-1)  # (side, word, fold byte, value)
-    ins.flags.writeable = outs.flags.writeable = False
-    written = masks.any(axis=(-2, -1))  # (side, word, fold byte)
+    ins = zip(reads, _byte_tables([
+        [sum(((g[1 - side] >> (8 * b + t)) & 1) << i for i, g in enumerate(gens)) for t in range(8)]
+        for side, b in reads
+    ]))
+    # bit t of fold byte k selects generator 8k + t, whose word j of each side it XORs in
+    padded = gens + ((0, 0),) * (-len(gens) % 8)
+    writes = [(side, j) for side in (0, 1) for j in range(-(-width // 64))]
+    folds = [zip(writes, fold) for fold in _byte_tables([
+        [[(g[side] >> 64 * j) & _WORD for g in padded[k:k + 8]] for side, j in writes]
+        for k in range(0, len(padded), 8)
+    ])]
     return (
+        tuple((side, b >> 3, _byte_at(b & 7), table) for (side, b), table in ins if table.any()),
         tuple(
-            (side, b >> 3, _byte_at(b & 7), table)
-            for (side, b), table in zip(compress(reads, used), ins)
-        ),
-        tuple(
-            (_byte_at(k), tuple(
-                (side, j, outs[side, j, k]) for side, j in np.argwhere(written[..., k]).tolist()
-            ))
-            for k in range(folds)
+            (_byte_at(k), tuple((side, j, table) for (side, j), table in fold if table.any()))
+            for k, fold in enumerate(folds)
         ),
     )
 
@@ -191,7 +185,6 @@ def _walk_program(template: Circuit) -> list:
     """
     program: list = []
     run: list = []  # (generator masks, uniform) of each rotation in the open run
-    union = [0, 0]  # the OR of the open run's generator x and z masks
     tables: dict = {}
 
     def close_run() -> None:
@@ -203,7 +196,6 @@ def _walk_program(template: Circuit) -> list:
             coins = fixed != (1 << len(run)) - 1
             program.append(("run", *tables[gens], coins, np.uint64(fixed)))
             run.clear()
-            union[:] = 0, 0
 
     for step in _compile(template):
         kind = step[0]
@@ -227,15 +219,11 @@ def _walk_program(template: Circuit) -> list:
         for side, j, w in writes:
             g[side] |= int(w) << 64 * j
         gx, gz = g
-        # a generator whose x bits miss the run's z bits and whose z bits miss
-        # its x bits commutes with the whole run; only otherwise test each
-        if len(run) == _RUN_MAX or (gx & union[1] or gz & union[0]) and any(
+        if len(run) == _RUN_MAX or any(
             ((gx & hz) ^ (gz & hx)).bit_count() & 1 for (hx, hz), _ in run
         ):
             close_run()
         run.append(((gx, gz), angle is None))
-        union[0] |= gx
-        union[1] |= gz
     close_run()
     return program
 
@@ -286,11 +274,10 @@ def _walk_chunk(program, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
                 np.copyto(idx, a.view(np.uint8)[at::8])
                 for side, j, table in writes:
                     paths[side][j] ^= np.take(table, idx, out=c, mode="clip")
-        elif kind in ("cliff", "noise"):
+        elif kind == "local":
             _, support, ((deltas, _, _), *rest), norm = step
             code = _clifford(paths, support, deltas, a, b, c)
-            if kind == "cliff":
-                continue
+            # a Clifford's norms are all exactly 1.0, so this is exact for it too
             k_factor *= np.take(norm, code, out=g, mode="clip")
             if not rest:
                 continue  # every input has one slot: nothing to draw

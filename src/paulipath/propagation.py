@@ -21,15 +21,16 @@ the columns themselves.  The order is the same in both.
 
 ``_compile`` turns a circuit into its backward program in one pass, one
 step per gate, noised qubit and weight boundary, with the masks and
-tables built once.  A fixed Clifford and a noise channel are one kind of
-step, a slot table built by ``_local_step`` from the forward PTM: slot s
-of an input is its s-th non-zero output, as XOR deltas, a coefficient
-and a sampling threshold per input.  The engine applies slot 0 in place
-and appends each further slot; the walk applies slot 0 and draws among
-the rest.  ``backpropagate``, the one engine entry, runs that program on
-sampled circuits and rejects a template at entry; the Monte Carlo walk in
-``montecarlo`` samples paths, placeholders included, through the same
-program with the same parity, fold and delta kernels.
+tables built once.  A fixed Clifford and a noise channel are one step
+kind, ``"local"``: a slot table built by ``_local_step`` from the forward
+PTM, where slot s of an input is its s-th non-zero output, as XOR
+deltas, a coefficient and a sampling threshold per input.  The engine
+applies slot 0 in place and appends each further slot; the walk applies
+slot 0 and draws among the rest.  ``backpropagate``, the one engine
+entry, runs that program on sampled circuits and rejects a template at
+entry; the Monte Carlo walk in ``montecarlo`` samples paths, placeholders
+included, through the same program (rotations grouped in runs) and the
+same delta kernel, ``_clifford``.
 Weights accumulate only under a path-weight cutoff; without one every
 row has weight 0.  The run at cutoff k_max holds the run at every
 smaller k as its rows with w < k, and ``kept_below(k)`` returns that run
@@ -179,7 +180,7 @@ class FrontierOverflowError(RuntimeError):
 # objects misses, and its entries keep those channels alive until 4096 newer
 # ones evict them.
 @lru_cache(maxsize=4096)
-def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
+def _local_step(support: tuple[int, ...], source) -> tuple:
     """A Clifford (``source`` its name) or a channel on ``support`` as slot tables, from its PTM.
 
     Inputs are joint bit pairs (support[0] in the high bits); the forward
@@ -196,7 +197,7 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
     - ``thresholds``, the share of the input's squared norm that comes
       before this output (1 where the input has no slot s or zero norm).
 
-    The step is ``(kind, support, slots, norm)``, ``norm`` each input's
+    The step is ``("local", support, slots, norm)``, ``norm`` each input's
     squared norm: the walk draws slot s where a uniform u reaches its
     threshold and reweights by the norm.  Steps are cached by their
     arguments (a channel by identity), so every table is read-only.
@@ -205,7 +206,7 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
     size, words = 4 ** len(support), sorted({q >> 6 for q in support})
     # joint site code of each joint bit pair, and back: the map is an involution
     flip = [sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts) for i in range(size)]
-    ptm = clifford_forward_ptm(source) if kind == "cliff" else source.forward_ptm()
+    ptm = clifford_forward_ptm(source) if isinstance(source, str) else source.forward_ptm()
     rows = ptm[flip]
     sq = rows**2
     norm = sq.sum(axis=1)
@@ -236,7 +237,7 @@ def _local_step(kind: str, support: tuple[int, ...], source) -> tuple:
         for _, dx, dz in deltas:
             dx.flags.writeable = dz.flags.writeable = False
         slots.append((tuple(deltas), _frozen(coeffs), _frozen(thresholds)))
-    return (kind, support, tuple(slots), _frozen(norm))
+    return ("local", support, tuple(slots), _frozen(norm))
 
 
 def _compile(circuit: Circuit, crossed: bool = False) -> list:
@@ -250,10 +251,10 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
       generator when the reads ``(side, word, bits)`` (side 0 the x masks,
       side 1 the z masks) select an odd number of set bits; multiplying
       by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
-    - ``("cliff", support, slots, norm)``, a fixed Clifford, and
-      ``("noise", (q,), slots, norm)``, the channel on qubit q: both slot
-      tables built by ``_local_step`` from the forward PTM, so one kernel
-      runs them in the engine and one branch in the walk.
+    - ``("local", support, slots, norm)``, a fixed Clifford on its
+      support or the channel on one noised qubit: the slot tables built
+      by ``_local_step`` from the forward PTM, so one kernel runs both in
+      the engine and one branch in the walk.
     - ``("ucliff", q, bit, tx, tz)``, a uniformly random single-qubit
       Clifford: ``bit`` is qubit q's bit in its word, and ``tx``/``tz``
       that bit's x and z values for each site code 1..3 (index 0 unused).
@@ -271,7 +272,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
             crossed = True
             for q, ch in enumerate(layer.noise):
                 if ch is not None and not ch.is_identity:
-                    steps.append(_local_step("noise", (q,), ch))
+                    steps.append(_local_step((q,), ch))
             steps.append(("noise_end",))
         for gate in layer.gates:
             if isinstance(gate, PauliRotation):
@@ -285,7 +286,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
                 phase = (gx & gz).bit_count()
                 steps.append(("rot", tuple(reads), tuple(writes), phase, gate.angle))
             elif isinstance(gate, CliffordGate):
-                steps.append(_local_step("cliff", gate.support, gate.name))
+                steps.append(_local_step(gate.support, gate.name))
             elif isinstance(gate, RandomSingleQubitClifford):
                 bit = 1 << (gate.qubit & 63)
                 tx, tz = (
@@ -403,9 +404,9 @@ def _site(x: np.ndarray, z: np.ndarray, q: int, out=None) -> tuple[int, np.uint6
 def _odd_parity(paths, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out`` = 1 where a path anticommutes with the generator, else 0.
 
-    ``paths[side][j]`` is word j of the x (side 0) or z (side 1) masks, so
-    both an ``(x, z)`` pair and a ``(2, W, m)`` array work.  ``reads`` is
-    never empty: a generator covers a qubit and is not the identity there.
+    ``paths`` is the ``(x, z)`` pair of word-major masks; ``paths[side][j]``
+    is word j of the x (side 0) or z (side 1) masks.  ``reads`` is never
+    empty: a generator covers a qubit and is not the identity there.
     """
     (side, j, w), *rest = reads
     np.bitwise_and(paths[side][j], w, out=acc)
@@ -504,7 +505,7 @@ def _np_local(f: _Frontier, support, slots, _norm) -> None:
         f.append(*pieces)
 
 
-_KERNELS = {"rot": _np_rotation, "cliff": _np_local, "noise": _np_local}
+_KERNELS = {"rot": _np_rotation, "local": _np_local}
 
 
 def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) -> None:

@@ -24,7 +24,12 @@ from paulipath import (
     make_dephasing,
     make_depolarizing,
 )
-from paulipath.channels import NormalFormChannel, SingleQubitPTM, UnsupportedDesignError
+from paulipath.channels import (
+    NormalFormChannel,
+    SingleQubitPTM,
+    UnsupportedDesignError,
+    _core_ptm,
+)
 from paulipath.cli import _channel
 
 GRID = [round(0.05 * i, 2) for i in range(1, 20)]
@@ -219,6 +224,12 @@ class TestValidation:
         ch2 = NormalFormChannel((0.3, 0.3, -0.2), (0, 0, 0))
         assert all(v <= 0 for v in ch2.d)
         assert np.allclose(ch2.forward_ptm(), np.diag([1.0, 0.3, 0.3, -0.2]), atol=1e-12)
+        # one negative, one positive and one zero entry: the zero takes the second flip
+        d, t = (-0.5, 0.5, 0.0), (0.0, 0.0, 0.0)
+        ch3 = NormalFormChannel(d, t)
+        assert ch3.d == (0.5, 0.5, 0.0)
+        assert np.array_equal(ch3.forward_ptm(), _core_ptm(d, t))
+        assert all(math.copysign(1.0, v) == 1.0 for v in ch3.d + ch3.t if v == 0.0)
 
     def test_same_sign_invariant(self):
         for ch in (make_dephasing(0.9), NormalFormChannel((-0.1, 0.2, 0.3), (0, 0, 0))):

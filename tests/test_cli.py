@@ -11,6 +11,16 @@ import pytest
 
 import paulipath.cli
 import paulipath.pauli
+from paulipath import (
+    PauliString,
+    PauliSum,
+    ProductState,
+    Square,
+    TruncMSE,
+    build_hva,
+    estimate,
+    make_amplitude_damping,
+)
 from paulipath.cli import main
 
 
@@ -380,6 +390,26 @@ class TestEstimateCommand:
         code, _, _ = run_cli(["estimate", "--config", cfg], capsys)
         assert code == 2
 
+    def test_trunc_mse_is_the_library_estimate(self, tmp_path, capsys):
+        state = [[0.6, 0.0, 0.8], [0.0, 0.0, 1.0]]
+        cfg = {
+            **_builder_config({**HVA_CIRCUIT, "blocks": 2, "angles": "uniform"}),
+            "estimator": {"functional": "trunc_mse", "k": 2, "state": state, "samples": 3000,
+                          "seed": 11},
+        }
+        code, out, err = run_cli(["estimate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 0, err
+        template = build_hva(Square(1, 2), make_amplitude_damping(0.1), 2)
+        obs = PauliSum(2, [(PauliString.from_label("ZI"), 1.0)])
+        want = estimate(template, obs, TruncMSE(2, ProductState.from_vectors(state)), 3000, 11)
+        assert want.mean > 0.0
+        assert json.loads(out)["result"] == {
+            "mean": want.mean,
+            "stderr": want.standard_error,
+            "samples": want.samples,
+            "nonzero_fraction": want.nonzero_fraction,
+            "max_reweight": want.max_reweight,
+        }
 
     def test_reweighting_guard_exits_4(self, tmp_path, capsys, monkeypatch):
         import paulipath.montecarlo as mc
@@ -437,6 +467,18 @@ class TestSweepCommand:
         per_round = self.sweep_rows(tmp_path, capsys, noise_placement="per_round")
         assert default == per_block
         assert [r["estimate"] for r in per_round] != [r["estimate"] for r in per_block]
+
+    def test_trunc_mse_rows_at_most_trunc_frobenius(self, tmp_path, capsys):
+        # one chunk (at most 2**17 samples) walks the same paths under both
+        # functionals, and a path's trunc_mse value is its trunc_frobenius
+        # value times an overlap squared of at most 1
+        frobenius = self.sweep_rows(tmp_path, capsys)
+        mse = self.sweep_rows(tmp_path, capsys, functional="trunc_mse")
+        assert [(r["noise_param"], r["k"]) for r in mse] == [
+            (r["noise_param"], r["k"]) for r in frobenius
+        ]
+        assert all(m["estimate"] <= f["estimate"] for m, f in zip(mse, frobenius))
+        assert any(0.0 < m["estimate"] < f["estimate"] for m, f in zip(mse, frobenius))
 
     def test_empty_k_grid_header_only(self, tmp_path, capsys):
         cfg = write_config(
@@ -548,6 +590,15 @@ class TestErrors:
         path.write_text("{not json")
         code, _, _ = run_cli(["propagate", "--config", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, "[1, 2]"])
+    def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        if content is not None:  # else there is no file to read
+            path.write_text(content)
+        code, out, err = run_cli(["propagate", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "config" in err and "Traceback" not in err
 
     def test_mismatched_observable(self, tmp_path, capsys):
         cfg = write_config(
@@ -877,6 +928,20 @@ class TestNames:
         assert code == 2 and out == ""
         assert repr(key) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, cfg, value",
+        [
+            ("dynamics", _with(DYNAMICS_CONFIG, ("lattice", "type"), "hex"), "hex"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("lattice", "type"), "ring")), "ring"),
+            ("propagate", _with(RX_DAMP_CONFIG, (*ROT_GATE, "type"), "swap"), "swap"),
+            ("propagate", _builder_config(_with(HVA_CIRCUIT, ("builder",), "qaoa")), "qaoa"),
+        ],
+    )
+    def test_unknown_name_exits_2_naming_it(self, tmp_path, capsys, command, cfg, value):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(value) in err and "Traceback" not in err
+
     def test_clifford_word_in_a_fresh_process(self, tmp_path, capsys):
         # "HS" is one of the H/S words that name the 24 single-qubit Cliffords
         gate = {"type": "clifford", "name": "HS", "support": [0]}
@@ -935,6 +1000,7 @@ class TestGateFit:
             ({"type": "rot", "generator": "XX", "support": [0, 0], "angle": 0.1}, "support",
              "[0, 0]"),
             ({"type": "rot", "generator": "X", "support": [5], "angle": 0.1}, "support", "[5]"),
+            ({"type": "clifford", "name": "CNOT", "support": [0, 0]}, "support", "[0, 0]"),
         ],
     )
     def test_misfit_gate_exits_2_naming_key_and_value(self, tmp_path, capsys, gate, key, value):
@@ -1009,6 +1075,7 @@ class TestMalformedEntries:
             ("propagate", _with(RX_DAMP_CONFIG, ("observable",), ZERO_OBSERVABLE), "observable"),
             ("oracle", _with(RX_DAMP_CONFIG, ("observable",), ZERO_OBSERVABLE), "observable"),
             ("estimate", _with(ESTIMATE_CONFIG, ("observable",), []), "observable"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("noise_placement",), "bogus"), "noise_placement"),
         ],
     )
     def test_malformed_entry_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):

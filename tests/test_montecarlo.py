@@ -333,6 +333,20 @@ class TestRunStep:
         assert runs == [(1, True, 0b10), (8, True, 0), (1, True, 0), (1, False, 1)]
 
 
+def test_step_kinds_are_closed():
+    # the engine treats a kind it does not know as a weight boundary and the
+    # walk skips one, so a renamed kind would go unnoticed: pin both sets
+    damp = make_amplitude_damping(0.2)
+    template = Circuit(3, (
+        Layer((_rot("X", (0,), math.pi / 2), CliffordGate("CNOT", (1, 2))), (damp,) * 3),
+        Layer((_rot("ZZ", (0, 1)), CliffordGate("H", (2,))), (damp, None, damp)),
+        Layer((RandomSingleQubitClifford(1),), (damp,) * 3),
+    ), Layer((CliffordGate("S", (0,)), RandomSingleQubitClifford(2))))
+    kinds = {step[0] for step in _compile(template)}
+    assert kinds == {"rot", "local", "ucliff", "boundary", "layer_end", "noise_end"}
+    assert {step[0] for step in _walk_program(template)} <= {"run", "local", "ucliff", "boundary"}
+
+
 class TestRandomStream:
     def test_estimates_pinned(self):
         # every step kind: uniform and pi/2 rotations, fixed and random

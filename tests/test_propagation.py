@@ -768,7 +768,7 @@ class TestLocalStep:
     def test_clifford_slots_rebuild_its_ptm(self, name):
         ptm = clifford_forward_ptm(name)
         for support in LOCAL_SUPPORTS[len(ptm)]:
-            step = _local_step("cliff", support, name)
+            step = _local_step(support, name)
             outs = _check_slot_table(step, ptm[_joint_flip(len(support))])
             assert [len(out) for out in outs] == [1] * len(ptm)
             assert np.array_equal(step[3], np.ones(len(ptm)))
@@ -776,7 +776,7 @@ class TestLocalStep:
     @settings(max_examples=150, deadline=None)
     @given(helpers.channels(), st.sampled_from([0, 63, 64, 129]))
     def test_channel_slots_rebuild_its_ptm_and_sampling_law(self, ch, q):
-        step = _local_step("noise", (q,), ch)
+        step = _local_step((q,), ch)
         rows = ch.forward_ptm()[_joint_flip(1)]
         outs = _check_slot_table(step, rows)
         prob, norm = noise_tables(rows)
