@@ -229,7 +229,7 @@ def _lattice(value, name: str) -> Square:
         return Square(1, n, periodic)
     if kind == "square":
         return Square(_int_value(spec, "rows"), _int_value(spec, "cols"), periodic)
-    raise ConfigError(f"unknown lattice type {kind!r}")
+    raise ConfigError(f"'type' must be one of ['chain', 'square'], not {kind!r}")
 
 
 def _gate(value, name: str) -> Gate:
@@ -239,8 +239,9 @@ def _gate(value, name: str) -> Gate:
     """
     spec = _as_object(value, name)
     kind = spec["type"]
-    if kind not in ("rot", "clifford", "random_clifford"):
-        raise ConfigError(f"unknown gate type {kind!r}")
+    kinds = ["clifford", "random_clifford", "rot"]
+    if kind not in kinds:
+        raise ConfigError(f"'type' must be one of {kinds}, not {kind!r}")
     support = tuple(_list(spec, "support", config_int, "integers"))
     if kind == "clifford":
         return CliffordGate(_string(spec, "name"), support)
@@ -299,7 +300,7 @@ def _circuit_template(cfg: dict) -> Circuit:
             noise,
             spec.get("noise_placement", "per_layer"),
         )
-    raise ConfigError(f"unknown builder {builder!r}")
+    raise ConfigError(f"'builder' must be one of ['hva', 'trotter_tfim'], not {builder!r}")
 
 
 def _resolve_circuit(cfg: dict, seed: int) -> tuple[Circuit, dict]:

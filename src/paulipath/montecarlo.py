@@ -31,7 +31,16 @@ and noise are one ``"local"`` step, the slot tables of
 do not matter here), the path reweights by the input's squared norm
 and, when some input has a further slot, moves on through each further
 slot whose threshold the step's uniform draw, one ``random()`` double
-per path, reaches.  A weight boundary adds one popcount of x | z.  Draws
+per path, reaches.  A noise round is one ``"noise"`` step for its qubits
+whose channel maps each letter L to L and I only (all three builder
+channels, signs folded into ``post`` included), and a ``local`` step
+after it for each other qubit.  Its qubits are grouped by equal squared
+norm and chance of going to I of each letter; a path reweights by one
+power of each norm, raised to the count of its letters of that norm on
+the group's qubits (one popcount per mask word).  Then, for each letter
+that can go to I (X, Y, Z) and each qubit in ascending order, the paths
+carrying it there draw one ``random()`` double each and go to I where it
+falls below the chance.  A weight boundary adds one popcount of x | z.  Draws
 come from an SFC64 generator seeded by the seed through ``SeedSequence``
 (any nonnegative integer); chunks draw one after another from its
 stream, so results are reproducible.  The check of these estimates
@@ -52,6 +61,7 @@ from .propagation import (
     _clifford,
     _compile,
     _cos_sin,
+    _frozen,
     _popcount,
     _seed_columns,
     _site,
@@ -170,6 +180,78 @@ def _run_tables(gens: tuple) -> tuple:
     )
 
 
+_LETTERS = (1, 3, 2)  # X, Y, Z as bit pairs x | z << 1
+
+
+def _letter_law(step: tuple) -> tuple | None:
+    """Each letter's (squared norm, chance of going to I) under a 1-qubit ``local`` step.
+
+    Read off the step's slot tables, for X, Y and Z; None unless every
+    slot of every letter L outputs I or L.  The chance is the threshold
+    of L's own slot, 1 where L has none (zero norm, or no L term), so the
+    walk keeps L exactly where the step's draw would reach that slot.
+    """
+    _, (q,), slots, norm = step
+    bit = q & 63
+    law = []
+    for letter in _LETTERS:
+        out, drop = letter, 1.0
+        for s, (((_, dx, dz),), coeffs, thresholds) in enumerate(slots):
+            if s and not coeffs[letter]:
+                break  # the letter has no further slot
+            out ^= (int(dx[letter]) >> bit & 1) | (int(dz[letter]) >> bit & 1) << 1
+            if out not in (0, letter):
+                return None
+            if out == letter:
+                drop = float(thresholds[letter])
+        law.append((float(norm[letter]), drop))
+    return tuple(law)
+
+
+def _noise_round(steps: list) -> list:
+    """A noise round's ``local`` steps as one ``("noise", groups)`` step, then the steps it cannot take.
+
+    The step takes every qubit whose letters each go to themselves or I
+    (``_letter_law``).  A group is the qubits of one law, in order of their
+    lowest qubit: ``(words, classes, drops)`` with
+
+    - ``words``, ``(j, mask, bits)`` for each mask word j the group
+      touches: its bits there, and each one alone in ascending order;
+    - ``classes``, ``(letters, table)`` for each distinct squared norm
+      other than 1.0, ``table[c]`` the norm to the power c, for c letters
+      of the class on the group's qubits;
+    - ``drops``, ``(letter, chance)`` for each letter that can go to I, in
+      the order X, Y, Z.
+
+    Groups that neither reweight nor drop are left out.
+    """
+    laws: dict = {}
+    rest = []
+    for step in steps:
+        law = _letter_law(step)
+        if law is None:
+            rest.append(step)
+        else:
+            laws.setdefault(law, []).append(step[1][0])
+    groups = []
+    for law, qubits in laws.items():
+        by_word: dict = {}
+        for q in qubits:
+            by_word.setdefault(q >> 6, []).append(np.uint64(1 << (q & 63)))
+        norms: dict = {}
+        for letter, (norm, _) in zip(_LETTERS, law):
+            norms.setdefault(norm, []).append(letter)
+        classes = tuple(
+            (tuple(letters), _frozen(norm ** np.arange(len(qubits) + 1)))
+            for norm, letters in norms.items() if norm != 1.0
+        )
+        drops = tuple((letter, drop) for letter, (_, drop) in zip(_LETTERS, law) if drop > 0.0)
+        if classes or drops:
+            words = tuple((j, np.bitwise_or.reduce(bits), tuple(bits)) for j, bits in by_word.items())
+            groups.append((words, classes, drops))
+    return ([("noise", tuple(groups))] if groups else []) + rest
+
+
 def _walk_program(template: Circuit) -> list:
     """The steps the walk runs: ``propagation._compile``'s program with rotations grouped in runs.
 
@@ -180,11 +262,14 @@ def _walk_program(template: Circuit) -> list:
     on Paulis); every other step ends one.  A run becomes one step
     ``("run", ins, outs, coins, fixed)``: the tables of ``_run_tables``
     (built once per distinct run), whether it has a uniform rotation, and
-    the bits of its pi/2 rotations.  Raises ``UnsupportedEnsembleError``
-    on a fixed angle that is not a multiple of pi/2.
+    the bits of its pi/2 rotations.  The ``local`` steps that a
+    ``noise_end`` closes are a noise round, which ``_noise_round`` turns
+    into one ``noise`` step.  Raises ``UnsupportedEnsembleError`` on a
+    fixed angle that is not a multiple of pi/2.
     """
     program: list = []
     run: list = []  # (generator masks, uniform) of each rotation in the open run
+    local: list = []  # the local steps since the last other step
     tables: dict = {}
 
     def close_run() -> None:
@@ -199,6 +284,12 @@ def _walk_program(template: Circuit) -> list:
 
     for step in _compile(template):
         kind = step[0]
+        if kind == "local":
+            close_run()
+            local.append(step)
+            continue
+        program += _noise_round(local) if kind == "noise_end" else local
+        local.clear()
         if kind in ("layer_end", "noise_end"):
             continue
         if kind != "rot":
@@ -225,7 +316,27 @@ def _walk_program(template: Circuit) -> list:
             close_run()
         run.append(((gx, gz), angle is None))
     close_run()
-    return program
+    return program + local
+
+
+def _letter_bits(x, z, letters, mask: np.uint64, out: np.ndarray) -> np.ndarray:
+    """``out`` = the bits in ``mask`` of mask words x, z whose letter is one of ``letters``.
+
+    X's bits are x ^ (x & z), Y's x & z and Z's z ^ (x & z), so a set's
+    bits are x if it holds X, ^ z if it holds Z, ^ (x & z) if its size is odd.
+    """
+    if len(letters) == 2 and 3 in letters:  # X and Y, or Y and Z
+        return np.bitwise_and(x if 1 in letters else z, mask, out=out)
+    if len(letters) & 1:
+        np.bitwise_and(x, z, out=out)
+        if 1 in letters:
+            out ^= x
+        if 2 in letters:
+            out ^= z
+    else:
+        np.bitwise_xor(x, z, out=out)
+    out &= mask
+    return out
 
 
 def _walk_chunk(program, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
@@ -274,6 +385,29 @@ def _walk_chunk(program, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
                 np.copyto(idx, a.view(np.uint8)[at::8])
                 for side, j, table in writes:
                     paths[side][j] ^= np.take(table, idx, out=c, mode="clip")
+        elif kind == "noise":
+            for words, classes, drops in step[1]:
+                count = b.view(np.int64)
+                for letters, table in classes:
+                    # the class's letters on the group's qubits, summed over words
+                    (j, mask, _), *rest = words
+                    np.bitwise_count(_letter_bits(x[j], z[j], letters, mask, a), out=b)
+                    for j, mask, _ in rest:
+                        b += np.bitwise_count(_letter_bits(x[j], z[j], letters, mask, a), out=a)
+                    k_factor *= np.take(table, count, out=g, mode="clip")
+                for letter, drop in drops:
+                    for j, mask, bits in words:
+                        # a drop at one qubit leaves the letters of the others as they were
+                        _letter_bits(x[j], z[j], (letter,), mask, a)
+                        for bit in bits:
+                            # flatnonzero is several times faster on bools than on words
+                            rows = np.flatnonzero(
+                                np.not_equal(np.bitwise_and(a, bit, out=b), 0, out=hit)
+                            )
+                            draws = rng.random(out=u[:len(rows)])
+                            rows = rows[np.less(draws, drop, out=hit[:len(rows)])]
+                            x[j][rows] &= ~bit
+                            z[j][rows] &= ~bit
         elif kind == "local":
             _, support, ((deltas, _, _), *rest), norm = step
             code = _clifford(paths, support, deltas, a, b, c)

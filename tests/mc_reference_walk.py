@@ -15,9 +15,20 @@ but from site codes: consecutive rotations (multiples of pi dropped)
 whose generators commute pairwise, at most 64.  A run with a uniform
 rotation draws one raw 64-bit word per path, and bit i of path p's word
 is its coin for the run's rotation i; this walk applies the rotations
-one by one, the library walk as one table step.  A noise step draws one
-``random()`` double per path only when some input of the channel has
-more than one output to choose from.
+one by one, the library walk as one table step.
+
+A noise round is one step for the qubits whose channel maps each letter
+L to L and I only (read off the transfer matrix here), and a step per
+qubit for the others, after it.  The round's qubits are grouped by equal
+(squared norm, chance of going to I) of X, Y and Z, groups in order of
+their lowest qubit.  A path reweights, group by group, by one power of
+each distinct norm other than 1 (X, Y, Z order), raised to the count of
+its letters of that norm on the group's qubits.  Then, for each letter
+that can go to I (X, Y, Z order) and each of the group's qubits in
+ascending order, the paths carrying the letter there draw one
+``random()`` double each and go to I where it falls below the chance.
+A per-qubit noise step draws one ``random()`` double per path only when
+some input of the channel has more than one output to choose from.
 """
 
 from __future__ import annotations
@@ -61,16 +72,7 @@ def compile_steps(circuit: Circuit) -> list:
             steps.append(("boundary",))
             continue
         if kind == "noise":
-            for q in range(circuit.n):
-                ch = op[1][q]
-                if ch is None or ch.is_identity:
-                    continue
-                ptm = ch.forward_ptm()
-                prob, norm = noise_tables(ptm)
-                # an input branches when it has two outputs, or one output
-                # whose square underflows (it first goes to I with norm 0)
-                draws = bool((np.count_nonzero(ptm, axis=1) + (norm == 0.0) > 1).any())
-                steps.append(("noise", q, np.cumsum(prob, axis=1), norm, draws))
+            steps += noise_round_steps(op[1])
             continue
         for gate in op[1].gates:
             if isinstance(gate, RandomSingleQubitClifford):
@@ -103,6 +105,36 @@ def compile_steps(circuit: Circuit) -> list:
     return steps
 
 
+def noise_round_steps(noise) -> list:
+    """One ``round`` step for the letter-keeping qubits of a noise round, then one step per other qubit."""
+    laws: dict = {}
+    steps = []
+    for q, ch in enumerate(noise):
+        if ch is None or ch.is_identity:
+            continue
+        ptm = ch.forward_ptm()
+        prob, norm = noise_tables(ptm)
+        cdf = np.cumsum(prob, axis=1)
+        if all(set(np.flatnonzero(ptm[p])) <= {0, p} for p in (1, 2, 3)):
+            # the chance of going to I: the output law's mass before the letter itself
+            laws.setdefault(tuple((norm[p], cdf[p, p - 1]) for p in (1, 2, 3)), []).append(q)
+            continue
+        # an input branches when it has two outputs, or one output
+        # whose square underflows (it first goes to I with norm 0)
+        draws = bool((np.count_nonzero(ptm, axis=1) + (norm == 0.0) > 1).any())
+        steps.append(("noise", q, cdf, norm, draws))
+    groups = []
+    for law, qubits in laws.items():
+        norms: dict = {}
+        for p, (norm, _) in enumerate(law, start=1):
+            norms.setdefault(norm, []).append(p)
+        classes = [(letters, norm ** np.arange(len(qubits) + 1))
+                   for norm, letters in norms.items() if norm != 1.0]
+        drops = [(p, chance) for p, (_, chance) in enumerate(law, start=1) if chance > 0.0]
+        groups.append((qubits, classes, drops))
+    return [("round", groups)] + steps
+
+
 def _joins(run: list, gen: dict) -> bool:
     """Whether a generator (site to code) extends a run: room left, and it commutes with each."""
     if len(run) == 64:
@@ -132,6 +164,15 @@ def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
                 codes[:, q] = (u[:, None] >= cdf[c]).sum(axis=1)
             else:  # each input's one output: the outputs of zero share come before it
                 codes[:, q] = (cdf[c] <= 0.0).sum(axis=1)
+        elif kind == "round":
+            for qubits, classes, drops in step[1]:
+                for letters, table in classes:
+                    k_factor *= table[np.isin(codes[:, qubits], letters).sum(axis=1)]
+                for p, chance in drops:
+                    for q in qubits:
+                        rows = np.flatnonzero(codes[:, q] == p)
+                        u = rng.random(len(rows))
+                        codes[rows[u < chance], q] = 0
         elif kind == "run":
             _, run = step
             words = None

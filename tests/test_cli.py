@@ -938,9 +938,10 @@ class TestNames:
         ],
     )
     def test_unknown_name_exits_2_naming_it(self, tmp_path, capsys, command, cfg, value):
+        key = {"qaoa": "builder"}.get(value, "type")  # the key each case sets
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
         assert code == 2 and out == ""
-        assert repr(value) in err and "Traceback" not in err
+        assert repr(key) in err and repr(value) in err and "Traceback" not in err
 
     def test_clifford_word_in_a_fresh_process(self, tmp_path, capsys):
         # "HS" is one of the H/S words that name the 24 single-qubit Cliffords

@@ -25,9 +25,11 @@ from paulipath import (
     make_dephasing,
     make_depolarizing,
 )
+from paulipath.channels import _BUILDERS, NormalFormChannel, SingleQubitPTM
 from paulipath.circuits import Layer, PauliRotation
 from paulipath.montecarlo import _seed_paths, _walk_chunk, _walk_program
 from paulipath.propagation import _compile, _cos_sin, _odd_parity
+from gate_ensembles import rotation_ptm
 from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
@@ -333,6 +335,108 @@ class TestRunStep:
         assert runs == [(1, True, 0b10), (8, True, 0), (1, True, 0), (1, False, 1)]
 
 
+@st.composite
+def letter_channels(draw) -> NormalFormChannel:
+    """A channel that mostly maps each letter to itself and I.
+
+    Builder channels (endpoints included, so letters of zero norm), the
+    same with a sign pair folded into ``post``, a channel whose squared
+    entries underflow to zero, and one in five a channel of ``helpers.channels``,
+    half of whose forms are rotated and mix letters.
+    """
+    form = draw(st.sampled_from(["builder", "builder", "folded", "tiny", "any"]))
+    if form == "any":
+        return draw(helpers.channels())
+    if form == "tiny":
+        return NormalFormChannel((1e-170,) * 3, (0.0,) * 3)
+    param = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    ch = _BUILDERS[draw(st.sampled_from(sorted(_BUILDERS)))](param)
+    if form == "builder":
+        return ch
+    # negating two damping entries: the constructor folds the pair into post
+    flip = draw(st.sampled_from([(-1, -1, 1), (-1, 1, -1), (1, -1, -1)]))
+    return NormalFormChannel(tuple(s * d for s, d in zip(flip, ch.d)), ch.t)
+
+
+class _Draws:
+    """A stand-in generator: ``choice`` keeps the seed rows in order, ``random`` hands out queued draws."""
+
+    def __init__(self, queue):
+        self.queue = list(queue)
+
+    def choice(self, _k, size, p):
+        return np.arange(size)
+
+    def random(self, out):
+        draws = self.queue.pop(0)
+        assert len(draws) == len(out)
+        out[...] = draws
+        return out
+
+
+def _letters_at(x, z, q):
+    j, s = q >> 6, np.uint64(q & 63)
+    return ((x[j] >> s) & 1) | ((z[j] >> s) & 1) << 1  # bit pairs: 1 X, 2 Z, 3 Y
+
+
+class TestNoiseRoundStep:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_round_step_matches_per_qubit_steps(self, data):
+        n = data.draw(st.integers(1, 130), label="n")
+        noised = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True))
+        noise = [None] * n
+        for q in noised:
+            noise[q] = data.draw(letter_channels())
+        template = Circuit(n, (Layer((), tuple(noise)),))
+        m = data.draw(st.integers(1, 300), label="m")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="key"))
+        words = (n + 63) // 64
+        paths = gen.integers(0, 2**64, size=(2, words, m), dtype=np.uint64)
+        paths[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
+        uniforms = gen.random((n, m))  # the draw of each qubit and path
+
+        def walk(program, queue):
+            args = (*paths, np.zeros(m, np.int64), np.full(m, 1.0 / m), 1.0, m, _Draws(queue))
+            return _walk_chunk(program, *args)
+
+        steps = [step for step in _compile(template) if step[0] == "local"]
+        per_qubit = [uniforms[q] for _, (q,), slots, _ in steps if len(slots) > 1]
+        (x, z), weight, k_factor = walk(steps, per_qubit)
+
+        program = _walk_program(template)
+        queue = []
+        for step in program:
+            if step[0] == "noise":
+                for words_, _, drops in step[1]:
+                    for letter, _ in drops:
+                        for j, _, bits in words_:
+                            for bit in bits:
+                                q = 64 * j + int(bit).bit_length() - 1
+                                queue.append(uniforms[q][_letters_at(*paths, q) == letter])
+            elif len(step[2]) > 1:
+                queue.append(uniforms[step[1][0]])
+        (rx, rz), r_weight, r_k_factor = walk(program, queue)
+        assert np.array_equal(rx, x) and np.array_equal(rz, z)
+        assert np.array_equal(r_weight, weight)
+        # the per-qubit steps round once per qubit, the round once per class
+        np.testing.assert_allclose(r_k_factor, k_factor, rtol=(len(noised) + 4) * 2.0**-52, atol=0)
+
+    def test_rotated_channel_keeps_its_local_step(self):
+        damp, deph = make_amplitude_damping(0.2), make_dephasing(0.1)
+        pre = SingleQubitPTM(rotation_ptm("X", 0.3))
+        rotated = NormalFormChannel(damp.d, damp.t, pre=pre)
+        folded = NormalFormChannel((-0.5, -0.5, 0.9), (0.0, 0.0, 0.1))  # a sign pair in post
+        assert folded.post is not None
+        template = Circuit(4, (Layer((), (damp, rotated, folded, damp)),))
+        (_, (group, other)), local = _walk_program(template)
+        assert local[:2] == ("local", (1,))
+        # qubits 0 and 3 share a law; 2 has its own, so it is a group of its own
+        assert [[int(mask) for _, mask, _ in g[0]] for g in (group, other)] == [[0b1001], [0b100]]
+        assert [letters for letters, _ in group[1]] == [(1, 3), (2,)]
+        assert group[2] == ((2, pytest.approx(0.2**2 / (0.8**2 + 0.2**2))),)
+
+
 def test_step_kinds_are_closed():
     # the engine treats a kind it does not know as a weight boundary and the
     # walk skips one, so a renamed kind would go unnoticed: pin both sets
@@ -344,7 +448,8 @@ def test_step_kinds_are_closed():
     ), Layer((CliffordGate("S", (0,)), RandomSingleQubitClifford(2))))
     kinds = {step[0] for step in _compile(template)}
     assert kinds == {"rot", "local", "ucliff", "boundary", "layer_end", "noise_end"}
-    assert {step[0] for step in _walk_program(template)} <= {"run", "local", "ucliff", "boundary"}
+    walk_kinds = {"run", "noise", "local", "ucliff", "boundary"}
+    assert {step[0] for step in _walk_program(template)} == walk_kinds
 
 
 class TestRandomStream:
@@ -364,9 +469,9 @@ class TestRandomStream:
         fs = [Variance(state), TruncMSE(3, state), TruncFrobenius(4)]
         got = estimate_many(template, obs, fs, (1 << 17) + 4099, 2024)
         want = [
-            ("0x1.cc2bf9ca3198dp-6", "0x1.6b0a274a3fb05p-13"),
-            ("0x1.9a0f0e3311a35p-6", "0x1.154334c494a52p-13"),
-            ("0x1.c41ea879535bdp-3", "0x1.62893b55b4475p-13"),
+            ("0x1.cc5f4b1b549c3p-6", "0x1.6c432b7f6f8b3p-13"),
+            ("0x1.994952e12501ap-6", "0x1.15043bdf4f6d9p-13"),
+            ("0x1.c38b0bf0bd2b8p-3", "0x1.637d43c1a49b0p-13"),
         ]
         for r, (mean, stderr) in zip(got, want):
             assert r.mean == float.fromhex(mean)

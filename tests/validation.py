@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,10 +34,15 @@ class ValidationReport:
 def _direct_value(circuit: Circuit, observable: PauliSum, f: Functional) -> float:
     if isinstance(f, Variance):
         return simulate_exact(circuit, f.state, observable) ** 2
-    # the paths with w >= k: all paths minus the paths with w < k
-    every = result_terms(backpropagate(circuit, observable))
-    kept = result_terms(backpropagate(circuit, observable, TruncationConfig(f.k)))
-    dropped = PauliSum(observable.n, [*every.items(), *((p, -c) for p, c in kept.items())])
+    # the paths with w >= k, from one pass at a cutoff no path reaches: the
+    # seed's weight and each weight boundary (one per noise round at most)
+    # add at most n
+    rounds = sum(layer.has_noise for layer in circuit.layers)
+    every = backpropagate(circuit, observable, TruncationConfig(circuit.n * (rounds + 1) + 1))
+    heavy = every.w >= f.k
+    dropped = result_terms(
+        replace(every, x=every.x[:, heavy], z=every.z[:, heavy], w=every.w[heavy], c=every.c[heavy])
+    )
     if isinstance(f, TruncMSE):
         return expectation(dropped, f.state) ** 2
     return frobenius_norm_sq(dropped)
@@ -54,9 +59,9 @@ def validate_estimator(
     """Compare the path-sampling estimate against brute circuit sampling.
 
     The direct route draws concrete circuits from the template, evaluates
-    the functional exactly on each (dense oracle for the variance, exact
-    minus truncated backpropagation for the truncation errors) and
-    averages.  Agreement is within four combined standard errors.
+    the functional exactly on each (dense oracle for the variance, the
+    rows of one untruncated backpropagation at or above the cutoff for the
+    truncation errors) and averages.  Agreement is within four combined standard errors.
     """
     if isinstance(f, Variance) and template.n > 4:
         raise ValueError("direct variance validation needs n <= 4 for the dense oracle")
