@@ -6,7 +6,7 @@ library's model objects; a badly typed or malformed field exits 2 naming
 its key.  Every output artifact embeds the resolved configuration, the
 seed and a version string so reruns are reproducible (timing columns
 excepted).  Exit codes: 0 success, 2 configuration error, 3 infeasible
-size, 4 numeric failure.
+size or out of memory, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -482,7 +482,8 @@ def cmd_estimate(args) -> int:
     elif kind == "trunc_frobenius":
         functional = TruncFrobenius(_int_value(est, "k"))
     else:
-        raise ConfigError(f"unknown functional {kind!r}")
+        kinds = ["trunc_frobenius", "trunc_mse", "variance"]
+        raise ConfigError(f"'functional' must be one of {kinds}, not {kind!r}")
     samples = _int_value(est, "samples", 100_000)
     result = mc_estimate(template, observable, functional, samples, seed)
     payload = _base_payload(cfg, seed)
@@ -587,6 +588,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InfeasibleSizeError, FrontierOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's failed allocations are one
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return 3
     except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

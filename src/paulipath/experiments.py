@@ -55,8 +55,9 @@ def sweep_table(
     """
     if not isinstance(noise_kind, str) or noise_kind not in _BUILDERS:
         raise ValueError(f"'noise_kind' must be one of {sorted(_BUILDERS)}, not {noise_kind!r}")
-    if functional not in ("trunc_frobenius", "trunc_mse"):
-        raise ValueError("sweep functional must be trunc_frobenius or trunc_mse")
+    kinds = ["trunc_frobenius", "trunc_mse"]
+    if functional not in kinds:
+        raise ValueError(f"'functional' must be one of {kinds}, not {functional!r}")
     observable = center_z(lattice)
 
     def run_point(item: tuple[int, float]) -> list[dict]:

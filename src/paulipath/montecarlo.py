@@ -25,8 +25,8 @@ the XOR of one table entry per mask byte the run reads, says whether it
 anticommutes with generator i.  ANDed with the path's coin word (one raw
 64-bit word per path, bit i for rotation i, drawn only when the run has
 a uniform rotation), ORed with the pi/2 bits, it selects the generators
-whose product one table entry per byte of that word XORs in.  Cliffords
-and noise are one ``"local"`` step, the slot tables of
+whose product one table entry per byte of that word XORs in.  A fixed
+Clifford is a ``"local"`` step, the slot tables of
 ``propagation._local_step``: slot 0's XOR deltas move every path (signs
 do not matter here), the path reweights by the input's squared norm
 and, when some input has a further slot, moves on through each further
@@ -35,12 +35,13 @@ per path, reaches.  A noise round is one ``"noise"`` step for its qubits
 whose channel maps each letter L to L and I only (all three builder
 channels, signs folded into ``post`` included), and a ``local`` step
 after it for each other qubit.  Its qubits are grouped by equal squared
-norm and chance of going to I of each letter; a path reweights by one
-power of each norm, raised to the count of its letters of that norm on
-the group's qubits (one popcount per mask word).  Then, for each letter
-that can go to I (X, Y, Z) and each qubit in ascending order, the paths
-carrying it there draw one ``random()`` double each and go to I where it
-falls below the chance.  A weight boundary adds one popcount of x | z.  Draws
+norm and chance of going to I of each letter, read off the channel's
+transfer matrix; a path reweights by one power of each norm, raised to
+the count of its letters of that norm on the group's qubits (one
+popcount per mask word).  Then, for each letter that can go to I (X, Y,
+Z) and each qubit in ascending order, the paths carrying it there draw
+one ``random()`` double each and go to I where it falls below the
+chance.  A weight boundary adds one popcount of x | z.  Draws
 come from an SFC64 generator seeded by the seed through ``SeedSequence``
 (any nonnegative integer); chunks draw one after another from its
 stream, so results are reproducible.  The check of these estimates
@@ -62,6 +63,7 @@ from .propagation import (
     _compile,
     _cos_sin,
     _frozen,
+    _local_step,
     _popcount,
     _seed_columns,
     _site,
@@ -183,37 +185,31 @@ def _run_tables(gens: tuple) -> tuple:
 _LETTERS = (1, 3, 2)  # X, Y, Z as bit pairs x | z << 1
 
 
-def _letter_law(step: tuple) -> tuple | None:
-    """Each letter's (squared norm, chance of going to I) under a 1-qubit ``local`` step.
+def _letter_law(ch) -> tuple | None:
+    """Each letter's (squared norm, chance of going to I) under a channel, from its forward PTM.
 
-    Read off the step's slot tables, for X, Y and Z; None unless every
-    slot of every letter L outputs I or L.  The chance is the threshold
-    of L's own slot, 1 where L has none (zero norm, or no L term), so the
-    walk keeps L exactly where the step's draw would reach that slot.
+    For X, Y and Z; None unless the row of every letter L (its adjoint
+    image) is zero outside I and L.  The norm is the row's sum of squares
+    and the chance I's share of it, 1 where the norm is 0: the values
+    that ``propagation._local_step`` gives as L's norm and the threshold
+    of L's own slot, so the walk keeps L exactly where its draw would.
     """
-    _, (q,), slots, norm = step
-    bit = q & 63
-    law = []
-    for letter in _LETTERS:
-        out, drop = letter, 1.0
-        for s, (((_, dx, dz),), coeffs, thresholds) in enumerate(slots):
-            if s and not coeffs[letter]:
-                break  # the letter has no further slot
-            out ^= (int(dx[letter]) >> bit & 1) | (int(dz[letter]) >> bit & 1) << 1
-            if out not in (0, letter):
-                return None
-            if out == letter:
-                drop = float(thresholds[letter])
-        law.append((float(norm[letter]), drop))
-    return tuple(law)
+    ptm = ch.forward_ptm()
+    if ptm[1:, 1:][~np.eye(3, dtype=bool)].any():
+        return None
+    sq = ptm**2
+    norm = sq.sum(axis=1)  # summed as ``_local_step`` sums it
+    # rows 1, 2, 3 are X, Y, Z, the order of ``_LETTERS``
+    return tuple((float(norm[p]), float(sq[p, 0] / norm[p]) if norm[p] else 1.0) for p in (1, 2, 3))
 
 
-def _noise_round(steps: list) -> list:
-    """A noise round's ``local`` steps as one ``("noise", groups)`` step, then the steps it cannot take.
+def _noise_round(pairs) -> list:
+    """A noise round's (qubit, channel) pairs as one ``("noise", groups)`` step, then the rest.
 
     The step takes every qubit whose letters each go to themselves or I
-    (``_letter_law``).  A group is the qubits of one law, in order of their
-    lowest qubit: ``(words, classes, drops)`` with
+    (``_letter_law``); every other qubit keeps its ``_local_step``, after
+    it.  A group is the qubits of one law, in order of their lowest
+    qubit: ``(words, classes, drops)`` with
 
     - ``words``, ``(j, mask, bits)`` for each mask word j the group
       touches: its bits there, and each one alone in ascending order;
@@ -227,12 +223,12 @@ def _noise_round(steps: list) -> list:
     """
     laws: dict = {}
     rest = []
-    for step in steps:
-        law = _letter_law(step)
+    for q, ch in pairs:
+        law = _letter_law(ch)
         if law is None:
-            rest.append(step)
+            rest.append(_local_step((q,), ch))
         else:
-            laws.setdefault(law, []).append(step[1][0])
+            laws.setdefault(law, []).append(q)
     groups = []
     for law, qubits in laws.items():
         by_word: dict = {}
@@ -257,19 +253,18 @@ def _walk_program(template: Circuit) -> list:
 
     A run is a maximal stretch of consecutive rotations, uniform or by a
     multiple of pi/2, whose generators commute pairwise, at most 64 of
-    them.  ``layer_end`` and ``noise_end`` steps are dropped without
-    ending a run, and so are rotations by a multiple of pi (+-identity
-    on Paulis); every other step ends one.  A run becomes one step
-    ``("run", ins, outs, coins, fixed)``: the tables of ``_run_tables``
-    (built once per distinct run), whether it has a uniform rotation, and
-    the bits of its pi/2 rotations.  The ``local`` steps that a
-    ``noise_end`` closes are a noise round, which ``_noise_round`` turns
-    into one ``noise`` step.  Raises ``UnsupportedEnsembleError`` on a
-    fixed angle that is not a multiple of pi/2.
+    them.  ``layer_end`` steps and noise rounds without a channel are
+    dropped without ending a run, and so are rotations by a multiple of
+    pi (+-identity on Paulis); every other step ends one.  A run becomes
+    one step ``("run", ins, outs, coins, fixed)``: the tables of
+    ``_run_tables`` (built once per distinct run), whether it has a
+    uniform rotation, and the bits of its pi/2 rotations.  A ``noise``
+    step's pairs go to ``_noise_round``.  Raises
+    ``UnsupportedEnsembleError`` on a fixed angle that is not a multiple
+    of pi/2.
     """
     program: list = []
     run: list = []  # (generator masks, uniform) of each rotation in the open run
-    local: list = []  # the local steps since the last other step
     tables: dict = {}
 
     def close_run() -> None:
@@ -284,17 +279,11 @@ def _walk_program(template: Circuit) -> list:
 
     for step in _compile(template):
         kind = step[0]
-        if kind == "local":
-            close_run()
-            local.append(step)
-            continue
-        program += _noise_round(local) if kind == "noise_end" else local
-        local.clear()
-        if kind in ("layer_end", "noise_end"):
+        if kind == "layer_end" or kind == "noise" and not step[1]:
             continue
         if kind != "rot":
             close_run()
-            program.append(step)
+            program.extend(_noise_round(step[1]) if kind == "noise" else [step])
             continue
         _, _reads, writes, _phase, angle = step
         if angle is not None:
@@ -316,7 +305,7 @@ def _walk_program(template: Circuit) -> list:
             close_run()
         run.append(((gx, gz), angle is None))
     close_run()
-    return program + local
+    return program
 
 
 def _letter_bits(x, z, letters, mask: np.uint64, out: np.ndarray) -> np.ndarray:

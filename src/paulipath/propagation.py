@@ -20,17 +20,16 @@ packed key over its row index, sorted in place; else ``lexsort`` sorts
 the columns themselves.  The order is the same in both.
 
 ``_compile`` turns a circuit into its backward program in one pass, one
-step per gate, noised qubit and weight boundary, with the masks and
-tables built once.  A fixed Clifford and a noise channel are one step
-kind, ``"local"``: a slot table built by ``_local_step`` from the forward
-PTM, where slot s of an input is its s-th non-zero output, as XOR
-deltas, a coefficient and a sampling threshold per input.  The engine
+step per gate, noise round and weight boundary.  A fixed Clifford and a
+noised qubit share one kernel: a slot table built by ``_local_step`` from
+the forward PTM, where slot s of an input is its s-th non-zero output, as
+XOR deltas, a coefficient and a sampling threshold per input.  The engine
 applies slot 0 in place and appends each further slot; the walk applies
 slot 0 and draws among the rest.  ``backpropagate``, the one engine
 entry, runs that program on sampled circuits and rejects a template at
 entry; the Monte Carlo walk in ``montecarlo`` samples paths, placeholders
-included, through the same program (rotations grouped in runs) and the
-same delta kernel, ``_clifford``.
+included, through the same program (rotations grouped in runs, noise
+rounds read from their channels' PTMs) and the same kernel, ``_clifford``.
 Weights accumulate only under a path-weight cutoff; without one every
 row has weight 0.  The run at cutoff k_max holds the run at every
 smaller k as its rows with w < k, and ``kept_below(k)`` returns that run
@@ -174,11 +173,11 @@ class FrontierOverflowError(RuntimeError):
     """The term frontier outgrew the configured budget."""
 
 
-# Keyed by Clifford name or channel object (by identity).  Sampled circuits
-# and the steps of a dynamics series reuse their template's channel objects,
-# so each table is built once per process; a circuit built with fresh channel
-# objects misses, and its entries keep those channels alive until 4096 newer
-# ones evict them.
+# Keyed by support and Clifford name or channel object (by identity); the
+# engine looks each noised qubit's table up per round.  Sampled circuits and
+# the steps of a dynamics series reuse their template's channel objects, so
+# each table is built once per process; a circuit built with fresh channel
+# objects misses, and keeps those channels alive until 4096 newer ones evict them.
 @lru_cache(maxsize=4096)
 def _local_step(support: tuple[int, ...], source) -> tuple:
     """A Clifford (``source`` its name) or a channel on ``support`` as slot tables, from its PTM.
@@ -252,16 +251,16 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
       side 1 the z masks) select an odd number of set bits; multiplying
       by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
     - ``("local", support, slots, norm)``, a fixed Clifford on its
-      support or the channel on one noised qubit: the slot tables built
-      by ``_local_step`` from the forward PTM, so one kernel runs both in
-      the engine and one branch in the walk.
+      support: the slot tables built by ``_local_step`` from its PTM.
+    - ``("noise", ((q, channel), ...))``, a noise round: each noised
+      qubit (identity channels left out) with its channel, in qubit order.
     - ``("ucliff", q, bit, tx, tz)``, a uniformly random single-qubit
       Clifford: ``bit`` is qubit q's bit in its word, and ``tx``/``tz``
       that bit's x and z values for each site code 1..3 (index 0 unused).
     - ``("boundary",)``, the weight boundary, before every noise round
       but the first one the walk crosses (``crossed`` says the walk
-      crossed one before this circuit), and ``("layer_end",)`` and
-      ``("noise_end",)`` after each layer's gates and each noise round.
+      crossed one before this circuit), and ``("layer_end",)`` after
+      each layer's gates.
     """
     steps: list = []
     final = [circuit.final_layer] if circuit.final_layer is not None else []
@@ -270,10 +269,9 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
             if crossed:
                 steps.append(("boundary",))
             crossed = True
-            for q, ch in enumerate(layer.noise):
-                if ch is not None and not ch.is_identity:
-                    steps.append(_local_step((q,), ch))
-            steps.append(("noise_end",))
+            steps.append(("noise", tuple(
+                (q, ch) for q, ch in enumerate(layer.noise) if ch is not None and not ch.is_identity
+            )))
         for gate in layer.gates:
             if isinstance(gate, PauliRotation):
                 gx, gz = gate.embedded_masks()
@@ -318,11 +316,17 @@ class _Frontier:
         self.w, self.c = self.w[keep], self.c[keep]
 
     def append(self, xs, zs, ws, cs) -> None:
-        """Append new rows, given as lists of column blocks."""
+        """Append new rows, given as lists of column blocks, and merge past 4x the last merge's rows."""
+        if not cs:
+            return
         self.x = np.concatenate((self.x, *xs), axis=1)
         self.z = np.concatenate((self.z, *zs), axis=1)
         self.w = np.concatenate((self.w, *ws))
         self.c = np.concatenate((self.c, *cs))
+        for blocks in (xs, zs, ws, cs):
+            blocks.clear()  # a kernel's own lists: free the blocks before a merge
+        if len(self.c) > 4 * max(self.merged_len, 1 << 16):
+            self.merge()
 
     def merge(self) -> None:
         """Sum the coefficients of equal (x, z, w) rows and drop zero sums.
@@ -443,15 +447,16 @@ def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarra
     return code
 
 
-def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
+def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> tuple:
+    """Scale the anticommuting rows by cos in place; return their sin branch for ``_Frontier.append``."""
     cos_t, sin_t = _cos_sin(angle)
     m = len(f)
     scratch = (np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
     anti = _odd_parity((f.x, f.z), reads, *scratch, np.empty(m, dtype=np.uint8)).view(bool)
     rows = np.flatnonzero(anti)  # gathers by index beat boolean masks that are about half set
+    branch = ([], [], [], [])
     if not len(rows):
-        return
-    branch = None
+        return branch
     if sin_t != 0.0:
         xa = np.take(f.x, rows, axis=1)
         za = np.take(f.z, rows, axis=1)
@@ -473,12 +478,11 @@ def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> None:
         f.select(~anti)
     else:
         f.c[rows] *= cos_t  # the frontier owns its coefficient column
-    if branch is not None:
-        f.append(*branch)
+    return branch
 
 
-def _np_local(f: _Frontier, support, slots, _norm) -> None:
-    """Run a ``_local_step``: slot 0 in place, each further slot appended (the norm is the walk's).
+def _np_local(f: _Frontier, support, slots, _norm) -> tuple:
+    """Run a ``_local_step``: slot 0 in place; return the further slots' rows (the norm is the walk's).
 
     Slot s's rows are compressed from slot s - 1's, where the input has a
     slot s, and carry the input's coefficient times the slot's.
@@ -488,7 +492,7 @@ def _np_local(f: _Frontier, support, slots, _norm) -> None:
     code = _clifford((f.x, f.z), support, deltas, *scratch)
     scale = coeffs[code]
     x, z, w, c = f.x, f.z, f.w, f.c
-    pieces = ([], [], [], [])  # blocks of x, z, w, c for the appended rows
+    pieces = ([], [], [], [])  # blocks of x, z, w, c for ``_Frontier.append``
     for deltas, coeffs_s, _ in rest:
         sel = coeffs_s[code] != 0.0
         x, z = np.compress(sel, x, axis=1), np.compress(sel, z, axis=1)
@@ -501,8 +505,7 @@ def _np_local(f: _Frontier, support, slots, _norm) -> None:
     f.c = f.c * scale
     if not coeffs.all():
         f.select(scale != 0.0)
-    if pieces[0]:
-        f.append(*pieces)
+    return pieces
 
 
 _KERNELS = {"rot": _np_rotation, "local": _np_local}
@@ -609,16 +612,16 @@ def backpropagate(
     for step in _compile(circuit, crossed):
         kind = step[0]
         if kind in _KERNELS:
-            _KERNELS[kind](f, *step[1:])
-            if len(f) > 4 * max(f.merged_len, 1 << 16):
-                f.merge()
+            f.append(*_KERNELS[kind](f, *step[1:]))
         elif kind == "layer_end":
             f.merge()
             _np_aux_filter(f, trunc, stats)
             stats.peak_term_count = max(stats.peak_term_count, len(f))
             if max_terms is not None and len(f) > max_terms:
                 raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-        elif kind == "noise_end":
+        elif kind == "noise":
+            for q, ch in step[1]:
+                f.append(*_np_local(f, *_local_step((q,), ch)[1:]))
             crossed = True
             f.merge()
             stats.peak_term_count = max(stats.peak_term_count, len(f))

@@ -517,13 +517,14 @@ def noisy_units(circuit: Circuit) -> tuple[list[list[Layer]], list[Layer]]:
 def backward_ops_by_units(circuit: Circuit, crossed: bool = False) -> list:
     """The backward walk as an op list, built from ``noisy_units``: the unit form.
 
-    ``("layer", layer)`` applies a layer's gates, ``("noise", noise)`` a
-    noise round and ``("boundary",)`` is the weight boundary.  The final
-    layer and the trailing noiseless run go first, then each unit from the
-    last: a boundary (unless no noise round was crossed yet; ``crossed``
-    says one was before this circuit), its noise round and its layers in
-    reverse.  The reference walks run this list, and ``TestBackwardOps``
-    checks ``propagation._compile`` against it.
+    ``("layer", layer)`` applies a layer's gates, ``("noise", pairs)`` a
+    noise round, each noised qubit with its channel in qubit order
+    (identity channels left out), and ``("boundary",)`` is the weight
+    boundary.  The final layer and the trailing noiseless run go first,
+    then each unit from the last: a boundary (unless no noise round was
+    crossed yet; ``crossed`` says one was before this circuit), its noise
+    round and its layers in reverse.  The reference walks run this list,
+    and ``TestBackwardOps`` checks ``propagation._compile`` against it.
     """
     units, trailing = noisy_units(circuit)
     ops: list = []
@@ -534,7 +535,8 @@ def backward_ops_by_units(circuit: Circuit, crossed: bool = False) -> list:
         if crossed:
             ops.append(("boundary",))
         crossed = True
-        ops.append(("noise", unit[-1].noise))
+        noise = enumerate(unit[-1].noise)
+        ops.append(("noise", tuple((q, ch) for q, ch in noise if ch is not None and not ch.is_identity)))
         ops.extend(("layer", layer) for layer in reversed(unit))
     return ops
 

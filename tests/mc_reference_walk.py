@@ -105,13 +105,11 @@ def compile_steps(circuit: Circuit) -> list:
     return steps
 
 
-def noise_round_steps(noise) -> list:
+def noise_round_steps(pairs) -> list:
     """One ``round`` step for the letter-keeping qubits of a noise round, then one step per other qubit."""
     laws: dict = {}
     steps = []
-    for q, ch in enumerate(noise):
-        if ch is None or ch.is_identity:
-            continue
+    for q, ch in pairs:
         ptm = ch.forward_ptm()
         prob, norm = noise_tables(ptm)
         cdf = np.cumsum(prob, axis=1)

@@ -291,12 +291,8 @@ def iter_legal_paths(
             else:
                 front = _apply_rotation({(x, z, 0): 1.0}, gate)
             return [(xx, zz, a) for (xx, zz, _w), a in front.items()]
-        noise = op[1]
         states = [(x, z, 1.0)]
-        for q in range(n):
-            ch = noise[q]
-            if ch is None or ch.is_identity:
-                continue
+        for q, ch in op[1]:
             rows = _cached_rows(row_cache, ch)
             notq = ~(1 << q)
             nxt = []

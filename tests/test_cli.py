@@ -581,6 +581,29 @@ class TestDynamicsCommand:
 
 
 class TestErrors:
+    def test_out_of_memory_exits_3(self, tmp_path):
+        # a child capped at 512 MiB of address space: the frontier of an exact
+        # 40-qubit HVA with uniform angles outgrows it within seconds
+        pytest.importorskip("resource")
+        n = 40
+        circuit = {"builder": "hva", "lattice": {"type": "chain", "n": n}, "blocks": 30,
+                   "angles": "uniform"}
+        cfg = write_config(tmp_path, {"circuit": circuit, "seed": 1,
+                                      "observable": [{"pauli": "Z" * n, "coeff": 1.0}]})
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import resource, sys; from paulipath.cli import main; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29)); sys.exit(main(sys.argv[1:]))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script, "propagate", "--config", cfg],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert child.returncode == 3 and child.stdout == ""
+        assert child.stderr.startswith("error: propagate ran out of memory")
+        assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+
     def test_missing_config(self, capsys):
         code, _, err = run_cli(["propagate"], capsys)
         assert code == 2 and err
@@ -935,10 +958,14 @@ class TestNames:
             ("propagate", _builder_config(_with(HVA_CIRCUIT, ("lattice", "type"), "ring")), "ring"),
             ("propagate", _with(RX_DAMP_CONFIG, (*ROT_GATE, "type"), "swap"), "swap"),
             ("propagate", _builder_config(_with(HVA_CIRCUIT, ("builder",), "qaoa")), "qaoa"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "functional"), "bogus"), "bogus"),
+            # a functional of ``estimate`` that the sweep does not take
+            ("sweep", {**TestSweepCommand.SWEEP_CONFIG, "functional": "variance"}, "variance"),
         ],
     )
     def test_unknown_name_exits_2_naming_it(self, tmp_path, capsys, command, cfg, value):
-        key = {"qaoa": "builder"}.get(value, "type")  # the key each case sets
+        # the key each case sets
+        key = {"qaoa": "builder", "bogus": "functional", "variance": "functional"}.get(value, "type")
         code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
         assert code == 2 and out == ""
         assert repr(key) in err and repr(value) in err and "Traceback" not in err

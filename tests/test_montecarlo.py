@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -27,13 +27,15 @@ from paulipath import (
 )
 from paulipath.channels import _BUILDERS, NormalFormChannel, SingleQubitPTM
 from paulipath.circuits import Layer, PauliRotation
-from paulipath.montecarlo import _seed_paths, _walk_chunk, _walk_program
-from paulipath.propagation import _compile, _cos_sin, _odd_parity
+from paulipath.montecarlo import _LETTERS, _letter_law, _seed_paths, _walk_chunk, _walk_program
+from paulipath.pauli import BITS_TO_CODE
+from paulipath.propagation import _compile, _cos_sin, _local_step, _odd_parity
 from gate_ensembles import rotation_ptm
 from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
 from mc_reference_walk import reference_walk
+from test_propagation import _run_slots
 from second_moment_ref import (
     second_moment_clifford,
     second_moment_noise,
@@ -400,7 +402,8 @@ class TestNoiseRoundStep:
             args = (*paths, np.zeros(m, np.int64), np.full(m, 1.0 / m), 1.0, m, _Draws(queue))
             return _walk_chunk(program, *args)
 
-        steps = [step for step in _compile(template) if step[0] == "local"]
+        (round_step,) = [step for step in _compile(template) if step[0] == "noise"]
+        steps = [_local_step((q,), ch) for q, ch in round_step[1]]
         per_qubit = [uniforms[q] for _, (q,), slots, _ in steps if len(slots) > 1]
         (x, z), weight, k_factor = walk(steps, per_qubit)
 
@@ -421,6 +424,27 @@ class TestNoiseRoundStep:
         assert np.array_equal(r_weight, weight)
         # the per-qubit steps round once per qubit, the round once per class
         np.testing.assert_allclose(r_k_factor, k_factor, rtol=(len(noised) + 4) * 2.0**-52, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(helpers.channels(), letter_channels()), st.sampled_from([0, 63, 64, 129]))
+    @example(make_amplitude_damping(1.0), 63)  # X and Y of zero norm, Z only to I
+    @example(NormalFormChannel((1e-170,) * 3, (0.0,) * 3), 64)  # squares underflow
+    @example(NormalFormChannel((-0.5, -0.5, 0.9), (0.0, 0.0, 0.1)), 129)  # a sign pair in post
+    @example(NormalFormChannel((0.8, 0.8, 0.64), (0.0, 0.0, 0.36),
+                               pre=SingleQubitPTM(rotation_ptm("X", 0.3))), 0)  # mixes Y and Z
+    def test_letter_law_matches_local_step(self, ch, q):
+        # the law read off the transfer matrix against the slots of the channel's own step
+        step = _local_step((q,), ch)
+        _, outs = _run_slots(step)
+        own = [BITS_TO_CODE[letter] for letter in _LETTERS]  # each letter's site code
+        mixes = any(code not in (0, c) for lt, c in zip(_LETTERS, own) for code, _ in outs[lt])
+        law = _letter_law(ch)
+        assert (law is None) == mixes
+        if law is None:
+            return
+        assert np.array([norm for norm, _ in law]).tobytes() == step[3][list(_LETTERS)].tobytes()
+        for (_, chance), letter, c in zip(law, _LETTERS, own):
+            assert chance == next((t for code, t in outs[letter] if code == c), 1.0)
 
     def test_rotated_channel_keeps_its_local_step(self):
         damp, deph = make_amplitude_damping(0.2), make_dephasing(0.1)
@@ -447,7 +471,7 @@ def test_step_kinds_are_closed():
         Layer((RandomSingleQubitClifford(1),), (damp,) * 3),
     ), Layer((CliffordGate("S", (0,)), RandomSingleQubitClifford(2))))
     kinds = {step[0] for step in _compile(template)}
-    assert kinds == {"rot", "local", "ucliff", "boundary", "layer_end", "noise_end"}
+    assert kinds == {"rot", "local", "ucliff", "boundary", "layer_end", "noise"}
     walk_kinds = {"run", "noise", "local", "ucliff", "boundary"}
     assert {step[0] for step in _walk_program(template)} == walk_kinds
 

@@ -561,11 +561,11 @@ def _assert_same_frontier(got, want):
 
 
 def _skeleton(steps) -> list:
-    """The markers of a compiled program, each with the count of steps since the last marker."""
+    """A compiled program's markers (noise steps whole), each with the steps since the last one."""
     out, count = [], 0
     for step in steps:
-        if step[0] in ("boundary", "noise_end", "layer_end"):
-            out.append((step[0], count))
+        if step[0] in ("boundary", "noise", "layer_end"):
+            out.append((*step, count))
             count = 0
         else:
             count += 1
@@ -573,16 +573,8 @@ def _skeleton(steps) -> list:
 
 
 def _unit_skeleton(ops) -> list:
-    """``_skeleton`` of the unit-form op list: one step per gate and per noised qubit."""
-    out = []
-    for op in ops:
-        if op[0] == "layer":
-            out.append(("layer_end", len(op[1].gates)))
-        elif op[0] == "noise":
-            out.append(("noise_end", sum(ch is not None and not ch.is_identity for ch in op[1])))
-        else:
-            out.append(("boundary", 0))
-    return out
+    """``_skeleton`` of the unit-form op list: one step per gate, and the noise ops as they are."""
+    return [("layer_end", len(op[1].gates)) if op[0] == "layer" else (*op, 0) for op in ops]
 
 
 class TestBackwardOps:
@@ -611,7 +603,7 @@ class TestBackwardOps:
         ):
             got = _skeleton(_compile(circuit, crossed))
             assert got == _unit_skeleton(helpers.backward_ops_by_units(circuit, crossed))
-            assert [m for m, _ in got].count("noise_end") == helpers.noisy_layer_count(circuit)
+            assert [m[0] for m in got].count("noise") == helpers.noisy_layer_count(circuit)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
