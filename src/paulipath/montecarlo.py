@@ -10,67 +10,47 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk is vectorized over samples and runs ``_walk_program``, the
-engine's own backward program from ``propagation._compile`` with its
-rotations grouped, in the engine's Pauli encoding: a chunk of m paths is
-a pair of word-major ``(W, m)`` uint64 x/z masks, ``W = ceil(n / 64)``,
-qubit q in bit ``q & 63`` of word ``q >> 6``.  A uniform rotation folds
-the generator into the paths that anticommute with it on a coin, a pi/2
-multiple always.  Rotations come in runs: a maximal stretch of
-consecutive rotations whose generators commute pairwise, at most 64
-(multiples of pi drop out).  Folding by one generator of a run leaves
-every path's parity with the others as it was, so one step applies the
-whole run from byte tables over GF(2): bit i of a path's parity word,
-the XOR of one table entry per mask byte the run reads, says whether it
-anticommutes with generator i.  ANDed with the path's coin word (one raw
-64-bit word per path, bit i for rotation i, drawn only when the run has
-a uniform rotation), ORed with the pi/2 bits, it selects the generators
-whose product one table entry per byte of that word XORs in.  A fixed
-Clifford is a ``"local"`` step, the slot tables of
-``propagation._local_step``: slot 0's XOR deltas move every path (signs
-do not matter here), the path reweights by the input's squared norm
-and, when some input has a further slot, moves on through each further
-slot whose threshold the step's uniform draw, one ``random()`` double
-per path, reaches.  A noise round is one ``"noise"`` step for its qubits
-whose channel maps each letter L to L and I only (all three builder
-channels, signs folded into ``post`` included), and a ``local`` step
-after it for each other qubit.  Its qubits are grouped by equal squared
-norm and chance of going to I of each letter, read off the channel's
-transfer matrix; a path reweights by one power of each norm, raised to
-the count of its letters of that norm on the group's qubits (one
-popcount per mask word).  Then, for each letter that can go to I (X, Y,
-Z) and each qubit in ascending order, the paths carrying it there draw
-one ``random()`` double each and go to I where it falls below the
-chance.  A weight boundary adds one popcount of x | z.  Draws
-come from an SFC64 generator seeded by the seed through ``SeedSequence``
-(any nonnegative integer); chunks draw one after another from its
-stream, so results are reproducible.  The check of these estimates
+The walk runs ``propagation._compile``'s backward program one step at a
+time on bit planes: m paths are a ``(2, n, ceil(m / 64))`` uint64 array,
+an x and a z plane per qubit, path p at bit ``p & 63`` of word ``p >> 6``
+(lanes past m stay I).  A rotation XORs the planes its generator reads,
+ANDs that with a fresh raw word per 64 paths if the angle is uniform, and
+XORs it into the planes it writes; a fixed Clifford is a GF(2)-linear map
+of its support's planes.  A noise round's qubits whose channel maps each
+letter L to L and I only are grouped by each letter's squared norm and
+chance of going to I (from the transfer matrix).  Three draw rules:
+
+- reweight: a group adds its letter planes into bit-sliced exponent
+  counters, one per norm; at the end each path takes one ``norm**e``;
+- drop: a letter's lanes go to I where a fresh uniform 53-bit k is below
+  ``ceil(chance * 2**53)``, the law of ``random() < chance``, compared
+  bit-sliced from the top bit, one raw word per word still undecided;
+- per path: a uniform Clifford (an integer in 1..3) and any other channel
+  (a ``random()`` double over ``_local_step``'s slots) unpack their qubit.
+
+A weight boundary adds the ``x | z`` planes into a bit-sliced counter.
+Draws come from an SFC64 generator seeded by the seed through
+``SeedSequence`` (any nonnegative integer); chunks draw one after another
+from its stream, so results are reproducible.  Every cutoff of a chunk is
+read from histograms over the weight.  The check of these estimates
 against direct circuit sampling is in ``tests/validation.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .circuits import Circuit
-from .pauli import PauliSum, ProductState, QubitCountMismatch
-from .propagation import (
-    _bloch_scale,
-    _clifford,
-    _compile,
-    _cos_sin,
-    _frozen,
-    _local_step,
-    _popcount,
-    _seed_columns,
-    _site,
-    _WORD,
-)
+from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
+from .propagation import _bloch_scale, _clifford, _compile, _cos_sin, _local_step, _seed_columns
 
 _CHUNK = 1 << 17
+_LANES = np.dtype("<u8")  # a word of 64 paths; byte b holds paths 8b..8b+7
+_SITE_BITS = np.array(BITS_TO_CODE, dtype=np.uint8)  # site code 1..3 to x | z << 1, an involution
 
 
 class UnsupportedEnsembleError(ValueError):
@@ -120,66 +100,40 @@ class EstimateResult:
     max_reweight: float
 
 
+def _unpack(planes: np.ndarray) -> np.ndarray:
+    """One uint8 0/1 per lane of each plane on the last axis."""
+    return np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Planes of 0/1 lanes on the last axis, padded with I lanes to whole words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    return np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]).view(_LANES)
+
+
+def _planes(masks: np.ndarray, n: int) -> np.ndarray:
+    """Word-major ``(2, W, m)`` x/z masks as ``(2, n, ceil(m / 64))`` bit planes."""
+    words = np.ascontiguousarray(masks, dtype=_LANES)[..., None].view(np.uint8)
+    bits = np.unpackbits(words, axis=-1, bitorder="little")  # (2, W, m, 64)
+    return _pack(bits.transpose(0, 1, 3, 2).reshape(2, -1, masks.shape[-1])[:, :n])
+
+
+def _masks(planes: np.ndarray, m: int) -> np.ndarray:
+    """The first m lanes of ``(2, n, L)`` bit planes as word-major ``(2, W, m)`` x/z masks."""
+    n = planes.shape[1]
+    masks = np.zeros((2, -(-n // 64), m, 8), dtype=np.uint8)
+    for j in range(masks.shape[1]):
+        packed = np.packbits(_unpack(planes[:, 64 * j:64 * j + 64])[..., :m], axis=1, bitorder="little")
+        masks[:, j, :, :packed.shape[1]] = packed.transpose(0, 2, 1)
+    return masks.view(_LANES)[..., 0]
+
+
 def _seed_paths(observable: PauliSum) -> tuple:
-    """Term masks, weights, sampling probabilities and ||O||_F^2 of the observable."""
+    """Term planes (one lane per term), weights, sampling probabilities and ||O||_F^2."""
     x, z, weights, coeffs = _seed_columns(observable)
     coeffs_sq = coeffs * coeffs
     norm_sq = coeffs_sq.sum()
-    return x, z, weights, coeffs_sq / norm_sq, norm_sq
-
-
-_RUN_MAX = 64  # rotations in one run: its coin word holds one bit for each
-
-
-def _byte_at(k: int) -> int:
-    """Index of byte k (bits 8k..8k+7) of a uint64 word in the word's uint8 view."""
-    return k if np.little_endian else 7 - k
-
-
-def _byte_tables(images: list) -> np.ndarray:
-    """Read-only uint64 tables, 256 entries on the last axis, of maps linear over GF(2) in a byte.
-
-    ``images[..., t]`` is a map's image of bit t; entry v is the XOR of the images of v's set bits.
-    """
-    bits = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.uint64)
-    tables = np.bitwise_xor.reduce(np.array(images, dtype=np.uint64)[..., None, :] * bits, axis=-1)
-    tables.flags.writeable = False
-    return tables
-
-
-def _run_tables(gens: tuple) -> tuple:
-    """Byte tables of a run of pairwise commuting generators, given as (x, z) integer masks.
-
-    Input tables ``(side, j, at, table)``: byte ``at`` of word j of the x
-    (side 0) or z (side 1) masks maps to its share of the run's parity
-    word, bit i the parity of the byte's set bits under generator i (x
-    bits against its z mask, z bits against its x mask).  XORing the
-    shares of every byte the run reads gives each path's parity with
-    every generator.  Output tables ``(at, ((side, j, table), ...))``: byte
-    ``at`` of a word of fold bits maps to the XOR of the generators it
-    selects, for each mask word they write.
-    """
-    width = max(max(g).bit_length() for g in gens)
-    # bit t of byte b of one side: bit i set where generator i has bit 8b + t on the other side
-    reads = [(side, b) for side in (0, 1) for b in range(-(-width // 8))]
-    ins = zip(reads, _byte_tables([
-        [sum(((g[1 - side] >> (8 * b + t)) & 1) << i for i, g in enumerate(gens)) for t in range(8)]
-        for side, b in reads
-    ]))
-    # bit t of fold byte k selects generator 8k + t, whose word j of each side it XORs in
-    padded = gens + ((0, 0),) * (-len(gens) % 8)
-    writes = [(side, j) for side in (0, 1) for j in range(-(-width // 64))]
-    folds = [zip(writes, fold) for fold in _byte_tables([
-        [[(g[side] >> 64 * j) & _WORD for g in padded[k:k + 8]] for side, j in writes]
-        for k in range(0, len(padded), 8)
-    ])]
-    return (
-        tuple((side, b >> 3, _byte_at(b & 7), table) for (side, b), table in ins if table.any()),
-        tuple(
-            (_byte_at(k), tuple((side, j, table) for (side, j), table in fold if table.any()))
-            for k, fold in enumerate(folds)
-        ),
-    )
+    return _planes(np.stack((x, z)), observable.n), weights, coeffs_sq / norm_sq, norm_sq
 
 
 _LETTERS = (1, 3, 2)  # X, Y, Z as bit pairs x | z << 1
@@ -190,9 +144,8 @@ def _letter_law(ch) -> tuple | None:
 
     For X, Y and Z; None unless the row of every letter L (its adjoint
     image) is zero outside I and L.  The norm is the row's sum of squares
-    and the chance I's share of it, 1 where the norm is 0: the values
-    that ``propagation._local_step`` gives as L's norm and the threshold
-    of L's own slot, so the walk keeps L exactly where its draw would.
+    and the chance I's share of it, 1 where the norm is 0: L's norm and
+    the threshold of L's own slot in ``propagation._local_step``.
     """
     ptm = ch.forward_ptm()
     if ptm[1:, 1:][~np.eye(3, dtype=bool)].any():
@@ -203,241 +156,288 @@ def _letter_law(ch) -> tuple | None:
     return tuple((float(norm[p]), float(sq[p, 0] / norm[p]) if norm[p] else 1.0) for p in (1, 2, 3))
 
 
+def _site_slots(step: tuple) -> tuple:
+    """A one-qubit ``_local_step`` as ``("local", q, slots, norm)``, each slot's XOR deltas as
+    bit pair codes: ``(delta, thresholds)``."""
+    _, (q,), slots, norm = step
+    s, one = np.uint64(q & 63), np.uint64(1)
+    deltas = [(((dx >> s) & one | ((dz >> s) & one) << one).astype(np.uint8), thresholds)
+              for ((_, dx, dz),), _, thresholds in slots]  # one support word
+    return ("local", q, tuple(deltas), norm)
+
+
 def _noise_round(pairs) -> list:
     """A noise round's (qubit, channel) pairs as one ``("noise", groups)`` step, then the rest.
 
     The step takes every qubit whose letters each go to themselves or I
-    (``_letter_law``); every other qubit keeps its ``_local_step``, after
-    it.  A group is the qubits of one law, in order of their lowest
-    qubit: ``(words, classes, drops)`` with
-
-    - ``words``, ``(j, mask, bits)`` for each mask word j the group
-      touches: its bits there, and each one alone in ascending order;
-    - ``classes``, ``(letters, table)`` for each distinct squared norm
-      other than 1.0, ``table[c]`` the norm to the power c, for c letters
-      of the class on the group's qubits;
-    - ``drops``, ``(letter, chance)`` for each letter that can go to I, in
-      the order X, Y, Z.
-
-    Groups that neither reweight nor drop are left out.
+    (``_letter_law``); every other qubit keeps its ``_local_step`` (as
+    ``_site_slots``), after it.  A group, in order of its lowest qubit, is
+    ``(qubits, classes, drops)``: an index array of its qubits, ``(letters,
+    norm)`` per distinct squared norm but 1.0, and ``(letter, ceil(chance *
+    2**53))`` per letter (X, Y, Z) that can go to I; if neither, it is left out.
     """
     laws: dict = {}
     rest = []
     for q, ch in pairs:
         law = _letter_law(ch)
         if law is None:
-            rest.append(_local_step((q,), ch))
+            rest.append(_site_slots(_local_step((q,), ch)))
         else:
             laws.setdefault(law, []).append(q)
     groups = []
     for law, qubits in laws.items():
-        by_word: dict = {}
-        for q in qubits:
-            by_word.setdefault(q >> 6, []).append(np.uint64(1 << (q & 63)))
         norms: dict = {}
         for letter, (norm, _) in zip(_LETTERS, law):
             norms.setdefault(norm, []).append(letter)
-        classes = tuple(
-            (tuple(letters), _frozen(norm ** np.arange(len(qubits) + 1)))
-            for norm, letters in norms.items() if norm != 1.0
-        )
-        drops = tuple((letter, drop) for letter, (_, drop) in zip(_LETTERS, law) if drop > 0.0)
+        classes = tuple((tuple(letters), norm) for norm, letters in norms.items() if norm != 1.0)
+        # the chance times 2**53 is exact: a power of two scales it
+        drops = tuple((letter, math.ceil(p * 2.0**53)) for letter, (_, p) in zip(_LETTERS, law) if p)
         if classes or drops:
-            words = tuple((j, np.bitwise_or.reduce(bits), tuple(bits)) for j, bits in by_word.items())
-            groups.append((words, classes, drops))
+            groups.append((np.array(qubits), classes, drops))
     return ([("noise", tuple(groups))] if groups else []) + rest
 
 
-def _walk_program(template: Circuit) -> list:
-    """The steps the walk runs: ``propagation._compile``'s program with rotations grouped in runs.
+def _linear_map(step: tuple, n: int) -> tuple | None:
+    """A fixed Clifford's ``local`` step as ``("clifford", outs, ins, starts)`` on flat plane indices.
 
-    A run is a maximal stretch of consecutive rotations, uniform or by a
-    multiple of pi/2, whose generators commute pairwise, at most 64 of
-    them.  ``layer_end`` steps and noise rounds without a channel are
-    dropped without ending a run, and so are rotations by a multiple of
-    pi (+-identity on Paulis); every other step ends one.  A run becomes
-    one step ``("run", ins, outs, coins, fixed)``: the tables of
-    ``_run_tables`` (built once per distinct run), whether it has a
-    uniform rotation, and the bits of its pi/2 rotations.  A ``noise``
-    step's pairs go to ``_noise_round``.  Raises
-    ``UnsupportedEnsembleError`` on a fixed angle that is not a multiple
-    of pi/2.
+    Signs dropped, a Clifford is linear over GF(2) on its support's planes:
+    ``_clifford`` maps each plane alone (slot 0), and plane ``outs[i]`` is the
+    XOR of the planes ``ins[starts[i]:starts[i + 1]]`` whose image holds it.
     """
-    program: list = []
-    run: list = []  # (generator masks, uniform) of each rotation in the open run
-    tables: dict = {}
+    _, support, ((deltas, _, _),), _ = step  # a Clifford has one slot
+    planes = [side * n + q for q in support for side in (0, 1)]
+    basis = np.zeros((2, -(-n // 64), len(planes)), dtype=np.uint64)  # column i: plane i alone
+    for i, p in enumerate(planes):
+        basis[p // n, p % n >> 6, i] = 1 << (p % n & 63)
+    _clifford(basis, support, deltas, *np.empty((3, len(planes)), dtype=np.uint64))
+    image = _planes(basis, n).reshape(-1)  # lane i of plane p: plane i's image holds p
+    outs = [p for i, p in enumerate(planes) if image[p] != 1 << i]
+    ins = [[planes[i] for i in range(len(planes)) if int(image[p]) >> i & 1] for p in outs]
+    if not outs:
+        return None
+    return ("clifford", np.array(outs), np.concatenate(ins), np.cumsum([0] + [len(i) for i in ins[:-1]]))
 
-    def close_run() -> None:
-        if run:
-            gens = tuple(g for g, _ in run)
-            if gens not in tables:
-                tables[gens] = _run_tables(gens)
-            fixed = sum(1 << i for i, (_, uniform) in enumerate(run) if not uniform)
-            coins = fixed != (1 << len(run)) - 1
-            program.append(("run", *tables[gens], coins, np.uint64(fixed)))
-            run.clear()
+
+def _walk_program(template: Circuit) -> list:
+    """The steps the walk runs: ``propagation._compile``'s program on flat plane indices.
+
+    ``("rot", reads, writes, uniform)``: the planes a rotation's generator
+    reads and folds into, indices into the ``(2n, L)`` planes (x first).
+    Rotations by a multiple of pi, ``layer_end`` and rounds without a
+    channel drop out; fixed Cliffords go to ``_linear_map``, rounds to
+    ``_noise_round``.  Raises ``UnsupportedEnsembleError`` on a fixed angle
+    that is not a multiple of pi/2.
+    """
+    n = template.n
+    program: list = []
+
+    def indices(words) -> tuple:  # (side, word, bits) of ``_compile`` as flat plane indices
+        return tuple(side * n + 64 * j + t for side, j, w in words for t in range(64) if int(w) >> t & 1)
 
     for step in _compile(template):
         kind = step[0]
-        if kind == "layer_end" or kind == "noise" and not step[1]:
-            continue
-        if kind != "rot":
-            close_run()
-            program.extend(_noise_round(step[1]) if kind == "noise" else [step])
-            continue
-        _, _reads, writes, _phase, angle = step
-        if angle is not None:
-            cos_t, sin_t = _cos_sin(angle)
-            if sin_t == 0.0:
-                continue
-            if cos_t != 0.0:
-                raise UnsupportedEnsembleError(
-                    "fixed rotation angles must be multiples of pi/2; "
-                    "use a uniform-angle placeholder or propagate sampled circuits"
-                )
-        g = [0, 0]  # the generator's x and z masks
-        for side, j, w in writes:
-            g[side] |= int(w) << 64 * j
-        gx, gz = g
-        if len(run) == _RUN_MAX or any(
-            ((gx & hz) ^ (gz & hx)).bit_count() & 1 for (hx, hz), _ in run
-        ):
-            close_run()
-        run.append(((gx, gz), angle is None))
-    close_run()
+        if kind == "rot":
+            _, reads, writes, _phase, angle = step
+            if angle is not None:
+                cos_t, sin_t = _cos_sin(angle)
+                if sin_t == 0.0:
+                    continue
+                if cos_t != 0.0:
+                    raise UnsupportedEnsembleError(
+                        "fixed rotation angles must be multiples of pi/2; "
+                        "use a uniform-angle placeholder or propagate sampled circuits"
+                    )
+            program.append(("rot", indices(reads), indices(writes), angle is None))
+        elif kind == "local":
+            program += filter(None, [_linear_map(step, n)])
+        elif kind == "noise":
+            program += _noise_round(step[1])
+        elif kind == "ucliff":
+            program.append(("ucliff", step[1]))
+        elif kind == "boundary":
+            program.append(step)
     return program
 
 
-def _letter_bits(x, z, letters, mask: np.uint64, out: np.ndarray) -> np.ndarray:
-    """``out`` = the bits in ``mask`` of mask words x, z whose letter is one of ``letters``.
+class _Tally:
+    """A count per path, bit-sliced: ``levels[b]`` holds rows of planes of weight 2**b.
 
-    X's bits are x ^ (x & z), Y's x & z and Z's z ^ (x & z), so a set's
-    bits are x if it holds X, ^ z if it holds Z, ^ (x & z) if its size is odd.
+    ``add`` puts rows of weight 1 in.  Past 64 of them, full adders take
+    three rows of a level to one there and one carry row a level up, all
+    triples at once, until each level holds one row: its bit of the count.
     """
-    if len(letters) == 2 and 3 in letters:  # X and Y, or Y and Z
-        return np.bitwise_and(x if 1 in letters else z, mask, out=out)
-    if len(letters) & 1:
-        np.bitwise_and(x, z, out=out)
-        if 1 in letters:
-            out ^= x
-        if 2 in letters:
-            out ^= z
-    else:
-        np.bitwise_xor(x, z, out=out)
-    out &= mask
-    return out
+
+    __slots__ = ("levels",)
+
+    def __init__(self, words: int) -> None:
+        self.levels: list = [[np.zeros((1, words), dtype=_LANES)]]
+
+    def add(self, rows: np.ndarray) -> None:
+        self.levels[0].append(rows)
+        if sum(map(len, self.levels[0])) > 64:
+            self._reduce()
+
+    def _reduce(self) -> None:
+        for b, blocks in enumerate(self.levels):  # a carry appends a level
+            rows = np.concatenate(blocks)
+            while len(rows) > 1:
+                t = len(rows) // 3 or 1  # with two rows left, one half adder
+                a, c, d = rows[:t], rows[t:2 * t], rows[2 * t:3 * t]
+                s, carry = a ^ c, a & c
+                if len(d):
+                    carry |= s & d
+                    s ^= d
+                if b + 1 == len(self.levels):
+                    self.levels.append([])
+                self.levels[b + 1].append(carry)
+                rows = np.concatenate((s, rows[2 * t + len(d):]))
+            self.levels[b] = [rows]
+
+    def counts(self, m: int) -> np.ndarray:
+        """The first m paths' counts."""
+        self._reduce()
+        count = np.zeros(m, dtype=np.min_scalar_type((1 << len(self.levels)) - 1))
+        for (row,) in reversed(self.levels):
+            count <<= 1
+            count |= _unpack(row[0])[:m]
+        return count
 
 
-def _walk_chunk(program, seed_x, seed_z, seed_weights, probs, norm_sq, m, rng):
+def _carriers(x: np.ndarray, z: np.ndarray, letters) -> np.ndarray:
+    """The lanes of x/z planes whose letter (bit pair: X 1, Y 3, Z 2) is one of ``letters``."""
+    with_x, with_z = 1 in letters, 2 in letters
+    if 3 not in letters:
+        return x ^ z if with_x and with_z else x ^ (x & z) if with_x else z ^ (x & z)
+    if with_x and with_z:
+        return x | z
+    return (x if with_x else z).copy() if with_x or with_z else x & z
+
+
+def _below(carriers: np.ndarray, cut: int, rng) -> np.ndarray:
+    """The carrying lanes whose fresh uniform 53-bit integer k is below ``cut``, 1 <= cut <= 2**53.
+
+    Most significant bit first, each bit draws one raw word per word, in
+    order, that still holds an undecided lane.  A lane is below where k
+    has a 0 and ``cut`` a 1, not where k has a 1 and ``cut`` a 0, and not
+    when still undecided past the lowest set bit of ``cut``.
+    """
+    if cut >> 53:
+        return carriers
+    flat = carriers.reshape(-1)
+    below = np.zeros_like(flat)
+    pos = np.flatnonzero(flat)
+    open_ = flat[pos]
+    for b in range(52, (cut & -cut).bit_length() - 2, -1):
+        if not len(pos):
+            break
+        ones = open_ & rng.bit_generator.random_raw(len(pos))
+        if cut >> b & 1:
+            below[pos] |= open_ ^ ones
+        open_ = ones if cut >> b & 1 else open_ ^ ones
+        live = np.flatnonzero(open_)
+        pos, open_ = pos[live], open_[live]
+    return below.reshape(carriers.shape)
+
+
+def _walk_chunk(program, terms, seed_weights, probs, norm_sq, m, rng):
     """Walk m sampled paths through ``_walk_program``'s steps.
 
-    Returns ((x, z) masks, accumulated weights, reweight factors).
+    Returns the (2, n, ceil(m / 64)) bit planes, accumulated weights and reweight factors.
     """
-    idx = rng.choice(len(probs), size=m, p=probs)
-    paths = np.take(np.stack((seed_x, seed_z)), idx, axis=2)  # (2, W, m): x, z
-    x, z = paths
-    weight = seed_weights[idx]
-    del idx  # not needed during the walk, where memory peaks
+    counts = rng.multinomial(m, probs)  # paths are exchangeable: term t seeds the next counts[t] lanes
+    n, words, bits = terms.shape[1], -(-m // 64), _unpack(terms)[..., :len(probs)]
+    planes = np.empty((2, n, words), dtype=_LANES)
+    for q in range(0, n, 8):  # eight qubits at a time bound the unpacked lanes
+        planes[:, q:q + 8] = _pack(np.repeat(bits[:, q:q + 8], counts, axis=-1))
+    weight = np.repeat(seed_weights, counts)
+    flat = planes.reshape(2 * n, words)  # x planes, then z planes
+    x, z = planes
     k_factor = np.full(m, norm_sq)
-    # scratch rows reused by every step: mapping fresh temporaries of this
-    # size costs more than the arithmetic done on them
-    u = np.empty(m)  # uniform draws
-    a, b, c = (np.empty(m, dtype=np.uint64) for _ in range(3))
-    g = c.view(np.float64)  # gathered table values; a noise step leaves c free
-    hit = np.empty(m, dtype=bool)
-    # the tables are tiny and every code is in range; mode="clip" only keeps
-    # np.take from buffering its output (the same holds in ``_clifford``)
+    boundaries, exponents = _Tally(words), {}  # exponents: a tally per squared norm
     for step in program:
         kind = step[0]
-        if kind == "boundary":
-            weight += _popcount(x | z)
-        elif kind == "run":
-            _, ins, outs, coins, fixed = step
-            # bit i of a: the path's parity with generator i, all read from the
-            # masks at the start of the run, since folding by one generator
-            # leaves the parities with the others (it commutes with) alone
-            # byte values go through a uint8 view of the words into a scratch
-            # row of indices, which np.take would otherwise allocate itself
-            idx = b.view(np.int64)
-            (side, j, at, table), *rest = ins
-            np.copyto(idx, paths[side][j].view(np.uint8)[at::8])
-            np.take(table, idx, out=a, mode="clip")
-            for side, j, at, table in rest:
-                np.copyto(idx, paths[side][j].view(np.uint8)[at::8])
-                a ^= np.take(table, idx, out=c, mode="clip")
-            if coins:  # bit i of path p's raw word is its coin for rotation i
-                words = rng.bit_generator.random_raw(m)
-                words |= fixed
-                a &= words
-                del words  # else it would still be alive beside the next run's draw
-            for at, writes in outs:
-                np.copyto(idx, a.view(np.uint8)[at::8])
-                for side, j, table in writes:
-                    paths[side][j] ^= np.take(table, idx, out=c, mode="clip")
+        if kind == "rot":
+            _, reads, writes, uniform = step
+            # a lone read is never written: its letter is X or Z
+            fold = flat[reads[0]] if len(reads) == 1 else np.bitwise_xor.reduce(flat[list(reads)])
+            if uniform:  # bit p & 63 of word p >> 6 is path p's coin
+                fold = fold & rng.bit_generator.random_raw(words)
+            for plane in writes:
+                flat[plane] ^= fold
+        elif kind == "clifford":
+            _, outs, ins, starts = step
+            flat[outs] = np.bitwise_xor.reduceat(flat[ins], starts)
         elif kind == "noise":
-            for words, classes, drops in step[1]:
-                count = b.view(np.int64)
-                for letters, table in classes:
-                    # the class's letters on the group's qubits, summed over words
-                    (j, mask, _), *rest = words
-                    np.bitwise_count(_letter_bits(x[j], z[j], letters, mask, a), out=b)
-                    for j, mask, _ in rest:
-                        b += np.bitwise_count(_letter_bits(x[j], z[j], letters, mask, a), out=a)
-                    k_factor *= np.take(table, count, out=g, mode="clip")
-                for letter, drop in drops:
-                    for j, mask, bits in words:
-                        # a drop at one qubit leaves the letters of the others as they were
-                        _letter_bits(x[j], z[j], (letter,), mask, a)
-                        for bit in bits:
-                            # flatnonzero is several times faster on bools than on words
-                            rows = np.flatnonzero(
-                                np.not_equal(np.bitwise_and(a, bit, out=b), 0, out=hit)
-                            )
-                            draws = rng.random(out=u[:len(rows)])
-                            rows = rows[np.less(draws, drop, out=hit[:len(rows)])]
-                            x[j][rows] &= ~bit
-                            z[j][rows] &= ~bit
-        elif kind == "local":
-            _, support, ((deltas, _, _), *rest), norm = step
-            code = _clifford(paths, support, deltas, a, b, c)
-            # a Clifford's norms are all exactly 1.0, so this is exact for it too
-            k_factor *= np.take(norm, code, out=g, mode="clip")
-            if not rest:
-                continue  # every input has one slot: nothing to draw
-            rng.random(out=u)
-            # the path ends on the last slot whose threshold u reaches
-            for deltas, _, thresholds in rest:
-                np.greater_equal(u, np.take(thresholds, code, out=g, mode="clip"), out=hit)
-                for j, dx, dz in deltas:
-                    x[j] ^= np.multiply(np.take(dx, code, out=b, mode="clip"), hit, out=b)
-                    z[j] ^= np.multiply(np.take(dz, code, out=b, mode="clip"), hit, out=b)
-        elif kind == "ucliff":
-            _, q, bit, tx, tz = step
-            j, _s, bp = _site(x, z, q, (a, b))
-            np.not_equal(bp, 0, out=hit)
-            draws = c.view(np.int64)
-            draws[...] = rng.integers(1, 4, size=m, dtype=np.uint8)
-            for row, table in ((x[j], tx), (z[j], tz)):
-                row &= ~bit
-                row |= np.multiply(np.take(table, draws, out=a, mode="clip"), hit, out=a)
-    return (x, z), weight, k_factor
+            for qubits, classes, drops in step[1]:
+                xs, zs = x[qubits], z[qubits]
+                for letters, norm in classes:
+                    exponents.setdefault(norm, _Tally(words)).add(_carriers(xs, zs, letters))
+                for letter, cut in drops:
+                    # a drop at one lane leaves the letters of the others as they were
+                    kept = ~_below(_carriers(xs, zs, (letter,)), cut, rng)
+                    xs &= kept
+                    zs &= kept
+                if drops:
+                    x[qubits], z[qubits] = xs, zs
+        elif kind == "boundary":
+            boundaries.add(x | z)
+        elif kind in ("local", "ucliff"):  # per-path bit pair codes of one qubit
+            q = step[1]
+            xq, zq = _unpack(planes[:, q])
+            code = xq | zq << 1
+            if kind == "ucliff":
+                draws = rng.integers(1, 4, size=m, dtype=np.uint8)
+                out = np.where(code[:m] != 0, _SITE_BITS[draws], 0)
+            else:  # a channel without a letter law
+                _, _, ((delta, _), *rest), norm = step
+                k_factor *= norm[code[:m]]
+                out = code ^ delta[code]
+                if rest:  # the path ends on the last slot whose threshold u reaches
+                    u = np.zeros(len(code))  # I lanes past m stay on slot 0
+                    rng.random(out=u[:m])
+                    for delta, thresholds in rest:
+                        out ^= delta[code] * (u >= thresholds[code])
+            x[q], z[q] = _pack(out & 1), _pack(out >> 1)
+    weight += boundaries.counts(m)
+    for norm, tally in exponents.items():
+        e = tally.counts(m)
+        k_factor *= np.take(norm ** np.arange(int(e.max()) + 1), e)
+    return planes, weight, k_factor
 
 
-def _functional_values(f: Functional, x, z, weight, k_factor) -> np.ndarray:
-    if isinstance(f, TruncFrobenius):
-        return k_factor * (weight >= f.k)
-    overlap_sq = _bloch_scale(np.ones(len(weight)), x, z, f.state) ** 2
-    if isinstance(f, TruncMSE):
-        return k_factor * overlap_sq * (weight >= f.k)
-    return k_factor * overlap_sq
+def _chunk_stats(functionals: Sequence[Functional], planes, weight, k_factor) -> list:
+    """Each functional's (mean, M2, non-zero count) over one chunk, from histograms over the weight.
 
-
-def _check_functionals(functionals: Sequence[Functional], n: int) -> None:
+    A sample's value is ``v * (weight >= k)``, ``v`` the reweight factor
+    (times the squared state overlap for ``Variance``, k = 0, and ``TruncMSE``).
+    Per distinct ``v`` and weight w: the sum of ``v``, its squared deviations
+    from its mean at w, and its non-zero count.  A cutoff sums them over
+    w >= k; M2 joins the weights' means as Chan, Golub and LeVeque do, so
+    nearly constant values do not cancel.
+    """
+    m = len(weight)
+    counts = np.bincount(weight)
+    hists: dict = {}
+    out = []
     for f in functionals:
-        if isinstance(f, (Variance, TruncMSE)) and f.state.n != n:
-            raise QubitCountMismatch("functional state qubit count differs from circuit")
-        if isinstance(f, (TruncMSE, TruncFrobenius)) and f.k <= 0:
-            raise ValueError("weight cutoff must be positive")
+        state = None if isinstance(f, TruncFrobenius) else f.state
+        if state not in hists:
+            v = k_factor
+            if state is not None:
+                v = k_factor * _bloch_scale(np.ones(m), *_masks(planes, m), state) ** 2
+            sums = np.bincount(weight, v, len(counts))
+            means = sums / np.maximum(counts, 1)
+            devs = np.bincount(weight, (v - means[weight]) ** 2, len(counts))
+            nonzero = np.bincount(weight[v != 0.0], minlength=len(counts))
+            hists[state] = (sums, means, devs, nonzero)
+        k = min(getattr(f, "k", 0), len(counts))
+        sums, means, devs, nonzero = (h[k:] for h in hists[state])
+        tail = counts[k:]
+        mean = float(sums.sum()) / m
+        gap = means - mean
+        m2 = float(devs.sum() + (tail * gap * gap).sum() + (m - tail.sum()) * mean * mean)
+        out.append((mean, m2, int(nonzero.sum())))
+    return out
 
 
 def estimate_many(
@@ -454,7 +454,13 @@ def estimate_many(
         raise QubitCountMismatch("circuit and observable qubit counts differ")
     if samples <= 1:
         raise ValueError("need at least two samples")
-    _check_functionals(functionals, template.n)
+    for f in functionals:
+        if isinstance(f, (Variance, TruncMSE)) and f.state.n != template.n:
+            raise QubitCountMismatch("functional state qubit count differs from circuit")
+        if isinstance(f, (TruncMSE, TruncFrobenius)) and f.k <= 0:
+            raise ValueError("weight cutoff must be positive")
+    if not functionals:
+        return []
 
     program = _walk_program(template)
     seeds = _seed_paths(observable)
@@ -468,26 +474,20 @@ def estimate_many(
     while remaining > 0:
         m = min(_CHUNK, remaining)
         remaining -= m
-        (x, z), weight, k_factor = _walk_chunk(program, *seeds, m, rng)
+        planes, weight, k_factor = _walk_chunk(program, *seeds, m, rng)
         max_reweight = max(max_reweight, float(k_factor.max()))
         if max_reweight > norm_sq * (1.0 + 1e-9):
             raise FloatingPointError("sample reweighting escaped [0, ||O||_F^2]")
-        for i, f in enumerate(functionals):
-            lam = _functional_values(f, x, z, weight, k_factor)
+        for i, (b_mean, b_m2, b_nonzero) in enumerate(_chunk_stats(functionals, planes, weight, k_factor)):
             cnt, mean, m2, nonzero = stats[i]
-            b_mean = float(lam.mean())
-            b_m2 = float(((lam - b_mean) ** 2).sum())
             delta = b_mean - mean
             tot = cnt + m
             mean += delta * m / tot
             m2 += b_m2 + delta * delta * cnt * m / tot
-            stats[i] = (tot, mean, m2, nonzero + int(np.count_nonzero(lam)))
+            stats[i] = (tot, mean, m2, nonzero + b_nonzero)
 
-    out = []
-    for cnt, mean, m2, nonzero in stats:
-        stderr = float(np.sqrt(m2 / (cnt - 1) / cnt)) if cnt > 1 else 0.0
-        out.append(EstimateResult(mean, stderr, cnt, nonzero / cnt, max_reweight))
-    return out
+    return [EstimateResult(mean, float(np.sqrt(m2 / (cnt - 1) / cnt)), cnt, nonzero / cnt, max_reweight)
+            for cnt, mean, m2, nonzero in stats]  # cnt is the sample count, at least 2
 
 
 def estimate(

@@ -28,8 +28,8 @@ applies slot 0 in place and appends each further slot; the walk applies
 slot 0 and draws among the rest.  ``backpropagate``, the one engine
 entry, runs that program on sampled circuits and rejects a template at
 entry; the Monte Carlo walk in ``montecarlo`` samples paths, placeholders
-included, through the same program (rotations grouped in runs, noise
-rounds read from their channels' PTMs) and the same kernel, ``_clifford``.
+included, through the same program on bit planes (noise rounds read from
+their channels' PTMs), each fixed Clifford's planes mapped as ``_clifford`` maps masks.
 Weights accumulate only under a path-weight cutoff; without one every
 row has weight 0.  The run at cutoff k_max holds the run at every
 smaller k as its rows with w < k, and ``kept_below(k)`` returns that run

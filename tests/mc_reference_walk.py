@@ -1,4 +1,4 @@
-"""The site-code Monte Carlo walk, kept as the reference for the bit-mask walk.
+"""The site-code Monte Carlo walk, kept as the reference for the bit-plane walk.
 
 A chunk of paths is an (m, n) uint8 array of site codes (0=I, 1=X, 2=Y,
 3=Z), updated step by step through fancy-indexed table lookups.
@@ -10,25 +10,31 @@ norm per input read off each channel's forward transfer matrix by
 (``propagation._compile``) that ``paulipath.montecarlo._walk_chunk`` runs.
 The walk consumes the generator's stream draw for draw in the same order,
 so for one seed both walks must reach the same paths, weights and
-reweight factors.  Rotations come in runs, cut here by the library's rule
-but from site codes: consecutive rotations (multiples of pi dropped)
-whose generators commute pairwise, at most 64.  A run with a uniform
-rotation draws one raw 64-bit word per path, and bit i of path p's word
-is its coin for the run's rotation i; this walk applies the rotations
-one by one, the library walk as one table step.
+reweight factors.
+
+Paths are seeded by one multinomial draw of the term counts, term t
+filling the next counts[t] paths.  Path p's random bits sit at bit
+``p & 63`` of the ``p >> 6``-th raw 64-bit word of a draw.  A uniform
+rotation (multiples of pi dropped) draws one raw word per 64 paths, and
+path p's bit is its coin.
 
 A noise round is one step for the qubits whose channel maps each letter
 L to L and I only (read off the transfer matrix here), and a step per
 qubit for the others, after it.  The round's qubits are grouped by equal
 (squared norm, chance of going to I) of X, Y and Z, groups in order of
-their lowest qubit.  A path reweights, group by group, by one power of
-each distinct norm other than 1 (X, Y, Z order), raised to the count of
-its letters of that norm on the group's qubits.  Then, for each letter
-that can go to I (X, Y, Z order) and each of the group's qubits in
-ascending order, the paths carrying the letter there draw one
-``random()`` double each and go to I where it falls below the chance.
-A per-qubit noise step draws one ``random()`` double per path only when
-some input of the channel has more than one output to choose from.
+their lowest qubit.  A group counts, for each distinct norm other than 1
+(X, Y, Z order), each path's letters of that norm on its qubits; the
+counts add up over the whole walk, and at its end each path's reweight
+factor is multiplied by ``norm ** count``, norms in order of first
+appearance.  Then, for each letter that can go to I (X, Y, Z order), the
+paths carrying it on a qubit of the group go to I where a uniform 53-bit
+integer k is below ``ceil(chance * 2**53)``.  Its bits are read most
+significant first, one bit per plane: each plane draws one raw word for
+each (qubit, word of 64 paths), in that order, that still holds a
+carrying path whose k prefix equals that of the cutoff; the planes stop
+at the cutoff's lowest set bit.  A per-qubit noise step draws one
+``random()`` double per path only when some input of the channel has
+more than one output to choose from.
 """
 
 from __future__ import annotations
@@ -85,7 +91,6 @@ def compile_steps(circuit: Circuit) -> list:
                 else:
                     steps.append(("cliff2", gate.support[0], gate.support[1], lut))
             elif isinstance(gate, PauliRotation):
-                gcodes = gate.generator.codes()
                 if gate.angle is not None:
                     c, s = _cos_sin(gate.angle)
                     if s == 0.0:
@@ -95,11 +100,8 @@ def compile_steps(circuit: Circuit) -> list:
                             "fixed rotation angles must be multiples of pi/2; "
                             "use a uniform-angle placeholder or propagate sampled circuits"
                         )
-                rot = (dict(zip(gate.support, gcodes)), gate.angle is None)
-                if steps and steps[-1][0] == "run" and _joins(steps[-1][1], rot[0]):
-                    steps[-1][1].append(rot)
-                else:
-                    steps.append(("run", [rot]))
+                gen = dict(zip(gate.support, gate.generator.codes()))
+                steps.append(("rot", gen, gate.angle is None))
             else:  # pragma: no cover - exhaustive over gate variants
                 raise UnsupportedEnsembleError(f"unsupported gate {gate!r}")
     return steps
@@ -126,29 +128,50 @@ def noise_round_steps(pairs) -> list:
         norms: dict = {}
         for p, (norm, _) in enumerate(law, start=1):
             norms.setdefault(norm, []).append(p)
-        classes = [(letters, norm ** np.arange(len(qubits) + 1))
-                   for norm, letters in norms.items() if norm != 1.0]
-        drops = [(p, chance) for p, (_, chance) in enumerate(law, start=1) if chance > 0.0]
+        classes = [(letters, norm) for norm, letters in norms.items() if norm != 1.0]
+        drops = [(p, int(np.ceil(chance * 2**53))) for p, (_, chance) in enumerate(law, start=1)
+                 if chance > 0.0]
         groups.append((qubits, classes, drops))
     return [("round", groups)] + steps
 
 
-def _joins(run: list, gen: dict) -> bool:
-    """Whether a generator (site to code) extends a run: room left, and it commutes with each."""
-    if len(run) == 64:
-        return False
-    for other, _ in run:
-        clashes = sum(1 for q, g in gen.items() if other.get(q, g) != g)
-        if clashes % 2:
-            return False
-    return True
+def lane_bits(words: np.ndarray, m: int) -> np.ndarray:
+    """Bit ``p & 63`` of word ``p >> 6`` for each of m paths."""
+    p = np.arange(m)
+    return ((words[p >> 6] >> (p & 63).astype(np.uint64)) & 1).astype(bool)
+
+
+def cut_below(carrying: np.ndarray, cut: int, rng) -> np.ndarray:
+    """Which carrying (qubit, path) entries of an (r, m) bool array draw a 53-bit k below ``cut``."""
+    r, m = carrying.shape
+    below = np.zeros_like(carrying)
+    if cut >= 2**53:
+        return carrying.copy()
+    prefix = np.zeros(carrying.shape, dtype=np.int64)
+    open_ = carrying.copy()
+    lowest = (cut & -cut).bit_length() - 1
+    for b in range(52, lowest - 1, -1):
+        words = np.zeros((r, -(-m // 64)), dtype=bool)  # which (qubit, word) still hold an open path
+        for q, p in zip(*np.nonzero(open_)):
+            words[q, p >> 6] = True
+        if not words.any():
+            break
+        raw = np.zeros(words.shape, dtype=np.uint64)
+        raw[words] = rng.bit_generator.random_raw(int(words.sum()))  # row-major order
+        bits = np.stack([lane_bits(row, m) for row in raw])
+        prefix = prefix << 1 | bits
+        head = cut >> b  # the cutoff's bits from 52 down to b
+        below |= open_ & (prefix < head)
+        open_ &= prefix == head
+    return below
 
 
 def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
-    idx = rng.choice(len(probs), size=m, p=probs)
-    codes = seed_codes[idx].copy()
-    weight = seed_weights[idx].astype(np.int64)
+    counts = rng.multinomial(m, probs)
+    codes = np.repeat(seed_codes, counts, axis=0)
+    weight = np.repeat(seed_weights, counts).astype(np.int64)
     k_factor = np.full(m, norm_sq)
+    exponents: dict = {}  # norm -> each path's count of letters of that norm, summed over rounds
     for step in steps:
         kind = step[0]
         if kind == "boundary":
@@ -164,27 +187,23 @@ def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
                 codes[:, q] = (cdf[c] <= 0.0).sum(axis=1)
         elif kind == "round":
             for qubits, classes, drops in step[1]:
-                for letters, table in classes:
-                    k_factor *= table[np.isin(codes[:, qubits], letters).sum(axis=1)]
-                for p, chance in drops:
-                    for q in qubits:
-                        rows = np.flatnonzero(codes[:, q] == p)
-                        u = rng.random(len(rows))
-                        codes[rows[u < chance], q] = 0
-        elif kind == "run":
-            _, run = step
-            words = None
-            if any(uniform for _, uniform in run):
-                words = rng.bit_generator.random_raw(m)
-            for i, (gen, uniform) in enumerate(run):
-                flip = np.zeros(m, dtype=bool)  # paths that anticommute with the generator
-                for q, g in gen.items():
-                    cq = codes[:, q]
-                    flip ^= (cq != 0) & (cq != g)
-                if uniform:
-                    flip &= ((words >> np.uint64(i)) & 1).astype(bool)
-                for q, g in gen.items():
-                    codes[flip, q] = _MULT[codes[flip, q], g]
+                for letters, norm in classes:
+                    count = np.isin(codes[:, qubits], letters).sum(axis=1)
+                    exponents[norm] = exponents.get(norm, 0) + count
+                for p, cut in drops:
+                    gone = cut_below((codes[:, qubits] == p).T, cut, rng)
+                    for i, q in enumerate(qubits):
+                        codes[gone[i], q] = 0
+        elif kind == "rot":
+            _, gen, uniform = step
+            flip = np.zeros(m, dtype=bool)  # paths that anticommute with the generator
+            for q, g in gen.items():
+                cq = codes[:, q]
+                flip ^= (cq != 0) & (cq != g)
+            if uniform:
+                flip &= lane_bits(rng.bit_generator.random_raw(-(-m // 64)), m)
+            for q, g in gen.items():
+                codes[flip, q] = _MULT[codes[flip, q], g]
         elif kind == "cliff1":
             _, q, lut = step
             codes[:, q] = lut[codes[:, q]]
@@ -201,6 +220,8 @@ def _walk_chunk(steps, seed_codes, seed_weights, probs, norm_sq, m, rng):
             codes[nz, q] = draws[nz]
         else:  # pragma: no cover
             raise AssertionError(kind)
+    for norm, count in exponents.items():
+        k_factor *= (norm ** np.arange(int(count.max()) + 1))[count]
     return codes, weight, k_factor
 
 

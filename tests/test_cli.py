@@ -1163,3 +1163,48 @@ class TestCounts:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == ""
         assert "--threads" in err and "positive" in err
+
+
+def _nodes(value, path=()):
+    """The path of every node of a JSON value: itself, then each key's or entry's nodes."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+# No huge counts: a count of 10**30 runs until a builder bound stops it.
+_BAD_VALUES = [None, True, -1, 0, 3, 2.5, -0.5, math.nan, "bogus", "", [], [1], {}, {"kind": "bogus"}]
+
+
+def _fuzz_cases(count: int = 60, seed: int = 2026) -> list:
+    """(command, config) pairs: one node of a base config set to a bad value, drawn with a fixed seed."""
+    import random
+
+    bases = [
+        ("propagate", RX_DAMP_CONFIG),
+        ("oracle", RX_DAMP_CONFIG),
+        ("estimate", ESTIMATE_CONFIG),
+        ("dynamics", DYNAMICS_CONFIG),
+        ("sweep", TestSweepCommand.SWEEP_CONFIG),
+        ("propagate", _builder_config(HVA_CIRCUIT)),
+        ("propagate", _builder_config(TFIM_CIRCUIT)),
+    ]
+    cases = [(command, base, path, bad) for command, base in bases for path in _nodes(base)
+             for bad in _BAD_VALUES]
+    cases = random.Random(seed).sample(cases, count)
+    return [(command, _with(base, path, bad) if path else bad) for command, base, path, bad in cases]
+
+
+class TestConfigFuzz:
+    def test_bad_values_exit_with_a_documented_code(self, tmp_path, capsys):
+        # every case ends in a documented exit code with no traceback (main
+        # raising would fail the test); an error exit prints one error: line
+        for i, (command, cfg) in enumerate(_fuzz_cases()):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            code, _, err = run_cli([command, "--config", str(path), "--threads", "1"], capsys)
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert code in (0, 2, 3, 4), (command, cfg, err)
+            assert len(errors) == (code != 0), (command, cfg, err)
+            assert "Traceback" not in err

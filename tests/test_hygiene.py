@@ -1,5 +1,5 @@
 """Source hygiene: no unused imports, no dead definitions, no test-only code in the package,
-no config-format code outside the CLI and no unused parameters.
+no config-format code outside the CLI, no unused parameters and no syntax newer than the floor.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
@@ -19,12 +19,17 @@ the config format: no other module defines a function or method with
 or method has a parameter it never uses, apart from dunder methods and
 parameters whose names start with ``_``.  No function declares a
 ``global``: a module-level cache is a ``functools.cache``, not a variable
-that a function rebinds.  Only the standard library's ``ast`` is used.
+that a function rebinds.  Every module parses as Python of the
+``requires-python`` floor in ``pyproject.toml`` (``ast.parse`` with that
+``feature_version``), so syntax that only a newer interpreter accepts is
+caught on whatever interpreter runs the tests.  Only the standard
+library's ``ast`` is used.
 """
 
 import ast
 import collections
 import pathlib
+import re
 
 import pytest
 
@@ -374,3 +379,23 @@ def test_checker_flags_a_global_statement():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_global_statements(path):
     assert global_statements(path.read_text()) == []
+
+
+def python_floor() -> tuple[int, int]:
+    """The (major, minor) of ``requires-python = ">=X.Y"`` in ``pyproject.toml``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text).groups()
+    return int(major), int(minor)
+
+
+def test_checker_flags_syntax_above_the_floor():
+    # an except* clause needs Python 3.11
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source)
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=python_floor())

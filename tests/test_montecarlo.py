@@ -27,14 +27,25 @@ from paulipath import (
 )
 from paulipath.channels import _BUILDERS, NormalFormChannel, SingleQubitPTM
 from paulipath.circuits import Layer, PauliRotation
-from paulipath.montecarlo import _LETTERS, _letter_law, _seed_paths, _walk_chunk, _walk_program
+from paulipath.montecarlo import (
+    _LETTERS,
+    _below,
+    _chunk_stats,
+    _letter_law,
+    _masks,
+    _planes,
+    _seed_paths,
+    _site_slots,
+    _walk_chunk,
+    _walk_program,
+)
 from paulipath.pauli import BITS_TO_CODE
-from paulipath.propagation import _compile, _cos_sin, _local_step, _odd_parity
+from paulipath.propagation import _compile, _local_step
 from gate_ensembles import rotation_ptm
 from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
-from mc_reference_walk import reference_walk
+from mc_reference_walk import cut_below, noise_round_steps, reference_walk
 from test_propagation import _run_slots
 from second_moment_ref import (
     second_moment_clifford,
@@ -203,6 +214,18 @@ class TestEstimate:
         )
         assert 0.0 <= r.mean <= 1.0
 
+    def test_no_functionals_walks_nothing(self, monkeypatch):
+        import paulipath.montecarlo as mc
+
+        def refuse(*args):
+            raise AssertionError("walked with no functional to evaluate")
+
+        monkeypatch.setattr(mc, "_walk_chunk", refuse)
+        tmpl = Circuit(1, (uniform_rx_layer(1, (make_amplitude_damping(0.3),)),))
+        assert estimate_many(tmpl, PauliSum.single("Z"), [], 1_000_000, 0) == []
+        with pytest.raises(ValueError):  # inputs are still checked
+            estimate_many(tmpl, PauliSum.single("Z"), [], 1, 0)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             estimate(Circuit(1, ()), PauliSum(1, []), Variance(ProductState.zeros(1)), 100, 0)
@@ -214,8 +237,8 @@ def _rot(label, support, angle=None):
     return PauliRotation(PauliString.from_label(label), support, angle)
 
 
-def bitmask_walk(template, observable, m, rng):
-    """One chunk of m paths on the bit-mask walk, seeded as ``estimate_many`` seeds it."""
+def plane_walk(template, observable, m, rng):
+    """One chunk of m paths on the bit-plane walk, seeded as ``estimate_many`` seeds it."""
     return _walk_chunk(_walk_program(template), *_seed_paths(observable), m, rng)
 
 
@@ -229,6 +252,77 @@ def site_codes(x, z, n):
     return np.stack(cols, axis=1)
 
 
+def random_masks(gen, n, m):
+    """Random word-major (2, W, m) x/z masks on n qubits."""
+    words = (n + 63) // 64
+    masks = gen.integers(0, 2**64, size=(2, words, m), dtype=np.uint64)
+    masks[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
+    return masks
+
+
+def padding(planes, m):
+    """The lanes past m of the planes' last word."""
+    return planes[..., -1] >> np.uint64(m & 63) if m & 63 else np.zeros(planes.shape[:-1], np.uint64)
+
+
+class TestPlanes:
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(st.integers(1, 4), st.integers(60, 130)),
+           st.integers(1, 300).filter(lambda m: m % 64), st.integers(0, 2**32 - 1))
+    def test_round_trip_through_word_major_masks(self, n, m, key):
+        masks = random_masks(np.random.default_rng(key), n, m)
+        planes = _planes(masks, n)
+        assert planes.shape == (2, n, -(-m // 64))
+        assert not padding(planes, m).any()  # lanes past m are I
+        back = _masks(planes, m)
+        assert back.shape == masks.shape and np.array_equal(back, masks)
+        # lane p of qubit q's plane is bit q of path p's mask
+        p = np.arange(m)
+        for q in {0, n // 2, n - 1}:
+            for side in (0, 1):
+                lanes = (planes[side, q][p >> 6] >> (p & 63).astype(np.uint64)) & 1
+                assert np.array_equal(lanes, (masks[side, q >> 6] >> np.uint64(q & 63)) & 1)
+        # whatever the padding lanes hold, they do not reach the masks
+        planes[..., -1] |= ~np.uint64(0) << np.uint64(m & 63)
+        assert np.array_equal(_masks(planes, m), masks)
+
+
+class _Plane:
+    """A stand-in generator whose raw words force k, one word of 64 lanes, one plane per call."""
+
+    def __init__(self, ks):
+        self.ks, self.planes = ks, 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        assert size == 1  # the one word still holds an undecided lane
+        b = 52 - self.planes
+        self.planes += 1
+        return np.array([sum(((k >> b) & 1) << lane for lane, k in enumerate(self.ks))], np.uint64)
+
+
+_CHANCES = [1.0, 0.5, 0.375, 2.0**-1074, 1 - 2.0**-53, 0.1, 0.2**2 / (0.8**2 + 0.2**2)]
+
+
+class TestComparator:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(_CHANCES), st.floats(2.0**-1074, 1.0)), st.data())
+    def test_drops_exactly_below_the_cutoff(self, chance, data):
+        cut = math.ceil(chance * 2.0**53)
+        near = st.integers(max(cut - 2, 0), min(cut + 1, 2**53 - 1))
+        ks = data.draw(st.lists(st.one_of(near, st.integers(0, 2**53 - 1), st.sampled_from([0, 2**53 - 1])),
+                                min_size=64, max_size=64), label="ks")
+        carriers = data.draw(st.integers(0, 2**64 - 1), label="carriers")
+        rng = _Plane(ks)
+        below = _below(np.array([[carriers]], dtype=np.uint64), cut, rng)
+        want = sum(1 << lane for lane, k in enumerate(ks) if carriers >> lane & 1 and k < cut)
+        assert int(below[0, 0]) == want
+        # the law of random() < chance, random() = k / 2**53
+        assert want == sum(1 << lane for lane, k in enumerate(ks) if carriers >> lane & 1 and k / 2**53 < chance)
+        # planes past the cutoff's lowest set bit are never drawn
+        assert rng.planes <= 53 - ((cut & -cut).bit_length() - 1) if cut < 2**53 else rng.planes == 0
+
+
 class TestAgainstReferenceWalk:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -239,102 +333,48 @@ class TestAgainstReferenceWalk:
         m = data.draw(st.integers(1, 300), label="m")
         key = data.draw(st.integers(0, 2**64 - 1), label="key")
         rng = np.random.Generator(np.random.SFC64(key))
-        (x, z), weight, k_factor = bitmask_walk(template, obs, m, rng)
+        planes, weight, k_factor = plane_walk(template, obs, m, rng)
         ref = np.random.Generator(np.random.SFC64(key))
         ref_codes, ref_weight, ref_k_factor = reference_walk(template, obs, m, ref)
-        assert x.shape == z.shape == ((n + 63) // 64, m)
-        assert np.array_equal(site_codes(x, z, n), ref_codes)
+        assert planes.shape == (2, n, -(-m // 64))
+        assert not padding(planes, m).any()  # lanes past m stay at I
+        assert np.array_equal(site_codes(*_masks(planes, m), n), ref_codes)
         assert np.array_equal(weight, ref_weight)
         assert k_factor.tobytes() == ref_k_factor.tobytes()
         # both walks consumed the same draws
         np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
-@st.composite
-def rotation_sequences(draw) -> tuple[int, list]:
-    """n (1-130 qubits, up to three words) and up to 150 rotations, mostly one commuting family.
-
-    Four in five generators use one drawn letter on every qubit, so they
-    commute and runs pass 64 rotations; the rest take free letters and
-    often anticommute with a neighbour.  Angles are uniform, odd and even
-    multiples of pi/2.
-    """
-    n = draw(st.integers(1, 130), label="n")
-    family = draw(st.sampled_from("XYZ"))
-    angles = st.sampled_from([None, None, None, math.pi / 2, -math.pi / 2, 3 * math.pi / 2,
-                              math.pi, 0.0])
-    gates = []
-    for _ in range(draw(st.integers(1, 150), label="rotations")):
-        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
-        if draw(st.integers(0, 4)):
-            letters = family * len(support)
-        else:
-            letters = draw(st.text("XYZ", min_size=len(support), max_size=len(support)))
-        gates.append(PauliRotation(PauliString.from_label(letters), tuple(support), draw(angles)))
-    return n, gates
-
-
-def rotations_one_by_one(gates, rots, x, z, m, rng):
-    """Apply ``_compile``'s rotation steps ``rots`` to the masks one at a time.
-
-    The runs are cut here from the gates' own masks (``gates`` in program
-    order): consecutive rotations, multiples of pi dropped, that commute
-    pairwise, at most 64.  A run with a uniform rotation draws one raw word
-    per path, whose bit i is the coin of its rotation i.
-    """
-    runs = []
-    for gate, (_, reads, writes, _phase, angle) in zip(gates, rots):
-        if angle is not None and _cos_sin(angle)[1] == 0.0:
-            continue
-        gx, gz = gate.embedded_masks()
-        clash = runs and any(((gx & hz) ^ (gz & hx)).bit_count() & 1 for hx, hz, *_ in runs[-1])
-        if not runs or clash or len(runs[-1]) == 64:
-            runs.append([])
-        runs[-1].append((gx, gz, reads, writes, angle is None))
-    acc, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
-    odd = np.empty(m, dtype=np.uint8)
-    for run in runs:
-        words = rng.bit_generator.random_raw(m) if any(r[-1] for r in run) else None
-        for i, (*_, reads, writes, uniform) in enumerate(run):
-            _odd_parity((x, z), reads, acc, tmp, odd)
-            if uniform:
-                odd &= ((words >> np.uint64(i)) & 1).astype(np.uint8)
-            for side, j, w in writes:
-                (x, z)[side][j] ^= np.multiply(odd, w, out=tmp)
-
-
-class TestRunStep:
-    @settings(max_examples=120, deadline=None)
-    @given(rotation_sequences(), st.integers(1, 200), st.integers(0, 2**64 - 1))
-    def test_run_step_matches_rotations_one_by_one(self, drawn, m, key):
-        n, gates = drawn
-        template = Circuit(n, tuple(Layer((g,)) for g in gates))
-        words = (n + 63) // 64
-        paths = np.random.default_rng(key).integers(0, 2**64, size=(2, words, m), dtype=np.uint64)
-        paths[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
-        probs = np.full(m, 1.0 / m)
-        rng = np.random.Generator(np.random.SFC64(key))
-        (x, z), _, _ = _walk_chunk(
-            _walk_program(template), *paths, np.zeros(m, np.int64), probs, 1.0, m, rng
-        )
-        ref = np.random.Generator(np.random.SFC64(key))
-        idx = ref.choice(m, size=m, p=probs)
-        ref_x, ref_z = paths[:, :, idx]
-        rots = [step for step in _compile(template) if step[0] == "rot"]
-        rotations_one_by_one(gates[::-1], rots, ref_x, ref_z, m, ref)
-        assert np.array_equal(x, ref_x) and np.array_equal(z, ref_z)
-        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
-
-    def test_runs_split_at_anticommuting_generators_and_64_rotations(self):
-        gates = [_rot("ZZ", (0, 1)), _rot("Z", (2,), math.pi), _rot("ZZ", (1, 2), math.pi / 2),
-                 _rot("X", (3,)), _rot("X", (1,))]
-        gates += [_rot("X", (q % 5,)) for q in range(70)] + [_rot("Z", (0,), -math.pi / 2)]
-        program = _walk_program(Circuit(5, tuple(Layer((g,)) for g in reversed(gates))))
-        # ZZ, ZZ(pi/2) and X(3) commute and the pi rotation drops out; X(1)
-        # anticommutes with both ZZs and opens a run that the 70 X rotations
-        # fill to 64 and spill over; Z(0) anticommutes with X(0) and draws no coins
-        runs = [(len(outs), coins, int(fixed)) for _, _, outs, coins, fixed in program]
-        assert runs == [(1, True, 0b10), (8, True, 0), (1, True, 0), (1, False, 1)]
+class TestChunkStats:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_histograms_match_per_functional_values(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        m = data.draw(st.integers(2, 400), label="m")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="key"))
+        masks = random_masks(gen, n, m)
+        weight = gen.integers(0, data.draw(st.integers(1, 12), label="w"), size=m)
+        k_factor = gen.random(m) * (gen.random(m) < data.draw(st.floats(0.0, 1.0), label="live"))
+        states = [data.draw(helpers.product_states(n)) for _ in range(2)]
+        kinds = st.sampled_from(["frobenius", "mse", "variance"])
+        fs = []
+        for kind in data.draw(st.lists(kinds, min_size=1, max_size=6), label="kinds"):
+            k, state = data.draw(st.integers(1, 14)), data.draw(st.sampled_from(states))
+            fs.append({"frobenius": TruncFrobenius(k), "mse": TruncMSE(k, state),
+                       "variance": Variance(state)}[kind])
+        codes = site_codes(*masks, n)
+        got = _chunk_stats(fs, _planes(masks, n), weight, k_factor)
+        for f, (mean, m2, nonzero) in zip(fs, got):
+            lam = k_factor.copy()
+            if not isinstance(f, TruncFrobenius):
+                table = np.array([[1.0, rx, ry, rz] for rx, ry, rz in f.state.bloch])
+                lam *= np.prod(table[np.arange(n), codes], axis=1) ** 2
+            if not isinstance(f, Variance):
+                lam *= weight >= f.k
+            want = lam.mean()
+            assert mean == pytest.approx(want, rel=1e-12, abs=1e-300)
+            assert m2 == pytest.approx(((lam - want) ** 2).sum(), rel=1e-12, abs=1e-13 * (lam**2).sum())
+            assert nonzero == np.count_nonzero(lam)
 
 
 @st.composite
@@ -361,13 +401,13 @@ def letter_channels(draw) -> NormalFormChannel:
 
 
 class _Draws:
-    """A stand-in generator: ``choice`` keeps the seed rows in order, ``random`` hands out queued draws."""
+    """A stand-in generator: each seed term seeds one path, in order; ``random`` hands out queued draws."""
 
     def __init__(self, queue):
         self.queue = list(queue)
 
-    def choice(self, _k, size, p):
-        return np.arange(size)
+    def multinomial(self, m, p):
+        return np.ones(len(p), dtype=np.int64)
 
     def random(self, out):
         draws = self.queue.pop(0)
@@ -376,9 +416,14 @@ class _Draws:
         return out
 
 
-def _letters_at(x, z, q):
-    j, s = q >> 6, np.uint64(q & 63)
-    return ((x[j] >> s) & 1) | ((z[j] >> s) & 1) << 1  # bit pairs: 1 X, 2 Z, 3 Y
+class _InOrder(_Draws):
+    """The generator itself, but each seed term seeds one path, in order."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator = rng, rng.bit_generator
+
+    def random(self, out):
+        return self.rng.random(out=out)
 
 
 class TestNoiseRoundStep:
@@ -392,38 +437,41 @@ class TestNoiseRoundStep:
             noise[q] = data.draw(letter_channels())
         template = Circuit(n, (Layer((), tuple(noise)),))
         m = data.draw(st.integers(1, 300), label="m")
-        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="key"))
-        words = (n + 63) // 64
-        paths = gen.integers(0, 2**64, size=(2, words, m), dtype=np.uint64)
-        paths[:, -1] &= np.uint64((1 << (n - 64 * (words - 1))) - 1)
-        uniforms = gen.random((n, m))  # the draw of each qubit and path
+        key = data.draw(st.integers(0, 2**64 - 1), label="key")
+        paths = random_masks(np.random.default_rng(key), n, m)
 
-        def walk(program, queue):
-            args = (*paths, np.zeros(m, np.int64), np.full(m, 1.0 / m), 1.0, m, _Draws(queue))
-            return _walk_chunk(program, *args)
+        def walk(program, rng):
+            terms = _planes(paths, n)
+            return _walk_chunk(program, terms, np.zeros(m, np.int64), np.full(m, 1.0 / m), 1.0, m, rng)
 
-        (round_step,) = [step for step in _compile(template) if step[0] == "noise"]
-        steps = [_local_step((q,), ch) for q, ch in round_step[1]]
-        per_qubit = [uniforms[q] for _, (q,), slots, _ in steps if len(slots) > 1]
-        (x, z), weight, k_factor = walk(steps, per_qubit)
+        rng = _InOrder(np.random.Generator(np.random.SFC64(key)))
+        planes, weight, k_factor = walk(_walk_program(template), rng)
 
-        program = _walk_program(template)
-        queue = []
-        for step in program:
-            if step[0] == "noise":
-                for words_, _, drops in step[1]:
-                    for letter, _ in drops:
-                        for j, _, bits in words_:
-                            for bit in bits:
-                                q = 64 * j + int(bit).bit_length() - 1
-                                queue.append(uniforms[q][_letters_at(*paths, q) == letter])
-            elif len(step[2]) > 1:
-                queue.append(uniforms[step[1][0]])
-        (rx, rz), r_weight, r_k_factor = walk(program, queue)
-        assert np.array_equal(rx, x) and np.array_equal(rz, z)
-        assert np.array_equal(r_weight, weight)
+        # the same stream through the site-code walk's comparator: a dropped
+        # lane draws u = 0, a kept one the largest double below 1 (it keeps its
+        # letter unless the chance is 1); the other channels draw as they go
+        ref = np.random.Generator(np.random.SFC64(key))
+        codes = site_codes(*paths, n)
+        (_, groups), *rest = noise_round_steps([(q, noise[q]) for q in sorted(noised)])
+        u = {}
+        for qubits, _, drops in groups:
+            for letter, cut in drops:
+                gone = cut_below((codes[:, qubits] == letter).T, cut, ref)
+                for q, lanes in zip(qubits, gone):
+                    codes[lanes, q] = 0
+                    u.setdefault(q, np.full(m, 1 - 2.0**-53))[lanes] = 0.0
+        for _, q, _, _, draws in rest:
+            if draws:
+                u[q] = ref.random(m)
+        steps = [_site_slots(_local_step((q,), noise[q])) for q in sorted(noised)]
+        queue = [u.get(q, np.zeros(m)) for _, q, slots, _ in steps if len(slots) > 1]
+        q_planes, q_weight, q_k_factor = walk(steps, _Draws(queue))
+
+        assert np.array_equal(planes, q_planes)
+        assert np.array_equal(weight, q_weight)
         # the per-qubit steps round once per qubit, the round once per class
-        np.testing.assert_allclose(r_k_factor, k_factor, rtol=(len(noised) + 4) * 2.0**-52, atol=0)
+        np.testing.assert_allclose(k_factor, q_k_factor, rtol=(len(noised) + 4) * 2.0**-52, atol=0)
+        np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(helpers.channels(), letter_channels()), st.sampled_from([0, 63, 64, 129]))
@@ -454,25 +502,26 @@ class TestNoiseRoundStep:
         assert folded.post is not None
         template = Circuit(4, (Layer((), (damp, rotated, folded, damp)),))
         (_, (group, other)), local = _walk_program(template)
-        assert local[:2] == ("local", (1,))
+        assert local[:2] == ("local", 1)
         # qubits 0 and 3 share a law; 2 has its own, so it is a group of its own
-        assert [[int(mask) for _, mask, _ in g[0]] for g in (group, other)] == [[0b1001], [0b100]]
-        assert [letters for letters, _ in group[1]] == [(1, 3), (2,)]
-        assert group[2] == ((2, pytest.approx(0.2**2 / (0.8**2 + 0.2**2))),)
+        assert [g[0].tolist() for g in (group, other)] == [[0, 3], [2]]
+        assert group[1] == (((1, 3), pytest.approx(0.8)), ((2,), pytest.approx(0.8**2 + 0.2**2)))
+        assert group[2] == ((2, math.ceil(0.2**2 / (0.8**2 + 0.2**2) * 2**53)),)
 
 
 def test_step_kinds_are_closed():
     # the engine treats a kind it does not know as a weight boundary and the
     # walk skips one, so a renamed kind would go unnoticed: pin both sets
     damp = make_amplitude_damping(0.2)
+    rotated = NormalFormChannel(damp.d, damp.t, pre=SingleQubitPTM(rotation_ptm("X", 0.3)))
     template = Circuit(3, (
         Layer((_rot("X", (0,), math.pi / 2), CliffordGate("CNOT", (1, 2))), (damp,) * 3),
-        Layer((_rot("ZZ", (0, 1)), CliffordGate("H", (2,))), (damp, None, damp)),
+        Layer((_rot("ZZ", (0, 1)), CliffordGate("H", (2,))), (damp, None, rotated)),
         Layer((RandomSingleQubitClifford(1),), (damp,) * 3),
     ), Layer((CliffordGate("S", (0,)), RandomSingleQubitClifford(2))))
     kinds = {step[0] for step in _compile(template)}
     assert kinds == {"rot", "local", "ucliff", "boundary", "layer_end", "noise"}
-    walk_kinds = {"run", "noise", "local", "ucliff", "boundary"}
+    walk_kinds = {"rot", "clifford", "noise", "local", "ucliff", "boundary"}
     assert {step[0] for step in _walk_program(template)} == walk_kinds
 
 
@@ -493,9 +542,9 @@ class TestRandomStream:
         fs = [Variance(state), TruncMSE(3, state), TruncFrobenius(4)]
         got = estimate_many(template, obs, fs, (1 << 17) + 4099, 2024)
         want = [
-            ("0x1.cc5f4b1b549c3p-6", "0x1.6c432b7f6f8b3p-13"),
-            ("0x1.994952e12501ap-6", "0x1.15043bdf4f6d9p-13"),
-            ("0x1.c38b0bf0bd2b8p-3", "0x1.637d43c1a49b0p-13"),
+            ("0x1.cd031c17d8a62p-6", "0x1.6e521f048cbc7p-13"),
+            ("0x1.988937deee655p-6", "0x1.1498be14f4b0dp-13"),
+            ("0x1.c3e20f122a8f5p-3", "0x1.629cb79479d6ep-13"),
         ]
         for r, (mean, stderr) in zip(got, want):
             assert r.mean == float.fromhex(mean)
