@@ -1,12 +1,14 @@
 """Reference backward walk on Python-int bit masks, for cross-checks.
 
-``_run_dict`` keeps the frontier as a dict keyed by (x, z, accumulated
-weight) and applies every gate and noise round term by term, with its
-own copy of the weight-boundary rule.  ``reference_backpropagate``
+``_run_rows`` keeps the frontier as a list of (x, z, accumulated weight,
+coefficient) rows and applies every gate and noised qubit row by row,
+with its own copy of the weight-boundary rule.  Its kernels leave the
+rows in the engine's order and it merges where the engine merges, so the
+coefficient sums associate alike: a sum that cancels to rounding noise
+in one cancels the same way in the other.  ``reference_backpropagate``
 packages its frontier as a ``BackpropResult`` so tests can compare it
 with ``paulipath.backpropagate`` row for row.  ``iter_legal_paths``
-enumerates the unmerged branch tree on the same kernels.
-"""
+enumerates the unmerged branch tree on the same kernels."""
 
 from __future__ import annotations
 
@@ -76,28 +78,34 @@ def _cached_rows(row_cache: dict, ch) -> list:
     return rows
 
 
-def _add(frontier: dict, key: tuple, value: float) -> None:
-    new = frontier.get(key, 0.0) + value
-    if new == 0.0:
-        frontier.pop(key, None)
-    else:
-        frontier[key] = new
+def _merge(rows: list) -> list:
+    """Sum the coefficients of equal (x, z, w) keys and drop zero sums.
+
+    Keys come out sorted; each group sums in its current row order with
+    ``np.add.reduceat``, as the engine's merge sums its groups.
+    """
+    if not rows:
+        return rows
+    rows = sorted(rows, key=lambda row: row[:3])  # stable: groups keep their row order
+    starts = [i for i in range(len(rows)) if i == 0 or rows[i][:3] != rows[i - 1][:3]]
+    sums = np.add.reduceat(np.array([row[3] for row in rows]), starts).tolist()
+    return [(*rows[i][:3], total) for i, total in zip(starts, sums) if total != 0.0]
 
 
-
-def _apply_rotation(frontier: dict, gate: PauliRotation) -> dict:
+def _apply_rotation(rows: list, gate: PauliRotation) -> list:
+    """Each row scaled by cos in place where it anticommutes; the sin branches after all rows."""
     if gate.angle is None:
         raise ValueError("circuit has unresolved ensemble placeholders")
     gx, gz = gate.embedded_masks()
     c, s = _cos_sin(gate.angle)
     gphase = (gx & gz).bit_count()
-    new: dict = {}
-    for (x, z, w), a in frontier.items():
+    kept, branch = [], []
+    for x, z, w, a in rows:
         if ((x & gz).bit_count() + (z & gx).bit_count()) & 1 == 0:
-            _add(new, (x, z, w), a)
+            kept.append((x, z, w, a))
             continue
         if c != 0.0:
-            _add(new, (x, z, w), a * c)
+            kept.append((x, z, w, a * c))
         if s != 0.0:
             x2, z2 = x ^ gx, z ^ gz
             m = (
@@ -107,59 +115,61 @@ def _apply_rotation(frontier: dict, gate: PauliRotation) -> dict:
                 + 2 * (gz & x).bit_count()
             ) & 3
             sign = 1.0 if (m + 1) & 3 == 0 else -1.0  # i*G*P = i^(m+1) * folded
-            _add(new, (x2, z2, w), a * s * sign)
-    return new
+            branch.append((x2, z2, w, a * (s * sign)))
+    return kept + branch
 
 
-def _apply_clifford(frontier: dict, gate: CliffordGate) -> dict:
+def _apply_clifford(rows: list, gate: CliffordGate) -> list:
     bits = _clifford_bit_tables(gate)
-    new: dict = {}
     if len(gate.support) == 1:
         q = gate.support[0]
         notq = ~(1 << q)
-        for (x, z, w), a in frontier.items():
+        out = []
+        for x, z, w, a in rows:
             bp = ((x >> q) & 1) | (((z >> q) & 1) << 1)
             xb, zb, sign = bits[bp]
-            _add(new, ((x & notq) | (xb << q), (z & notq) | (zb << q), w), a * sign)
-        return new
+            out.append(((x & notq) | (xb << q), (z & notq) | (zb << q), w, a * sign))
+        return out
     q0, q1 = gate.support
     clear = ~((1 << q0) | (1 << q1))
-    for (x, z, w), a in frontier.items():
+    out = []
+    for x, z, w, a in rows:
         bp0 = ((x >> q0) & 1) | (((z >> q0) & 1) << 1)
         bp1 = ((x >> q1) & 1) | (((z >> q1) & 1) << 1)
         xb0, zb0, xb1, zb1, sign = bits[bp0 * 4 + bp1]
         x2 = (x & clear) | (xb0 << q0) | (xb1 << q1)
         z2 = (z & clear) | (zb0 << q0) | (zb1 << q1)
-        _add(new, (x2, z2, w), a * sign)
-    return new
+        out.append((x2, z2, w, a * sign))
+    return out
 
 
-def _apply_noise(frontier: dict, noise, n: int, row_cache: dict) -> dict:
-    for q in range(n):
-        ch = noise[q]
-        if ch is None or ch.is_identity:
+def _apply_channel(rows: list, q: int, ch, row_cache: dict) -> list:
+    """One noised qubit: each row's first image in place, its s-th image in block s.
+
+    An input whose images all vanish when squared has no first image in
+    place: its images start at block 1, as the engine's slot tables have it.
+    """
+    adj = _cached_rows(row_cache, ch)
+    notq = ~(1 << q)
+    blocks: list = [[]]
+    for x, z, w, a in rows:
+        bp = ((x >> q) & 1) | (((z >> q) & 1) << 1)
+        if bp == 0:
+            blocks[0].append((x, z, w, a))
             continue
-        rows = _cached_rows(row_cache, ch)
-        bitq = 1 << q
-        notq = ~bitq
-        new: dict = {}
-        for (x, z, w), a in frontier.items():
-            bp = ((x >> q) & 1) | (((z >> q) & 1) << 1)
-            if bp == 0:
-                _add(new, (x, z, w), a)
-                continue
-            for xb, zb, coeff in rows[bp]:
-                _add(new, ((x & notq) | (xb << q), (z & notq) | (zb << q), w), a * coeff)
-        frontier = new
-    return frontier
+        first = 0 if any(coeff * coeff for _, _, coeff in adj[bp]) else 1
+        for s, (xb, zb, coeff) in enumerate(adj[bp], first):
+            while len(blocks) <= s:
+                blocks.append([])
+            blocks[s].append(((x & notq) | (xb << q), (z & notq) | (zb << q), w, a * coeff))
+    return [row for block in blocks for row in block]
 
 
-def _aux_filter(frontier: dict, trunc: TruncationConfig, stats: BackpropStats) -> dict:
+def _aux_filter(rows: list, trunc: TruncationConfig, stats: BackpropStats) -> list:
     if trunc.coeff_cutoff == 0.0 and trunc.xy_count_cutoff is None and trunc.current_weight_cutoff is None:
-        return frontier
-    out: dict = {}
-    for key, a in frontier.items():
-        x, z, _ = key
+        return rows
+    out = []
+    for x, z, w, a in rows:
         if trunc.coeff_cutoff > 0.0 and abs(a) < trunc.coeff_cutoff:
             stats.paths_discarded_by_coeff += 1
             continue
@@ -172,77 +182,85 @@ def _aux_filter(frontier: dict, trunc: TruncationConfig, stats: BackpropStats) -
         ):
             stats.paths_discarded_by_current_weight += 1
             continue
-        out[key] = a
+        out.append((x, z, w, a))
     return out
 
 
-def _apply_gates(frontier: dict, layer: Layer) -> dict:
-    for gate in layer.gates:
-        if isinstance(gate, PauliRotation):
-            frontier = _apply_rotation(frontier, gate)
-        elif isinstance(gate, CliffordGate):
-            frontier = _apply_clifford(frontier, gate)
-        else:
-            raise ValueError("circuit has unresolved ensemble placeholders")
-    return frontier
+def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, bool]:
+    """The frontier as (x, z, w, coeff) rows, merged where the engine merges.
 
-
-def _run_dict(circuit, seed, trunc, max_terms) -> tuple[dict, BackpropStats, bool]:
+    The merges come after each layer's gates, after each noise round, at
+    the end, and after any step that leaves more than 4x the rows of the
+    last merge (and more than 2^18), so the sums associate as the
+    engine's do and cancel to exactly zero where its sums do.
+    """
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
-    n = circuit.n
 
     if isinstance(seed, BackpropResult):
-        frontier = dict(
-            zip(
-                zip(join_words(seed.x), join_words(seed.z), seed.w.tolist()),
-                seed.c.tolist(),
-            )
-        )
+        rows = list(zip(join_words(seed.x), join_words(seed.z), seed.w.tolist(), seed.c.tolist()))
         crossed = seed.crossed_noise
     else:
-        frontier = {}
+        rows = []
         for p, c in seed.items():
             if k is not None and p.weight >= k:
                 stats.paths_discarded_by_weight += 1
                 continue
-            _add(frontier, (p.x, p.z, p.weight if k is not None else 0), c)
-        frontier = _aux_filter(frontier, trunc, stats)
+            rows.append((p.x, p.z, p.weight if k is not None else 0, c))
+        rows = _aux_filter(rows, trunc, stats)
         crossed = False
-    stats.peak_term_count = len(frontier)
+    stats.peak_term_count = len(rows)
+    merged_len = len(rows)
+
+    def grown(rows: list) -> list:
+        nonlocal merged_len
+        if len(rows) > 4 * max(merged_len, 1 << 16):
+            rows = _merge(rows)
+            merged_len = len(rows)
+        return rows
+
+    def apply_layer(rows: list, layer: Layer) -> list:
+        nonlocal merged_len
+        for gate in layer.gates:
+            if isinstance(gate, PauliRotation):
+                rows = grown(_apply_rotation(rows, gate))
+            elif isinstance(gate, CliffordGate):
+                rows = _apply_clifford(rows, gate)
+            else:
+                raise ValueError("circuit has unresolved ensemble placeholders")
+        rows = _aux_filter(_merge(rows), trunc, stats)
+        merged_len = len(rows)
+        stats.peak_term_count = max(stats.peak_term_count, len(rows))
+        if max_terms is not None and len(rows) > max_terms:
+            raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
+        return rows
 
     units, trailing = noisy_units(circuit)
     row_cache: dict = {}
-
-    def after_layer(front: dict) -> dict:
-        front = _aux_filter(front, trunc, stats)
-        stats.peak_term_count = max(stats.peak_term_count, len(front))
-        if max_terms is not None and len(front) > max_terms:
-            raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
-        return front
-
     if circuit.final_layer is not None:
-        frontier = after_layer(_apply_gates(frontier, circuit.final_layer))
+        rows = apply_layer(rows, circuit.final_layer)
     for layer in reversed(trailing):
-        frontier = after_layer(_apply_gates(frontier, layer))
+        rows = apply_layer(rows, layer)
 
     for unit in reversed(units):
         if crossed and k is not None:
-            boundary: dict = {}
-            for (x, z, w), a in frontier.items():
-                w2 = w + (x | z).bit_count()
-                if k is not None and w2 >= k:
-                    stats.paths_discarded_by_weight += 1
-                    continue
-                _add(boundary, (x, z, w2), a)
-            frontier = boundary
+            # keys stay distinct: x and z fix the weight each one gains
+            rows = [(x, z, w + (x | z).bit_count(), a) for x, z, w, a in rows]
+            stats.paths_discarded_by_weight += sum(1 for row in rows if row[2] >= k)
+            rows = [row for row in rows if row[2] < k]
+            merged_len = len(rows)
         crossed = True
-        frontier = _apply_noise(frontier, unit[-1].noise, n, row_cache)
-        stats.peak_term_count = max(stats.peak_term_count, len(frontier))
+        for q, ch in enumerate(unit[-1].noise):
+            if ch is not None and not ch.is_identity:
+                rows = grown(_apply_channel(rows, q, ch, row_cache))
+        rows = _merge(rows)
+        merged_len = len(rows)
+        stats.peak_term_count = max(stats.peak_term_count, len(rows))
         for layer in reversed(unit):
-            frontier = after_layer(_apply_gates(frontier, layer))
-    stats.surviving_path_count = len(frontier)
-    return frontier, stats, crossed
+            rows = apply_layer(rows, layer)
+    rows = _merge(rows)
+    stats.surviving_path_count = len(rows)
+    return rows, stats, crossed
 
 
 @dataclass(frozen=True)
@@ -286,11 +304,8 @@ def iter_legal_paths(
         kind = op[0]
         if kind == "gate":
             gate = op[1]
-            if isinstance(gate, CliffordGate):
-                front = _apply_clifford({(x, z, 0): 1.0}, gate)
-            else:
-                front = _apply_rotation({(x, z, 0): 1.0}, gate)
-            return [(xx, zz, a) for (xx, zz, _w), a in front.items()]
+            apply = _apply_clifford if isinstance(gate, CliffordGate) else _apply_rotation
+            return [(xx, zz, a) for xx, zz, _w, a in apply([(x, z, 0, 1.0)], gate)]
         states = [(x, z, 1.0)]
         for q, ch in op[1]:
             rows = _cached_rows(row_cache, ch)
@@ -335,19 +350,18 @@ def count_legal_paths(circuit: Circuit, observable: PauliSum, k: int | None) -> 
 def reference_backpropagate(
     circuit, seed, trunc: TruncationConfig = EXACT, max_terms=None
 ) -> BackpropResult:
-    """``_run_dict`` with the frontier as columns sorted by (x, z, w).
+    """``_run_rows`` with the frontier as columns, sorted by (x, z, w) by its last merge.
 
     Weights accumulate only under a path-weight cutoff, as in the engine.
     """
-    frontier, stats, crossed = _run_dict(circuit, seed, trunc, max_terms)
-    keys = sorted(frontier)
+    rows, stats, crossed = _run_rows(circuit, seed, trunc, max_terms)
     n = circuit.n
     return BackpropResult(
         n,
-        _frozen(_split_words([key[0] for key in keys], n)),
-        _frozen(_split_words([key[1] for key in keys], n)),
-        _frozen(np.array([key[2] for key in keys], dtype=np.int64)),
-        _frozen(np.array([frontier[key] for key in keys], dtype=np.float64)),
+        _frozen(_split_words([row[0] for row in rows], n)),
+        _frozen(_split_words([row[1] for row in rows], n)),
+        _frozen(np.array([row[2] for row in rows], dtype=np.int64)),
+        _frozen(np.array([row[3] for row in rows], dtype=np.float64)),
         stats,
         trunc,
         crossed,
