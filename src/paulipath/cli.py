@@ -553,7 +553,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     common.add_argument(
-        "--threads", type=_positive_int, default=os.cpu_count(), help="worker threads for grids"
+        "--threads", type=_positive_int, default=1, help="worker threads for a sweep's noise points"
     )
     common.add_argument(
         "--max-terms",

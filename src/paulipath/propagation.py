@@ -10,14 +10,15 @@ sum exactly equal to the per-path definition: coincident Paulis that
 arrived with different accumulated weight must not be conflated, or the
 cutoff would remove the wrong paths.
 
-The frontier is columnar for every qubit count: the x and z masks are
-word-major ``(W, m)`` uint64 arrays with ``W = ceil(n / 64)``, qubit q
-in bit ``q & 63`` of word ``q >> 6``, next to the accumulated weights
-and coefficients of the m terms.  A merge sorts the rows stably by
-(x, z, w) and sums the coefficients of equal rows.  When
-2n + bits(max w) + bits(m - 1) <= 64 each row is one uint64 word, its
-packed key over its row index, sorted in place; else ``lexsort`` sorts
-the columns themselves.  The order is the same in both.
+The engine's frontier is a column of packed rows next to a coefficient
+column.  A row is one bit string, x in its top n bits, then z, then the
+accumulated weight in the low wb bits: wb = bits(k - 1 + n) under a cutoff
+k (a boundary adds at most n to some w < k before the drop), else 0.  It
+spans W' = ceil((2n + wb) / 64) uint64 words, word 0 most significant,
+stored word-major ``(W', m)``: as integers, rows are in (x, z, w) order.  A
+merge sorts them stably and sums the coefficients of equal rows, sorting
+each row shifted over its index in place when 2n + wb + bits(m - 1) <= 64,
+else by ``lexsort`` over the W' words.  A call packs its seed, unpacks its result.
 
 ``_compile`` turns a circuit into its backward program in one pass, one
 step per gate, noise round and weight boundary.  A fixed Clifford and a
@@ -25,15 +26,16 @@ noised qubit share one kernel: a slot table built by ``_local_step`` from
 the forward PTM, where slot s of an input is its s-th non-zero output, as
 XOR deltas, a coefficient and a sampling threshold per input.  The engine
 applies slot 0 in place and appends each further slot; the walk applies
-slot 0 and draws among the rest.  ``backpropagate``, the one engine
-entry, runs that program on sampled circuits and rejects a template at
-entry; the Monte Carlo walk in ``montecarlo`` samples paths, placeholders
-included, through the same program on bit planes (noise rounds read from
-their channels' PTMs), each fixed Clifford's planes mapped as ``_clifford`` maps masks.
-Weights accumulate only under a path-weight cutoff; without one every
-row has weight 0.  The run at cutoff k_max holds the run at every
-smaller k as its rows with w < k, and ``kept_below(k)`` returns that run
-as a result of its own, so a k-sweep needs one pass.
+slot 0 and draws among the rest.  ``backpropagate``, the one engine entry,
+translates the steps to packed words once per call, runs them on sampled
+circuits and rejects a template at entry.  The Monte Carlo walk in
+``montecarlo`` samples paths, placeholders included, through the same
+program on bit planes (noise rounds read from their channels' PTMs), each
+fixed Clifford's planes mapped as ``_clifford`` maps masks.  Weights
+accumulate only under a path-weight cutoff; without one every row has
+weight 0.  The run at cutoff k_max holds the run at every smaller k as its
+rows with w < k, and ``kept_below(k)`` returns that run as a result of its
+own, so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
@@ -298,87 +300,101 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
     return steps
 
 
+# a frontier merges once it holds over 4x max(this floor, its rows at the last merge or drop)
+_MERGE_FLOOR = 1 << 16
+
+
+def _bit(words: int, b: int) -> tuple[int, np.uint64]:
+    """Word and shift of bit b (bit 0 the least significant) of a packed row of ``words`` words."""
+    return words - 1 - (b >> 6), np.uint64(b & 63)
+
+
 class _Frontier:
-    """Frontier of n-qubit terms as parallel columns; keys (x, z, w) unique only after merges."""
+    """Packed rows and coefficients ``c`` of n-qubit terms; rows unique only after merges.
 
-    __slots__ = ("n", "x", "z", "w", "c", "merged_len")
+    Row i, column i of the word-major ``(W', m)`` uint64 array ``p``, is
+    ``x << (n + wb) | z << wb | w`` (no w when wb is 0), word 0 most significant.
+    """
 
-    def __init__(self, n, x, z, w, c):
-        self.n, self.x, self.z, self.w, self.c = n, x, z, w, c
-        self.merged_len = len(c)
+    __slots__ = ("n", "wb", "p", "c", "merged_len")
+
+    def __init__(self, n, wb, x, z, w, c):
+        """Pack word-major x and z masks and weights w (unused when wb is 0) next to coefficients c."""
+        self.n, self.wb, self.c, self.merged_len = n, wb, c, len(c)
+        self.p = np.zeros(((2 * n + wb + 63) // 64, len(c)), dtype=np.uint64)
+        for lo, masks in ((wb + n, x), (wb, z)):
+            for t, v in enumerate(masks):
+                j, s = _bit(len(self.p), lo + 64 * t)
+                self.p[j] |= v << s
+                if s and j:
+                    self.p[j - 1] |= v >> (64 - s)
+        if wb:
+            self.p[-1] |= w.view(np.uint64)  # weights are nonnegative and below 2^wb
 
     def __len__(self) -> int:
         return len(self.c)
 
-    def select(self, keep: np.ndarray) -> None:
-        self.x = np.compress(keep, self.x, axis=1)
-        self.z = np.compress(keep, self.z, axis=1)
-        self.w, self.c = self.w[keep], self.c[keep]
+    def field(self, lo: int, width: int) -> np.ndarray:
+        """Bits lo .. lo + width - 1 of the rows as word-major (ceil(width / 64), m) masks."""
+        out = np.empty(((width + 63) // 64, len(self.c)), dtype=np.uint64)
+        for t, row in enumerate(out):
+            j, s = _bit(len(self.p), lo + 64 * t)
+            np.right_shift(self.p[j], s, out=row)
+            if s and j:
+                row |= self.p[j - 1] << (64 - s)
+        if width & 63:
+            out[-1] &= np.uint64((1 << (width & 63)) - 1)
+        return out
 
-    def append(self, xs, zs, ws, cs) -> None:
-        """Append new rows, given as lists of column blocks, and merge past 4x the last merge's rows."""
+    def support(self) -> np.ndarray:
+        return self.field(self.wb + self.n, self.n) | self.field(self.wb, self.n)  # x | z
+
+    def weights(self) -> np.ndarray:  # as int64, all 0 when wb is 0
+        return (self.p[-1] & np.uint64((1 << self.wb) - 1)).view(np.int64)
+
+    def select(self, keep: np.ndarray) -> None:
+        self.p = np.compress(keep, self.p, axis=1)
+        self.c = self.c[keep]
+
+    def append(self, ps, cs) -> None:
+        """Append lists of row and coefficient blocks; merge past 4x the last merge's rows."""
         if not cs:
             return
-        self.x = np.concatenate((self.x, *xs), axis=1)
-        self.z = np.concatenate((self.z, *zs), axis=1)
-        self.w = np.concatenate((self.w, *ws))
+        self.p = np.concatenate((self.p, *ps), axis=1)
         self.c = np.concatenate((self.c, *cs))
-        for blocks in (xs, zs, ws, cs):
-            blocks.clear()  # a kernel's own lists: free the blocks before a merge
-        if len(self.c) > 4 * max(self.merged_len, 1 << 16):
+        ps.clear()  # a kernel's own lists: free the blocks before a merge
+        cs.clear()
+        if len(self.c) > 4 * max(self.merged_len, _MERGE_FLOOR):
             self.merge()
 
     def merge(self) -> None:
-        """Sum the coefficients of equal (x, z, w) rows and drop zero sums.
+        """Sum the coefficients of equal rows, drop zero sums and leave the rows sorted.
 
-        Rows come out sorted by x, then z, then w, the masks compared as
-        integers.  The sort is stable, so each group sums its coefficients
-        in their current row order.  When one word holds the masks and
-        2n + wb + ib <= 64 (wb = bits(max w), ib = bits(m - 1)), each row
-        packs into the word ``(x << (n + wb) | z << wb | w) << ib | i``
-        with i its row index.  The words are unique and their integer order
-        is that order, ties broken by row, so a plain in-place sort gives
-        it, and the merged x, z and w are decoded from the kept words.
-        Other rows sort under the keys ``(w, *z, *x)``, the last one
-        primary and the masks most significant word first.
+        The sort is stable, so each group sums in its current row order: when
+        2n + wb + ib <= 64 (ib = bits(m - 1)) the unique words ``row << ib | i``,
+        i the row index, sort in place, else ``lexsort`` sorts the W' words.
         """
         m = len(self.c)
-        if m == 0:
-            self.merged_len = 0
-            return
-        n, wb, ib = self.n, int(self.w.max()).bit_length(), (m - 1).bit_length()
-        indexed = self.x.shape[0] == 1 and 2 * n + wb + ib <= 64
+        ib = (m - 1).bit_length()
+        indexed = 2 * self.n + self.wb + ib <= 64
         if indexed:
-            key = self.x[0] << np.uint64(n + wb)
-            key |= self.z[0] << np.uint64(wb)
-            key |= self.w.view(np.uint64)  # weights are nonnegative
-            key <<= np.uint64(ib)
+            key = self.p[0] << np.uint64(ib)
             key |= np.arange(m, dtype=np.uint64)
             key.sort()
             order = (key & np.uint64((1 << ib) - 1)).view(np.int64)
             key >>= np.uint64(ib)
             ranks = (key,)
         else:
-            keys = (self.w, *self.z, *self.x)
-            order = np.lexsort(keys)
-            ranks = (key[order] for key in keys)  # one at a time
+            order = np.lexsort(self.p[::-1])  # the last key is primary: word 0
+            ranks = (word[order] for word in self.p)  # one at a time
         first = np.zeros(m, dtype=bool)
-        first[0] = True
+        first[:1] = True
         for ranked in ranks:
             first[1:] |= ranked[1:] != ranked[:-1]
         idx = np.flatnonzero(first)
         sums = np.add.reduceat(self.c[order], idx)
         keep = sums != 0.0
-        if indexed:
-            kept = key[idx[keep]]
-            self.w = (kept & np.uint64((1 << wb) - 1)).view(np.int64)
-            kept >>= np.uint64(wb)
-            self.z = (kept & np.uint64((1 << n) - 1))[None]
-            self.x = (kept >> np.uint64(n))[None]
-        else:
-            rows = order[idx[keep]]
-            self.x, self.z = np.take(self.x, rows, axis=1), np.take(self.z, rows, axis=1)
-            self.w = self.w[rows]
+        self.p = key[None, idx[keep]] if indexed else np.take(self.p, order[idx[keep]], axis=1)
         self.c = sums[keep]
         self.merged_len = len(self.c)
 
@@ -405,29 +421,6 @@ def _site(x: np.ndarray, z: np.ndarray, q: int, out=None) -> tuple[int, np.uint6
     return j, s, a.view(np.int64)
 
 
-def _odd_parity(paths, reads, acc: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out`` = 1 where a path anticommutes with the generator, else 0.
-
-    ``paths`` is the ``(x, z)`` pair of word-major masks; ``paths[side][j]``
-    is word j of the x (side 0) or z (side 1) masks.  ``reads`` is never
-    empty: a generator covers a qubit and is not the identity there.
-    """
-    (side, j, w), *rest = reads
-    np.bitwise_and(paths[side][j], w, out=acc)
-    for side, j, w in rest:
-        acc ^= np.bitwise_and(paths[side][j], w, out=tmp)
-    # XOR across words keeps the parity of the summed popcounts
-    np.bitwise_count(acc, out=out)
-    out &= 1
-    return out
-
-
-def _fold(paths, writes) -> None:
-    """Multiply every path by the generator, signs dropped."""
-    for side, j, w in writes:
-        paths[side][j] ^= w
-
-
 def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Apply a Clifford's XOR deltas to the paths in place.
 
@@ -447,61 +440,117 @@ def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarra
     return code
 
 
-def _np_rotation(f: _Frontier, reads, writes, phase: int, angle: float) -> tuple:
+def _letters(p: np.ndarray, sites, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Joint bit-pair code of packed rows at sites ``(x word, x shift, z word, z shift)``, the first
+    high, built in the uint64 row ``a`` (``b`` scratch) and returned as an int64 view of it."""
+    for i, (jx, sx, jz, sz) in enumerate(sites):
+        if i:
+            a <<= 2
+            a |= np.bitwise_and(np.right_shift(p[jx], sx, out=b), 1, out=b)
+        else:
+            np.bitwise_and(np.right_shift(p[jx], sx, out=a), 1, out=a)
+        np.bitwise_and(np.right_shift(p[jz], sz, out=b), 1, out=b)
+        b <<= 1
+        a |= b
+    return a.view(np.int64)
+
+
+def _packed(step: tuple, n: int, wb: int) -> tuple:
+    """A ``rot`` or ``local`` step's kernel arguments on rows packed with wb weight bits.
+
+    Masks become ``(word, bits)`` pairs and a qubit its site.  A rotation gets
+    its reads and folds, each support site with its share of the sign exponent
+    by bit-pair code, the signed sin by exponent mod 4, cos and sin; a local
+    step its sites and each slot's XOR tables by packed word and coefficients.
+    """
+    words, lo = (2 * n + wb + 63) // 64, (wb + n, wb)  # lo: of the x and z fields
+
+    def spread(v: int) -> tuple:
+        pairs = ((words - 1 - i, (v >> 64 * i) & _WORD) for i in range(words))
+        return tuple((j, np.uint64(bits)) for j, bits in pairs if bits)
+
+    def site(q: int) -> tuple:
+        return (*_bit(words, lo[0] + q), *_bit(words, lo[1] + q))
+
+    if step[0] == "rot":
+        _kind, _reads, writes, phase, angle = step
+        gx, gz = (sum(int(v) << 64 * j for side, j, v in writes if side == s) for s in (0, 1))
+        # G*P = i^e * folded with e = phase + the sum over the support of
+        # x z - x2 z2 + 2 gz x (x2, z2 the folded bits), and i*G*P = i^(e+1) * folded
+        letters = []
+        for q in range((gx | gz).bit_length()):
+            a, b = (gx >> q) & 1, (gz >> q) & 1
+            if a or b:
+                share = [(x * z - (x ^ a) * (z ^ b) + 2 * b * x) & 3 for z in (0, 1) for x in (0, 1)]
+                letters.append((site(q), np.array(share)))
+        cos_t, sin_t = _cos_sin(angle)
+        signs = np.array([sin_t if (phase + r + 1) & 3 == 0 else -sin_t for r in range(4)])
+        reads, folds = spread(gz << lo[0] | gx << lo[1]), spread(gx << lo[0] | gz << lo[1])
+        return reads, folds, letters, signs, cos_t, sin_t
+    _kind, support, slots, _norm = step
+    size, packed = 4 ** len(support), []
+    for deltas, coeffs, _thresholds in slots:
+        tables: dict = {}
+        for i in range(size):
+            v = sum((int(dx[i]) << lo[0] | int(dz[i]) << lo[1]) << 64 * j for j, dx, dz in deltas)
+            for j, bits in spread(v):
+                tables.setdefault(j, np.zeros(size, dtype=np.uint64))[i] = bits
+        packed.append((tuple(tables.items()), coeffs))
+    return tuple(site(q) for q in support), tuple(packed)
+
+
+def _np_rotation(f: _Frontier, reads, folds, letters, signs, cos_t: float, sin_t: float) -> tuple:
     """Scale the anticommuting rows by cos in place; return their sin branch for ``_Frontier.append``."""
-    cos_t, sin_t = _cos_sin(angle)
     m = len(f)
-    scratch = (np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64))
-    anti = _odd_parity((f.x, f.z), reads, *scratch, np.empty(m, dtype=np.uint8)).view(bool)
+    acc, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
+    # reads is never empty: a generator covers a qubit and is not the identity there
+    (j, bits), *rest = reads
+    np.bitwise_and(f.p[j], bits, out=acc)
+    for j, bits in rest:
+        acc ^= np.bitwise_and(f.p[j], bits, out=tmp)
+    # XOR across words keeps the parity of the summed popcounts
+    anti = (np.bitwise_count(acc) & 1).view(bool)
     rows = np.flatnonzero(anti)  # gathers by index beat boolean masks that are about half set
-    branch = ([], [], [], [])
+    branch = ([], [])
     if not len(rows):
         return branch
+    ca = f.c[rows]
     if sin_t != 0.0:
-        xa = np.take(f.x, rows, axis=1)
-        za = np.take(f.z, rows, axis=1)
-        # G*P = i^e * folded with e = phase + |x & z| - |x2 & z2| + 2 |gz & x|,
-        # where the words the generator leaves alone cancel out of e
-        e = np.full(xa.shape[1], phase, dtype=np.int64)
-        words = sorted({j for _, j, _ in writes})
-        for side, j, w in reads:
-            if side == 0:
-                e += 2 * np.bitwise_count(xa[j] & w)
-        for j in words:
-            e += np.bitwise_count(xa[j] & za[j])
-        _fold((xa, za), writes)
-        for j in words:
-            e -= np.bitwise_count(xa[j] & za[j])
-        sign = np.where((e + 1) & 3 == 0, 1.0, -1.0)  # i*G*P = i^(e+1) * folded
-        branch = ([xa], [za], [f.w[rows]], [f.c[rows] * (sin_t * sign)])
+        pa = np.take(f.p, rows, axis=1)
+        a, b = acc[: len(rows)], tmp[: len(rows)]  # scratch
+        (site, share), *more = letters
+        e = share[_letters(pa, (site,), a, b)]
+        for site, share in more:
+            e += share[_letters(pa, (site,), a, b)]
+        for j, bits in folds:
+            pa[j] ^= bits
+        e &= 3
+        branch = ([pa], [ca * signs[e]])
     if cos_t == 0.0:
         f.select(~anti)
     else:
-        f.c[rows] *= cos_t  # the frontier owns its coefficient column
+        ca *= cos_t
+        f.c[rows] = ca  # the frontier owns its coefficient column
     return branch
 
 
-def _np_local(f: _Frontier, support, slots, _norm) -> tuple:
-    """Run a ``_local_step``: slot 0 in place; return the further slots' rows (the norm is the walk's).
-
-    Slot s's rows are compressed from slot s - 1's, where the input has a
-    slot s, and carry the input's coefficient times the slot's.
-    """
-    scratch = (np.empty(len(f), dtype=np.uint64) for _ in range(3))
-    (deltas, coeffs, _), *rest = slots
-    code = _clifford((f.x, f.z), support, deltas, *scratch)
+def _np_local(f: _Frontier, sites, slots) -> tuple:
+    """Run a packed ``_local_step``: slot 0 in place; return slot s's rows, taken from s - 1's."""
+    b = np.empty(len(f), dtype=np.uint64)
+    code = _letters(f.p, sites, np.empty(len(f), dtype=np.uint64), b)
+    (deltas, coeffs), *rest = slots
+    for j, d in deltas:  # mode="clip" only keeps np.take from buffering its output
+        f.p[j] ^= np.take(d, code, out=b, mode="clip")
     scale = coeffs[code]
-    x, z, w, c = f.x, f.z, f.w, f.c
-    pieces = ([], [], [], [])  # blocks of x, z, w, c for ``_Frontier.append``
-    for deltas, coeffs_s, _ in rest:
+    p, c = f.p, f.c
+    pieces = ([], [])  # row and coefficient blocks for ``_Frontier.append``
+    for deltas, coeffs_s in rest:
         sel = coeffs_s[code] != 0.0
-        x, z = np.compress(sel, x, axis=1), np.compress(sel, z, axis=1)
-        w, c, code = w[sel], c[sel], code[sel]
-        for j, dx, dz in deltas:
-            x[j] ^= dx[code]
-            z[j] ^= dz[code]
-        for piece, col in zip(pieces, (x, z, w, c * coeffs_s[code])):
-            piece.append(col)
+        p, c, code = np.compress(sel, p, axis=1), c[sel], code[sel]
+        for j, d in deltas:
+            p[j] ^= d[code]
+        pieces[0].append(p)
+        pieces[1].append(c * coeffs_s[code])
     f.c = f.c * scale
     if not coeffs.all():
         f.select(scale != 0.0)
@@ -520,11 +569,11 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         stats.paths_discarded_by_coeff += int(bad.sum())
         keep &= ~bad
     if trunc.xy_count_cutoff is not None:
-        bad = (_popcount(f.x) > trunc.xy_count_cutoff) & keep
+        bad = (_popcount(f.field(f.wb + f.n, f.n)) > trunc.xy_count_cutoff) & keep
         stats.paths_discarded_by_xy += int(bad.sum())
         keep &= ~bad
     if trunc.current_weight_cutoff is not None:
-        bad = (_popcount(f.x | f.z) > trunc.current_weight_cutoff) & keep
+        bad = (_popcount(f.support()) > trunc.current_weight_cutoff) & keep
         stats.paths_discarded_by_current_weight += int(bad.sum())
         keep &= ~bad
     if not keep.all():
@@ -534,7 +583,7 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
 def _drop_heavy(f: _Frontier, k: int | None, stats: BackpropStats) -> None:
     """Drop the rows with accumulated weight >= k (none if k is None); merged stays merged."""
     if k is not None:
-        keep = f.w < k
+        keep = f.weights() < k
         stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
         f.select(keep)
     f.merged_len = len(f)
@@ -590,29 +639,37 @@ def backpropagate(
         raise ValueError("circuit has unresolved ensemble placeholders")
     if seed.n != circuit.n:
         raise QubitCountMismatch("circuit and seed qubit counts differ")
-    k = trunc.path_weight_cutoff
+    n, k = circuit.n, trunc.path_weight_cutoff
+    # no weight reaches 2^62: a larger cutoff drops nothing and needs no more bits
+    wb = 0 if k is None else (min(k, 1 << 62) - 1 + n).bit_length()
     stats = BackpropStats()
     if isinstance(seed, BackpropResult):
         if seed.trunc != trunc:
             raise ValueError("seed result was propagated with a different truncation")
         crossed = seed.crossed_noise
-        # copies: the kernels below rewrite the columns in place
-        f = _Frontier(seed.n, *(np.array(col) for col in (seed.x, seed.z, seed.w, seed.c)))
+        # a copy of c: the kernels below rescale it in place
+        f = _Frontier(n, wb, seed.x, seed.z, seed.w, np.array(seed.c))
     else:
         if not seed:
             raise ValueError("observable has no terms")
         crossed = False
-        f = _Frontier(seed.n, *_seed_columns(seed))  # unique Paulis: already merged
+        f = _Frontier(n, wb, *_seed_columns(seed))  # unique Paulis: already merged
         _drop_heavy(f, k, stats)
-        if k is None:
-            f.w[:] = 0
         _np_aux_filter(f, trunc, stats)
     stats.peak_term_count = len(f)
 
+    packed: dict = {}  # id(step) -> (step, its kernel arguments): one translation per call
+
+    def args(step: tuple) -> tuple:
+        if id(step) not in packed:
+            packed[id(step)] = (step, _packed(step, n, wb))
+        return packed[id(step)][1]
+
+    merged = False  # only layer_end, noise and boundary steps ran since the last merge
     for step in _compile(circuit, crossed):
         kind = step[0]
         if kind in _KERNELS:
-            f.append(*_KERNELS[kind](f, *step[1:]))
+            f.append(*_KERNELS[kind](f, *args(step)))
         elif kind == "layer_end":
             f.merge()
             _np_aux_filter(f, trunc, stats)
@@ -621,21 +678,24 @@ def backpropagate(
                 raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
         elif kind == "noise":
             for q, ch in step[1]:
-                f.append(*_np_local(f, *_local_step((q,), ch)[1:]))
+                f.append(*_np_local(f, *args(_local_step((q,), ch))))
             crossed = True
             f.merge()
             stats.peak_term_count = max(stats.peak_term_count, len(f))
         elif k is not None:  # the weight boundary: no "ucliff" step survives the template check
-            f.w = f.w + _popcount(f.x | f.z)
+            # the weights fill the last word's low bits and stay below 2^wb
+            f.p[-1] += _popcount(f.support()).view(np.uint64)
             _drop_heavy(f, k, stats)
+        merged = kind in ("layer_end", "noise") or merged and kind == "boundary"
 
-    f.merge()
+    if not merged:  # a boundary keeps rows in order: x and z fix the weight it adds
+        f.merge()
     stats.surviving_path_count = len(f)
     return BackpropResult(
-        circuit.n,
-        _frozen(f.x),
-        _frozen(f.z),
-        _frozen(f.w),
+        n,
+        _frozen(f.field(wb + n, n)),
+        _frozen(f.field(wb, n)),
+        _frozen(f.weights()),
         _frozen(f.c),
         stats,
         trunc,

@@ -261,49 +261,67 @@ def truncations(draw, k_max: int = 8) -> TruncationConfig:
     )
 
 
-@st.composite
-def registers(draw) -> tuple[int, tuple[int, ...]]:
-    """A qubit count n and the qubits a drawn circuit acts on.
+def packed_weight_bits(n: int, k: int | None) -> int:
+    """Weight bits wb of a packed frontier row under path-weight cutoff k (0 without one).
 
-    n is 1-4 (all qubits active), 29-32 or 60-130.  At 29-32 the merge
-    packs (x, z, w) and the row index into one word only while
-    2n + bits(max w) + bits(m - 1) <= 64, so the walk takes either sort;
-    the drawn qubits come from both ends of the register.  A wide register always activates the pair straddling
-    a 64-bit word boundary below n (63/64 or 127/128) and up to two more
-    qubits from the ends of its words.
+    The engine packs a row as ``x << (n + wb) | z << wb | w`` over
+    ``ceil((2n + wb) / 64)`` uint64 words, word 0 most significant.
+    """
+    return 0 if k is None else (k - 1 + n).bit_length()
+
+
+@st.composite
+def registers(draw, k: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """A qubit count n and the qubits a drawn circuit acts on, for rows packed under cutoff k.
+
+    n is 1-4 (all qubits active), "packed" or 60-130.  A packed n is at
+    most 32 with 2n + wb within 6 bits below 64 (wb from
+    ``packed_weight_bits``): the merge sorts a row and its index as one word
+    only while 2n + wb + bits(m - 1) <= 64, so small frontiers take that
+    sort and larger ones ``lexsort``; the drawn qubits come from both ends
+    of the register.  A wide register activates one or two pairs of
+    neighbouring qubits that straddle a word boundary: of the word-major
+    masks (63/64 or 127/128) or of the packed row, in its z field, in its x
+    field or between the two; and up to one more qubit from the ends of the
+    register.
     """
     band = draw(st.sampled_from(("small", "packed", "wide")))
     if band == "small":
         n = draw(st.integers(1, 4))
         return n, tuple(range(n))
     if band == "packed":
-        n = draw(st.integers(29, 32))
+        fits = [n for n in range(20, 33) if 0 <= 64 - 2 * n - packed_weight_bits(n, k) <= 6]
+        n = draw(st.sampled_from(fits))
         sites = draw(st.lists(st.sampled_from((0, 1, n - 2, n - 1)), min_size=1, max_size=3))
         return n, tuple(sorted(set(sites)))
     n = draw(st.integers(60, 130))
-    pool = sorted({q for q in (0, 1, 62, 63, 64, 65, 126, 127, 128, 129) if q < n} | {n - 1})
-    sites = set(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2)))
-    edges = [b for b in (64, 128) if b < n]
-    if edges:
-        b = draw(st.sampled_from(edges))
-        sites |= {b - 1, b}
+    wb = packed_weight_bits(n, k)
+    pairs = [(b - 1, b) for b in (64, 128) if b < n]
+    for t in range(1, (2 * n + wb + 63) // 64):
+        # packed bit 64t holds qubit 64t - wb of the z field, 64t - wb - n of the x field
+        pairs += [(q - 1, q) for q in (64 * t - wb, 64 * t - wb - n) if 0 < q < n]
+        if 64 * t == wb + n:  # between the fields: the z field's top qubit, the x field's bottom one
+            pairs.append((n - 1, 0))
+    sites = {q for pair in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2)) for q in pair}
+    sites |= set(draw(st.lists(st.sampled_from((0, 1, n - 1)), max_size=1)))
     return n, tuple(sorted(sites))
 
 
 @st.composite
-def merge_inputs(draw) -> tuple[int, list, list]:
-    """Unmerged frontier rows for ``_Frontier.merge``: n, keys (x, z, w) and coefficients.
+def merge_inputs(draw) -> tuple[int, int, list, list]:
+    """Unmerged rows for ``_Frontier.merge``: n, weight bits wb, keys (x, z, w) and coefficients.
 
-    n is 1-4, 26-33 (on both sides of the single-word pack bound
-    2n + bits(max w) + bits(m - 1) <= 64, with 2n + bits(max w) often 64
-    or 65 by itself) or 60-130.  The rows repeat 2-6 keys in random
-    order, every one at least once; their masks favour the lowest, middle
-    and top qubits, the largest weight has exactly the drawn bit count (up
-    to 13), and some coefficients are followed by their exact negation.
-    For n in 26-32 the row count m is half the time drawn with the weight
-    bits so that 2n + bits(max w) + bits(m - 1) is exactly 64 or one past
-    it (m up to 256; the rows beyond the repeats are more keys from the
-    pool).
+    n is 1-4, 26-33 (on both sides of the single-word sort bound
+    2n + wb + bits(m - 1) <= 64, with 2n + wb often 64 or 65 by itself) or
+    60-130.  The rows repeat 2-6 keys in random order, every one at least
+    once; their masks favour the lowest, middle and top qubits, the largest
+    weight has exactly the drawn bit count (up to 13), and some
+    coefficients are followed by their exact negation.  wb is that bit
+    count plus 0-2 spare bits, as the engine's weight field is wider than
+    its largest weight.  For n in 26-32 the row count m is half the time
+    drawn with wb, and no spare bits, so that 2n + wb + bits(m - 1) is
+    exactly 64 or one past it (m up to 256; the rows beyond the repeats are
+    more keys from the pool).
     """
     n = draw(st.one_of(st.integers(1, 4), st.integers(26, 33), st.integers(60, 130)))
     wbits = st.integers(0, 13)
@@ -315,7 +333,10 @@ def merge_inputs(draw) -> tuple[int, list, list]:
             ib = draw(st.integers(max(1, 51 - 2 * n + past), min(8, 64 - 2 * n + past)))
             wbits = st.just(64 + past - 2 * n - ib)
             rows = draw(st.integers((1 << (ib - 1)) + 1, 1 << ib))
-    wmax = (1 << draw(wbits)) - 1
+    wb = draw(wbits)
+    wmax = (1 << wb) - 1
+    if rows is None:
+        wb += draw(st.integers(0, 2))
     qubits = st.sampled_from(sorted({q for q in (0, 1, n >> 1, n - 1) if q < n}))
     masks = st.one_of(
         st.sets(qubits, max_size=3).map(lambda qs: sum(1 << q for q in qs)),
@@ -347,7 +368,7 @@ def merge_inputs(draw) -> tuple[int, list, list]:
         for key in draw(st.lists(st.sampled_from(pool), min_size=pad, max_size=pad)):
             keys.append(key)
             values.append(draw(coeffs))
-    return n, keys, values
+    return n, wb, keys, values
 
 
 def embed_circuit(circuit: Circuit, sites: tuple[int, ...], n: int) -> Circuit:

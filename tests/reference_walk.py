@@ -23,6 +23,7 @@ from paulipath.circuits import (
     PauliRotation,
 )
 from helpers import backward_ops_by_units, clifford_adjoint_table, join_words, noisy_units
+from paulipath import propagation
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
     EXACT,
@@ -190,9 +191,12 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
     """The frontier as (x, z, w, coeff) rows, merged where the engine merges.
 
     The merges come after each layer's gates, after each noise round, at
-    the end, and after any step that leaves more than 4x the rows of the
-    last merge (and more than 2^18), so the sums associate as the
-    engine's do and cancel to exactly zero where its sums do.
+    the end, and after any step that leaves more than 4x the larger of
+    ``propagation._MERGE_FLOOR`` (read per call, so a test can lower it) and
+    the rows of the last merge or weight drop, so the sums associate as the
+    engine's do and cancel to exactly zero where its sums do.  The
+    auxiliary filter after a merge leaves that count as it is, as the
+    engine's does.
     """
     k = trunc.path_weight_cutoff
     stats = BackpropStats()
@@ -200,6 +204,7 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
     if isinstance(seed, BackpropResult):
         rows = list(zip(join_words(seed.x), join_words(seed.z), seed.w.tolist(), seed.c.tolist()))
         crossed = seed.crossed_noise
+        merged_len = len(rows)
     else:
         rows = []
         for p, c in seed.items():
@@ -207,14 +212,15 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
                 stats.paths_discarded_by_weight += 1
                 continue
             rows.append((p.x, p.z, p.weight if k is not None else 0, c))
+        merged_len = len(rows)
         rows = _aux_filter(rows, trunc, stats)
         crossed = False
     stats.peak_term_count = len(rows)
-    merged_len = len(rows)
+    floor = propagation._MERGE_FLOOR
 
     def grown(rows: list) -> list:
         nonlocal merged_len
-        if len(rows) > 4 * max(merged_len, 1 << 16):
+        if len(rows) > 4 * max(merged_len, floor):
             rows = _merge(rows)
             merged_len = len(rows)
         return rows
@@ -228,8 +234,9 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
                 rows = _apply_clifford(rows, gate)
             else:
                 raise ValueError("circuit has unresolved ensemble placeholders")
-        rows = _aux_filter(_merge(rows), trunc, stats)
+        rows = _merge(rows)
         merged_len = len(rows)
+        rows = _aux_filter(rows, trunc, stats)
         stats.peak_term_count = max(stats.peak_term_count, len(rows))
         if max_terms is not None and len(rows) > max_terms:
             raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import paulipath.cli
+import paulipath.experiments
 import paulipath.pauli
 from paulipath import (
     PauliString,
@@ -460,6 +461,15 @@ class TestSweepCommand:
         code, out, _ = run_cli(["sweep", "--config", cfg, "--format", "json", "--threads", "1"], capsys)
         assert code == 0
         return json.loads(out)["result"]
+
+    def test_one_thread_by_default(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("sweep built a thread pool")
+
+        monkeypatch.setattr(paulipath.experiments, "ThreadPoolExecutor", no_pool)
+        cfg = write_config(tmp_path, {**self.SWEEP_CONFIG, "noise_grid": [0.1, 0.2]})
+        code, out, _ = run_cli(["sweep", "--config", cfg, "--format", "json"], capsys)
+        assert code == 0 and len(json.loads(out)["result"]) == 4
 
     def test_noise_placement_from_config(self, tmp_path, capsys):
         default = self.sweep_rows(tmp_path, capsys)

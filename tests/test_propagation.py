@@ -37,6 +37,7 @@ from paulipath.circuits import (
 )
 from paulipath.cli import _resolve_trunc
 from paulipath.pauli import BITS_TO_CODE
+from paulipath import propagation
 from paulipath.propagation import (
     EXACT,
     FrontierOverflowError,
@@ -383,7 +384,8 @@ class TestResultSurface:
     @given(st.data())
     def test_overlap_matches_per_term_reference(self, data):
         """The one overlap, for sums and results, against the per-term loop."""
-        n, sites = data.draw(helpers.registers())
+        trunc = data.draw(helpers.truncations())
+        n, sites = data.draw(helpers.registers(trunc.path_weight_cutoff))
         state = data.draw(helpers.product_states(n, zeros=True))
         wrong = ProductState.zeros(n + 1)
         if data.draw(st.integers(0, 4)) == 0:
@@ -396,7 +398,7 @@ class TestResultSurface:
         circuit = helpers.embed_circuit(
             data.draw(helpers.noisy_circuits(len(sites), depth_max=2)), sites, n
         )
-        res = backpropagate(circuit, obs, data.draw(helpers.truncations()))
+        res = backpropagate(circuit, obs, trunc)
         view = helpers.result_terms(res)
         for got, terms in ((expectation(obs, state), obs), (expectation(res, state), view)):
             assert got == pytest.approx(helpers.reference_expectation(terms, state), abs=1e-12)
@@ -500,6 +502,27 @@ class TestResume:
         again = backpropagate(rx_damping_circuit(), res)
         assert again.stats.surviving_path_count == again.x.shape[1]
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_resume_across_a_packed_width(self, data):
+        # at n = 61 a cutoff of 3 packs rows into 128 bits (two words) and one
+        # of 4 into 129 (three): the k = 4 run, cut to k = 3, resumes on two words.
+        # The sites straddle packed word boundaries of both widths: 57/58 in
+        # the z field of two words, 56/57 in the z field and 59/60 in the x field of three
+        n, sites = 61, (56, 57, 58, 59, 60)
+        assert [2 * n + helpers.packed_weight_bits(n, k) for k in (3, 4)] == [128, 129]
+        late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(5)), sites, n)
+        early = helpers.embed_circuit(
+            data.draw(helpers.noisy_circuits(5, final_layer=False)), sites, n
+        )
+        obs = helpers.embed_sum(data.draw(helpers.observables(5)), sites, n)
+        base = data.draw(st.one_of(st.just(EXACT), helpers.truncations()))
+        small = dataclasses.replace(base, path_weight_cutoff=3)
+        big = backpropagate(late, obs, dataclasses.replace(base, path_weight_cutoff=4))
+        got = backpropagate(early, big.kept_below(3), small)
+        want = reference_backpropagate(early, reference_backpropagate(late, obs, small), small)
+        _assert_same_frontier(got, want)
+
 
 def _group_sum(coeffs: list) -> float:
     """The sum of one group's coefficients, added in the given order.
@@ -513,22 +536,24 @@ def _group_sum(coeffs: list) -> float:
 
 
 class TestMerge:
-    # at n = 32 a weight of 1 is one bit past the pack bound, and 0 exactly at it;
-    # the top and bottom mask bits tell a lost or overlapping bit apart
+    # at n = 32 a weight field of one bit spills the top x bit into a second
+    # word, and none fills one word exactly; the top and bottom mask bits tell
+    # a lost or overlapping bit apart
     TOP = 1 << 31
 
     @settings(max_examples=300, deadline=None)
     @given(helpers.merge_inputs())
-    @example((32, [(TOP, 0, 1), (0, 0, 1), (1, 0, 0)], [0.5, 0.25, 1.0]))
-    @example((32, [(TOP, 0, 0), (0, 0, 0), (0, TOP, 0), (1, 0, 0)], [0.5, 0.25, 1.0, 2.0]))
-    # the row index packed in: 58 + bits(7) + bits(6 - 1) = 64, the top x bit in bit 63
-    @example((29, [(1 << 28, 0, 7), (0, 0, 1), (1, 1 << 28, 7), (1 << 28, 0, 7), (0, 0, 1),
-                   (1, 0, 0)], [0.5, 0.25, 1.0, -0.5, 2.0, 1.5]))
-    # and 62 + bits(0) + bits(5 - 1) = 65, one past it
-    @example((31, [(1 << 30, 0, 0), (0, 1 << 30, 0), (1, 0, 0), (1 << 30, 0, 0), (0, 0, 0)],
+    @example((32, 1, [(TOP, 0, 1), (0, 0, 1), (1, 0, 0)], [0.5, 0.25, 1.0]))
+    @example((32, 0, [(TOP, 0, 0), (0, 0, 0), (0, TOP, 0), (1, 0, 0)], [0.5, 0.25, 1.0, 2.0]))
+    # the row index packed in: 2n + wb + bits(m - 1) = 58 + 3 + bits(6 - 1) = 64,
+    # the top x bit in bit 63
+    @example((29, 3, [(1 << 28, 0, 7), (0, 0, 1), (1, 1 << 28, 7), (1 << 28, 0, 7), (0, 0, 1),
+                      (1, 0, 0)], [0.5, 0.25, 1.0, -0.5, 2.0, 1.5]))
+    # and 62 + 0 + bits(5 - 1) = 65, one past it
+    @example((31, 0, [(1 << 30, 0, 0), (0, 1 << 30, 0), (1, 0, 0), (1 << 30, 0, 0), (0, 0, 0)],
               [0.5, 0.25, 1.0, 0.125, 2.0]))
     def test_merge_matches_dict_sum(self, case):
-        n, keys, coeffs = case
+        n, wb, keys, coeffs = case
         groups: dict = {}
         for key, coeff in zip(keys, coeffs):
             groups.setdefault(key, []).append(coeff)
@@ -536,16 +561,18 @@ class TestMerge:
         want = [(key, total) for key, total in want if total != 0.0]
         f = _Frontier(
             n,
+            wb,
             _split_words([x for x, _, _ in keys], n),
             _split_words([z for _, z, _ in keys], n),
             np.array([w for _, _, w in keys], dtype=np.int64),
             np.array(coeffs),
         )
         f.merge()
-        assert f.x.shape == f.z.shape == ((n + 63) // 64, len(want))
-        assert f.x.dtype == f.z.dtype == np.uint64 and f.w.dtype == np.int64
+        assert f.p.shape == ((2 * n + wb + 63) // 64, len(want)) and f.p.dtype == np.uint64
         assert f.merged_len == len(want)
-        got = list(zip(helpers.join_words(f.x), helpers.join_words(f.z), f.w.tolist()))
+        x, z, w = f.field(wb + n, n), f.field(wb, n), f.weights()
+        assert x.shape == z.shape == ((n + 63) // 64, len(want)) and w.dtype == np.int64
+        got = list(zip(helpers.join_words(x), helpers.join_words(z), w.tolist()))
         assert got == [key for key, _ in want]
         assert f.c.tolist() == [total for _, total in want]
 
@@ -625,31 +652,47 @@ class TestBackwardOps:
         assert read == set(support)
 
 
+def _check_against_reference(data):
+    """The engine against the reference walk on a drawn circuit, whole or resumed."""
+    trunc = data.draw(helpers.truncations())
+    n, sites = data.draw(helpers.registers(trunc.path_weight_cutoff))
+    k = len(sites)
+    early = helpers.embed_circuit(data.draw(helpers.noisy_circuits(k, final_layer=False)), sites, n)
+    late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(k)), sites, n)
+    obs = helpers.embed_sum(data.draw(helpers.observables(k)), sites, n)
+    if data.draw(st.booleans(), label="resume"):
+        got = backpropagate(early, backpropagate(late, obs, trunc), trunc)
+        want = reference_backpropagate(early, reference_backpropagate(late, obs, trunc), trunc)
+    else:
+        both = Circuit(n, early.layers + late.layers, late.final_layer)
+        got = backpropagate(both, obs, trunc)
+        want = reference_backpropagate(both, obs, trunc)
+    _assert_same_frontier(got, want)
+    # bit for bit: the two walks merge at the same points
+    assert np.array_equal(got.c, want.c) and got.stats == want.stats
+
+
 class TestAgainstReference:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_engine_matches_reference_walk(self, data):
-        n, sites = data.draw(helpers.registers())
-        k = len(sites)
-        early = helpers.embed_circuit(
-            data.draw(helpers.noisy_circuits(k, final_layer=False)), sites, n
-        )
-        late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(k)), sites, n)
-        obs = helpers.embed_sum(data.draw(helpers.observables(k)), sites, n)
-        trunc = data.draw(helpers.truncations())
-        if data.draw(st.booleans(), label="resume"):
-            got = backpropagate(early, backpropagate(late, obs, trunc), trunc)
-            want = reference_backpropagate(early, reference_backpropagate(late, obs, trunc), trunc)
-        else:
-            both = Circuit(n, early.layers + late.layers, late.final_layer)
-            got = backpropagate(both, obs, trunc)
-            want = reference_backpropagate(both, obs, trunc)
-        _assert_same_frontier(got, want)
+        _check_against_reference(data)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_engine_matches_reference_walk_merging_mid_layer(self, data):
+        # at a merge floor of 1 a frontier merges once it outgrows 4x its
+        # last merge, so both walks merge inside layers and noise rounds too
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(propagation, "_MERGE_FLOOR", 1)
+            _check_against_reference(data)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_kmax_run_contains_smaller_cutoff_runs(self, data):
-        n, sites = data.draw(helpers.registers())
+        k = data.draw(st.integers(1, 8))
+        k_max = data.draw(st.integers(k, 10))
+        n, sites = data.draw(helpers.registers(k_max))
         late = helpers.embed_circuit(data.draw(helpers.noisy_circuits(len(sites))), sites, n)
         early = helpers.embed_circuit(
             data.draw(helpers.noisy_circuits(len(sites), final_layer=False)), sites, n
@@ -657,8 +700,6 @@ class TestAgainstReference:
         obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
         # weight-only (EXACT) or with auxiliary cutoffs too
         base = data.draw(st.one_of(st.just(EXACT), helpers.truncations()))
-        k = data.draw(st.integers(1, 8))
-        k_max = data.draw(st.integers(k, 10))
         big = backpropagate(late, obs, dataclasses.replace(base, path_weight_cutoff=k_max))
         small = backpropagate(late, obs, dataclasses.replace(base, path_weight_cutoff=k))
         kept = big.kept_below(k)
