@@ -411,6 +411,12 @@ def cmd_channel_info(args) -> int:
     return 0
 
 
+def _finite_expectation(res, state) -> float:
+    if not math.isfinite(value := expectation(res, state)):
+        raise FloatingPointError("propagation produced a non-finite expectation")
+    return value
+
+
 def cmd_propagate(args) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
@@ -436,7 +442,7 @@ def cmd_propagate(args) -> int:
                 rows.append(
                     {
                         "k": k,
-                        "expectation": expectation(kept, state),
+                        "expectation": _finite_expectation(kept, state),
                         "surviving_paths": kept.stats.surviving_path_count,
                         "wall_time": time.perf_counter() - t0,
                     }
@@ -446,9 +452,7 @@ def cmd_propagate(args) -> int:
         return 0
 
     res = backpropagate(circuit, observable, trunc, max_terms=args.max_terms)
-    value = expectation(res, state)
-    if math.isnan(value) or math.isinf(value):
-        raise FloatingPointError("propagation produced a non-finite expectation")
+    value = _finite_expectation(res, state)
     payload["result"] = {"expectation": value, "stats": dataclasses.asdict(res.stats)}
     _emit(args, payload)
     return 0

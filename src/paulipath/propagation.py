@@ -16,26 +16,26 @@ accumulated weight in the low wb bits: wb = bits(k - 1 + n) under a cutoff
 k (a boundary adds at most n to some w < k before the drop), else 0.  It
 spans W' = ceil((2n + wb) / 64) uint64 words, word 0 most significant,
 stored word-major ``(W', m)``: as integers, rows are in (x, z, w) order.  A
-merge sorts them stably and sums the coefficients of equal rows, sorting
-each row shifted over its index in place when 2n + wb + bits(m - 1) <= 64,
-else by ``lexsort`` over the W' words.  A call packs its seed, unpacks its result.
+merge consumes both columns and sums the coefficients of equal rows after a
+stable sort: in place, of each row shifted over its index, when 2n + wb +
+bits(m - 1) <= 64 (at most three m-row columns alive), else by ``lexsort``.
 
-``_compile`` turns a circuit into its backward program in one pass, one
-step per gate, noise round and weight boundary.  A fixed Clifford and a
-noised qubit share one kernel: a slot table built by ``_local_step`` from
-the forward PTM, where slot s of an input is its s-th non-zero output, as
-XOR deltas, a coefficient and a sampling threshold per input.  The engine
-applies slot 0 in place and appends each further slot; the walk applies
-slot 0 and draws among the rest.  ``backpropagate``, the one engine entry,
-translates the steps to packed words once per call, runs them on sampled
-circuits and rejects a template at entry.  The Monte Carlo walk in
-``montecarlo`` samples paths, placeholders included, through the same
-program on bit planes (noise rounds read from their channels' PTMs), each
-fixed Clifford's planes mapped as ``_clifford`` maps masks.  Weights
-accumulate only under a path-weight cutoff; without one every row has
-weight 0.  The run at cutoff k_max holds the run at every smaller k as its
-rows with w < k, and ``kept_below(k)`` returns that run as a result of its
-own, so a k-sweep needs one pass.
+``_compile`` turns a circuit into its backward program in one pass, one step
+per gate, noise round and weight boundary.  A fixed Clifford and a noised
+qubit share one kernel: a slot table built by ``_local_step`` from the
+forward PTM, where slot s of an input is its s-th non-zero output, as XOR
+deltas, a coefficient and a sampling threshold per input.  The engine
+applies slot 0 in place and appends each further slot; the walk applies slot
+0 and draws among the rest.  ``backpropagate``, the one engine entry, packs
+its seed, translates the steps to packed words once per call, runs them on
+sampled circuits, unpacks its result and rejects a template at entry.  The
+Monte Carlo walk in ``montecarlo`` samples paths, placeholders included,
+through the same program on bit planes (noise rounds read from their
+channels' PTMs), each fixed Clifford's planes mapped as ``_clifford`` maps
+masks.  Weights accumulate only under a path-weight cutoff; without one
+every row has weight 0.  The run at cutoff k_max holds the run at every
+smaller k as its rows with w < k, and ``kept_below(k)`` returns that run as
+a result of its own, so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
@@ -302,6 +302,7 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
 
 # a frontier merges once it holds over 4x max(this floor, its rows at the last merge or drop)
 _MERGE_FLOOR = 1 << 16
+_GATHER_BLOCK = 1 << 16  # rows per block of the one-word merge's coefficient gather
 
 
 def _bit(words: int, b: int) -> tuple[int, np.uint64]:
@@ -373,29 +374,42 @@ class _Frontier:
         The sort is stable, so each group sums in its current row order: when
         2n + wb + ib <= 64 (ib = bits(m - 1)) the unique words ``row << ib | i``,
         i the row index, sort in place, else ``lexsort`` sorts the W' words.
+        A merge consumes ``p`` and ``c``: the one-word sort shifts the rows into its key in
+        place and gathers ``c`` by the key's low bits ``_GATHER_BLOCK`` rows at a time, so at
+        most three m-row 8-byte columns besides group-length ones are alive; ``lexsort``: W' more.
         """
-        m = len(self.c)
+        p, c, m, self.p, self.c = self.p, self.c, len(self.c), None, None
         ib = (m - 1).bit_length()
         indexed = 2 * self.n + self.wb + ib <= 64
         if indexed:
-            key = self.p[0] << np.uint64(ib)
+            (key,), p = p, None
+            key <<= np.uint64(ib)
             key |= np.arange(m, dtype=np.uint64)
             key.sort()
-            order = (key & np.uint64((1 << ib) - 1)).view(np.int64)
+            low, gathered = np.uint64((1 << ib) - 1), np.empty(m)
+            buf = np.empty(min(m, _GATHER_BLOCK), dtype=np.uint64)
+            for s in range(0, m, _GATHER_BLOCK):  # mode="clip" only skips buffering
+                order = np.bitwise_and(key[s : s + _GATHER_BLOCK], low, out=buf[: m - s]).view(np.int64)
+                np.take(c, order, out=gathered[s : s + len(order)], mode="clip")
             key >>= np.uint64(ib)
             ranks = (key,)
         else:
-            order = np.lexsort(self.p[::-1])  # the last key is primary: word 0
-            ranks = (word[order] for word in self.p)  # one at a time
+            order = np.lexsort(p[::-1])  # the last key is primary: word 0
+            gathered = c[order]
+            ranks = (word[order] for word in p)
+        del c
         first = np.zeros(m, dtype=bool)
         first[:1] = True
         for ranked in ranks:
             first[1:] |= ranked[1:] != ranked[:-1]
-        idx = np.flatnonzero(first)
-        sums = np.add.reduceat(self.c[order], idx)
+            del ranked  # before the next word is ranked
+        idx, first = np.flatnonzero(first), None
+        sums, gathered = np.add.reduceat(gathered, idx), None
+        rows, idx, order = (idx if indexed else order[idx]), None, None
         keep = sums != 0.0
-        self.p = key[None, idx[keep]] if indexed else np.take(self.p, order[idx[keep]], axis=1)
-        self.c = sums[keep]
+        rows = rows[keep]
+        self.c, sums = sums[keep], None
+        self.p = key[None, rows] if indexed else np.take(p, rows, axis=1)
         self.merged_len = len(self.c)
 
 
@@ -482,7 +496,7 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
             a, b = (gx >> q) & 1, (gz >> q) & 1
             if a or b:
                 share = [(x * z - (x ^ a) * (z ^ b) + 2 * b * x) & 3 for z in (0, 1) for x in (0, 1)]
-                letters.append((site(q), np.array(share)))
+                letters.append((site(q), np.array(share, dtype=np.uint8)))  # summed mod 256
         cos_t, sin_t = _cos_sin(angle)
         signs = np.array([sin_t if (phase + r + 1) & 3 == 0 else -sin_t for r in range(4)])
         reads, folds = spread(gz << lo[0] | gx << lo[1]), spread(gx << lo[0] | gz << lo[1])
@@ -501,15 +515,14 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
 
 def _np_rotation(f: _Frontier, reads, folds, letters, signs, cos_t: float, sin_t: float) -> tuple:
     """Scale the anticommuting rows by cos in place; return their sin branch for ``_Frontier.append``."""
-    m = len(f)
-    acc, tmp = np.empty(m, dtype=np.uint64), np.empty(m, dtype=np.uint64)
     # reads is never empty: a generator covers a qubit and is not the identity there
     (j, bits), *rest = reads
-    np.bitwise_and(f.p[j], bits, out=acc)
+    acc = f.p[j] & bits
     for j, bits in rest:
-        acc ^= np.bitwise_and(f.p[j], bits, out=tmp)
-    # XOR across words keeps the parity of the summed popcounts
-    anti = (np.bitwise_count(acc) & 1).view(bool)
+        acc ^= f.p[j] & bits
+    # XOR across words keeps the parity of the summed popcounts: one uint8 column
+    anti = np.bitwise_count(acc)
+    anti, acc = np.bitwise_and(anti, 1, out=anti).view(bool), None
     rows = np.flatnonzero(anti)  # gathers by index beat boolean masks that are about half set
     branch = ([], [])
     if not len(rows):
@@ -517,15 +530,16 @@ def _np_rotation(f: _Frontier, reads, folds, letters, signs, cos_t: float, sin_t
     ca = f.c[rows]
     if sin_t != 0.0:
         pa = np.take(f.p, rows, axis=1)
-        a, b = acc[: len(rows)], tmp[: len(rows)]  # scratch
+        a, b = np.empty(len(rows), dtype=np.uint64), np.empty(len(rows), dtype=np.uint64)
         (site, share), *more = letters
         e = share[_letters(pa, (site,), a, b)]
         for site, share in more:
             e += share[_letters(pa, (site,), a, b)]
+        a = b = None  # freed before the sign column
         for j, bits in folds:
             pa[j] ^= bits
-        e &= 3
-        branch = ([pa], [ca * signs[e]])
+        sa = signs[e & 3]
+        branch = ([pa], [np.multiply(sa, ca, out=sa)])
     if cos_t == 0.0:
         f.select(~anti)
     else:

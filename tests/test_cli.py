@@ -268,6 +268,20 @@ class TestPropagate:
         code, out, _ = run_cli(["propagate", "--config", cfg], capsys)
         assert code == 0 and json.loads(out)["result"] == []
 
+    # RX(0.7) rotates Z and Y into each other: each sum overflows to inf
+    OVERFLOW_CONFIG = {
+        "circuit": {"n": 1, "layers": [{"gates": RX_DAMP_CONFIG["circuit"]["layers"][0]["gates"]}]},
+        "observable": [{"pauli": "Z", "coeff": 1.7e308}, {"pauli": "Y", "coeff": 1.7e308}],
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("extra", [{}, {"k_sweep": [1, 2]}])
+    def test_non_finite_expectation_exits_4(self, tmp_path, capsys, extra):
+        cfg = write_config(tmp_path, {**self.OVERFLOW_CONFIG, **extra})
+        code, out, err = run_cli(["propagate", "--config", cfg], capsys)
+        assert code == 4 and out == ""
+        assert err.splitlines() == ["error: propagation produced a non-finite expectation"]
+
     def test_reruns_bit_identical(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

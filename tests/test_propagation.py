@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,6 +553,9 @@ class TestMerge:
     # and 62 + 0 + bits(5 - 1) = 65, one past it
     @example((31, 0, [(1 << 30, 0, 0), (0, 1 << 30, 0), (1, 0, 0), (1 << 30, 0, 0), (0, 0, 0)],
               [0.5, 0.25, 1.0, 0.125, 2.0]))
+    # an empty frontier and a single row: no gather block, and one short one
+    @example((3, 2, [], []))
+    @example((3, 2, [(5, 2, 3)], [0.5]))
     def test_merge_matches_dict_sum(self, case):
         n, wb, keys, coeffs = case
         groups: dict = {}
@@ -559,22 +563,89 @@ class TestMerge:
             groups.setdefault(key, []).append(coeff)
         want = [(key, _group_sum(group)) for key, group in sorted(groups.items())]
         want = [(key, total) for key, total in want if total != 0.0]
-        f = _Frontier(
-            n,
-            wb,
-            _split_words([x for x, _, _ in keys], n),
-            _split_words([z for _, z, _ in keys], n),
-            np.array([w for _, _, w in keys], dtype=np.int64),
-            np.array(coeffs),
+        # gather blocks of 1 and 3 rows put block edges inside and between groups
+        for block in (1, 3, propagation._GATHER_BLOCK):
+            f = _Frontier(
+                n,
+                wb,
+                _split_words([x for x, _, _ in keys], n),
+                _split_words([z for _, z, _ in keys], n),
+                np.array([w for _, _, w in keys], dtype=np.int64),
+                np.array(coeffs),
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(propagation, "_GATHER_BLOCK", block)
+                f.merge()
+            assert f.p.shape == ((2 * n + wb + 63) // 64, len(want)) and f.p.dtype == np.uint64
+            assert f.merged_len == len(want)
+            x, z, w = f.field(wb + n, n), f.field(wb, n), f.weights()
+            assert x.shape == z.shape == ((n + 63) // 64, len(want)) and w.dtype == np.int64
+            got = list(zip(helpers.join_words(x), helpers.join_words(z), w.tolist()))
+            assert got == [key for key, _ in want]
+            assert f.c.tolist() == [total for _, total in want]
+
+
+def _traced_peak(build, run) -> int:
+    """Bytes ``run(build())`` allocates at its peak above the traced state ``build()`` leaves.
+
+    Tracing starts before ``build``, so the columns a kernel frees count as freed.
+    """
+    tracemalloc.start()
+    try:
+        obj = build()
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(obj)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Traced peaks above the entry state, in m-row 8-byte columns.
+
+    The rotation and the ``lexsort`` merge stay under three, the one-word
+    merge under two plus one gather block (the gathered coefficients or the
+    row indices, next to the key and the coefficients it enters with).  The
+    frontier owns its columns (the builders keep no reference to them), so
+    a merge that drops ``p`` and ``c`` gives their bytes back.  Rows are drawn
+    from m / 4 keys, so most repeat.
+    """
+
+    M = 1 << 18
+    COLUMN = 8 * M
+
+    def frontier(self, n: int, wb: int, seed: int = 5) -> _Frontier:
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 1 << n, size=(3, self.M // 4), dtype=np.uint64)
+        pool[2] &= np.uint64((1 << wb) - 1)
+        x, z, w = pool[:, rng.integers(0, self.M // 4, size=self.M)]
+        return _Frontier(n, wb, x[None], z[None], w.view(np.int64), rng.standard_normal(self.M))
+
+    def test_one_word_merge(self):
+        n, wb = 16, 5
+        assert 2 * n + wb + (self.M - 1).bit_length() <= 64  # the one-word sort
+        peak = _traced_peak(lambda: self.frontier(n, wb), _Frontier.merge)
+        assert peak < 2 * self.COLUMN + 8 * propagation._GATHER_BLOCK
+
+    def test_lexsort_merge(self):
+        n, wb = 40, 5
+        f = self.frontier(n, wb)
+        assert len(f.p) == 2  # W' = 2: lexsort
+        assert _traced_peak(lambda: self.frontier(n, wb), _Frontier.merge) < 3 * self.COLUMN
+
+    def test_rotation(self):
+        n, wb = 16, 5
+        gate = PauliRotation(PauliString.from_label("XYZ"), (2, 7, 13), 0.3)
+        (step,) = [s for s in _compile(Circuit(n, (Layer((gate,)),))) if s[0] == "rot"]
+        args = propagation._packed(step, n, wb)
+        branch = []
+        peak = _traced_peak(
+            lambda: self.frontier(n, wb), lambda f: branch.append(propagation._np_rotation(f, *args))
         )
-        f.merge()
-        assert f.p.shape == ((2 * n + wb + 63) // 64, len(want)) and f.p.dtype == np.uint64
-        assert f.merged_len == len(want)
-        x, z, w = f.field(wb + n, n), f.field(wb, n), f.weights()
-        assert x.shape == z.shape == ((n + 63) // 64, len(want)) and w.dtype == np.int64
-        got = list(zip(helpers.join_words(x), helpers.join_words(z), w.tolist()))
-        assert got == [key for key, _ in want]
-        assert f.c.tolist() == [total for _, total in want]
+        (pa,), (ca,) = branch[0]
+        assert 0.45 * self.M < len(ca) < 0.55 * self.M  # about half the rows anticommute
+        assert peak < 3 * self.COLUMN
 
 
 def _assert_same_frontier(got, want):
