@@ -10,13 +10,15 @@ to its mean squared amplitude, and the product of per-step squared-norm
 contributions reweights the functional, so every sample value lands in
 [0, ||O||_F^2].
 
-The walk runs ``propagation._compile``'s backward program one step at a
-time on bit planes: m paths are a ``(2, n, ceil(m / 64))`` uint64 array,
-an x and a z plane per qubit, path p at bit ``p & 63`` of word ``p >> 6``
-(lanes past m stay I).  A rotation XORs the planes its generator reads,
-ANDs that with a fresh raw word per 64 paths if the angle is uniform, and
-XORs it into the planes it writes; a fixed Clifford is a GF(2)-linear map
-of its support's planes.  A noise round's qubits whose channel maps each
+The walk translates ``propagation._compile``'s backward program once
+(``_walk_program``) and runs it one step at a time on bit planes: m paths
+are a ``(2, n, ceil(m / 64))`` uint64 array, an x and a z plane per qubit,
+path p at bit ``p & 63`` of word ``p >> 6`` (lanes past m stay I).  A
+rotation XORs the x planes of its generator's z bits and the z planes of
+its x bits, ANDs that with a fresh raw word per 64 paths if the angle is
+uniform, and XORs it into the planes of the generator's own bits; a fixed
+Clifford is a GF(2)-linear map of its support's planes, read off the codes
+of its slot table.  A noise round's qubits whose channel maps each
 letter L to L and I only are grouped by each letter's squared norm and
 chance of going to I (from the transfer matrix).  Three draw rules:
 
@@ -26,7 +28,8 @@ chance of going to I (from the transfer matrix).  Three draw rules:
   ``ceil(chance * 2**53)``, the law of ``random() < chance``, compared
   bit-sliced from the top bit, one raw word per word still undecided;
 - per path: a uniform Clifford (an integer in 1..3) and any other channel
-  (a ``random()`` double over ``_local_step``'s slots) unpack their qubit.
+  (the code of the last of ``_local_step``'s slots whose threshold a
+  ``random()`` double reaches) unpack their qubit.
 
 A weight boundary adds the ``x | z`` planes into a bit-sliced counter.
 Draws come from an SFC64 generator seeded by the seed through
@@ -46,7 +49,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
-from .propagation import _bloch_scale, _clifford, _compile, _cos_sin, _local_step, _seed_columns
+from .propagation import _bloch_scale, _compile, _cos_sin, _is_int, _local_step, _seed_columns
 
 _CHUNK = 1 << 17
 _LANES = np.dtype("<u8")  # a word of 64 paths; byte b holds paths 8b..8b+7
@@ -156,32 +159,22 @@ def _letter_law(ch) -> tuple | None:
     return tuple((float(norm[p]), float(sq[p, 0] / norm[p]) if norm[p] else 1.0) for p in (1, 2, 3))
 
 
-def _site_slots(step: tuple) -> tuple:
-    """A one-qubit ``_local_step`` as ``("local", q, slots, norm)``, each slot's XOR deltas as
-    bit pair codes: ``(delta, thresholds)``."""
-    _, (q,), slots, norm = step
-    s, one = np.uint64(q & 63), np.uint64(1)
-    deltas = [(((dx >> s) & one | ((dz >> s) & one) << one).astype(np.uint8), thresholds)
-              for ((_, dx, dz),), _, thresholds in slots]  # one support word
-    return ("local", q, tuple(deltas), norm)
-
-
 def _noise_round(pairs) -> list:
     """A noise round's (qubit, channel) pairs as one ``("noise", groups)`` step, then the rest.
 
     The step takes every qubit whose letters each go to themselves or I
-    (``_letter_law``); every other qubit keeps its ``_local_step`` (as
-    ``_site_slots``), after it.  A group, in order of its lowest qubit, is
-    ``(qubits, classes, drops)``: an index array of its qubits, ``(letters,
-    norm)`` per distinct squared norm but 1.0, and ``(letter, ceil(chance *
-    2**53))`` per letter (X, Y, Z) that can go to I; if neither, it is left out.
+    (``_letter_law``); every other qubit keeps its ``_local_step``, after
+    it.  A group, in order of its lowest qubit, is ``(qubits, classes,
+    drops)``: an index array of its qubits, ``(letters, norm)`` per distinct
+    squared norm but 1.0, and ``(letter, ceil(chance * 2**53))`` per letter
+    (X, Y, Z) that can go to I; if neither, it is left out.
     """
     laws: dict = {}
     rest = []
     for q, ch in pairs:
         law = _letter_law(ch)
         if law is None:
-            rest.append(_site_slots(_local_step((q,), ch)))
+            rest.append(_local_step((q,), ch))
         else:
             laws.setdefault(law, []).append(q)
     groups = []
@@ -201,21 +194,19 @@ def _linear_map(step: tuple, n: int) -> tuple | None:
     """A fixed Clifford's ``local`` step as ``("clifford", outs, ins, starts)`` on flat plane indices.
 
     Signs dropped, a Clifford is linear over GF(2) on its support's planes:
-    ``_clifford`` maps each plane alone (slot 0), and plane ``outs[i]`` is the
-    XOR of the planes ``ins[starts[i]:starts[i + 1]]`` whose image holds it.
+    slot 0 maps the joint bit pair with only plane i's bit set to plane i's
+    image, and plane ``outs[i]`` is the XOR of the planes
+    ``ins[starts[i]:starts[i + 1]]`` whose image holds it.
     """
-    _, support, ((deltas, _, _),), _ = step  # a Clifford has one slot
+    _, support, ((codes, _, _),), _ = step  # a Clifford has one slot
     planes = [side * n + q for q in support for side in (0, 1)]
-    basis = np.zeros((2, -(-n // 64), len(planes)), dtype=np.uint64)  # column i: plane i alone
-    for i, p in enumerate(planes):
-        basis[p // n, p % n >> 6, i] = 1 << (p % n & 63)
-    _clifford(basis, support, deltas, *np.empty((3, len(planes)), dtype=np.uint64))
-    image = _planes(basis, n).reshape(-1)  # lane i of plane p: plane i's image holds p
-    outs = [p for i, p in enumerate(planes) if image[p] != 1 << i]
-    ins = [[planes[i] for i in range(len(planes)) if int(image[p]) >> i & 1] for p in outs]
+    bits = [t + side for t in (2, 0)[2 - len(support):] for side in (0, 1)]  # of each plane's joint code
+    ins = [[p for p, b in zip(planes, bits) if int(codes[1 << b]) >> c & 1] for c in bits]
+    outs = [(p, i) for p, i in zip(planes, ins) if i != [p]]
     if not outs:
         return None
-    return ("clifford", np.array(outs), np.concatenate(ins), np.cumsum([0] + [len(i) for i in ins[:-1]]))
+    return ("clifford", np.array([p for p, _ in outs]), np.concatenate([i for _, i in outs]),
+            np.cumsum([0] + [len(i) for _, i in outs[:-1]]))
 
 
 def _walk_program(template: Circuit) -> list:
@@ -231,13 +222,13 @@ def _walk_program(template: Circuit) -> list:
     n = template.n
     program: list = []
 
-    def indices(words) -> tuple:  # (side, word, bits) of ``_compile`` as flat plane indices
-        return tuple(side * n + 64 * j + t for side, j, w in words for t in range(64) if int(w) >> t & 1)
+    def indices(xs: int, zs: int) -> tuple:  # the x planes of the bits of xs, then the z planes of zs
+        return tuple(side * n + q for side, v in ((0, xs), (1, zs)) for q in range(n) if v >> q & 1)
 
     for step in _compile(template):
         kind = step[0]
         if kind == "rot":
-            _, reads, writes, _phase, angle = step
+            _, gx, gz, angle = step
             if angle is not None:
                 cos_t, sin_t = _cos_sin(angle)
                 if sin_t == 0.0:
@@ -247,14 +238,12 @@ def _walk_program(template: Circuit) -> list:
                         "fixed rotation angles must be multiples of pi/2; "
                         "use a uniform-angle placeholder or propagate sampled circuits"
                     )
-            program.append(("rot", indices(reads), indices(writes), angle is None))
+            program.append(("rot", indices(gz, gx), indices(gx, gz), angle is None))
         elif kind == "local":
             program += filter(None, [_linear_map(step, n)])
         elif kind == "noise":
             program += _noise_round(step[1])
-        elif kind == "ucliff":
-            program.append(("ucliff", step[1]))
-        elif kind == "boundary":
+        elif kind in ("ucliff", "boundary"):
             program.append(step)
     return program
 
@@ -382,21 +371,21 @@ def _walk_chunk(program, terms, seed_weights, probs, norm_sq, m, rng):
         elif kind == "boundary":
             boundaries.add(x | z)
         elif kind in ("local", "ucliff"):  # per-path bit pair codes of one qubit
-            q = step[1]
+            q = step[1][0] if kind == "local" else step[1]
             xq, zq = _unpack(planes[:, q])
             code = xq | zq << 1
             if kind == "ucliff":
                 draws = rng.integers(1, 4, size=m, dtype=np.uint8)
                 out = np.where(code[:m] != 0, _SITE_BITS[draws], 0)
             else:  # a channel without a letter law
-                _, _, ((delta, _), *rest), norm = step
+                _, _, ((codes, _, _), *rest), norm = step
                 k_factor *= norm[code[:m]]
-                out = code ^ delta[code]
+                out = codes[code]
                 if rest:  # the path ends on the last slot whose threshold u reaches
                     u = np.zeros(len(code))  # I lanes past m stay on slot 0
                     rng.random(out=u[:m])
-                    for delta, thresholds in rest:
-                        out ^= delta[code] * (u >= thresholds[code])
+                    for codes, _, thresholds in rest:
+                        out = np.where(u >= thresholds[code], codes[code], out)
             x[q], z[q] = _pack(out & 1), _pack(out >> 1)
     weight += boundaries.counts(m)
     for norm, tally in exponents.items():
@@ -452,13 +441,13 @@ def estimate_many(
         raise ValueError("observable has no terms")
     if observable.n != template.n:
         raise QubitCountMismatch("circuit and observable qubit counts differ")
-    if samples <= 1:
-        raise ValueError("need at least two samples")
+    if not (_is_int(samples) and samples > 1):
+        raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
     for f in functionals:
         if isinstance(f, (Variance, TruncMSE)) and f.state.n != template.n:
             raise QubitCountMismatch("functional state qubit count differs from circuit")
-        if isinstance(f, (TruncMSE, TruncFrobenius)) and f.k <= 0:
-            raise ValueError("weight cutoff must be positive")
+        if isinstance(f, (TruncMSE, TruncFrobenius)) and not (_is_int(f.k) and f.k > 0):
+            raise ValueError(f"weight cutoff k must be a positive integer, not {f.k!r}")
     if not functionals:
         return []
 

@@ -181,6 +181,8 @@ class ProductState:
         for r in self.bloch:
             if len(r) != 3:
                 raise ValueError("each Bloch vector needs three components")
+            if not all(map(math.isfinite, r)):
+                raise ValueError(f"Bloch vector {r} has a non-finite component")
             if r[0] * r[0] + r[1] * r[1] + r[2] * r[2] > 1.0 + 1e-9:
                 raise ValueError(f"Bloch vector {r} lies outside the unit ball")
 

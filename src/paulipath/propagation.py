@@ -21,21 +21,23 @@ stable sort: in place, of each row shifted over its index, when 2n + wb +
 bits(m - 1) <= 64 (at most three m-row columns alive), else by ``lexsort``.
 
 ``_compile`` turns a circuit into its backward program in one pass, one step
-per gate, noise round and weight boundary.  A fixed Clifford and a noised
+per gate, noise round and weight boundary, in no consumer's layout: a
+rotation is its integer x/z masks and angle.  A fixed Clifford and a noised
 qubit share one kernel: a slot table built by ``_local_step`` from the
-forward PTM, where slot s of an input is its s-th non-zero output, as XOR
-deltas, a coefficient and a sampling threshold per input.  The engine
-applies slot 0 in place and appends each further slot; the walk applies slot
-0 and draws among the rest.  ``backpropagate``, the one engine entry, packs
-its seed, translates the steps to packed words once per call, runs them on
-sampled circuits, unpacks its result and rejects a template at entry.  The
-Monte Carlo walk in ``montecarlo`` samples paths, placeholders included,
-through the same program on bit planes (noise rounds read from their
-channels' PTMs), each fixed Clifford's planes mapped as ``_clifford`` maps
-masks.  Weights accumulate only under a path-weight cutoff; without one
-every row has weight 0.  The run at cutoff k_max holds the run at every
-smaller k as its rows with w < k, and ``kept_below(k)`` returns that run as
-a result of its own, so a k-sweep needs one pass.
+forward PTM, where slot s of an input is its s-th non-zero output, as a
+joint bit-pair code, a coefficient and a sampling threshold per input.  The
+engine applies slot 0 in place and appends each further slot; the walk
+applies slot 0 and draws among the rest.  ``backpropagate``, the one engine
+entry, packs its seed, translates each step once per call into packed words
+(``_packed``), runs them on sampled circuits, unpacks its result and rejects
+a template at entry.  The Monte Carlo walk in ``montecarlo`` translates the
+same program once into bit-plane indices and samples paths through it,
+placeholders included (noise rounds read from their channels' PTMs, each
+fixed Clifford's planes mapped as its slot 0 maps single bits).  Weights
+accumulate only under a path-weight cutoff; without one every row has weight
+0.  The run at cutoff k_max holds the run at every smaller k as its rows
+with w < k, and ``kept_below(k)`` returns that run as a result of its own,
+so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
@@ -45,6 +47,7 @@ x/z columns (``_bloch_scale``, which the walk's functionals share).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
@@ -59,6 +62,11 @@ from .circuits import (
     clifford_forward_ptm,
 )
 from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
+
+
+def _is_int(value) -> bool:
+    """An integer (numpy's too) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -79,13 +87,16 @@ class TruncationConfig:
     current_weight_cutoff: int | None = None
 
     def __post_init__(self) -> None:
-        if self.path_weight_cutoff is not None and self.path_weight_cutoff <= 0:
-            raise ValueError("path weight cutoff must be positive")
-        if self.coeff_cutoff < 0.0:
-            raise ValueError("coefficient cutoff must be nonnegative")
-        for c in (self.xy_count_cutoff, self.current_weight_cutoff):
-            if c is not None and c <= 0:
-                raise ValueError("count cutoffs must be positive")
+        """Reject a cutoff of the wrong type or range, naming its field; store ints and a float."""
+        for name in ("path_weight_cutoff", "xy_count_cutoff", "current_weight_cutoff"):
+            c = getattr(self, name)
+            if c is not None and not (_is_int(c) and c > 0):
+                raise ValueError(f"{name} must be a positive integer or None, not {c!r}")
+            object.__setattr__(self, name, None if c is None else int(c))
+        c = self.coeff_cutoff
+        if isinstance(c, bool) or not isinstance(c, numbers.Real) or not 0.0 <= c < math.inf:
+            raise ValueError(f"coeff_cutoff must be a finite nonnegative number, not {c!r}")
+        object.__setattr__(self, "coeff_cutoff", float(c))
 
 
 EXACT = TruncationConfig()
@@ -187,10 +198,10 @@ def _local_step(support: tuple[int, ...], source) -> tuple:
     Inputs are joint bit pairs (support[0] in the high bits); the forward
     PTM re-indexed by them lists input i's adjoint image over outputs in
     joint site-code order.  Slot s of input i is its s-th non-zero output,
-    as ``(deltas, coeffs, thresholds)`` tables indexed by input:
+    as ``(codes, coeffs, thresholds)`` tables indexed by input:
 
-    - ``deltas``, XOR tables ``(word, dx, dz)`` per support word that take
-      the input (slot 0), or the output of slot s - 1, to this output;
+    - ``codes``, the output as a joint bit pair (uint8); an input with no
+      slot s keeps its output of slot s - 1;
     - ``coeffs``, the output's coefficient: 0 where the input has no slot s,
       and the identity input has one slot, itself with coefficient 1.  An
       input of zero squared norm (a dead one, or one whose coefficients
@@ -204,7 +215,7 @@ def _local_step(support: tuple[int, ...], source) -> tuple:
     arguments (a channel by identity), so every table is read-only.
     """
     shifts = (2, 0)[2 - len(support):]  # of each support qubit's pair in a joint code
-    size, words = 4 ** len(support), sorted({q >> 6 for q in support})
+    size = 4 ** len(support)
     # joint site code of each joint bit pair, and back: the map is an involution
     flip = [sum(BITS_TO_CODE[(i >> s) & 3] << s for s in shifts) for i in range(size)]
     ptm = clifford_forward_ptm(source) if isinstance(source, str) else source.forward_ptm()
@@ -222,43 +233,31 @@ def _local_step(support: tuple[int, ...], source) -> tuple:
         out = [(flip[o], c, share[i, o - 1] if o else 0.0) for o, c in enumerate(rows[i]) if c]
         outs.append(out if norm[i] > 0.0 else [(0, 0.0, 0.0), *out])
 
-    slots, prev = [], list(range(size))  # each input's current output
+    slots, codes = [], np.arange(size, dtype=np.uint8)
     for s in range(max(map(len, outs))):
-        deltas = [(j, np.zeros(size, np.uint64), np.zeros(size, np.uint64)) for j in words]
-        coeffs, thresholds = np.zeros(size), np.ones(size)
+        codes, coeffs, thresholds = codes.copy(), np.zeros(size), np.ones(size)
         for i, out in enumerate(outs):
-            if s >= len(out):
-                continue
-            o, coeffs[i], thresholds[i] = out[s]
-            diff, prev[i] = prev[i] ^ o, o
-            # a pair's x bit is bit t of the joint code and its z bit is bit t + 1
-            d = [sum(((diff >> (t + b)) & 1) << q for q, t in zip(support, shifts)) for b in (0, 1)]
-            for j, dx, dz in deltas:
-                dx[i], dz[i] = ((v >> 64 * j) & _WORD for v in d)
-        for _, dx, dz in deltas:
-            dx.flags.writeable = dz.flags.writeable = False
-        slots.append((tuple(deltas), _frozen(coeffs), _frozen(thresholds)))
+            if s < len(out):
+                codes[i], coeffs[i], thresholds[i] = out[s]
+        slots.append((_frozen(codes), _frozen(coeffs), _frozen(thresholds)))
     return ("local", support, tuple(slots), _frozen(norm))
 
 
 def _compile(circuit: Circuit, crossed: bool = False) -> list:
-    """The backward program: the circuit as steps on word-major x/z masks.
+    """The backward program: the circuit as steps in no consumer's layout.
 
     The final layer comes first, then the layers from the last, each noise
-    round before its layer's gates.  The engine and the walk run these steps:
+    round before its layer's gates.  The engine and the walk each translate
+    these steps once into their own layout (``_packed``, ``_walk_program``):
 
-    - ``("rot", reads, writes, phase, angle)``, a Pauli rotation (``angle``
-      None for a uniform placeholder).  A mask anticommutes with the
-      generator when the reads ``(side, word, bits)`` (side 0 the x masks,
-      side 1 the z masks) select an odd number of set bits; multiplying
-      by the generator XORs the writes in.  ``phase`` is popcount(gx & gz).
+    - ``("rot", gx, gz, angle)``, a Pauli rotation by the generator with
+      integer x and z masks gx, gz (qubit q in bit q); ``angle`` is None
+      for a uniform placeholder.
     - ``("local", support, slots, norm)``, a fixed Clifford on its
       support: the slot tables built by ``_local_step`` from its PTM.
     - ``("noise", ((q, channel), ...))``, a noise round: each noised
       qubit (identity channels left out) with its channel, in qubit order.
-    - ``("ucliff", q, bit, tx, tz)``, a uniformly random single-qubit
-      Clifford: ``bit`` is qubit q's bit in its word, and ``tx``/``tz``
-      that bit's x and z values for each site code 1..3 (index 0 unused).
+    - ``("ucliff", q)``, a uniformly random Clifford on qubit q.
     - ``("boundary",)``, the weight boundary, before every noise round
       but the first one the walk crosses (``crossed`` says the walk
       crossed one before this circuit), and ``("layer_end",)`` after
@@ -276,24 +275,11 @@ def _compile(circuit: Circuit, crossed: bool = False) -> list:
             )))
         for gate in layer.gates:
             if isinstance(gate, PauliRotation):
-                gx, gz = gate.embedded_masks()
-                reads, writes = [], []
-                for j in sorted({q >> 6 for q in gate.support}):
-                    wx = np.uint64((gx >> (64 * j)) & _WORD)
-                    wz = np.uint64((gz >> (64 * j)) & _WORD)
-                    reads += [(side, j, w) for side, w in ((0, wz), (1, wx)) if w]
-                    writes += [(side, j, w) for side, w in ((0, wx), (1, wz)) if w]
-                phase = (gx & gz).bit_count()
-                steps.append(("rot", tuple(reads), tuple(writes), phase, gate.angle))
+                steps.append(("rot", *gate.embedded_masks(), gate.angle))
             elif isinstance(gate, CliffordGate):
                 steps.append(_local_step(gate.support, gate.name))
             elif isinstance(gate, RandomSingleQubitClifford):
-                bit = 1 << (gate.qubit & 63)
-                tx, tz = (
-                    np.array([bit * ((bp >> b) & 1) for bp in BITS_TO_CODE], dtype=np.uint64)
-                    for b in (0, 1)
-                )
-                steps.append(("ucliff", gate.qubit, np.uint64(bit), tx, tz))
+                steps.append(("ucliff", gate.qubit))
             else:  # pragma: no cover - exhaustive over gate variants
                 raise ValueError(f"unsupported gate {gate!r}")
         steps.append(("layer_end",))
@@ -418,42 +404,6 @@ def _popcount(v: np.ndarray) -> np.ndarray:
     return np.bitwise_count(v).sum(axis=0, dtype=np.int64)
 
 
-def _site(x: np.ndarray, z: np.ndarray, q: int, out=None) -> tuple[int, np.uint64, np.ndarray]:
-    """Word index, bit shift and int64 bit-pair code x_q | z_q << 1 of qubit q.
-
-    The code is built in place in ``out``, a pair of uint64 rows (fresh
-    ones when None), and returned as a view of the first.
-    """
-    j, s = q >> 6, np.uint64(q & 63)
-    a, b = out if out is not None else (np.empty_like(x[j]), np.empty_like(z[j]))
-    np.right_shift(x[j], s, out=a)
-    a &= 1
-    np.right_shift(z[j], s, out=b)
-    b &= 1
-    b <<= 1
-    a |= b
-    return j, s, a.view(np.int64)
-
-
-def _clifford(paths, support, deltas, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Apply a Clifford's XOR deltas to the paths in place.
-
-    ``a``, ``b`` and ``c`` are uint64 scratch rows; the joint input bit
-    pair code is returned as an int64 view of ``a``.
-    """
-    x, z = paths
-    code = _site(x, z, support[0], (a, b))[2]
-    if len(support) == 2:
-        code <<= 2
-        code |= _site(x, z, support[1], (c, b))[2]
-    # the tables are tiny and every code is in range; mode="clip" only keeps
-    # np.take from buffering its output
-    for j, dx, dz in deltas:
-        x[j] ^= np.take(dx, code, out=b, mode="clip")
-        z[j] ^= np.take(dz, code, out=b, mode="clip")
-    return code
-
-
 def _letters(p: np.ndarray, sites, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Joint bit-pair code of packed rows at sites ``(x word, x shift, z word, z shift)``, the first
     high, built in the uint64 row ``a`` (``b`` scratch) and returned as an int64 view of it."""
@@ -475,7 +425,9 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
     Masks become ``(word, bits)`` pairs and a qubit its site.  A rotation gets
     its reads and folds, each support site with its share of the sign exponent
     by bit-pair code, the signed sin by exponent mod 4, cos and sin; a local
-    step its sites and each slot's XOR tables by packed word and coefficients.
+    step its sites and, per slot, XOR tables by packed word that take each
+    input (slot 0), or its output of the slot before, to its output, and the
+    coefficients.
     """
     words, lo = (2 * n + wb + 63) // 64, (wb + n, wb)  # lo: of the x and z fields
 
@@ -487,10 +439,9 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
         return (*_bit(words, lo[0] + q), *_bit(words, lo[1] + q))
 
     if step[0] == "rot":
-        _kind, _reads, writes, phase, angle = step
-        gx, gz = (sum(int(v) << 64 * j for side, j, v in writes if side == s) for s in (0, 1))
-        # G*P = i^e * folded with e = phase + the sum over the support of
-        # x z - x2 z2 + 2 gz x (x2, z2 the folded bits), and i*G*P = i^(e+1) * folded
+        _kind, gx, gz, angle = step
+        # G*P = i^e * folded with e = popcount(gx & gz) + the sum over the support
+        # of x z - x2 z2 + 2 gz x (x2, z2 the folded bits), and i*G*P = i^(e+1) * folded
         letters = []
         for q in range((gx | gz).bit_length()):
             a, b = (gx >> q) & 1, (gz >> q) & 1
@@ -498,18 +449,22 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
                 share = [(x * z - (x ^ a) * (z ^ b) + 2 * b * x) & 3 for z in (0, 1) for x in (0, 1)]
                 letters.append((site(q), np.array(share, dtype=np.uint8)))  # summed mod 256
         cos_t, sin_t = _cos_sin(angle)
+        phase = (gx & gz).bit_count()
         signs = np.array([sin_t if (phase + r + 1) & 3 == 0 else -sin_t for r in range(4)])
         reads, folds = spread(gz << lo[0] | gx << lo[1]), spread(gx << lo[0] | gz << lo[1])
         return reads, folds, letters, signs, cos_t, sin_t
     _kind, support, slots, _norm = step
+    # each joint-code bit (a pair's x bit t, its z bit t + 1) at its packed row bit
+    moves = [(t + b, lo[b] + q) for q, t in zip(support, (2, 0)[2 - len(support):]) for b in (0, 1)]
     size, packed = 4 ** len(support), []
-    for deltas, coeffs, _thresholds in slots:
+    prev = range(size)  # slot 0 moves each input from itself
+    for codes, coeffs, _thresholds in slots:
         tables: dict = {}
-        for i in range(size):
-            v = sum((int(dx[i]) << lo[0] | int(dz[i]) << lo[1]) << 64 * j for j, dx, dz in deltas)
-            for j, bits in spread(v):
+        for i, diff in enumerate(int(a ^ b) for a, b in zip(prev, codes)):
+            for j, bits in spread(sum(((diff >> t) & 1) << r for t, r in moves)):
                 tables.setdefault(j, np.zeros(size, dtype=np.uint64))[i] = bits
         packed.append((tuple(tables.items()), coeffs))
+        prev = codes
     return tuple(site(q) for q in support), tuple(packed)
 
 
@@ -728,7 +683,8 @@ def _bloch_scale(
     """
     table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
     for q in range(state.n):
-        vals *= table[q][_site(x, z, q)[2]]
+        j, s = q >> 6, np.uint64(q & 63)
+        vals *= table[q][(x[j] >> s) & 1 | ((z[j] >> s) & 1) << 1]
     return vals
 
 

@@ -22,14 +22,19 @@ parameters whose names start with ``_``.  No function declares a
 that a function rebinds.  Every module parses as Python of the
 ``requires-python`` floor in ``pyproject.toml`` (``ast.parse`` with that
 ``feature_version``), so syntax that only a newer interpreter accepts is
-caught on whatever interpreter runs the tests.  Only the standard
-library's ``ast`` is used.
+caught on whatever interpreter runs the tests.  Every private name that a
+docstring or comment in ``src/``, or the README, puts in backticks
+(``_name`` or ``module._name``) is defined somewhere in ``src/``, so the
+docs cannot go on describing a helper that was deleted.  Only the standard
+library's ``ast`` and ``tokenize`` are used.
 """
 
 import ast
 import collections
+import io
 import pathlib
 import re
+import tokenize
 
 import pytest
 
@@ -399,3 +404,69 @@ def test_checker_flags_syntax_above_the_floor():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_parses_at_the_python_floor(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=python_floor())
+
+
+def _docs_and_comments(source: str) -> str:
+    """A module's docstrings and comments, one after another."""
+    docs = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return "\n".join([d for d in docs if d] + [t.string for t in tokens if t.type == tokenize.COMMENT])
+
+
+def _defined_names(source: str) -> set[str]:
+    """Names a module defines: functions, classes, assigned names and attributes, parameters."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def stale_private_names(modules: dict[str, str], texts: dict[str, str]) -> list[str]:
+    """``file: name`` for each private name in backticks that no module defines.
+
+    ``modules`` maps a module's file name to its source, whose docstrings
+    and comments are read; ``texts`` maps a document's file name to its
+    text, read whole.  A name is private when it starts with ``_``, alone
+    or after a dotted prefix (``module._name``).
+    """
+    defined = set().union(*map(_defined_names, modules.values()))
+    read = {**{m: _docs_and_comments(s) for m, s in modules.items()}, **texts}
+    return [
+        f"{name}: {private}"
+        for name, text in read.items()
+        for private in sorted(set(re.findall(r"`(?:\w+\.)*(_\w+)`", text)))
+        if private not in defined
+    ]
+
+
+def test_checker_flags_a_stale_private_name():
+    # a docstring, a comment and a document that still name a deleted helper;
+    # a private name in code or outside backticks is not a mention
+    lib = (
+        '"""Paths are mapped as ``_clifford`` maps masks, then ``_site``."""\n\n'
+        "def _site(x):\n"
+        '    """Read through ``lib._table``."""\n'
+        "    return _clifford(x)  # see `_table` and _gone\n\n"
+        "class Frontier:\n    def __init__(self):\n        self._table = '`_text`'\n"
+    )
+    readme = "The walk maps planes as `lib._clifford` does; `_site` reads ``__init__``.\n"
+    assert stale_private_names({"lib.py": lib}, {"README.md": readme}) == [
+        "lib.py: _clifford",
+        "README.md: _clifford",
+    ]
+
+
+def test_no_stale_private_names_in_docs():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert stale_private_names(modules, {"README.md": (ROOT / "README.md").read_text()}) == []

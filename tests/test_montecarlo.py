@@ -35,18 +35,15 @@ from paulipath.montecarlo import (
     _masks,
     _planes,
     _seed_paths,
-    _site_slots,
     _walk_chunk,
     _walk_program,
 )
-from paulipath.pauli import BITS_TO_CODE
 from paulipath.propagation import _compile, _local_step
 from gate_ensembles import rotation_ptm
 from helpers import rotation_forward_ptm
 from validation import validate_estimator
 
 from mc_reference_walk import cut_below, noise_round_steps, reference_walk
-from test_propagation import _run_slots
 from second_moment_ref import (
     second_moment_clifford,
     second_moment_noise,
@@ -231,6 +228,18 @@ class TestEstimate:
             estimate(Circuit(1, ()), PauliSum(1, []), Variance(ProductState.zeros(1)), 100, 0)
         with pytest.raises(ValueError):
             estimate(Circuit(1, ()), PauliSum.single("Z"), Variance(ProductState.zeros(1)), 1, 0)
+
+    @pytest.mark.parametrize(
+        "functional,samples,named",
+        [
+            (Variance(ProductState.zeros(1)), 2.5, "samples"),
+            (TruncFrobenius(2.5), 100, "cutoff k"),
+            (TruncFrobenius(True), 100, "cutoff k"),  # would run as k=1
+        ],
+    )
+    def test_errors_on_a_count_that_is_not_an_integer(self, functional, samples, named):
+        with pytest.raises(ValueError, match=named):
+            estimate(Circuit(1, ()), PauliSum.single("Z"), functional, samples, 0)
 
 
 def _rot(label, support, angle=None):
@@ -463,8 +472,8 @@ class TestNoiseRoundStep:
         for _, q, _, _, draws in rest:
             if draws:
                 u[q] = ref.random(m)
-        steps = [_site_slots(_local_step((q,), noise[q])) for q in sorted(noised)]
-        queue = [u.get(q, np.zeros(m)) for _, q, slots, _ in steps if len(slots) > 1]
+        steps = [_local_step((q,), noise[q]) for q in sorted(noised)]
+        queue = [u.get(q, np.zeros(m)) for _, (q,), slots, _ in steps if len(slots) > 1]
         q_planes, q_weight, q_k_factor = walk(steps, _Draws(queue))
 
         assert np.array_equal(planes, q_planes)
@@ -482,17 +491,16 @@ class TestNoiseRoundStep:
                                pre=SingleQubitPTM(rotation_ptm("X", 0.3))), 0)  # mixes Y and Z
     def test_letter_law_matches_local_step(self, ch, q):
         # the law read off the transfer matrix against the slots of the channel's own step
-        step = _local_step((q,), ch)
-        _, outs = _run_slots(step)
-        own = [BITS_TO_CODE[letter] for letter in _LETTERS]  # each letter's site code
-        mixes = any(code not in (0, c) for lt, c in zip(_LETTERS, own) for code, _ in outs[lt])
+        _, _, slots, norm = _local_step((q,), ch)
+        mixes = any(codes[lt] not in (0, lt) for lt in _LETTERS for codes, _, _ in slots)
         law = _letter_law(ch)
         assert (law is None) == mixes
         if law is None:
             return
-        assert np.array([norm for norm, _ in law]).tobytes() == step[3][list(_LETTERS)].tobytes()
-        for (_, chance), letter, c in zip(law, _LETTERS, own):
-            assert chance == next((t for code, t in outs[letter] if code == c), 1.0)
+        assert np.array([n for n, _ in law]).tobytes() == norm[list(_LETTERS)].tobytes()
+        for (_, chance), lt in zip(law, _LETTERS):
+            # a slot the letter lacks repeats its last code, so the first one that is L is L's own
+            assert chance == next((t[lt] for codes, _, t in slots if codes[lt] == lt), 1.0)
 
     def test_rotated_channel_keeps_its_local_step(self):
         damp, deph = make_amplitude_damping(0.2), make_dephasing(0.1)
@@ -502,7 +510,7 @@ class TestNoiseRoundStep:
         assert folded.post is not None
         template = Circuit(4, (Layer((), (damp, rotated, folded, damp)),))
         (_, (group, other)), local = _walk_program(template)
-        assert local[:2] == ("local", 1)
+        assert local is _local_step((1,), rotated)
         # qubits 0 and 3 share a law; 2 has its own, so it is a group of its own
         assert [g[0].tolist() for g in (group, other)] == [[0, 3], [2]]
         assert group[1] == (((1, 3), pytest.approx(0.8)), ((2,), pytest.approx(0.8**2 + 0.2**2)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,9 @@ class TestProductState:
     def test_invalid_bloch(self):
         with pytest.raises(ValueError):
             ProductState.from_vectors([(1.0, 1.0, 1.0)])
+        # NaN passes a unit-ball compare, and the overlap would be NaN
+        with pytest.raises(ValueError, match="non-finite"):
+            ProductState(((math.nan, 0.0, 0.0),))
 
     @pytest.mark.parametrize(
         "pairs,expected",

@@ -75,6 +75,24 @@ class TestTruncationConfig:
         with pytest.raises(ValueError):
             TruncationConfig(xy_count_cutoff=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("path_weight_cutoff", 2.5),  # would fail inside backpropagate
+            ("path_weight_cutoff", True),  # would run as k=1
+            ("xy_count_cutoff", 1.5),
+            ("coeff_cutoff", math.nan),  # would turn the coefficient filter off
+        ],
+    )
+    def test_rejects_a_bad_cutoff_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TruncationConfig(**{field: value})
+
+    def test_stores_numpy_integers_as_ints(self):
+        trunc = TruncationConfig(np.int64(5), np.float32(0.5), np.int32(3))
+        assert trunc == TruncationConfig(5, 0.5, 3)
+        assert type(trunc.path_weight_cutoff) is int and type(trunc.coeff_cutoff) is float
+
     def test_json_round_trip(self):
         obj = {"k": 30, "coeff_cutoff": 2**-23, "xy_cutoff": 5, "current_weight_cutoff": None}
         assert _resolve_trunc({"truncation": obj}) == TruncationConfig(30, 2**-23, 5, None)
@@ -706,8 +724,9 @@ class TestBackwardOps:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_every_rotation_reads_each_qubit_of_its_support(self, data):
-        # a generator covers a qubit and is not the identity there, so a
-        # rotation step never has empty reads (``_odd_parity`` relies on it)
+        # a generator covers a qubit and is not the identity there, so the
+        # reads ``_packed`` makes of its masks are never empty (``_np_rotation``
+        # relies on it)
         support = tuple(
             data.draw(
                 st.lists(st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 129]),
@@ -718,9 +737,8 @@ class TestBackwardOps:
         angle = data.draw(st.one_of(st.none(), helpers.ANGLES))
         gate = PauliRotation(PauliString.from_label(label), support, angle)
         rot = [step for step in _compile(Circuit(130, (Layer((gate,)),))) if step[0] == "rot"]
-        assert len(rot) == 1 and rot[0][1]
-        read = {64 * j + b for _, j, w in rot[0][1] for b in range(64) if (int(w) >> b) & 1}
-        assert read == set(support)
+        ((_, gx, gz, _),) = rot
+        assert gx | gz == sum(1 << q for q in support)
 
 
 def _check_against_reference(data):
@@ -802,30 +820,18 @@ def _run_slots(step) -> tuple[np.ndarray, list]:
     """
     _kind, support, slots, _norm = step
     shifts = (2, 0)[2 - len(support):]
-    support_bits = {}  # word -> bits of the support in it
-    for q in support:
-        support_bits[q >> 6] = support_bits.get(q >> 6, 0) | 1 << (q & 63)
     size = 4 ** len(support)
+    assert all(codes.dtype == np.uint8 and codes.max() < size for codes, _, _ in slots)
     ptm, outs = np.zeros((size, size)), []
     for i in range(size):
-        masks = {j: [0, 0] for j in support_bits}
-        for q, t in zip(support, shifts):
-            masks[q >> 6][0] |= ((i >> t) & 1) << (q & 63)
-            masks[q >> 6][1] |= ((i >> (t + 1)) & 1) << (q & 63)
-        out = []
-        for deltas, coeffs, thresholds in slots:
+        out, prev = [], i
+        for codes, coeffs, thresholds in slots:
             if out and coeffs[i] == 0.0:
-                # no slot s: nothing moves
-                assert all(dx[i] == dz[i] == 0 for _, dx, dz in deltas)
+                # no slot s: the output stays that of slot s - 1
+                assert codes[i] == prev
                 continue
-            for j, dx, dz in deltas:
-                masks[j][0] ^= int(dx[i])
-                masks[j][1] ^= int(dz[i])
-            assert all(v & ~support_bits[j] == 0 for j, m in masks.items() for v in m)
-            code = 0
-            for q, t in zip(support, shifts):
-                x, z = ((v >> (q & 63)) & 1 for v in masks[q >> 6])
-                code |= BITS_TO_CODE[x | z << 1] << t
+            prev = int(codes[i])
+            code = sum(BITS_TO_CODE[(prev >> t) & 3] << t for t in shifts)
             ptm[i, code] += coeffs[i]
             out.append((code, thresholds[i]))
         outs.append(out)
