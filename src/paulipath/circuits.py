@@ -142,6 +142,8 @@ class PauliRotation:
                 f"'generator' {self.generator.label()!r} must be X, Y or Z on each of the "
                 f"'support' qubits {list(self.support)}"
             )
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"'angle' must be finite or None, not {self.angle!r}")
 
     def embedded_masks(self) -> tuple[int, int]:
         gx = gz = 0

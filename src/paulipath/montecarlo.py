@@ -390,7 +390,7 @@ def _walk_chunk(program, terms, seed_weights, probs, norm_sq, m, rng):
     weight += boundaries.counts(m)
     for norm, tally in exponents.items():
         e = tally.counts(m)
-        k_factor *= np.take(norm ** np.arange(int(e.max()) + 1), e)
+        k_factor *= (norm ** np.arange(int(e.max()) + 1))[e]
     return planes, weight, k_factor
 
 

@@ -127,7 +127,9 @@ class PauliSum:
         for p, c in items:
             if p.n != n:
                 raise QubitCountMismatch(f"term on {p.n} qubits in a {n}-qubit sum")
-            acc[p] = acc.get(p, 0.0) + float(c)
+            if not math.isfinite(c := float(c)):
+                raise ValueError(f"coefficient of {p.label()} must be finite, not {c!r}")
+            acc[p] = acc.get(p, 0.0) + c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", {p: c for p, c in acc.items() if c != 0.0})
 

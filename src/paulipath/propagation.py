@@ -41,7 +41,9 @@ so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
 results and Pauli sums alike: one Bloch-table lookup per qubit on the
-x/z columns (``_bloch_scale``, which the walk's functionals share).
+x/z columns (``_bloch_scale``, which the walk's functionals share), after
+it drops the rows whose overlap is exactly 0 (X or Y on a qubit with
+r_x = r_y = 0) unless their coefficient is infinite or NaN.
 """
 
 from __future__ import annotations
@@ -348,8 +350,8 @@ class _Frontier:
         if not cs:
             return
         self.p = np.concatenate((self.p, *ps), axis=1)
+        ps.clear()  # a kernel's own lists: free each column's blocks once joined
         self.c = np.concatenate((self.c, *cs))
-        ps.clear()  # a kernel's own lists: free the blocks before a merge
         cs.clear()
         if len(self.c) > 4 * max(self.merged_len, _MERGE_FLOOR):
             self.merge()
@@ -423,11 +425,14 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
     """A ``rot`` or ``local`` step's kernel arguments on rows packed with wb weight bits.
 
     Masks become ``(word, bits)`` pairs and a qubit its site.  A rotation gets
-    its reads and folds, each support site with its share of the sign exponent
-    by bit-pair code, the signed sin by exponent mod 4, cos and sin; a local
-    step its sites and, per slot, XOR tables by packed word that take each
-    input (slot 0), or its output of the slot before, to its output, and the
-    coefficients.
+    its reads and folds, sign groups, cos and sin.  The groups split its
+    support sites in fours, in qubit order, each with a table by the joint
+    code of its sites: an earlier group's (uint8) gives its sites' share of
+    the sign exponent mod 4, and the last group's (float64) the signed sin
+    at ``(the earlier shares' sum & 3) << 2g | joint code``, g its sites.  A
+    local step gets its sites and, per slot, XOR tables by packed word that
+    take each input (slot 0), or its output of the slot before, to its
+    output, and the coefficients.
     """
     words, lo = (2 * n + wb + 63) // 64, (wb + n, wb)  # lo: of the x and z fields
 
@@ -442,17 +447,26 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
         _kind, gx, gz, angle = step
         # G*P = i^e * folded with e = popcount(gx & gz) + the sum over the support
         # of x z - x2 z2 + 2 gz x (x2, z2 the folded bits), and i*G*P = i^(e+1) * folded
-        letters = []
+        shares = []
         for q in range((gx | gz).bit_length()):
             a, b = (gx >> q) & 1, (gz >> q) & 1
             if a or b:
                 share = [(x * z - (x ^ a) * (z ^ b) + 2 * b * x) & 3 for z in (0, 1) for x in (0, 1)]
-                letters.append((site(q), np.array(share, dtype=np.uint8)))  # summed mod 256
+                shares.append((site(q), share))
         cos_t, sin_t = _cos_sin(angle)
         phase = (gx & gz).bit_count()
-        signs = np.array([sin_t if (phase + r + 1) & 3 == 0 else -sin_t for r in range(4)])
+        groups = []
+        for i in range(0, len(shares), 4):
+            sites, tables = zip(*shares[i : i + 4])
+            shifts = range(2 * len(sites) - 2, -1, -2)  # of each site's pair in a joint code
+            e = [sum(t[(c >> s) & 3] for t, s in zip(tables, shifts)) & 3 for c in range(4 ** len(sites))]
+            if i + 4 < len(shares):
+                groups.append((sites, np.array(e, dtype=np.uint8)))  # summed mod 256
+            else:
+                signs = [sin_t if (phase + r + v + 1) & 3 == 0 else -sin_t for r in range(4) for v in e]
+                groups.append((sites, np.array(signs)))
         reads, folds = spread(gz << lo[0] | gx << lo[1]), spread(gx << lo[0] | gz << lo[1])
-        return reads, folds, letters, signs, cos_t, sin_t
+        return reads, folds, tuple(groups), cos_t, sin_t
     _kind, support, slots, _norm = step
     # each joint-code bit (a pair's x bit t, its z bit t + 1) at its packed row bit
     moves = [(t + b, lo[b] + q) for q, t in zip(support, (2, 0)[2 - len(support):]) for b in (0, 1)]
@@ -468,7 +482,7 @@ def _packed(step: tuple, n: int, wb: int) -> tuple:
     return tuple(site(q) for q in support), tuple(packed)
 
 
-def _np_rotation(f: _Frontier, reads, folds, letters, signs, cos_t: float, sin_t: float) -> tuple:
+def _np_rotation(f: _Frontier, reads, folds, groups, cos_t: float, sin_t: float) -> tuple:
     """Scale the anticommuting rows by cos in place; return their sin branch for ``_Frontier.append``."""
     # reads is never empty: a generator covers a qubit and is not the identity there
     (j, bits), *rest = reads
@@ -486,14 +500,20 @@ def _np_rotation(f: _Frontier, reads, folds, letters, signs, cos_t: float, sin_t
     if sin_t != 0.0:
         pa = np.take(f.p, rows, axis=1)
         a, b = np.empty(len(rows), dtype=np.uint64), np.empty(len(rows), dtype=np.uint64)
-        (site, share), *more = letters
-        e = share[_letters(pa, (site,), a, b)]
-        for site, share in more:
-            e += share[_letters(pa, (site,), a, b)]
-        a = b = None  # freed before the sign column
+        *head, (sites, signs) = groups
+        e = 0
+        for group, shares in head:
+            e = shares[_letters(pa, group, a, b)] + e  # uint8: wraps mod 256, so mod 4 holds
+        code = _letters(pa, sites, a, b)
+        if head:
+            np.bitwise_and(e, 3, out=b)
+            b <<= np.uint64(2 * len(sites))
+            a |= b
+        # the signed sin lands in b: no further column
+        sa = np.take(signs, code, out=b.view(np.float64), mode="clip")
+        a = b = code = None
         for j, bits in folds:
             pa[j] ^= bits
-        sa = signs[e & 3]
         branch = ([pa], [np.multiply(sa, ca, out=sa)])
     if cos_t == 0.0:
         f.select(~anti)
@@ -538,7 +558,10 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         stats.paths_discarded_by_coeff += int(bad.sum())
         keep &= ~bad
     if trunc.xy_count_cutoff is not None:
-        bad = (_popcount(f.field(f.wb + f.n, f.n)) > trunc.xy_count_cutoff) & keep
+        # X/Y sites: the set bits of the x field, in the words that hold it
+        j = _bit(len(f.p), f.wb + f.n)[0] + 1
+        x_field = _split_words([((1 << f.n) - 1) << (f.wb + f.n)], 64 * len(f.p))[::-1][:j]
+        bad = (_popcount(f.p[:j] & x_field) > trunc.xy_count_cutoff) & keep
         stats.paths_discarded_by_xy += int(bad.sum())
         keep &= ~bad
     if trunc.current_weight_cutoff is not None:
@@ -604,6 +627,8 @@ def backpropagate(
     """
     if engine not in ("auto", "numpy"):
         raise ValueError(f"unknown engine {engine!r}")
+    if max_terms is not None and not (_is_int(max_terms) and max_terms > 0):
+        raise ValueError(f"max_terms must be a positive integer or None, not {max_terms!r}")
     if circuit.is_template():
         raise ValueError("circuit has unresolved ensemble placeholders")
     if seed.n != circuit.n:
@@ -626,6 +651,8 @@ def backpropagate(
         _drop_heavy(f, k, stats)
         _np_aux_filter(f, trunc, stats)
     stats.peak_term_count = len(f)
+    if max_terms is not None and len(f) > max_terms:
+        raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
 
     packed: dict = {}  # id(step) -> (step, its kernel arguments): one translation per call
 
@@ -684,7 +711,8 @@ def _bloch_scale(
     table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
     for q in range(state.n):
         j, s = q >> 6, np.uint64(q & 63)
-        vals *= table[q][(x[j] >> s) & 1 | ((z[j] >> s) & 1) << 1]
+        code = (x[j] >> s) & 1 | ((z[j] >> s) & 1) << 1
+        vals *= table[q][code.view(np.int64)]
     return vals
 
 
@@ -693,7 +721,8 @@ def expectation(obs: PauliSum | BackpropResult, state: ProductState) -> float:
 
     This is the package's one product-state overlap: ``_bloch_scale`` on
     the word-major x/z columns (a result's own, a sum's from
-    ``_seed_columns``), summed with ``math.fsum``.
+    ``_seed_columns``) of the rows whose overlap is not exactly 0, summed
+    with ``math.fsum``.
     """
     if obs.n != state.n:
         raise QubitCountMismatch(f"observable on {obs.n} qubits, state on {state.n}")
@@ -701,7 +730,15 @@ def expectation(obs: PauliSum | BackpropResult, state: ProductState) -> float:
         x, z, c = obs.x, obs.z, obs.c
     else:
         x, z, _, c = _seed_columns(obs)
-    return math.fsum(_bloch_scale(np.array(c, dtype=np.float64), x, z, state).tolist())
+    c = np.array(c, dtype=np.float64)
+    # X or Y on a qubit with r_x = r_y = 0 makes a row's overlap exactly 0, which
+    # adds nothing to the sum; a non-finite coefficient stays (inf * 0 is NaN)
+    dead_qubits = sum(1 << q for q, (rx, ry, _) in enumerate(state.bloch) if rx == ry == 0.0)
+    dead = _split_words([dead_qubits], obs.n)
+    if dead.any():
+        keep = ~((x & dead).any(axis=0) & np.isfinite(c))
+        x, z, c = np.compress(keep, x, axis=1), np.compress(keep, z, axis=1), c[keep]
+    return math.fsum(_bloch_scale(c, x, z, state).tolist())
 
 
 # the name Pauli-sum callers look up (``experiments``, and the benchmark's

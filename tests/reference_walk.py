@@ -216,6 +216,8 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
         rows = _aux_filter(rows, trunc, stats)
         crossed = False
     stats.peak_term_count = len(rows)
+    if max_terms is not None and len(rows) > max_terms:
+        raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
     floor = propagation._MERGE_FLOOR
 
     def grown(rows: list) -> list:

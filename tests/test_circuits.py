@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import os
 import pathlib
 import subprocess
@@ -151,6 +152,12 @@ class TestGateValidation:
             PauliRotation(PauliString.from_label("XI"), (0, 1), 0.1)
         with pytest.raises(ValueError):
             PauliRotation(PauliString.from_label("X"), (0, 1), 0.1)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rotation_rejects_a_non_finite_angle(self, angle):
+        # a NaN angle used to reach backpropagate and turn every coefficient NaN
+        with pytest.raises(ValueError, match="'angle' must be finite"):
+            PauliRotation(PauliString.from_label("X"), (0,), angle)
 
     def test_clifford_arity(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,11 @@ class TestPauliSum:
         with pytest.raises(QubitCountMismatch):
             PauliSum(2, [(PauliString.from_label("X"), 1.0)])
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="coefficient of XZ must be finite"):
+            PauliSum.from_strings([("ZI", 1.0), ("XZ", c)])
+
 
 class TestProductState:
     def test_zeros(self):

@@ -41,7 +41,10 @@ from paulipath.pauli import BITS_TO_CODE
 from paulipath import propagation
 from paulipath.propagation import (
     EXACT,
+    BackpropResult,
+    BackpropStats,
     FrontierOverflowError,
+    _bloch_scale,
     _compile,
     _Frontier,
     _local_step,
@@ -262,6 +265,18 @@ class TestBackpropagate:
         with pytest.raises(FrontierOverflowError):
             WALKS[engine](circuit, PauliSum.single("ZIII"), max_terms=2)
 
+    @pytest.mark.parametrize("max_terms", [0, -1, 2.5, True])
+    def test_max_terms_must_be_a_positive_integer(self, max_terms):
+        with pytest.raises(ValueError, match="max_terms"):
+            backpropagate(rx_damping_circuit(), PauliSum.single("Z"), max_terms=max_terms)
+
+    def test_max_terms_checks_the_seed_at_entry(self):
+        # an empty circuit has no layer end, where the frontier is checked next
+        seed = PauliSum.from_strings([("Z", 1.0), ("X", 0.5)])
+        with pytest.raises(FrontierOverflowError):
+            backpropagate(Circuit(1, ()), seed, max_terms=1)
+        assert len(backpropagate(Circuit(1, ()), seed, max_terms=np.int64(2)).c) == 2
+
     def test_engine_option(self):
         obs = PauliSum.single("Z")
         for engine in ("auto", "numpy"):
@@ -424,6 +439,54 @@ class TestResultSurface:
         for arg in (obs, res):
             with pytest.raises(QubitCountMismatch):
                 expectation(arg, wrong)
+
+
+class TestPrunedOverlap:
+    """``expectation`` drops the rows whose overlap is exactly 0 and sums the rest bit for bit
+    as the full product over every row does."""
+
+    @staticmethod
+    def full_product(res: BackpropResult, state: ProductState) -> float:
+        return math.fsum(_bloch_scale(res.c.copy(), res.x, res.z, state).tolist())
+
+    @staticmethod
+    def result(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> BackpropResult:
+        w = np.zeros(len(c), dtype=np.int64)
+        return BackpropResult(n, x, z, w, c, BackpropStats(), EXACT, False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_full_product(self, data):
+        n = data.draw(st.sampled_from([1, 2, 5, 16, 63, 64, 65, 130]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a qubit is dead (r_x = r_y = 0: X and Y overlap 0), lacks one of r_x, r_y, or has both
+        kind = st.sampled_from(["dead", "no x", "no y", "full"])
+        kinds = data.draw(st.lists(kind, min_size=n, max_size=n))
+        bloch = rng.uniform(-0.5, 0.5, (n, 3))
+        bloch[[kind in ("dead", "no x") for kind in kinds], 0] = 0.0
+        bloch[[kind in ("dead", "no y") for kind in kinds], 1] = 0.0
+        state = ProductState.from_vectors([tuple(map(float, r)) for r in bloch])
+        m, words = int(rng.integers(0, 200)), (n + 63) // 64
+        top = _split_words([(1 << n) - 1], n)
+        # sparse x (about one bit in eight), so that some rows avoid every dead qubit
+        x = rng.integers(0, 2**64, (3, words, m), dtype=np.uint64)
+        x = x[0] & x[1] & x[2] & top
+        z = rng.integers(0, 2**64, (words, m), dtype=np.uint64) & top
+        c = rng.standard_normal(m) * rng.choice([1e-300, 1.0, 1e300], m)
+        res = self.result(n, x, z, c)
+        assert expectation(res, state).hex() == self.full_product(res, state).hex()
+
+    @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+    def test_an_infinite_coefficient_on_a_zero_overlap_gives_nan(self):
+        # X on qubit 0 of |0>: the overlap is 0, but inf * 0 must reach the sum
+        x, z = np.array([[1, 0, 2]], dtype=np.uint64), np.array([[0, 1, 2]], dtype=np.uint64)
+        state = ProductState.zeros(2)
+        for c in ([math.inf, 0.5, 1.0], [-math.inf, 0.5, 1.0], [math.nan, 0.5, 1.0]):
+            res = self.result(2, x, z, np.array(c))
+            assert math.isnan(self.full_product(res, state))
+            assert math.isnan(expectation(res, state))
+        res = self.result(2, x, z, np.array([1e308, 0.5, 1.0]))
+        assert expectation(res, state) == self.full_product(res, state) == 0.5
 
 
 def _stat_totals(*results):
@@ -761,7 +824,36 @@ def _check_against_reference(data):
     assert np.array_equal(got.c, want.c) and got.stats == want.stats
 
 
+@st.composite
+def long_rotation_circuits(draw, k: int) -> Circuit:
+    """1-4 layers on k qubits, each one rotation on 1 to k of them, in drawn order, and a
+    noise round or none."""
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        support = draw(st.permutations(range(k)))[: draw(st.integers(1, k))]
+        label = "".join(draw(st.sampled_from("XYZ")) for _ in support)
+        gate = PauliRotation(PauliString.from_label(label), tuple(support), draw(helpers.ANGLES))
+        layers.append(Layer((gate,), draw(helpers.noise_rounds(k))))
+    return Circuit(k, tuple(layers))
+
+
 class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_long_generators_match_reference_walk(self, data):
+        # supports of up to 9 sites take up to three sign groups (``_packed``);
+        # n = 130 packs a row in 5 words, n <= 16 in one
+        n = data.draw(st.sampled_from([130, *range(1, 17)]))
+        pool = (0, 1, 62, 63, 64, 65, 127, 128, 129) if n == 130 else range(n)
+        sites = tuple(data.draw(st.permutations(pool))[: data.draw(st.integers(1, min(9, n)))])
+        trunc = data.draw(helpers.truncations())
+        circuit = helpers.embed_circuit(data.draw(long_rotation_circuits(len(sites))), sites, n)
+        obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
+        got = backpropagate(circuit, obs, trunc)
+        want = reference_backpropagate(circuit, obs, trunc)
+        _assert_same_frontier(got, want)
+        assert np.array_equal(got.c, want.c) and got.stats == want.stats
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_engine_matches_reference_walk(self, data):
