@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .channels import _PAULI_MATS, NormalFormChannel
-from .pauli import PauliString
+from .pauli import PauliString, _is_int
 
 _NAMED_UNITARIES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -225,8 +225,8 @@ class Circuit:
     final_layer: Layer | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"'n' must be at least 1, not {self.n}")
+        if not (_is_int(self.n) and self.n >= 1):
+            raise ValueError(f"'n' must be an integer of at least 1, not {self.n!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
         for layer in self.layers:
             self._check_layer(layer)
@@ -270,9 +270,10 @@ class Square:
     periodic: bool = False
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
+        if not all(_is_int(v) and v >= 1 for v in (self.rows, self.cols)):
             raise ValueError(
-                f"'rows' and 'cols' must be at least 1, not {self.rows} and {self.cols}"
+                f"'rows' and 'cols' must be integers of at least 1, "
+                f"not {self.rows!r} and {self.cols!r}"
             )
 
     @property
@@ -361,8 +362,8 @@ def build_hva(
     gates between consecutive noise rounds include an orthogonal
     rotation pair on every qubit.
     """
-    if blocks < 0:
-        raise ValueError(f"'blocks' must be nonnegative, not {blocks}")
+    if not (_is_int(blocks) and blocks >= 0):
+        raise ValueError(f"'blocks' must be a nonnegative integer, not {blocks!r}")
     if noise_placement not in ("per_round", "per_block"):
         raise ValueError(f"'noise_placement' {noise_placement!r} is not per_round or per_block")
     per_round = noise_placement == "per_round"
@@ -394,8 +395,8 @@ def build_trotter_tfim(
     evolution.  ``noise_placement`` is "per_layer" (after each of the
     three rounds) or "per_step" (once per step, after the closing round).
     """
-    if steps < 0:
-        raise ValueError(f"'steps' must be nonnegative, not {steps}")
+    if not (_is_int(steps) and steps >= 0):
+        raise ValueError(f"'steps' must be a nonnegative integer, not {steps!r}")
     if noise_placement not in ("per_layer", "per_step"):
         raise ValueError(f"'noise_placement' {noise_placement!r} is not per_layer or per_step")
     n = lattice.n_sites
@@ -415,7 +416,12 @@ def build_trotter_tfim(
 
 
 def sample_circuit(template: Circuit, seed: int) -> Circuit:
-    """Replace every ensemble placeholder by an independent draw; reproducible."""
+    """Replace every ensemble placeholder by an independent draw; reproducible.
+
+    ``seed`` is a nonnegative integer, else ``ValueError``.
+    """
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
     rng = np.random.default_rng(seed)
     names = clifford_group_1q()
 

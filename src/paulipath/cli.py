@@ -17,6 +17,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import subprocess
 import sys
@@ -54,13 +55,7 @@ from .montecarlo import (
     estimate as mc_estimate,
 )
 from .oracle import InfeasibleSizeError, simulate_exact
-from .pauli import (
-    PauliString,
-    PauliSum,
-    ProductState,
-    config_float,
-    config_int,
-)
+from .pauli import PauliString, PauliSum, ProductState, _is_int
 from .propagation import FrontierOverflowError, TruncationConfig, backpropagate, expectation
 
 
@@ -117,6 +112,20 @@ def _load_config(args) -> dict:
 # --- typed readers --------------------------------------------------------------------
 # A value reader takes ``(value, name)`` and a field reader ``(obj, key)``; each
 # returns the value as its type or raises a ValueError (exit 2) naming the field.
+
+
+def config_int(value, name: str) -> int:
+    """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def config_float(value, name: str) -> float:
+    """A finite real config value (not a boolean) as a float; else ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _int_value(obj: dict, key: str, *default) -> int:
@@ -328,6 +337,11 @@ def _resolve_state(spec, n: int) -> ProductState:
         raise ConfigError(f"'state' {exc}") from None
 
 
+def _pauli_sum(terms: list[dict]) -> PauliSum:
+    """``{pauli, coeff}`` terms as a Pauli sum, each coefficient a finite number."""
+    return PauliSum.from_strings([(t["pauli"], config_float(t["coeff"], "'coeff'")) for t in terms])
+
+
 def _resolve_observable(cfg: dict, n: int) -> PauliSum:
     """The ``observable``: ``{pauli, coeff}`` terms, each on the circuit's n qubits, not all 0."""
     terms = _list(cfg, "observable", _as_object, "{pauli, coeff} objects")
@@ -336,7 +350,7 @@ def _resolve_observable(cfg: dict, n: int) -> PauliSum:
             raise ConfigError(f"'pauli' {term['pauli']!r} is not a label on the circuit's {n} qubits")
     if not terms:
         raise ConfigError("'observable' has no terms")
-    observable = PauliSum.from_json_obj(terms)  # which reads the coefficients
+    observable = _pauli_sum(terms)
     if not observable:
         raise ConfigError("'observable' has no term with a non-zero 'coeff'")
     return observable

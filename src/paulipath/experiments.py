@@ -9,7 +9,7 @@ import numpy as np
 from .channels import _BUILDERS
 from .circuits import Square, build_hva, build_trotter_tfim
 from .montecarlo import TruncFrobenius, TruncMSE, estimate_many
-from .pauli import PauliString, PauliSum, ProductState
+from .pauli import PauliString, PauliSum, ProductState, _is_int
 from .propagation import TruncationConfig, backpropagate, expectation, expectation_product_state
 
 
@@ -111,8 +111,8 @@ def dynamics_series(
     resumes from row s-1's frontier through one more step: the series
     costs one pass over the circuit.
     """
-    if steps < 0:
-        raise ValueError(f"'steps' must be nonnegative, not {steps}")
+    if not (_is_int(steps) and steps >= 0):
+        raise ValueError(f"'steps' must be a nonnegative integer, not {steps!r}")
     observable = center_z(lattice)
     state = ProductState.zeros(lattice.n_sites)
     rows = [

@@ -32,11 +32,15 @@ chance of going to I (from the transfer matrix).  Three draw rules:
   ``random()`` double reaches) unpack their qubit.
 
 A weight boundary adds the ``x | z`` planes into a bit-sliced counter.
-Draws come from an SFC64 generator seeded by the seed through
-``SeedSequence`` (any nonnegative integer); chunks draw one after another
-from its stream, so results are reproducible.  Every cutoff of a chunk is
-read from histograms over the weight.  The check of these estimates
-against direct circuit sampling is in ``tests/validation.py``.
+The seed's term planes are built from the Pauli strings' masks, and the
+``Variance`` and ``TruncMSE`` values read each qubit's codes x_q | z_q << 1
+from the planes for the overlap they share with the engine,
+``propagation._bloch_scale``.  Draws come from an SFC64 generator seeded by
+the seed through ``SeedSequence`` (any nonnegative integer, else
+``ValueError``); chunks draw one after another from its stream, so results
+are reproducible.  Every cutoff of a chunk is read from histograms over the
+weight.  The check of these estimates against direct circuit sampling is in
+``tests/validation.py``.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .circuits import Circuit
-from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
-from .propagation import _bloch_scale, _compile, _cos_sin, _is_int, _local_step, _seed_columns
+from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch, _is_int
+from .propagation import _bloch_scale, _compile, _cos_sin, _local_step
 
 _CHUNK = 1 << 17
 _LANES = np.dtype("<u8")  # a word of 64 paths; byte b holds paths 8b..8b+7
@@ -114,29 +118,15 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.pad(packed, [(0, 0)] * (packed.ndim - 1) + [(0, -packed.shape[-1] % 8)]).view(_LANES)
 
 
-def _planes(masks: np.ndarray, n: int) -> np.ndarray:
-    """Word-major ``(2, W, m)`` x/z masks as ``(2, n, ceil(m / 64))`` bit planes."""
-    words = np.ascontiguousarray(masks, dtype=_LANES)[..., None].view(np.uint8)
-    bits = np.unpackbits(words, axis=-1, bitorder="little")  # (2, W, m, 64)
-    return _pack(bits.transpose(0, 1, 3, 2).reshape(2, -1, masks.shape[-1])[:, :n])
-
-
-def _masks(planes: np.ndarray, m: int) -> np.ndarray:
-    """The first m lanes of ``(2, n, L)`` bit planes as word-major ``(2, W, m)`` x/z masks."""
-    n = planes.shape[1]
-    masks = np.zeros((2, -(-n // 64), m, 8), dtype=np.uint8)
-    for j in range(masks.shape[1]):
-        packed = np.packbits(_unpack(planes[:, 64 * j:64 * j + 64])[..., :m], axis=1, bitorder="little")
-        masks[:, j, :, :packed.shape[1]] = packed.transpose(0, 2, 1)
-    return masks.view(_LANES)[..., 0]
-
-
 def _seed_paths(observable: PauliSum) -> tuple:
     """Term planes (one lane per term), weights, sampling probabilities and ||O||_F^2."""
-    x, z, weights, coeffs = _seed_columns(observable)
-    coeffs_sq = coeffs * coeffs
+    terms = list(observable.items())
+    bits = [[[v >> q & 1 for v in masks] for q in range(observable.n)]
+            for masks in ([p.x for p, _ in terms], [p.z for p, _ in terms])]
+    coeffs_sq = np.array([c * c for _, c in terms])
+    weights = np.array([p.weight for p, _ in terms], dtype=np.int64)
     norm_sq = coeffs_sq.sum()
-    return _planes(np.stack((x, z)), observable.n), weights, coeffs_sq / norm_sq, norm_sq
+    return _pack(np.array(bits, dtype=np.uint8)), weights, coeffs_sq / norm_sq, norm_sq
 
 
 _LETTERS = (1, 3, 2)  # X, Y, Z as bit pairs x | z << 1
@@ -412,8 +402,9 @@ def _chunk_stats(functionals: Sequence[Functional], planes, weight, k_factor) ->
         state = None if isinstance(f, TruncFrobenius) else f.state
         if state not in hists:
             v = k_factor
-            if state is not None:
-                v = k_factor * _bloch_scale(np.ones(m), *_masks(planes, m), state) ** 2
+            if state is not None:  # each qubit's codes x_q | z_q << 1, read from its planes
+                codes = (x[:m] | z[:m] << 1 for x, z in map(_unpack, planes.transpose(1, 0, 2)))
+                v = k_factor * _bloch_scale(np.ones(m), codes, state) ** 2
             sums = np.bincount(weight, v, len(counts))
             means = sums / np.maximum(counts, 1)
             devs = np.bincount(weight, (v - means[weight]) ** 2, len(counts))
@@ -443,6 +434,8 @@ def estimate_many(
         raise QubitCountMismatch("circuit and observable qubit counts differ")
     if not (_is_int(samples) and samples > 1):
         raise ValueError(f"samples must be an integer of at least 2, not {samples!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, not {seed!r}")
     for f in functionals:
         if isinstance(f, (Variance, TruncMSE)) and f.state.n != template.n:
             raise QubitCountMismatch("functional state qubit count differs from circuit")

@@ -7,11 +7,9 @@ sign into real coefficients on its columns, and every gate's transfer
 matrix comes from ``circuits.unitary_ptm``.  A ``PauliSum`` is built,
 counted and iterated, and nothing more: the overlap of a Pauli sum with a
 product state is ``propagation.expectation``, which works on the engine's
-columns, and the coefficient lookups and norms the tests check against
-live in the test suite.  ``config_int`` and ``config_float``, the checks on a
-config value, live here because ``PauliSum.from_json_obj`` reads a
-coefficient with ``config_float``; every other config field is read by
-``cli``.
+packed rows, and the coefficient lookups and norms the tests check against
+live in the test suite.  ``_is_int``, the package's one integer check, lives
+here so that every module can import it.
 """
 
 from __future__ import annotations
@@ -33,18 +31,9 @@ class QubitCountMismatch(ValueError):
     """Operands act on different numbers of qubits."""
 
 
-def config_int(value, name: str) -> int:
-    """An integer config value (not a boolean) as an int; else ``ValueError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
-
-
-def config_float(value, name: str) -> float:
-    """A finite real config value (not a boolean) as a float; else ``ValueError`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, not {value!r}")
-    return float(value)
+def _is_int(value) -> bool:
+    """An integer (numpy's too) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -157,9 +146,13 @@ class PauliSum:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "PauliSum":
-        return cls.from_strings([(d["pauli"], config_float(d["coeff"], "'coeff'")) for d in obj])
+    @staticmethod
+    def from_json_obj(obj: list[dict]) -> "PauliSum":
+        """``{pauli, coeff}`` terms read by the CLI's reader, under the name the benchmark's worker
+        (``perfbench/worker.py``) calls."""
+        from .cli import _pauli_sum  # the CLI imports this module
+
+        return _pauli_sum(obj)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = " + ".join(f"{c:g}*{p.label()}" for p, c in self._terms.items())

@@ -10,15 +10,16 @@ sum exactly equal to the per-path definition: coincident Paulis that
 arrived with different accumulated weight must not be conflated, or the
 cutoff would remove the wrong paths.
 
-The engine's frontier is a column of packed rows next to a coefficient
-column.  A row is one bit string, x in its top n bits, then z, then the
-accumulated weight in the low wb bits: wb = bits(k - 1 + n) under a cutoff
-k (a boundary adds at most n to some w < k before the drop), else 0.  It
-spans W' = ceil((2n + wb) / 64) uint64 words, word 0 most significant,
-stored word-major ``(W', m)``: as integers, rows are in (x, z, w) order.  A
-merge consumes both columns and sums the coefficients of equal rows after a
-stable sort: in place, of each row shifted over its index, when 2n + wb +
-bits(m - 1) <= 64 (at most three m-row columns alive), else by ``lexsort``.
+The engine's frontier, from the seed to the result and back into a resumed
+call, is a column of packed rows next to a coefficient column.  A row is one
+bit string, x in its top n bits, then z, then the accumulated weight in the
+low wb bits: wb = bits(k - 1 + n) under a cutoff k (a boundary adds at most
+n to some w < k before the drop), else 0.  It spans W' = ceil((2n + wb) /
+64) uint64 words, word 0 most significant, stored word-major ``(W', m)``: as
+integers, rows are in (x, z, w) order.  A merge consumes both columns and
+sums the coefficients of equal rows after a stable sort: in place, of each
+row shifted over its index, when 2n + wb + bits(m - 1) <= 64 (at most three
+m-row columns alive), else by ``lexsort``.
 
 ``_compile`` turns a circuit into its backward program in one pass, one step
 per gate, noise round and weight boundary, in no consumer's layout: a
@@ -28,22 +29,24 @@ forward PTM, where slot s of an input is its s-th non-zero output, as a
 joint bit-pair code, a coefficient and a sampling threshold per input.  The
 engine applies slot 0 in place and appends each further slot; the walk
 applies slot 0 and draws among the rest.  ``backpropagate``, the one engine
-entry, packs its seed, translates each step once per call into packed words
-(``_packed``), runs them on sampled circuits, unpacks its result and rejects
-a template at entry.  The Monte Carlo walk in ``montecarlo`` translates the
-same program once into bit-plane indices and samples paths through it,
-placeholders included (noise rounds read from their channels' PTMs, each
-fixed Clifford's planes mapped as its slot 0 maps single bits).  Weights
-accumulate only under a path-weight cutoff; without one every row has weight
-0.  The run at cutoff k_max holds the run at every smaller k as its rows
-with w < k, and ``kept_below(k)`` returns that run as a result of its own,
-so a k-sweep needs one pass.
+entry, packs a Pauli-sum seed (``_rows``) or resumes from a copy of a
+result's rows, translates each step once per call into packed words
+(``_packed``), runs them on sampled circuits, returns its frontier as it
+stands and rejects a template at entry.  The Monte Carlo walk in
+``montecarlo`` translates the same program once into bit-plane indices and
+samples paths through it, placeholders included (noise rounds read from
+their channels' PTMs, each fixed Clifford's planes mapped as its slot 0 maps
+single bits).  Weights accumulate only under a path-weight cutoff; without
+one every row has weight 0.  The run at cutoff k_max holds the run at every
+smaller k as its rows with w < k, and ``kept_below(k)`` returns that run as
+a result of its own, in its run's weight field, so a k-sweep needs one pass.
 
 ``expectation`` is the one product-state overlap in the package, for
-results and Pauli sums alike: one Bloch-table lookup per qubit on the
-x/z columns (``_bloch_scale``, which the walk's functionals share), after
-it drops the rows whose overlap is exactly 0 (X or Y on a qubit with
-r_x = r_y = 0) unless their coefficient is infinite or NaN.
+results and Pauli sums alike, on packed rows: one Bloch-table lookup per
+qubit code x_q | z_q << 1 (``_bloch_scale``, which the walk's functionals
+share on codes read from their bit planes), after it drops the rows whose
+overlap is exactly 0 (X or Y on a qubit with r_x = r_y = 0) unless their
+coefficient is infinite or NaN.
 """
 
 from __future__ import annotations
@@ -63,12 +66,7 @@ from .circuits import (
     RandomSingleQubitClifford,
     clifford_forward_ptm,
 )
-from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch
-
-
-def _is_int(value) -> bool:
-    """An integer (numpy's too) that is not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+from .pauli import BITS_TO_CODE, PauliSum, ProductState, QubitCountMismatch, _is_int
 
 
 @dataclass(frozen=True)
@@ -117,58 +115,74 @@ class BackpropStats:
 _WORD = (1 << 64) - 1
 
 
-def _split_words(masks: Sequence[int], n: int) -> np.ndarray:
-    """Integer bit masks as a word-major (ceil(n/64), len(masks)) uint64 array."""
-    words = (n + 63) // 64
+def _split_words(rows: Sequence[int], bits: int) -> np.ndarray:
+    """Integer rows of ``bits`` bits as word-major (ceil(bits/64), m) uint64 words, word 0 the top."""
+    words = (bits + 63) // 64
     return np.array(
-        [[(v >> (64 * j)) & _WORD for v in masks] for j in range(words)], dtype=np.uint64
-    ).reshape(words, len(masks))
+        [[(v >> (64 * j)) & _WORD for v in rows] for j in reversed(range(words))], dtype=np.uint64
+    ).reshape(words, len(rows))
 
 
 @dataclass(frozen=True, eq=False)
 class BackpropResult:
-    """Backpropagated observable as a columnar frontier.
+    """Backpropagated observable as the engine's frontier: packed rows ``p`` and coefficients ``c``.
 
-    Row i is the term ``c[i] * P(x[:, i], z[:, i])`` reached with
-    accumulated weight ``w[i]`` (0 for every row when ``trunc`` has no
-    path-weight cutoff); rows are unique in (x, z, w) and sorted by it.
-    The masks are word-major ``(ceil(n/64), m)`` uint64 arrays, qubit q in
-    bit ``q & 63`` of word ``q >> 6``.  ``trunc`` and ``crossed_noise``
-    (the walk has passed a noise round) let the result seed a further
-    ``backpropagate`` call.
+    Row i, column i of the word-major ``(W', m)`` uint64 array ``p``, is
+    ``x << (n + wb) | z << wb | w``, word 0 most significant: the term
+    ``c[i] * P(x, z)`` reached with accumulated weight w (0 for every row
+    when ``trunc`` has no path-weight cutoff).  Rows are unique and sorted,
+    so in (x, z, w) order.  ``x``, ``z`` and ``w`` unpack them on each
+    access: word-major ``(ceil(n/64), m)`` uint64 masks, qubit q in bit
+    ``q & 63`` of word ``q >> 6``, and an int64 column.  ``trunc`` and
+    ``crossed_noise`` (the walk has passed a noise round) let the result
+    seed a further ``backpropagate`` call, which resumes from a copy of ``p``.
     """
 
     n: int
-    x: np.ndarray
-    z: np.ndarray
-    w: np.ndarray
+    wb: int
+    p: np.ndarray
     c: np.ndarray
     stats: BackpropStats
     trunc: TruncationConfig
     crossed_noise: bool
+
+    @property
+    def x(self) -> np.ndarray:
+        return _frozen(_field(self.p, self.wb + self.n, self.n))
+
+    @property
+    def z(self) -> np.ndarray:
+        return _frozen(_field(self.p, self.wb, self.n))
+
+    @property
+    def w(self) -> np.ndarray:  # as int64, all 0 when wb is 0
+        return _frozen((self.p[-1] & np.uint64((1 << self.wb) - 1)).view(np.int64))
 
     def kept_below(self, k: int) -> "BackpropResult":
         """The result of the same run at path-weight cutoff k: the rows with w < k.
 
         ``trunc`` gets ``path_weight_cutoff=k`` and ``crossed_noise`` is
         kept, so the slice seeds a further ``backpropagate`` call as the
-        run at k would.  ``stats.surviving_path_count`` is its row count;
-        the other counters are those of the pass that made this result.
-        Raises ``ValueError`` when this result has no cutoff (its weights
-        were not accumulated) or k is above it.
+        run at k would.  It keeps ``wb``, its run's weight field, which
+        holds every weight below k.  ``stats.surviving_path_count`` is its
+        row count; the other counters are those of the pass that made this
+        result.  Raises ``ValueError`` when k is not a positive integer,
+        this result has no cutoff (its weights were not accumulated) or k
+        is above it.
         """
+        if not (_is_int(k) and k > 0):
+            raise ValueError(f"k must be a positive integer, not {k!r}")
         cutoff = self.trunc.path_weight_cutoff
         if cutoff is None or k > cutoff:
             raise ValueError(f"cannot cut at k={k} a result propagated with cutoff {cutoff}")
         rows = self.w < k
         return BackpropResult(
             self.n,
-            _frozen(np.compress(rows, self.x, axis=1)),
-            _frozen(np.compress(rows, self.z, axis=1)),
-            _frozen(self.w[rows]),
+            self.wb,
+            _frozen(np.compress(rows, self.p, axis=1)),
             _frozen(self.c[rows]),
             replace(self.stats, surviving_path_count=int(rows.sum())),
-            replace(self.trunc, path_weight_cutoff=k),
+            replace(self.trunc, path_weight_cutoff=int(k)),
             self.crossed_noise,
         )
 
@@ -298,48 +312,35 @@ def _bit(words: int, b: int) -> tuple[int, np.uint64]:
     return words - 1 - (b >> 6), np.uint64(b & 63)
 
 
-class _Frontier:
-    """Packed rows and coefficients ``c`` of n-qubit terms; rows unique only after merges.
+def _field(p: np.ndarray, lo: int, width: int) -> np.ndarray:
+    """Bits lo .. lo + width - 1 of packed rows as word-major (ceil(width / 64), m) masks."""
+    out = np.empty(((width + 63) // 64, p.shape[1]), dtype=np.uint64)
+    for t, row in enumerate(out):
+        j, s = _bit(len(p), lo + 64 * t)
+        np.right_shift(p[j], s, out=row)
+        if s and j:
+            row |= p[j - 1] << (64 - s)
+    if width & 63:
+        out[-1] &= np.uint64((1 << (width & 63)) - 1)
+    return out
 
-    Row i, column i of the word-major ``(W', m)`` uint64 array ``p``, is
-    ``x << (n + wb) | z << wb | w`` (no w when wb is 0), word 0 most significant.
+
+class _Frontier:
+    """Packed rows ``p`` and coefficients ``c`` of n-qubit terms; rows unique only after merges.
+
+    ``p`` is laid out as ``BackpropResult.p``, with wb weight bits.
     """
 
     __slots__ = ("n", "wb", "p", "c", "merged_len")
 
-    def __init__(self, n, wb, x, z, w, c):
-        """Pack word-major x and z masks and weights w (unused when wb is 0) next to coefficients c."""
-        self.n, self.wb, self.c, self.merged_len = n, wb, c, len(c)
-        self.p = np.zeros(((2 * n + wb + 63) // 64, len(c)), dtype=np.uint64)
-        for lo, masks in ((wb + n, x), (wb, z)):
-            for t, v in enumerate(masks):
-                j, s = _bit(len(self.p), lo + 64 * t)
-                self.p[j] |= v << s
-                if s and j:
-                    self.p[j - 1] |= v >> (64 - s)
-        if wb:
-            self.p[-1] |= w.view(np.uint64)  # weights are nonnegative and below 2^wb
+    def __init__(self, n, wb, p, c):
+        self.n, self.wb, self.p, self.c, self.merged_len = n, wb, p, c, len(c)
 
     def __len__(self) -> int:
         return len(self.c)
 
-    def field(self, lo: int, width: int) -> np.ndarray:
-        """Bits lo .. lo + width - 1 of the rows as word-major (ceil(width / 64), m) masks."""
-        out = np.empty(((width + 63) // 64, len(self.c)), dtype=np.uint64)
-        for t, row in enumerate(out):
-            j, s = _bit(len(self.p), lo + 64 * t)
-            np.right_shift(self.p[j], s, out=row)
-            if s and j:
-                row |= self.p[j - 1] << (64 - s)
-        if width & 63:
-            out[-1] &= np.uint64((1 << (width & 63)) - 1)
-        return out
-
     def support(self) -> np.ndarray:
-        return self.field(self.wb + self.n, self.n) | self.field(self.wb, self.n)  # x | z
-
-    def weights(self) -> np.ndarray:  # as int64, all 0 when wb is 0
-        return (self.p[-1] & np.uint64((1 << self.wb) - 1)).view(np.int64)
+        return _field(self.p, self.wb + self.n, self.n) | _field(self.p, self.wb, self.n)  # x | z
 
     def select(self, keep: np.ndarray) -> None:
         self.p = np.compress(keep, self.p, axis=1)
@@ -560,7 +561,7 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
     if trunc.xy_count_cutoff is not None:
         # X/Y sites: the set bits of the x field, in the words that hold it
         j = _bit(len(f.p), f.wb + f.n)[0] + 1
-        x_field = _split_words([((1 << f.n) - 1) << (f.wb + f.n)], 64 * len(f.p))[::-1][:j]
+        x_field = _split_words([((1 << f.n) - 1) << (f.wb + f.n)], 2 * f.n + f.wb)[:j]
         bad = (_popcount(f.p[:j] & x_field) > trunc.xy_count_cutoff) & keep
         stats.paths_discarded_by_xy += int(bad.sum())
         keep &= ~bad
@@ -575,21 +576,17 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
 def _drop_heavy(f: _Frontier, k: int | None, stats: BackpropStats) -> None:
     """Drop the rows with accumulated weight >= k (none if k is None); merged stays merged."""
     if k is not None:
-        keep = f.weights() < k
+        keep = _field(f.p, 0, f.wb)[0] < k  # wb > 0 under a cutoff
         stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
         f.select(keep)
     f.merged_len = len(f)
 
 
-def _seed_columns(obs: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Word-major x and z masks, Pauli weights and coefficients of the terms."""
-    terms = list(obs.items())
-    return (
-        _split_words([p.x for p, _ in terms], obs.n),
-        _split_words([p.z for p, _ in terms], obs.n),
-        np.array([p.weight for p, _ in terms], dtype=np.int64),
-        np.array([c for _, c in terms], dtype=np.float64),
-    )
+def _rows(obs: PauliSum, wb: int) -> tuple[np.ndarray, np.ndarray]:
+    """A sum's packed rows (w the Pauli weight, if wb > 0) and coefficients."""
+    n, terms = obs.n, list(obs.items())
+    rows = [(p.x << n | p.z) << wb | (p.weight if wb else 0) for p, _ in terms]
+    return _split_words(rows, 2 * n + wb), np.array([c for _, c in terms], dtype=np.float64)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -615,10 +612,12 @@ def backpropagate(
     dropped.  Without a cutoff no weight accumulates.
 
     ``seed`` is the observable, or the result of an earlier call, whose
-    frontier the walk then continues: ``backpropagate(c1,
-    backpropagate(c2, obs))`` equals ``backpropagate(c1 then c2, obs)``
-    term for term.  A resumed seed must have the same qubit count and
-    ``trunc``.  ``stats`` count this call only.  A circuit with placeholders raises ``ValueError``.
+    frontier the walk then continues from a copy of its packed rows, in its
+    weight field: ``backpropagate(c1, backpropagate(c2, obs))`` equals
+    ``backpropagate(c1 then c2, obs)`` term for term.  A resumed seed must
+    have the same qubit count and ``trunc``, and at least the weight bits its
+    cutoff needs.  ``stats`` count this call only.  A circuit with
+    placeholders raises ``ValueError``.
 
     One engine serves every qubit count.  ``engine`` is kept only for the
     benchmark's light-cone reference (``perfbench/worker.py``), which
@@ -640,14 +639,16 @@ def backpropagate(
     if isinstance(seed, BackpropResult):
         if seed.trunc != trunc:
             raise ValueError("seed result was propagated with a different truncation")
-        crossed = seed.crossed_noise
-        # a copy of c: the kernels below rescale it in place
-        f = _Frontier(n, wb, seed.x, seed.z, seed.w, np.array(seed.c))
+        if seed.wb < wb:  # a boundary would carry weights into the z field
+            raise ValueError(f"seed result has {seed.wb} weight bits, its cutoff needs {wb}")
+        crossed, wb = seed.crossed_noise, seed.wb
+        # C-ordered copies: the kernels below change rows and coefficients in place
+        f = _Frontier(n, wb, np.array(seed.p, order="C"), np.array(seed.c))
     else:
         if not seed:
             raise ValueError("observable has no terms")
         crossed = False
-        f = _Frontier(n, wb, *_seed_columns(seed))  # unique Paulis: already merged
+        f = _Frontier(n, wb, *_rows(seed, wb))  # unique Paulis: already merged
         _drop_heavy(f, k, stats)
         _np_aux_filter(f, trunc, stats)
     stats.peak_term_count = len(f)
@@ -687,58 +688,47 @@ def backpropagate(
     if not merged:  # a boundary keeps rows in order: x and z fix the weight it adds
         f.merge()
     stats.surviving_path_count = len(f)
-    return BackpropResult(
-        n,
-        _frozen(f.field(wb + n, n)),
-        _frozen(f.field(wb, n)),
-        _frozen(f.weights()),
-        _frozen(f.c),
-        stats,
-        trunc,
-        crossed,
-    )
+    return BackpropResult(n, wb, _frozen(f.p), _frozen(f.c), stats, trunc, crossed)
 
 
-def _bloch_scale(
-    vals: np.ndarray, x: np.ndarray, z: np.ndarray, state: ProductState
-) -> np.ndarray:
-    """Multiply ``vals`` in place by each column's overlap with a product state.
+def _bloch_scale(vals: np.ndarray, codes, state: ProductState) -> np.ndarray:
+    """Multiply ``vals`` in place by each entry's overlap with a product state.
 
-    Column i of the word-major masks is scaled by one lookup per qubit, in
-    qubit order, in the table (1, r_x, r_z, r_y) indexed by the bit pair
-    x_q | z_q << 1.
+    ``codes`` yields one integer array per qubit, in qubit order, of each
+    entry's bit pair x_q | z_q << 1 there; each is one lookup in the
+    qubit's table (1, r_x, r_z, r_y).  The caller reads the codes from its
+    own layout.
     """
-    table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
-    for q in range(state.n):
-        j, s = q >> 6, np.uint64(q & 63)
-        code = (x[j] >> s) & 1 | ((z[j] >> s) & 1) << 1
-        vals *= table[q][code.view(np.int64)]
+    for (rx, ry, rz), code in zip(state.bloch, codes):
+        vals *= np.array((1.0, rx, rz, ry))[code]
     return vals
 
 
 def expectation(obs: PauliSum | BackpropResult, state: ProductState) -> float:
     """Tr[O rho] of a Pauli sum or a backpropagated observable against a product state.
 
-    This is the package's one product-state overlap: ``_bloch_scale`` on
-    the word-major x/z columns (a result's own, a sum's from
-    ``_seed_columns``) of the rows whose overlap is not exactly 0, summed
-    with ``math.fsum``.
+    This is the package's one product-state overlap: on packed rows (a
+    result's own, a sum's from ``_rows``), it drops the rows whose overlap
+    is exactly 0 with one mask on the x field, reads the other rows' codes
+    one qubit at a time with ``_letters``, scales them by ``_bloch_scale``
+    and sums with ``math.fsum``.
     """
     if obs.n != state.n:
         raise QubitCountMismatch(f"observable on {obs.n} qubits, state on {state.n}")
     if isinstance(obs, BackpropResult):
-        x, z, c = obs.x, obs.z, obs.c
+        n, wb, p, c = obs.n, obs.wb, obs.p, np.array(obs.c)  # a copy: scaled in place below
     else:
-        x, z, _, c = _seed_columns(obs)
-    c = np.array(c, dtype=np.float64)
+        n, wb, (p, c) = obs.n, 0, _rows(obs, 0)
     # X or Y on a qubit with r_x = r_y = 0 makes a row's overlap exactly 0, which
     # adds nothing to the sum; a non-finite coefficient stays (inf * 0 is NaN)
-    dead_qubits = sum(1 << q for q, (rx, ry, _) in enumerate(state.bloch) if rx == ry == 0.0)
-    dead = _split_words([dead_qubits], obs.n)
-    if dead.any():
-        keep = ~((x & dead).any(axis=0) & np.isfinite(c))
-        x, z, c = np.compress(keep, x, axis=1), np.compress(keep, z, axis=1), c[keep]
-    return math.fsum(_bloch_scale(c, x, z, state).tolist())
+    dead = sum(1 << q for q, (rx, ry, _) in enumerate(state.bloch) if rx == ry == 0.0)
+    if dead:
+        keep = ~((p & _split_words([dead << (wb + n)], 2 * n + wb)).any(axis=0) & np.isfinite(c))
+        p, c = np.compress(keep, p, axis=1), c[keep]
+    a, b, words = np.empty(len(c), dtype=np.uint64), np.empty(len(c), dtype=np.uint64), len(p)
+    sites = (((*_bit(words, wb + n + q), *_bit(words, wb + q)),) for q in range(n))
+    codes = (_letters(p, site, a, b) for site in sites)  # each read before the next fills a
+    return math.fsum(_bloch_scale(c, codes, state).tolist())
 
 
 # the name Pauli-sum callers look up (``experiments``, and the benchmark's

@@ -44,6 +44,7 @@ from paulipath.circuits import Layer, _pauli_kron, clifford_forward_ptm, unitary
 from paulipath.experiments import center_z
 from paulipath.oracle import _apply_matrix, _noise_ptms
 from paulipath.pauli import CODE_TO_BITS
+from paulipath.propagation import _split_words
 
 
 def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
@@ -268,6 +269,11 @@ def packed_weight_bits(n: int, k: int | None) -> int:
     ``ceil((2n + wb) / 64)`` uint64 words, word 0 most significant.
     """
     return 0 if k is None else (k - 1 + n).bit_length()
+
+
+def packed_rows(n: int, wb: int, keys) -> np.ndarray:
+    """Integer ``(x, z, w)`` keys as packed rows with wb weight bits, word-major ``(W', m)``."""
+    return _split_words([(x << n | z) << wb | w for x, z, w in keys], 2 * n + wb)
 
 
 @st.composite

@@ -22,7 +22,14 @@ from paulipath.circuits import (
     Layer,
     PauliRotation,
 )
-from helpers import backward_ops_by_units, clifford_adjoint_table, join_words, noisy_units
+from helpers import (
+    backward_ops_by_units,
+    clifford_adjoint_table,
+    join_words,
+    noisy_units,
+    packed_rows,
+    packed_weight_bits,
+)
 from paulipath import propagation
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
 from paulipath.propagation import (
@@ -33,7 +40,6 @@ from paulipath.propagation import (
     TruncationConfig,
     _cos_sin,
     _frozen,
-    _split_words,
 )
 
 
@@ -359,17 +365,19 @@ def count_legal_paths(circuit: Circuit, observable: PauliSum, k: int | None) -> 
 def reference_backpropagate(
     circuit, seed, trunc: TruncationConfig = EXACT, max_terms=None
 ) -> BackpropResult:
-    """``_run_rows`` with the frontier as columns, sorted by (x, z, w) by its last merge.
+    """``_run_rows`` with the frontier as packed rows, sorted by (x, z, w) by its last merge.
 
-    Weights accumulate only under a path-weight cutoff, as in the engine.
+    Weights accumulate only under a path-weight cutoff, as in the engine;
+    a resumed seed keeps its weight bits.
     """
     rows, stats, crossed = _run_rows(circuit, seed, trunc, max_terms)
     n = circuit.n
+    k = trunc.path_weight_cutoff
+    wb = seed.wb if isinstance(seed, BackpropResult) else packed_weight_bits(n, k)
     return BackpropResult(
         n,
-        _frozen(_split_words([row[0] for row in rows], n)),
-        _frozen(_split_words([row[1] for row in rows], n)),
-        _frozen(np.array([row[2] for row in rows], dtype=np.int64)),
+        wb,
+        _frozen(packed_rows(n, wb, (row[:3] for row in rows))),
         _frozen(np.array([row[3] for row in rows], dtype=np.float64)),
         stats,
         trunc,

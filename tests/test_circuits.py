@@ -181,6 +181,16 @@ class TestGateValidation:
 
 
 class TestLattices:
+    @pytest.mark.parametrize("rows,cols", [(2.5, 3), (3, 2.5), (True, 3), (0, 3), ("2", 3)])
+    def test_square_sizes_must_be_positive_integers(self, rows, cols):
+        with pytest.raises(ValueError, match="'rows' and 'cols' must be integers of at least 1"):
+            Square(rows, cols)
+
+    @pytest.mark.parametrize("n", [2.5, True, 0, "2"])
+    def test_circuit_qubit_count_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="'n' must be an integer of at least 1"):
+            Circuit(n, ())
+
     def test_chain_edges(self):
         assert Chain(4).edges() == [(0, 1), (1, 2), (2, 3)]
         assert Chain(4, periodic=True).edges() == [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -228,6 +238,16 @@ class TestBuilders:
         edge_layers = c.layers[2:]
         assert len(edge_layers) == 2
         assert sum(len(l.gates) for l in edge_layers) == 4
+
+    @pytest.mark.parametrize("blocks", [True, 2.5, -1, "2"])
+    def test_hva_blocks_must_be_a_nonnegative_integer(self, blocks):
+        with pytest.raises(ValueError, match="'blocks' must be a nonnegative integer"):
+            build_hva(Square(2, 2), None, blocks)
+
+    @pytest.mark.parametrize("steps", [True, 1.5, -1, "2"])
+    def test_trotter_steps_must_be_a_nonnegative_integer(self, steps):
+        with pytest.raises(ValueError, match="'steps' must be a nonnegative integer"):
+            build_trotter_tfim(Chain(2), 1.0, 1.0, 0.1, steps, None)
 
     def test_hva_zero_blocks(self):
         c = build_hva(Chain(3), make_amplitude_damping(0.1), 0)
@@ -291,6 +311,11 @@ class TestSampling:
     def test_different_seeds_differ(self):
         template = self._template()
         assert sample_circuit(template, 1) != sample_circuit(template, 2)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            sample_circuit(self._template(), seed)
 
     def test_fixed_template_ignores_seed(self):
         fixed = build_hva(Chain(3), None, 1, 0.7)

@@ -25,6 +25,11 @@ class TestDynamicsSeries:
         assert [r["t"] for r in rows] == pytest.approx([0.0, 0.04, 0.08, 0.12])
         assert rows[0]["expectation"] == 1.0
 
+    @pytest.mark.parametrize("steps", [2.5, True, -1])
+    def test_steps_must_be_a_nonnegative_integer(self, steps):
+        with pytest.raises(ValueError, match="'steps' must be a nonnegative integer"):
+            dynamics_series(Chain(2), 1.0, 1.0, 0.1, steps, None, TruncationConfig())
+
     def test_matches_oracle_exact_mode(self):
         lat = Square(2, 2, periodic=True)
         noise = make_amplitude_damping(0.15)

@@ -1,5 +1,6 @@
 """Source hygiene: no unused imports, no dead definitions, no test-only code in the package,
-no config-format code outside the CLI, no unused parameters and no syntax newer than the floor.
+no config-format code outside the CLI, no packed frontier layout outside ``propagation``, no
+unused parameters and no syntax newer than the floor.
 
 Every module uses each name it imports; an import kept on purpose (a
 re-export) carries ``# noqa: F401`` on the line of the imported name.
@@ -14,8 +15,12 @@ count as a use.  A member is named where code reads it as an attribute
 The check goes by name, not by class, so a member that shares its name
 with another one passes while either is used.  ``cli`` alone reads and writes
 the config format: no other module defines a function or method with
-``json`` in its name (``PauliSum.from_json_obj`` excepted), and only
-``cli`` and ``pauli`` name ``config_int`` or ``config_float``.  No function
+``json`` in its name (``PauliSum.from_json_obj`` excepted, the name the
+benchmark's worker reads an observable by, which calls the CLI's reader),
+and only ``cli`` names ``config_int`` or ``config_float``.  Only
+``propagation`` names the helpers of the packed frontier layout
+(``PACKED_LAYOUT``): every other module reads a result through its
+columns or its overlap.  No function
 or method has a parameter it never uses, apart from dunder methods and
 parameters whose names start with ``_``.  No function declares a
 ``global``: a module-level cache is a ``functools.cache``, not a variable
@@ -255,10 +260,8 @@ def config_format_outside_cli(modules: dict[str, str]) -> list[str]:
             for name in _functions(ast.parse(source).body)
             if "json" in name.split(".")[-1] and name != "PauliSum.from_json_obj"
         ]
-        if module != "pauli.py":
-            refs = _references(source)
-            checks = ("config_int", "config_float")
-            found += [f"{module}: names {name}" for name in checks if refs[name]]
+        refs = _references(source)
+        found += [f"{module}: names {name}" for name in ("config_int", "config_float") if refs[name]]
     return found
 
 
@@ -306,12 +309,61 @@ def test_checker_flags_config_format_outside_cli():
         "propagation.py: names config_int",
         "montecarlo.py: EstimateResult.to_json_obj",
         "pauli.py: PauliSum.to_json_obj",
+        "pauli.py: names config_float",
     ]
 
 
 def test_no_config_format_outside_cli():
     modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert config_format_outside_cli(modules) == []
+
+
+PACKED_LAYOUT = ("_split_words", "_field", "_bit", "_letters", "_rows", "_Frontier")
+
+
+def packed_layout_outside_propagation(modules: dict[str, str]) -> list[str]:
+    """``module: names name`` for each ``PACKED_LAYOUT`` helper a module besides ``propagation`` names.
+
+    ``modules`` maps a module's file name to its source; a mention in a
+    docstring or comment is not a use.
+    """
+    found = []
+    for module, source in modules.items():
+        if module != "propagation.py":
+            refs = _references(source)
+            found += [f"{module}: names {name}" for name in PACKED_LAYOUT if refs[name]]
+    return found
+
+
+def test_checker_flags_the_packed_layout_outside_propagation():
+    # a walk that reads codes with the engine's row reader, and a module that packs
+    # a sum itself; the shared overlap and a docstring's mention pass
+    modules = {
+        "propagation.py": (
+            "def _bit(words, b):\n    pass\n\n"
+            "def _letters(p, sites):\n    return _bit(len(p), 0)\n\n"
+            "def _bloch_scale(vals, codes, state):\n    return vals\n"
+        ),
+        "montecarlo.py": (
+            "from .propagation import _bloch_scale, _letters\n\n"
+            "def values(p, state):\n    return _bloch_scale(p, _letters(p, ()), state)\n"
+        ),
+        "experiments.py": (
+            "from . import propagation\n\n"
+            "def seed(obs):\n    return propagation._Frontier(obs.n, 0, *propagation._rows(obs, 0))\n"
+        ),
+        "cli.py": 'def show(res):\n    """Columns unpacked by ``_field``."""\n    return res.x\n',
+    }
+    assert packed_layout_outside_propagation(modules) == [
+        "montecarlo.py: names _letters",
+        "experiments.py: names _rows",
+        "experiments.py: names _Frontier",
+    ]
+
+
+def test_no_packed_layout_outside_propagation():
+    modules = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert packed_layout_outside_propagation(modules) == []
 
 
 def unused_parameters(source: str) -> list[str]:

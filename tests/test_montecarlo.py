@@ -28,13 +28,14 @@ from paulipath import (
 from paulipath.channels import _BUILDERS, NormalFormChannel, SingleQubitPTM
 from paulipath.circuits import Layer, PauliRotation
 from paulipath.montecarlo import (
+    _LANES,
     _LETTERS,
     _below,
     _chunk_stats,
     _letter_law,
-    _masks,
-    _planes,
+    _pack,
     _seed_paths,
+    _unpack,
     _walk_chunk,
     _walk_program,
 )
@@ -241,6 +242,11 @@ class TestEstimate:
         with pytest.raises(ValueError, match=named):
             estimate(Circuit(1, ()), PauliSum.single("Z"), functional, samples, 0)
 
+    @pytest.mark.parametrize("seed", [2.5, -1, True, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            estimate(Circuit(1, ()), PauliSum.single("Z"), Variance(ProductState.zeros(1)), 100, seed)
+
 
 def _rot(label, support, angle=None):
     return PauliRotation(PauliString.from_label(label), support, angle)
@@ -259,6 +265,23 @@ def site_codes(x, z, n):
         j, s = q >> 6, np.uint64(q & 63)
         cols.append(code[((x[j] >> s) & 1) + 2 * ((z[j] >> s) & 1)])
     return np.stack(cols, axis=1)
+
+
+def _planes(masks: np.ndarray, n: int) -> np.ndarray:
+    """Word-major ``(2, W, m)`` x/z masks as ``(2, n, ceil(m / 64))`` bit planes."""
+    words = np.ascontiguousarray(masks, dtype=_LANES)[..., None].view(np.uint8)
+    bits = np.unpackbits(words, axis=-1, bitorder="little")  # (2, W, m, 64)
+    return _pack(bits.transpose(0, 1, 3, 2).reshape(2, -1, masks.shape[-1])[:, :n])
+
+
+def _masks(planes: np.ndarray, m: int) -> np.ndarray:
+    """The first m lanes of ``(2, n, L)`` bit planes as word-major ``(2, W, m)`` x/z masks."""
+    n = planes.shape[1]
+    masks = np.zeros((2, -(-n // 64), m, 8), dtype=np.uint8)
+    for j in range(masks.shape[1]):
+        packed = np.packbits(_unpack(planes[:, 64 * j:64 * j + 64])[..., :m], axis=1, bitorder="little")
+        masks[:, j, :, :packed.shape[1]] = packed.transpose(0, 2, 1)
+    return masks.view(_LANES)[..., 0]
 
 
 def random_masks(gen, n, m):

@@ -12,6 +12,7 @@ from paulipath import (
     QubitCountMismatch,
     expectation_product_state,
 )
+from paulipath.cli import _resolve_observable
 
 
 def dense(p: PauliString) -> np.ndarray:
@@ -86,7 +87,10 @@ class TestPauliSum:
             assert frobenius_norm_sq(s) == pytest.approx(dense_norm, abs=1e-12)
 
     def test_json_round_trip(self):
+        # through the CLI's observable reader, and ``from_json_obj``, which calls it
         s = PauliSum.from_strings([("XIZ", 0.5), ("IYI", -0.25)])
+        read = _resolve_observable({"observable": pauli_sum_json(s)}, 3)
+        assert pauli_sum_json(read) == pauli_sum_json(s)
         assert pauli_sum_json(PauliSum.from_json_obj(pauli_sum_json(s))) == pauli_sum_json(s)
 
     def test_mismatched_terms(self):

@@ -44,11 +44,9 @@ from paulipath.propagation import (
     BackpropResult,
     BackpropStats,
     FrontierOverflowError,
-    _bloch_scale,
     _compile,
     _Frontier,
     _local_step,
-    _split_words,
 )
 from mc_reference_walk import noise_tables
 from reference_walk import count_legal_paths, iter_legal_paths, reference_backpropagate
@@ -414,6 +412,12 @@ class TestResultSurface:
         with pytest.raises(ValueError):
             res.kept_below(3)
 
+    @pytest.mark.parametrize("k", ["1", 1.5, True, 0])
+    def test_kept_below_needs_a_positive_integer(self, k):
+        res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"), TruncationConfig(2))
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            res.kept_below(k)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_overlap_matches_per_term_reference(self, data):
@@ -447,17 +451,29 @@ class TestPrunedOverlap:
 
     @staticmethod
     def full_product(res: BackpropResult, state: ProductState) -> float:
-        return math.fsum(_bloch_scale(res.c.copy(), res.x, res.z, state).tolist())
+        """One lookup per qubit in (1, r_x, r_z, r_y) by x_q | z_q << 1 on the masks, every row."""
+        vals, x, z = res.c.copy(), res.x, res.z
+        table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
+        for q in range(state.n):
+            j, s = q >> 6, np.uint64(q & 63)
+            code = (x[j] >> s) & 1 | ((z[j] >> s) & 1) << 1
+            vals *= table[q][code.view(np.int64)]
+        return math.fsum(vals.tolist())
 
     @staticmethod
-    def result(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> BackpropResult:
-        w = np.zeros(len(c), dtype=np.int64)
-        return BackpropResult(n, x, z, w, c, BackpropStats(), EXACT, False)
+    def result(n: int, x: np.ndarray, z: np.ndarray, c: np.ndarray, wb=0, w=None) -> BackpropResult:
+        """Word-major x/z masks and weights w (0 if None) packed with wb weight bits."""
+        w = np.zeros(len(c), dtype=np.int64) if w is None else w
+        keys = zip(helpers.join_words(x), helpers.join_words(z), w.tolist())
+        trunc = TruncationConfig(1 << wb) if wb else EXACT  # a cutoff above every weight
+        return BackpropResult(n, wb, helpers.packed_rows(n, wb, keys), c, BackpropStats(), trunc, False)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_the_full_product(self, data):
         n = data.draw(st.sampled_from([1, 2, 5, 16, 63, 64, 65, 130]))
+        # weight bits shift the x field across packed word boundaries
+        wb = data.draw(st.integers(0, 13)) if n in (5, 63, 64, 65, 130) else 0
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         # a qubit is dead (r_x = r_y = 0: X and Y overlap 0), lacks one of r_x, r_y, or has both
         kind = st.sampled_from(["dead", "no x", "no y", "full"])
@@ -467,13 +483,14 @@ class TestPrunedOverlap:
         bloch[[kind in ("dead", "no y") for kind in kinds], 1] = 0.0
         state = ProductState.from_vectors([tuple(map(float, r)) for r in bloch])
         m, words = int(rng.integers(0, 200)), (n + 63) // 64
-        top = _split_words([(1 << n) - 1], n)
+        top = np.array([[(1 << min(64, n - 64 * j)) - 1] for j in range(words)], dtype=np.uint64)
         # sparse x (about one bit in eight), so that some rows avoid every dead qubit
         x = rng.integers(0, 2**64, (3, words, m), dtype=np.uint64)
         x = x[0] & x[1] & x[2] & top
         z = rng.integers(0, 2**64, (words, m), dtype=np.uint64) & top
         c = rng.standard_normal(m) * rng.choice([1e-300, 1.0, 1e300], m)
-        res = self.result(n, x, z, c)
+        res = self.result(n, x, z, c, wb, rng.integers(0, 1 << wb, m))
+        assert np.array_equal(res.x, x) and np.array_equal(res.z, z)
         assert expectation(res, state).hex() == self.full_product(res, state).hex()
 
     @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
@@ -572,6 +589,21 @@ class TestResume:
         with pytest.raises(ValueError):
             backpropagate(circuit, res, other)
 
+    def test_seed_with_a_narrower_weight_field_rejected(self):
+        # a boundary adds up to 3 to weights below 8, which one weight bit cannot hold
+        trunc = TruncationConfig(8)
+        circuit = Circuit(3, (Layer((), (make_amplitude_damping(0.1),) * 3),) * 3)
+
+        def seed(wb):
+            rows = helpers.packed_rows(3, wb, [(0, 0b111, 0)])
+            return BackpropResult(3, wb, rows, np.array([1.0]), BackpropStats(), trunc, True)
+
+        wide = seed(helpers.packed_weight_bits(3, 8))
+        want = reference_backpropagate(circuit, wide, trunc)
+        _assert_same_frontier(backpropagate(circuit, wide, trunc), want)
+        with pytest.raises(ValueError, match="weight bits"):
+            backpropagate(circuit, seed(1), trunc)
+
     def test_seed_with_other_qubit_count_rejected(self):
         res = backpropagate(rx_damping_circuit(), PauliSum.single("Z"))
         with pytest.raises(QubitCountMismatch):
@@ -583,6 +615,26 @@ class TestResume:
             res.c[0] = 1.0
         again = backpropagate(rx_damping_circuit(), res)
         assert again.stats.surviving_path_count == again.x.shape[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_resume_over_an_empty_circuit_keeps_the_frontier(self, data):
+        # a result and its slice, whose weight field is its run's, come back bit for bit
+        trunc = data.draw(helpers.truncations())
+        n, sites = data.draw(helpers.registers(trunc.path_weight_cutoff))
+        circuit = helpers.embed_circuit(data.draw(helpers.noisy_circuits(len(sites))), sites, n)
+        obs = helpers.embed_sum(data.draw(helpers.observables(len(sites))), sites, n)
+        res = backpropagate(circuit, obs, trunc)
+        seeds = [res]
+        if trunc.path_weight_cutoff is not None:
+            seeds.append(res.kept_below(data.draw(st.integers(1, trunc.path_weight_cutoff))))
+        for seed in seeds:
+            again = backpropagate(Circuit(n, ()), seed, seed.trunc)
+            for column in ("x", "z", "w", "c"):
+                got, want = getattr(again, column), getattr(seed, column)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert again.wb == seed.wb and again.crossed_noise == seed.crossed_noise
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -646,20 +698,15 @@ class TestMerge:
         want = [(key, total) for key, total in want if total != 0.0]
         # gather blocks of 1 and 3 rows put block edges inside and between groups
         for block in (1, 3, propagation._GATHER_BLOCK):
-            f = _Frontier(
-                n,
-                wb,
-                _split_words([x for x, _, _ in keys], n),
-                _split_words([z for _, z, _ in keys], n),
-                np.array([w for _, _, w in keys], dtype=np.int64),
-                np.array(coeffs),
-            )
+            f = _Frontier(n, wb, helpers.packed_rows(n, wb, keys), np.array(coeffs))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(propagation, "_GATHER_BLOCK", block)
                 f.merge()
             assert f.p.shape == ((2 * n + wb + 63) // 64, len(want)) and f.p.dtype == np.uint64
             assert f.merged_len == len(want)
-            x, z, w = f.field(wb + n, n), f.field(wb, n), f.weights()
+            # the merged rows read through a result's columns
+            res = BackpropResult(n, wb, f.p, f.c, BackpropStats(), EXACT, False)
+            x, z, w = res.x, res.z, res.w
             assert x.shape == z.shape == ((n + 63) // 64, len(want)) and w.dtype == np.int64
             got = list(zip(helpers.join_words(x), helpers.join_words(z), w.tolist()))
             assert got == [key for key, _ in want]
@@ -698,10 +745,12 @@ class TestPeakMemory:
 
     def frontier(self, n: int, wb: int, seed: int = 5) -> _Frontier:
         rng = np.random.default_rng(seed)
-        pool = rng.integers(0, 1 << n, size=(3, self.M // 4), dtype=np.uint64)
-        pool[2] &= np.uint64((1 << wb) - 1)
-        x, z, w = pool[:, rng.integers(0, self.M // 4, size=self.M)]
-        return _Frontier(n, wb, x[None], z[None], w.view(np.int64), rng.standard_normal(self.M))
+        bits = 2 * n + wb  # of a packed row, word 0 holding the top bits % 64 (or 64) of them
+        pool = rng.integers(0, 2**64, size=((bits + 63) // 64, self.M // 4), dtype=np.uint64)
+        pool[0] &= np.uint64((1 << ((bits - 1) % 64 + 1)) - 1)
+        # np.take keeps the rows C-contiguous, as the engine's are
+        p = np.take(pool, rng.integers(0, self.M // 4, size=self.M), axis=1)
+        return _Frontier(n, wb, p, rng.standard_normal(self.M))
 
     def test_one_word_merge(self):
         n, wb = 16, 5

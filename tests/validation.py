@@ -40,9 +40,7 @@ def _direct_value(circuit: Circuit, observable: PauliSum, f: Functional) -> floa
     rounds = sum(layer.has_noise for layer in circuit.layers)
     every = backpropagate(circuit, observable, TruncationConfig(circuit.n * (rounds + 1) + 1))
     heavy = every.w >= f.k
-    dropped = result_terms(
-        replace(every, x=every.x[:, heavy], z=every.z[:, heavy], w=every.w[heavy], c=every.c[heavy])
-    )
+    dropped = result_terms(replace(every, p=every.p[:, heavy], c=every.c[heavy]))
     if isinstance(f, TruncMSE):
         return expectation(dropped, f.state) ** 2
     return frobenius_norm_sq(dropped)
