@@ -372,6 +372,10 @@ def _resolve_trunc(cfg: dict) -> TruncationConfig:
 
 def _emit(args, payload: dict, rows: list[dict] | None = None) -> None:
     """Write JSON (payload, the rows as its result) or CSV (rows under config comment lines)."""
+    try:  # JSON has no NaN or infinity: a run that computed one failed (exit 4) and writes nothing
+        json.dumps([payload, rows], allow_nan=False)
+    except ValueError:
+        raise FloatingPointError(f"{args.command} would write a non-finite number") from None
     if args.format == "json" or rows is None:
         if rows is not None:
             payload["result"] = rows

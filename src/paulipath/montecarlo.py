@@ -31,16 +31,16 @@ chance of going to I (from the transfer matrix).  Three draw rules:
   (the code of the last of ``_local_step``'s slots whose threshold a
   ``random()`` double reaches) unpack their qubit.
 
-A weight boundary adds the ``x | z`` planes into a bit-sliced counter.
-The seed's term planes are built from the Pauli strings' masks, and the
-``Variance`` and ``TruncMSE`` values read each qubit's codes x_q | z_q << 1
-from the planes for the overlap they share with the engine,
-``propagation._bloch_scale``.  Draws come from an SFC64 generator seeded by
-the seed through ``SeedSequence`` (any nonnegative integer, else
-``ValueError``); chunks draw one after another from its stream, so results
-are reproducible.  Every cutoff of a chunk is read from histograms over the
-weight.  The check of these estimates against direct circuit sampling is in
-``tests/validation.py``.
+A weight boundary adds the ``x | z`` planes into a bit-sliced counter; the
+program's first one weighs the seed terms.  The seed's term planes are
+built from the Pauli strings' masks, and the ``Variance`` and ``TruncMSE``
+values read each qubit's codes x_q | z_q << 1 from the planes for the
+overlap they share with the engine, ``propagation._bloch_scale``.  Draws
+come from an SFC64 generator seeded by the seed through ``SeedSequence``
+(any nonnegative integer, else ``ValueError``); chunks draw one after
+another from its stream, so results are reproducible.  Every cutoff of a
+chunk is read from histograms over the weight.  The check of these
+estimates against direct circuit sampling is in ``tests/validation.py``.
 """
 
 from __future__ import annotations
@@ -119,14 +119,15 @@ def _pack(bits: np.ndarray) -> np.ndarray:
 
 
 def _seed_paths(observable: PauliSum) -> tuple:
-    """Term planes (one lane per term), weights, sampling probabilities and ||O||_F^2."""
+    """Term planes (one lane per term, weighed by the first boundary), probabilities and ||O||_F^2."""
     terms = list(observable.items())
     bits = [[[v >> q & 1 for v in masks] for q in range(observable.n)]
             for masks in ([p.x for p, _ in terms], [p.z for p, _ in terms])]
     coeffs_sq = np.array([c * c for _, c in terms])
-    weights = np.array([p.weight for p, _ in terms], dtype=np.int64)
     norm_sq = coeffs_sq.sum()
-    return _pack(np.array(bits, dtype=np.uint8)), weights, coeffs_sq / norm_sq, norm_sq
+    if not 0.0 < norm_sq < math.inf:  # no sampling law
+        raise FloatingPointError(f"the observable's ||O||_F^2 is {float(norm_sq)!r}")
+    return _pack(np.array(bits, dtype=np.uint8)), coeffs_sq / norm_sq, norm_sq
 
 
 _LETTERS = (1, 3, 2)  # X, Y, Z as bit pairs x | z << 1
@@ -204,13 +205,14 @@ def _walk_program(template: Circuit) -> list:
 
     ``("rot", reads, writes, uniform)``: the planes a rotation's generator
     reads and folds into, indices into the ``(2n, L)`` planes (x first).
-    Rotations by a multiple of pi, ``layer_end`` and rounds without a
-    channel drop out; fixed Cliffords go to ``_linear_map``, rounds to
-    ``_noise_round``.  Raises ``UnsupportedEnsembleError`` on a fixed angle
-    that is not a multiple of pi/2.
+    A first ``boundary`` weighs the seed.  Rotations by a multiple of pi,
+    ``layer_end`` and rounds without a channel drop out; fixed Cliffords go
+    to ``_linear_map``, rounds to ``_noise_round``.  Raises
+    ``UnsupportedEnsembleError`` on a fixed angle that is not a multiple of
+    pi/2.
     """
     n = template.n
-    program: list = []
+    program: list = [("boundary",)]  # the seed's own Pauli weight
 
     def indices(xs: int, zs: int) -> tuple:  # the x planes of the bits of xs, then the z planes of zs
         return tuple(side * n + q for side, v in ((0, xs), (1, zs)) for q in range(n) if v >> q & 1)
@@ -318,17 +320,16 @@ def _below(carriers: np.ndarray, cut: int, rng) -> np.ndarray:
     return below.reshape(carriers.shape)
 
 
-def _walk_chunk(program, terms, seed_weights, probs, norm_sq, m, rng):
+def _walk_chunk(program, terms, probs, norm_sq, m, rng):
     """Walk m sampled paths through ``_walk_program``'s steps.
 
-    Returns the (2, n, ceil(m / 64)) bit planes, accumulated weights and reweight factors.
+    Returns the (2, n, ceil(m / 64)) bit planes, the boundary tally as weights and reweight factors.
     """
     counts = rng.multinomial(m, probs)  # paths are exchangeable: term t seeds the next counts[t] lanes
     n, words, bits = terms.shape[1], -(-m // 64), _unpack(terms)[..., :len(probs)]
     planes = np.empty((2, n, words), dtype=_LANES)
     for q in range(0, n, 8):  # eight qubits at a time bound the unpacked lanes
         planes[:, q:q + 8] = _pack(np.repeat(bits[:, q:q + 8], counts, axis=-1))
-    weight = np.repeat(seed_weights, counts)
     flat = planes.reshape(2 * n, words)  # x planes, then z planes
     x, z = planes
     k_factor = np.full(m, norm_sq)
@@ -377,7 +378,7 @@ def _walk_chunk(program, terms, seed_weights, probs, norm_sq, m, rng):
                     for codes, _, thresholds in rest:
                         out = np.where(u >= thresholds[code], codes[code], out)
             x[q], z[q] = _pack(out & 1), _pack(out >> 1)
-    weight += boundaries.counts(m)
+    weight = boundaries.counts(m)
     for norm, tally in exponents.items():
         e = tally.counts(m)
         k_factor *= (norm ** np.arange(int(e.max()) + 1))[e]
@@ -468,8 +469,11 @@ def estimate_many(
             m2 += b_m2 + delta * delta * cnt * m / tot
             stats[i] = (tot, mean, m2, nonzero + b_nonzero)
 
-    return [EstimateResult(mean, float(np.sqrt(m2 / (cnt - 1) / cnt)), cnt, nonzero / cnt, max_reweight)
-            for cnt, mean, m2, nonzero in stats]  # cnt is the sample count, at least 2
+    out = [EstimateResult(mean, float(np.sqrt(m2 / (cnt - 1) / cnt)), cnt, nonzero / cnt, max_reweight)
+           for cnt, mean, m2, nonzero in stats]  # cnt is the sample count, at least 2
+    if not all(math.isfinite(r.mean) and math.isfinite(r.standard_error) for r in out):
+        raise FloatingPointError("the estimate's mean or standard error is not finite")
+    return out
 
 
 def estimate(

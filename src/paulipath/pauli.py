@@ -101,7 +101,8 @@ class PauliSum:
     """Sparse real linear combination of Pauli strings.
 
     Zero coefficients are never stored; construction merges duplicate
-    keys.  Instances are immutable once built and safe to share.
+    keys, and rejects a string whose coefficient, given or merged, is not
+    finite.  Instances are immutable once built and safe to share.
     """
 
     __slots__ = ("n", "_terms")
@@ -116,9 +117,10 @@ class PauliSum:
         for p, c in items:
             if p.n != n:
                 raise QubitCountMismatch(f"term on {p.n} qubits in a {n}-qubit sum")
-            if not math.isfinite(c := float(c)):
+            # checked once merged: two finite terms of one string can sum to inf
+            if not math.isfinite(c := acc.get(p, 0.0) + float(c)):
                 raise ValueError(f"coefficient of {p.label()} must be finite, not {c!r}")
-            acc[p] = acc.get(p, 0.0) + c
+            acc[p] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", {p: c for p, c in acc.items() if c != 0.0})
 

@@ -29,8 +29,9 @@ forward PTM, where slot s of an input is its s-th non-zero output, as a
 joint bit-pair code, a coefficient and a sampling threshold per input.  The
 engine applies slot 0 in place and appends each further slot; the walk
 applies slot 0 and draws among the rest.  ``backpropagate``, the one engine
-entry, packs a Pauli-sum seed (``_rows``) or resumes from a copy of a
-result's rows, translates each step once per call into packed words
+entry, packs a Pauli-sum seed with w = 0 (``_rows``; a first boundary
+weighs it) or resumes from a copy of a result's rows, ends a layer on
+either, translates each step once per call into packed words
 (``_packed``), runs them on sampled circuits, returns its frontier as it
 stands and rejects a template at entry.  The Monte Carlo walk in
 ``montecarlo`` translates the same program once into bit-plane indices and
@@ -131,11 +132,10 @@ class BackpropResult:
     ``x << (n + wb) | z << wb | w``, word 0 most significant: the term
     ``c[i] * P(x, z)`` reached with accumulated weight w (0 for every row
     when ``trunc`` has no path-weight cutoff).  Rows are unique and sorted,
-    so in (x, z, w) order.  ``x``, ``z`` and ``w`` unpack them on each
-    access: word-major ``(ceil(n/64), m)`` uint64 masks, qubit q in bit
-    ``q & 63`` of word ``q >> 6``, and an int64 column.  ``trunc`` and
-    ``crossed_noise`` (the walk has passed a noise round) let the result
-    seed a further ``backpropagate`` call, which resumes from a copy of ``p``.
+    so in (x, z, w) order.  ``w`` unpacks the weights on each access, as an
+    int64 column.  ``trunc`` and ``crossed_noise`` (the walk has passed a
+    noise round) let the result seed a further ``backpropagate`` call, which
+    resumes from a copy of ``p``.
     """
 
     n: int
@@ -145,14 +145,6 @@ class BackpropResult:
     stats: BackpropStats
     trunc: TruncationConfig
     crossed_noise: bool
-
-    @property
-    def x(self) -> np.ndarray:
-        return _frozen(_field(self.p, self.wb + self.n, self.n))
-
-    @property
-    def z(self) -> np.ndarray:
-        return _frozen(_field(self.p, self.wb, self.n))
 
     @property
     def w(self) -> np.ndarray:  # as int64, all 0 when wb is 0
@@ -573,19 +565,10 @@ def _np_aux_filter(f: _Frontier, trunc: TruncationConfig, stats: BackpropStats) 
         f.select(keep)
 
 
-def _drop_heavy(f: _Frontier, k: int | None, stats: BackpropStats) -> None:
-    """Drop the rows with accumulated weight >= k (none if k is None); merged stays merged."""
-    if k is not None:
-        keep = _field(f.p, 0, f.wb)[0] < k  # wb > 0 under a cutoff
-        stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
-        f.select(keep)
-    f.merged_len = len(f)
-
-
 def _rows(obs: PauliSum, wb: int) -> tuple[np.ndarray, np.ndarray]:
-    """A sum's packed rows (w the Pauli weight, if wb > 0) and coefficients."""
+    """A sum's packed rows, with w = 0 in their wb weight bits, and coefficients."""
     n, terms = obs.n, list(obs.items())
-    rows = [(p.x << n | p.z) << wb | (p.weight if wb else 0) for p, _ in terms]
+    rows = [(p.x << n | p.z) << wb for p, _ in terms]
     return _split_words(rows, 2 * n + wb), np.array([c for _, c in terms], dtype=np.float64)
 
 
@@ -606,18 +589,19 @@ def backpropagate(
     Processing runs from the last layer to the first: the final
     single-qubit layer and any trailing noiseless layers first (they add
     no weight beyond the seed terms' own), then each damping-terminated
-    unit.  Under a path-weight cutoff, before every noise round except
-    the first one the walk ever crosses, the current Pauli weight of every
-    term is added to its accumulated weight; terms reaching the cutoff are
-    dropped.  Without a cutoff no weight accumulates.
+    unit.  Under a path-weight cutoff, at a fresh seed and before every
+    noise round except the first one the walk ever crosses, a weight
+    boundary adds the current Pauli weight of every term to its accumulated
+    weight and drops the terms that reach the cutoff.
 
-    ``seed`` is the observable, or the result of an earlier call, whose
-    frontier the walk then continues from a copy of its packed rows, in its
-    weight field: ``backpropagate(c1, backpropagate(c2, obs))`` equals
-    ``backpropagate(c1 then c2, obs)`` term for term.  A resumed seed must
-    have the same qubit count and ``trunc``, and at least the weight bits its
-    cutoff needs.  ``stats`` count this call only.  A circuit with
-    placeholders raises ``ValueError``.
+    ``seed`` is the observable, packed with w = 0, or the result of an
+    earlier call, whose frontier the walk then continues from a copy of its
+    packed rows, in its weight field; either ends a layer at entry (merge,
+    auxiliary cutoffs, peak count and ``max_terms``).  ``backpropagate(c1,
+    backpropagate(c2, obs))`` equals ``backpropagate(c1 then c2, obs)`` term
+    for term.  A resumed seed must have the same qubit count and ``trunc``,
+    and at least the weight bits its cutoff needs.  ``stats`` count this
+    call only.  A circuit with placeholders raises ``ValueError``.
 
     One engine serves every qubit count.  ``engine`` is kept only for the
     benchmark's light-cone reference (``perfbench/worker.py``), which
@@ -644,16 +628,13 @@ def backpropagate(
         crossed, wb = seed.crossed_noise, seed.wb
         # C-ordered copies: the kernels below change rows and coefficients in place
         f = _Frontier(n, wb, np.array(seed.p, order="C"), np.array(seed.c))
+        entry = [("layer_end",)]  # merged and cut: counted and checked
     else:
         if not seed:
             raise ValueError("observable has no terms")
         crossed = False
-        f = _Frontier(n, wb, *_rows(seed, wb))  # unique Paulis: already merged
-        _drop_heavy(f, k, stats)
-        _np_aux_filter(f, trunc, stats)
-    stats.peak_term_count = len(f)
-    if max_terms is not None and len(f) > max_terms:
-        raise FrontierOverflowError(f"frontier exceeded {max_terms} terms")
+        f = _Frontier(n, wb, *_rows(seed, wb))
+        entry = [("boundary",), ("layer_end",)]  # its own weight, then a layer's cuts
 
     packed: dict = {}  # id(step) -> (step, its kernel arguments): one translation per call
 
@@ -662,8 +643,7 @@ def backpropagate(
             packed[id(step)] = (step, _packed(step, n, wb))
         return packed[id(step)][1]
 
-    merged = False  # only layer_end, noise and boundary steps ran since the last merge
-    for step in _compile(circuit, crossed):
+    for step in entry + _compile(circuit, crossed):
         kind = step[0]
         if kind in _KERNELS:
             f.append(*_KERNELS[kind](f, *args(step)))
@@ -682,11 +662,10 @@ def backpropagate(
         elif k is not None:  # the weight boundary: no "ucliff" step survives the template check
             # the weights fill the last word's low bits and stay below 2^wb
             f.p[-1] += _popcount(f.support()).view(np.uint64)
-            _drop_heavy(f, k, stats)
-        merged = kind in ("layer_end", "noise") or merged and kind == "boundary"
-
-    if not merged:  # a boundary keeps rows in order: x and z fix the weight it adds
-        f.merge()
+            keep = _field(f.p, 0, wb)[0] < k
+            stats.paths_discarded_by_weight += int(len(keep) - keep.sum())
+            f.select(keep)
+            f.merged_len = len(f)  # merged rows stay merged: x and z fix the weight added
     stats.surviving_path_count = len(f)
     return BackpropResult(n, wb, _frozen(f.p), _frozen(f.c), stats, trunc, crossed)
 

@@ -44,7 +44,7 @@ from paulipath.circuits import Layer, _pauli_kron, clifford_forward_ptm, unitary
 from paulipath.experiments import center_z
 from paulipath.oracle import _apply_matrix, _noise_ptms
 from paulipath.pauli import CODE_TO_BITS
-from paulipath.propagation import _split_words
+from paulipath.propagation import _field, _split_words
 
 
 def clifford_adjoint_table(name: str) -> tuple[tuple[int, int], ...]:
@@ -641,10 +641,19 @@ def join_words(words: np.ndarray) -> list[int]:
     return ints
 
 
+def result_masks(res: BackpropResult) -> tuple[np.ndarray, np.ndarray]:
+    """A result's x and z fields as word-major ``(ceil(n / 64), m)`` uint64 masks.
+
+    Qubit q is bit ``q & 63`` of word ``q >> 6``; ``p`` packs the row as
+    ``x << (n + wb) | z << wb | w``.
+    """
+    return _field(res.p, res.wb + res.n, res.n), _field(res.p, res.wb, res.n)
+
+
 def result_terms(res: BackpropResult) -> PauliSum:
     """A result's rows as a Pauli sum: coefficients merged over accumulated weight."""
     n = res.n
-    rows = zip(join_words(res.x), join_words(res.z), res.c.tolist())
+    rows = zip(*map(join_words, result_masks(res)), res.c.tolist())
     return PauliSum(n, [(PauliString(n, x, z), c) for x, z, c in rows])
 
 

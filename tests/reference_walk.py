@@ -29,6 +29,7 @@ from helpers import (
     noisy_units,
     packed_rows,
     packed_weight_bits,
+    result_masks,
 )
 from paulipath import propagation
 from paulipath.pauli import BITS_TO_CODE, CODE_TO_BITS, PauliString, PauliSum, QubitCountMismatch
@@ -196,8 +197,8 @@ def _aux_filter(rows: list, trunc: TruncationConfig, stats: BackpropStats) -> li
 def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, bool]:
     """The frontier as (x, z, w, coeff) rows, merged where the engine merges.
 
-    The merges come after each layer's gates, after each noise round, at
-    the end, and after any step that leaves more than 4x the larger of
+    The merges come at a fresh seed's entry, after each layer's gates,
+    after each noise round, at the end, and after any step that leaves more than 4x the larger of
     ``propagation._MERGE_FLOOR`` (read per call, so a test can lower it) and
     the rows of the last merge or weight drop, so the sums associate as the
     engine's do and cancel to exactly zero where its sums do.  The
@@ -208,7 +209,7 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
     stats = BackpropStats()
 
     if isinstance(seed, BackpropResult):
-        rows = list(zip(join_words(seed.x), join_words(seed.z), seed.w.tolist(), seed.c.tolist()))
+        rows = list(zip(*map(join_words, result_masks(seed)), seed.w.tolist(), seed.c.tolist()))
         crossed = seed.crossed_noise
         merged_len = len(rows)
     else:
@@ -218,6 +219,7 @@ def _run_rows(circuit, seed, trunc, max_terms) -> tuple[list, BackpropStats, boo
                 stats.paths_discarded_by_weight += 1
                 continue
             rows.append((p.x, p.z, p.weight if k is not None else 0, c))
+        rows = _merge(rows)  # the engine ends a layer at entry, which sorts the seed
         merged_len = len(rows)
         rows = _aux_filter(rows, trunc, stats)
         crossed = False

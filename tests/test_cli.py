@@ -25,9 +25,16 @@ from paulipath import (
 from paulipath.cli import main
 
 
+def _not_json(constant):
+    raise ValueError(f"output holds {constant}, which strict JSON has no literal for")
+
+
 def run_cli(args, capsys):
+    """Exit code, stdout and stderr of ``main(args)``; exit-0 JSON on stdout must be strict JSON."""
     code = main(args)
     out = capsys.readouterr()
+    if code == 0 and out.out and "csv" not in args:
+        json.loads(out.out, parse_constant=_not_json)
     return code, out.out, out.err
 
 
@@ -1218,6 +1225,37 @@ def _fuzz_cases(count: int = 60, seed: int = 2026) -> list:
              for bad in _BAD_VALUES]
     cases = random.Random(seed).sample(cases, count)
     return [(command, _with(base, path, bad) if path else bad) for command, base, path, bad in cases]
+
+
+_HVA_2X2 = {**HVA_CIRCUIT, "lattice": {"type": "square", "rows": 2, "cols": 2}}
+
+
+class TestNonFiniteOutputs:
+    """Inputs whose numbers overflow: each run exits 2 or 4 with one error: line and writes nothing."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, cfg, code, named",
+        [
+            # an expectation of 1e308 + 1e308
+            ("oracle", {"circuit": {"n": 2, "layers": [{"gates": []}]},
+                        "observable": [{"pauli": "ZI", "coeff": 1e308}, {"pauli": "IZ", "coeff": 1e308}]},
+             4, "oracle would write a non-finite number"),
+            # two terms of one string that sum to inf
+            *[(command, {"circuit": _HVA_2X2, "observable": [{"pauli": "ZIII", "coeff": 1e308}] * 2},
+               2, "coefficient of ZIII must be finite") for command in ("oracle", "propagate")],
+            # ||O||_F^2 = 1e400
+            ("estimate", _with(ESTIMATE_CONFIG, ("observable", 0, "coeff"), 1e200), 4, "||O||_F^2"),
+            # the samples' squared deviations from their mean of about 1e300
+            ("estimate", _with(_with(ESTIMATE_CONFIG, ("observable", 0, "coeff"), 1e150),
+                               ("estimator", "k"), 1), 4, "standard error is not finite"),
+        ],
+    )
+    def test_exits_without_output(self, tmp_path, capsys, command, cfg, code, named):
+        got, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert got == code and out == ""
+        assert len(errors) == 1 and named in errors[0]
 
 
 class TestConfigFuzz:

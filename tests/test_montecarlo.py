@@ -224,6 +224,27 @@ class TestEstimate:
         with pytest.raises(ValueError):  # inputs are still checked
             estimate_many(tmpl, PauliSum.single("Z"), [], 1, 0)
 
+    @pytest.mark.parametrize("c", [1e200, 1e-200])
+    def test_a_norm_that_is_not_positive_and_finite_raises_before_any_draw(self, monkeypatch, c):
+        # c * c overflows to inf or underflows to 0: no sampling law
+        import paulipath.montecarlo as mc
+
+        def refuse(*args):
+            raise AssertionError("walked without a sampling law")
+
+        monkeypatch.setattr(mc, "_walk_chunk", refuse)
+        tmpl = Circuit(1, (uniform_rx_layer(1, (make_amplitude_damping(0.2),)),))
+        with pytest.raises(FloatingPointError, match="F\\^2"):
+            estimate(tmpl, PauliSum.single("Z", c), TruncFrobenius(2), 100, 3)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @pytest.mark.parametrize("functional", [Variance(ProductState.zeros(1)), TruncFrobenius(1)])
+    def test_a_non_finite_standard_error_raises(self, functional):
+        # ||O||_F^2 = 1e300 is finite, but the squared deviations of the samples are not
+        tmpl = Circuit(1, (uniform_rx_layer(1, (make_amplitude_damping(0.2),)),))
+        with pytest.raises(FloatingPointError, match="not finite"):
+            estimate(tmpl, PauliSum.single("Z", 1e150), functional, 100, 3)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             estimate(Circuit(1, ()), PauliSum(1, []), Variance(ProductState.zeros(1)), 100, 0)
@@ -474,10 +495,10 @@ class TestNoiseRoundStep:
 
         def walk(program, rng):
             terms = _planes(paths, n)
-            return _walk_chunk(program, terms, np.zeros(m, np.int64), np.full(m, 1.0 / m), 1.0, m, rng)
+            return _walk_chunk(program, terms, np.full(m, 1.0 / m), 1.0, m, rng)
 
         rng = _InOrder(np.random.Generator(np.random.SFC64(key)))
-        planes, weight, k_factor = walk(_walk_program(template), rng)
+        planes, weight, k_factor = walk(_walk_program(template)[1:], rng)  # past the seed's boundary
 
         # the same stream through the site-code walk's comparator: a dropped
         # lane draws u = 0, a kept one the largest double below 1 (it keeps its
@@ -532,7 +553,7 @@ class TestNoiseRoundStep:
         folded = NormalFormChannel((-0.5, -0.5, 0.9), (0.0, 0.0, 0.1))  # a sign pair in post
         assert folded.post is not None
         template = Circuit(4, (Layer((), (damp, rotated, folded, damp)),))
-        (_, (group, other)), local = _walk_program(template)
+        _seed_boundary, (_, (group, other)), local = _walk_program(template)
         assert local is _local_step((1,), rotated)
         # qubits 0 and 3 share a law; 2 has its own, so it is a group of its own
         assert [g[0].tolist() for g in (group, other)] == [[0, 3], [2]]

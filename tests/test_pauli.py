@@ -102,6 +102,12 @@ class TestPauliSum:
         with pytest.raises(ValueError, match="coefficient of XZ must be finite"):
             PauliSum.from_strings([("ZI", 1.0), ("XZ", c)])
 
+    @pytest.mark.parametrize("c", [1e308, -1e308])
+    def test_rejects_a_merged_coefficient_that_overflows(self, c):
+        # each term is finite, their sum is not
+        with pytest.raises(ValueError, match="coefficient of ZIII must be finite"):
+            PauliSum.from_strings([("ZIII", c), ("IZII", 1.0), ("ZIII", c)])
+
 
 class TestProductState:
     def test_zeros(self):

@@ -452,7 +452,7 @@ class TestPrunedOverlap:
     @staticmethod
     def full_product(res: BackpropResult, state: ProductState) -> float:
         """One lookup per qubit in (1, r_x, r_z, r_y) by x_q | z_q << 1 on the masks, every row."""
-        vals, x, z = res.c.copy(), res.x, res.z
+        vals, (x, z) = res.c.copy(), helpers.result_masks(res)
         table = np.array([(1.0, rx, rz, ry) for rx, ry, rz in state.bloch])
         for q in range(state.n):
             j, s = q >> 6, np.uint64(q & 63)
@@ -490,7 +490,7 @@ class TestPrunedOverlap:
         z = rng.integers(0, 2**64, (words, m), dtype=np.uint64) & top
         c = rng.standard_normal(m) * rng.choice([1e-300, 1.0, 1e300], m)
         res = self.result(n, x, z, c, wb, rng.integers(0, 1 << wb, m))
-        assert np.array_equal(res.x, x) and np.array_equal(res.z, z)
+        assert all(map(np.array_equal, helpers.result_masks(res), (x, z)))
         assert expectation(res, state).hex() == self.full_product(res, state).hex()
 
     @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
@@ -514,7 +514,7 @@ def _stat_totals(*results):
 
 def _weighted(res):
     """(x mask, z mask, accumulated weight) -> coefficient, one entry per result row."""
-    rows = zip(helpers.join_words(res.x), helpers.join_words(res.z), res.w.tolist(), res.c.tolist())
+    rows = zip(*map(helpers.join_words, helpers.result_masks(res)), res.w.tolist(), res.c.tolist())
     return {(x, z, w): c for x, z, w, c in rows}
 
 
@@ -571,8 +571,9 @@ class TestResume:
         obs = PauliSum(n, [(PauliString(n, (1 << 69) | 1, (1 << 64) | (1 << 63)), 0.8)])
         state = helpers.random_product_state(rng, n)
         res = backpropagate(circuit, obs)
-        assert res.x.dtype == res.z.dtype == np.uint64
-        assert res.x.shape == res.z.shape == (2, len(res.c)) and len(res.c) > 1
+        x, z = helpers.result_masks(res)
+        assert x.dtype == z.dtype == np.uint64
+        assert x.shape == z.shape == (2, len(res.c)) and len(res.c) > 1
         assert expectation(res, state) == pytest.approx(
             helpers.reference_expectation(helpers.result_terms(res), state), abs=1e-14
         )
@@ -614,7 +615,7 @@ class TestResume:
         with pytest.raises(ValueError):
             res.c[0] = 1.0
         again = backpropagate(rx_damping_circuit(), res)
-        assert again.stats.surviving_path_count == again.x.shape[1]
+        assert again.stats.surviving_path_count == again.p.shape[1]
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -630,7 +631,7 @@ class TestResume:
             seeds.append(res.kept_below(data.draw(st.integers(1, trunc.path_weight_cutoff))))
         for seed in seeds:
             again = backpropagate(Circuit(n, ()), seed, seed.trunc)
-            for column in ("x", "z", "w", "c"):
+            for column in ("p", "w", "c"):
                 got, want = getattr(again, column), getattr(seed, column)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
@@ -706,7 +707,7 @@ class TestMerge:
             assert f.merged_len == len(want)
             # the merged rows read through a result's columns
             res = BackpropResult(n, wb, f.p, f.c, BackpropStats(), EXACT, False)
-            x, z, w = res.x, res.z, res.w
+            (x, z), w = helpers.result_masks(res), res.w
             assert x.shape == z.shape == ((n + 63) // 64, len(want)) and w.dtype == np.int64
             got = list(zip(helpers.join_words(x), helpers.join_words(z), w.tolist()))
             assert got == [key for key, _ in want]
@@ -779,9 +780,10 @@ class TestPeakMemory:
 
 
 def _assert_same_frontier(got, want):
-    assert got.x.shape == want.x.shape == ((got.n + 63) // 64, len(want.c))
-    assert got.x.dtype == got.z.dtype == np.uint64
-    assert np.array_equal(got.x, want.x) and np.array_equal(got.z, want.z)
+    (got_x, got_z), (want_x, want_z) = helpers.result_masks(got), helpers.result_masks(want)
+    assert got_x.shape == want_x.shape == ((got.n + 63) // 64, len(want.c))
+    assert got_x.dtype == got_z.dtype == np.uint64
+    assert np.array_equal(got_x, want_x) and np.array_equal(got_z, want_z)
     assert np.array_equal(got.w, want.w)
     np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-12)
     assert got.stats.surviving_path_count == want.stats.surviving_path_count
@@ -950,6 +952,50 @@ class TestAgainstReference:
         state = data.draw(helpers.product_states(n))
         got = expectation(backpropagate(circuit, obs), state)
         assert got == pytest.approx(simulate_exact(circuit, state, obs), abs=1e-10)
+
+
+@st.composite
+def light_and_heavy_sums(draw, n: int) -> PauliSum:
+    """2-6 terms of 0-9 letters each on qubits at both ends of the register and of its mask words."""
+    pool = [q for q in (0, 1, 2, 62, 63, 64, 65, 127, 128, 129) if q < n]
+    letters = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from("XYZ")), max_size=9)
+    coeffs = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    terms = []
+    for sites, c in draw(st.lists(st.tuples(letters, coeffs), min_size=2, max_size=6)):
+        codes = [0] * n
+        for q, letter in sites:
+            codes[q] = "IXYZ".index(letter)
+        terms.append((helpers.pauli_from_codes(codes), c))
+    return PauliSum(n, terms)
+
+
+class TestSeedEntry:
+    """A fresh seed runs a weight boundary and a layer end before the circuit's first step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_seed_over_an_empty_circuit(self, data):
+        n = data.draw(st.sampled_from([3, 64, 130]))
+        obs = data.draw(light_and_heavy_sums(n))
+        trunc = data.draw(helpers.truncations())
+        k = trunc.path_weight_cutoff
+        res = backpropagate(Circuit(n, ()), obs, trunc)
+        rows = helpers.join_words(res.p[::-1])  # word 0 of a packed row is its top word
+        assert rows == sorted(set(rows))
+        # heavy terms go at the boundary, before an auxiliary cutoff can count them
+        weights = {(p.x, p.z): p.weight for p, _ in obs.items()}
+        heavy = sum(k is not None and w >= k for w in weights.values())
+        assert res.stats.paths_discarded_by_weight == heavy
+        aux = (res.stats.paths_discarded_by_coeff + res.stats.paths_discarded_by_xy
+               + res.stats.paths_discarded_by_current_weight)
+        assert aux + len(res.c) == len(obs) - heavy
+        for x, z, w in zip(*map(helpers.join_words, helpers.result_masks(res)), res.w.tolist()):
+            assert k is None or weights[x, z] < k
+            assert w == (weights[x, z] if k is not None else 0)
+        assert res.stats.peak_term_count == res.stats.surviving_path_count == len(res.c)
+        want = reference_backpropagate(Circuit(n, ()), obs, trunc)
+        _assert_same_frontier(res, want)
+        assert np.array_equal(res.c, want.c) and res.stats == want.stats
 
 
 def _run_slots(step) -> tuple[np.ndarray, list]:
