@@ -71,13 +71,9 @@ class _ConfigObject(dict):
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below with the other non-positive values
-    if value <= 0:
+    if not text.isdecimal() or int(text) <= 0:
         raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
-    return value
+    return int(text)
 
 
 def _version_string() -> str:
@@ -94,19 +90,32 @@ def _version_string() -> str:
     return f"paulipath {__version__}" + (f" ({desc})" if desc else "")
 
 
+def _finite(value, name: str):
+    """``value`` if it holds no NaN or infinity (Python's json reads both), else exit 2 naming its key."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} holds {json.dumps(value)}, which is not a finite number")
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            _finite(child, repr(key) if isinstance(key, str) else name)
+    return value
+
+
+def _parse(text: str, source: str):
+    """``text`` as JSON (objects as ``_ConfigObject``) with every number finite, else exit 2."""
+    try:
+        return _finite(json.loads(text, object_hook=_ConfigObject), source)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{source} is not valid JSON: {exc}") from None
+
+
 def _load_config(args) -> dict:
     if not args.config:
         raise ConfigError("--config FILE is required for this command")
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh, object_hook=_ConfigObject)
+            return _as_object(_parse(fh.read(), "config"), "config")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
 
 
 # --- typed readers --------------------------------------------------------------------
@@ -119,6 +128,13 @@ def config_int(value, name: str) -> int:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def config_count(value, name: str) -> int:
+    """A positive integer config value as an int; else ``ValueError`` naming it."""
+    if (count := config_int(value, name)) <= 0:
+        raise ValueError(f"{name} must be a positive integer, not {value!r}")
+    return count
 
 
 def config_float(value, name: str) -> float:
@@ -233,9 +249,7 @@ def _lattice(value, name: str) -> Square:
     if not isinstance(periodic, bool):
         raise ConfigError(f"'periodic' must be true or false, not {periodic!r}")
     if kind == "chain":
-        if (n := _int_value(spec, "n")) < 1:
-            raise ConfigError(f"'n' must be at least 1, not {n}")
-        return Square(1, n, periodic)
+        return Square(1, config_count(spec["n"], "'n'"), periodic)
     if kind == "square":
         return Square(_int_value(spec, "rows"), _int_value(spec, "cols"), periodic)
     raise ConfigError(f"'type' must be one of ['chain', 'square'], not {kind!r}")
@@ -359,11 +373,13 @@ def _resolve_observable(cfg: dict, n: int) -> PauliSum:
 def _resolve_trunc(cfg: dict) -> TruncationConfig:
     """The optional ``truncation`` object; an absent or null cutoff in it is none."""
     spec = _optional(cfg, "truncation", _as_object, {})
+    if (coeff := _optional(spec, "coeff_cutoff", config_float, 0.0)) < 0.0:
+        raise ConfigError(f"'coeff_cutoff' must be nonnegative, not {coeff!r}")
     return TruncationConfig(
-        _optional(spec, "k", config_int),
-        _optional(spec, "coeff_cutoff", config_float, 0.0),
-        _optional(spec, "xy_cutoff", config_int),
-        _optional(spec, "current_weight_cutoff", config_int),
+        _optional(spec, "k", config_count),
+        coeff,
+        _optional(spec, "xy_cutoff", config_count),
+        _optional(spec, "current_weight_cutoff", config_count),
     )
 
 
@@ -403,10 +419,7 @@ def _base_payload(cfg: dict, seed: int) -> dict:
 
 
 def cmd_channel_info(args) -> int:
-    if args.channel:
-        spec = json.loads(args.channel, object_hook=_ConfigObject)
-    else:
-        spec = _load_config(args)["channel"]
+    spec = _parse(args.channel, "--channel") if args.channel else _load_config(args)["channel"]
     ch = _channel(spec, "'channel'")
     worst, two = contraction_sq_worstcase(ch), contraction_sq_mean(ch, TwoDesign())
     info = {
@@ -447,9 +460,7 @@ def cmd_propagate(args) -> int:
 
     if "k_sweep" in cfg:
         # one pass at the largest k: the run at a smaller k is its rows with w < k
-        ks = _list(cfg, "k_sweep", config_int, "integers")
-        if any(k <= 0 for k in ks):
-            raise ConfigError(f"'k_sweep' entries must be positive, not {ks!r}")
+        ks = _list(cfg, "k_sweep", config_count, "positive integers")
         rows = []
         if ks:
             t0 = time.perf_counter()
@@ -500,9 +511,9 @@ def cmd_estimate(args) -> int:
     if kind == "variance":
         functional = Variance(state)
     elif kind == "trunc_mse":
-        functional = TruncMSE(_int_value(est, "k"), state)
+        functional = TruncMSE(config_count(est["k"], "'k'"), state)
     elif kind == "trunc_frobenius":
-        functional = TruncFrobenius(_int_value(est, "k"))
+        functional = TruncFrobenius(config_count(est["k"], "'k'"))
     else:
         kinds = ["trunc_frobenius", "trunc_mse", "variance"]
         raise ConfigError(f"'functional' must be one of {kinds}, not {kind!r}")
@@ -523,16 +534,18 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     seed = _seed(args, cfg)
+    noise_grid = _list(cfg, "noise_grid", config_float, "numbers")
+    if not all(0.0 <= p <= 1.0 for p in noise_grid):
+        raise ConfigError(f"'noise_grid' entries must lie in [0, 1], not {noise_grid!r}")
     rows = sweep_table(
         _lattice(cfg["lattice"], "'lattice'"),
         _int_value(cfg, "blocks"),  # ansatz depth is always explicit
         cfg["noise_kind"],
-        _list(cfg, "noise_grid", config_float, "numbers"),
-        _list(cfg, "k_grid", config_int, "integers"),
+        noise_grid,
+        _list(cfg, "k_grid", config_count, "positive integers"),
         cfg.get("functional", "trunc_frobenius"),
         _int_value(cfg, "samples", 100_000),
         seed,
-        threads=args.threads,
         noise_placement=cfg.get("noise_placement", "per_block"),
     )
     payload = _base_payload(cfg, seed)
@@ -575,7 +588,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     common.add_argument(
-        "--threads", type=_positive_int, default=1, help="worker threads for a sweep's noise points"
+        "--threads", type=_positive_int, help="accepted so old command lines parse; sweeps run in order"
     )
     common.add_argument(
         "--max-terms",

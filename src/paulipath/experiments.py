@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .channels import _BUILDERS
@@ -41,39 +39,34 @@ def sweep_table(
     functional: str,
     samples: int,
     seed: int,
-    threads: int | None = None,
     noise_placement: str = "per_block",
 ) -> list[dict]:
     """Monte Carlo truncation-error grid over (noise strength, cutoff order).
 
-    Each noise point runs one sampling walk evaluated at every cutoff;
-    every row carries the matching reference curve value coef^k
-    (``trunc_mse`` is taken against the all-zero state).  Noise
-    defaults to once per ansatz block so the gates between noise rounds
-    scramble every qubit, which is what the reference decay curve
-    assumes.
+    The noise points run in order, each one sampling walk (sub-seeded by
+    its index) evaluated at every cutoff; every row carries the matching
+    reference curve value coef^k (``trunc_mse`` is taken against the
+    all-zero state).  Noise defaults to once per ansatz block so the
+    gates between noise rounds scramble every qubit, which is what the
+    reference decay curve assumes.
     """
     if not isinstance(noise_kind, str) or noise_kind not in _BUILDERS:
         raise ValueError(f"'noise_kind' must be one of {sorted(_BUILDERS)}, not {noise_kind!r}")
-    kinds = ["trunc_frobenius", "trunc_mse"]
-    if functional not in kinds:
-        raise ValueError(f"'functional' must be one of {kinds}, not {functional!r}")
+    if functional == "trunc_frobenius":
+        fs = [TruncFrobenius(k) for k in k_grid]
+    elif functional == "trunc_mse":
+        fs = [TruncMSE(k, ProductState.zeros(lattice.n_sites)) for k in k_grid]
+    else:
+        raise ValueError(f"'functional' must be 'trunc_frobenius' or 'trunc_mse', not {functional!r}")
     observable = center_z(lattice)
-
-    def run_point(item: tuple[int, float]) -> list[dict]:
-        idx, param = item
+    rows = []
+    for idx, param in enumerate(noise_grid):
         ch = _BUILDERS[noise_kind](param)
         template = build_hva(lattice, ch, blocks, noise_placement=noise_placement)
-        if functional == "trunc_frobenius":
-            fs = [TruncFrobenius(k) for k in k_grid]
-        else:
-            fs = [TruncMSE(k, ProductState.zeros(lattice.n_sites)) for k in k_grid]
-        if not fs:
-            return []
         sub = int(np.random.SeedSequence([seed, idx]).generate_state(1)[0])
-        results = estimate_many(template, observable, fs, samples, sub)
+        results = estimate_many(template, observable, fs, samples, sub) if fs else []
         coef = theory_contraction_sq(noise_kind, param)
-        return [
+        rows += [
             {
                 "noise_param": param,
                 "k": k,
@@ -83,14 +76,7 @@ def sweep_table(
             }
             for k, r in zip(k_grid, results)
         ]
-
-    items = list(enumerate(noise_grid))
-    if threads is not None and threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_point, items))
-    else:
-        chunks = [run_point(it) for it in items]
-    return [row for chunk in chunks for row in chunk]
+    return rows
 
 
 def dynamics_series(

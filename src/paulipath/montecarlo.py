@@ -385,6 +385,7 @@ def _walk_chunk(program, terms, probs, norm_sq, m, rng):
     return planes, weight, k_factor
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite mean or M2 fails in estimate_many
 def _chunk_stats(functionals: Sequence[Functional], planes, weight, k_factor) -> list:
     """Each functional's (mean, M2, non-zero count) over one chunk, from histograms over the weight.
 

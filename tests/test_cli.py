@@ -6,11 +6,11 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import paulipath.cli
-import paulipath.experiments
 import paulipath.pauli
 from paulipath import (
     PauliString,
@@ -484,12 +484,13 @@ class TestSweepCommand:
         return json.loads(out)["result"]
 
     def test_one_thread_by_default(self, tmp_path, capsys, monkeypatch):
-        def no_pool(*_args, **_kwargs):
-            raise AssertionError("sweep built a thread pool")
+        # --threads still parses, and the noise points run in order on this thread
+        def no_thread(*_args, **_kwargs):
+            raise AssertionError("sweep started a thread")
 
-        monkeypatch.setattr(paulipath.experiments, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         cfg = write_config(tmp_path, {**self.SWEEP_CONFIG, "noise_grid": [0.1, 0.2]})
-        code, out, _ = run_cli(["sweep", "--config", cfg, "--format", "json"], capsys)
+        code, out, _ = run_cli(["sweep", "--config", cfg, "--format", "json", "--threads", "2"], capsys)
         assert code == 0 and len(json.loads(out)["result"]) == 4
 
     def test_noise_placement_from_config(self, tmp_path, capsys):
@@ -644,6 +645,27 @@ class TestErrors:
         path.write_text("{not json")
         code, _, _ = run_cli(["propagate", "--config", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_config_exits_2(self, tmp_path, capsys, constant):
+        # Python's json reads these constants; under a key no command reads,
+        # one would reach the output's config and fail there (exit 4)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**RX_DAMP_CONFIG, "note": [0.0]}).replace("[0.0]", f"[{constant}]"))
+        code, out, err = run_cli(["oracle", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: 'note' holds {constant}, which is not a finite number\n"
+
+    def test_non_finite_constant_in_channel_option_exits_2(self, capsys):
+        text = '{"kind": "dephasing", "param": 0.1, "note": Infinity}'
+        code, out, err = run_cli(["channel-info", "--channel", text], capsys)
+        assert code == 2 and out == ""
+        assert "'note'" in err and "Infinity" in err
+
+    def test_malformed_channel_option_exits_2_naming_it(self, capsys):
+        code, out, err = run_cli(["channel-info", "--channel", '{"kind": '], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --channel is not valid JSON: Expecting value")
 
     @pytest.mark.parametrize("content", [None, "[1, 2]"])
     def test_unreadable_or_non_object_config_exits_2(self, tmp_path, capsys, content):
@@ -1170,6 +1192,28 @@ class TestCounts:
         assert code == 2 and out == ""
         assert repr(key) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            ("propagate", _with(RX_DAMP_CONFIG, ("truncation",), {"k": 0}), "k"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("truncation",), {"xy_cutoff": 0}), "xy_cutoff"),
+            ("dynamics", _with(DYNAMICS_CONFIG, ("truncation",), {"current_weight_cutoff": 0}),
+             "current_weight_cutoff"),
+            ("propagate", _with(RX_DAMP_CONFIG, ("truncation",), {"coeff_cutoff": -1}), "coeff_cutoff"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator", "k"), 0), "k"),
+            ("estimate", _with(ESTIMATE_CONFIG, ("estimator",),
+                               {"functional": "trunc_mse", "k": -2, "samples": 100}), "k"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("k_grid",), [2, 0]), "k_grid"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_grid",), [1.5]), "noise_grid"),
+            ("sweep", _with(TestSweepCommand.SWEEP_CONFIG, ("noise_grid",), [0.1, -0.1]),
+             "noise_grid"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_it(self, tmp_path, capsys, command, cfg, key):
+        code, out, err = run_cli([command, "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2 and out == ""
+        assert repr(key) in err and "Traceback" not in err
+
     def test_negative_steps_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, _with(DYNAMICS_CONFIG, ("steps",), -1))
         code, out, err = run_cli(["dynamics", "--config", cfg], capsys)
@@ -1256,6 +1300,20 @@ class TestNonFiniteOutputs:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert got == code and out == ""
         assert len(errors) == 1 and named in errors[0]
+
+    def test_overflowing_estimate_prints_only_its_error_line(self, tmp_path):
+        # numpy's warnings reach the process's stderr past capsys, so the CLI runs in a
+        # child, with warnings shown as by default whatever the environment asks
+        cfg = _with(_with(ESTIMATE_CONFIG, ("observable", 0, "coeff"), 1e150), ("estimator", "k"), 1)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        child = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "paulipath.cli", "estimate", "--config",
+             write_config(tmp_path, cfg)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+        assert child.returncode == 4 and child.stdout == ""
+        assert child.stderr == "error: the estimate's mean or standard error is not finite\n"
 
 
 class TestConfigFuzz:

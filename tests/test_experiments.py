@@ -104,7 +104,7 @@ class TestSweepTable:
     def test_row_count_matches_grid(self):
         rows = sweep_table(
             Square(2, 2), 1, "dephasing", [0.05, 0.1, 0.2], [1, 2, 3, 4], "trunc_frobenius",
-            1000, 0, threads=2,
+            1000, 0,
         )
         assert len(rows) == 12
 

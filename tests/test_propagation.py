@@ -269,7 +269,7 @@ class TestBackpropagate:
             backpropagate(rx_damping_circuit(), PauliSum.single("Z"), max_terms=max_terms)
 
     def test_max_terms_checks_the_seed_at_entry(self):
-        # an empty circuit has no layer end, where the frontier is checked next
+        # the seed ends a layer at entry, so even an empty circuit checks its count
         seed = PauliSum.from_strings([("Z", 1.0), ("X", 0.5)])
         with pytest.raises(FrontierOverflowError):
             backpropagate(Circuit(1, ()), seed, max_terms=1)
